@@ -42,6 +42,7 @@ from .protocol import (
     ToolSpec,
     route_messages,
     run_episode,
+    step_world,
 )
 from .schema import FieldSpec, ResponseSchema, canonical_json, validate_action
 from .seeds import child_rng, derive_seed

@@ -352,11 +352,6 @@ class RemoteBackend(CompletionBackend):
         return CompletionResult(content=message.get("content") or "", tool_calls=calls)
 
 
-def complete(backend: CompletionBackend, request: CompletionRequest) -> CompletionResult:
-    """Function form of ``backend.complete``."""
-    return backend.complete(request)
-
-
 def run_tool_loop(
     backend: CompletionBackend,
     turns,

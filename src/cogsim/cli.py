@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import datetime as dt
 import hashlib
 import json
@@ -20,12 +21,12 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .envs.economy import EconomyEnv, phillips_okun_report
-from .envs.market import MarketEnv, load_news_feed, session_metrics_csv
-from .envs.questionnaire import load_item_bank
+from .cognition import PersonaConfig
 from .errors import ConfigError, SimulationError
+from .memory import memory_from_spec
 from .protocol import EpisodeLog, run_episode
 from .runners import (
+    BACKENDS,
     AblationSetting,
     ExperimentConfig,
     InstrumentSpec,
@@ -36,38 +37,35 @@ from .runners import (
     build_backend,
     build_environment,
     build_setup,
+    environment_kind,
+    item_bank_from_spec,
+    news_feed_from_spec,
+    reject_unknown,
+    roster_size,
     run_memory_transfer,
     run_multiworld,
     run_tariff_ablation,
     run_trials,
 )
 
-SUBCOMMANDS = ("run", "trials", "transfer", "multiworld", "ablation", "score")
-
 TOP_LEVEL_KEYS = {
     "runner", "environment", "agents", "backend",
     "trials", "seed", "max_steps", "out",
     "transfer", "multiworld", "ablation",
 }
-AGENT_KEYS = {"memory", "persona_text", "role_tag", "extra_directives", "max_tool_rounds", "max_parse_retries"}
+AGENT_KEYS = {"memory", "persona_text", "extra_directives", "max_tool_rounds", "max_parse_retries"}
 BACKEND_KEYS = {"kind", "rules", "default_content", "transcript_path", "strict", "endpoint", "auth_env", "in_flight_limit", "timeout"}
 TRANSFER_KEYS = {"source", "source_steps", "carry_memory", "items", "phase2_seed"}
 MULTIWORLD_KEYS = {"environments", "cycles"}
 ABLATION_KEYS = {"headline", "summary", "news", "settings"}
 
 
-def _reject_unknown(section: dict[str, Any], allowed: set[str], prefix: str) -> None:
-    for key in section:
-        if key not in allowed:
-            path = f"{prefix}.{key}" if prefix else key
-            raise ConfigError(f'unknown key "{key}"', field=path)
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     """Strictly parse a JSON experiment config.
 
     Defaults: runner "run", seed 0, trials 1, max_steps 100000. Unknown keys
-    anywhere in the recognized sections are rejected with their dotted path.
+    anywhere in the recognized sections, including every environment section
+    and the memory spec, are rejected with their dotted path.
     """
     path = Path(path)
     if not path.exists():
@@ -78,21 +76,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, TOP_LEVEL_KEYS, "")
+    reject_unknown(raw, TOP_LEVEL_KEYS, "")
     if "environment" not in raw:
         raise ConfigError("missing required section", field="environment")
     if not isinstance(raw["environment"], dict) or "kind" not in raw["environment"]:
         raise ConfigError("environment needs a kind", field="environment.kind")
+    environment_kind(raw["environment"])
     agents = raw.get("agents", {})
-    _reject_unknown(agents, AGENT_KEYS, "agents")
+    reject_unknown(agents, AGENT_KEYS, "agents")
+    memory_from_spec(agents.get("memory", {}))
     backend = raw.get("backend", {"kind": "scripted"})
-    _reject_unknown(backend, BACKEND_KEYS, "backend")
+    reject_unknown(backend, BACKEND_KEYS, "backend")
     if raw.get("transfer") is not None:
-        _reject_unknown(raw["transfer"], TRANSFER_KEYS, "transfer")
+        reject_unknown(raw["transfer"], TRANSFER_KEYS, "transfer")
+        if "source" in raw["transfer"]:
+            environment_kind(raw["transfer"]["source"], "transfer.source")
     if raw.get("multiworld") is not None:
-        _reject_unknown(raw["multiworld"], MULTIWORLD_KEYS, "multiworld")
+        reject_unknown(raw["multiworld"], MULTIWORLD_KEYS, "multiworld")
+        for i, spec in enumerate(raw["multiworld"].get("environments", [])):
+            environment_kind(spec, f"multiworld.environments[{i}]")
     if raw.get("ablation") is not None:
-        _reject_unknown(raw["ablation"], ABLATION_KEYS, "ablation")
+        reject_unknown(raw["ablation"], ABLATION_KEYS, "ablation")
     for field_name in ("trials", "seed", "max_steps"):
         if field_name in raw and not isinstance(raw[field_name], int):
             raise ConfigError("must be an integer", field=field_name)
@@ -143,17 +147,6 @@ class BundleWriter:
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _env_metrics_csv(env, log: EpisodeLog) -> str:
-    if isinstance(env, MarketEnv):
-        return session_metrics_csv(log.records)
-    if isinstance(env, EconomyEnv):
-        return env.indicators_csv()
-    lines = ["metric,value"]
-    for name, value in sorted(env.metrics().items()):
-        lines.append(f"{name},{value}")
-    return "\n".join(lines) + "\n"
-
-
 def _summary_lines(title: str, pairs: dict[str, Any]) -> str:
     lines = [title]
     for name, value in pairs.items():
@@ -162,17 +155,16 @@ def _summary_lines(title: str, pairs: dict[str, Any]) -> str:
 
 
 def _cmd_run(config: ExperimentConfig, bundle: BundleWriter) -> None:
+    kind = environment_kind(config.environment)
     env, agents = build_setup(config, config.seed)
     log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed)
     bundle.write("events.jsonl", log.to_jsonl())
-    bundle.write("metrics.csv", _env_metrics_csv(env, log))
+    bundle.write("metrics.csv", kind.metrics_csv(env, log.records))
     summary = _summary_lines(
         f"run: {config.environment['kind']} environment",
         {"seed": config.seed, "steps": log.steps_executed, **env.metrics()},
     )
-    if isinstance(env, EconomyEnv) and len(env.indicators) >= 3:
-        summary += phillips_okun_report(env.indicators)
-    bundle.write("summary.txt", summary)
+    bundle.write("summary.txt", summary + kind.report(env))
 
 
 def _cmd_trials(config: ExperimentConfig, bundle: BundleWriter) -> None:
@@ -192,36 +184,20 @@ def _cmd_trials(config: ExperimentConfig, bundle: BundleWriter) -> None:
     bundle.write("summary.txt", summary)
 
 
-def _load_items_spec(spec: Any, field: str):
-    if isinstance(spec, str):
-        item_path = Path(spec)
-        if not item_path.exists():
-            raise ConfigError(f"item bank not found: {spec}", field=field)
-        return load_item_bank(item_path.read_text())
-    if isinstance(spec, list):
-        return load_item_bank("\n".join(json.dumps(i) for i in spec))
-    raise ConfigError("items must be a file path or an inline list", field=field)
-
-
 def _cmd_transfer(config: ExperimentConfig, bundle: BundleWriter) -> None:
     section = config.transfer or {}
     if "source" not in section or "items" not in section:
         raise ConfigError("transfer needs source and items", field="transfer")
-    items = _load_items_spec(section["items"], "transfer.items")
-    backend = build_backend(config.backend)
+    items = item_bank_from_spec(section["items"], "transfer.items")
     source_spec = section["source"]
+    n = roster_size(source_spec)
+    roster = build_agents(config.agents, build_backend(config.backend), n, world_tag="transfer")
 
     def agent_factory(aid, memory):
-        roster = build_agents(config.agents, backend, aid + 1, world_tag="transfer")
-        agent = roster[aid]
+        agent = copy.copy(roster[aid])
         agent.memory = memory
         return agent
 
-    probe_env = build_environment(source_spec, config.seed)
-    from .runners import _agent_count
-    from .memory import memory_from_spec
-
-    n = _agent_count(probe_env)
     plan = TransferPlan(
         source_env_factory=lambda seed: build_environment(source_spec, seed),
         agent_ids=list(range(n)),
@@ -254,7 +230,7 @@ def _cmd_multiworld(config: ExperimentConfig, bundle: BundleWriter) -> None:
         raise ConfigError("multiworld needs environments", field="multiworld.environments")
     envs = [build_environment(spec, config.seed) for spec in section["environments"]]
     backend = build_backend(config.backend)
-    n = max(_agent_roster(env) for env in envs)
+    n = max(roster_size(spec) for spec in section["environments"])
     agents = build_agents(config.agents, backend, n, world_tag=envs[0].name)
     log = run_multiworld(
         MultiWorldSchedule(environments=envs, cycles=section.get("cycles", 1)),
@@ -278,12 +254,6 @@ def _cmd_multiworld(config: ExperimentConfig, bundle: BundleWriter) -> None:
     )
 
 
-def _agent_roster(env) -> int:
-    from .runners import _agent_count
-
-    return _agent_count(env)
-
-
 def _cmd_ablation(config: ExperimentConfig, bundle: BundleWriter) -> None:
     section = config.ablation or {}
     for required in ("headline", "summary", "news"):
@@ -291,23 +261,9 @@ def _cmd_ablation(config: ExperimentConfig, bundle: BundleWriter) -> None:
             raise ConfigError(f"ablation needs {required}", field=f"ablation.{required}")
     if config.environment.get("kind") != "market":
         raise ConfigError("ablation runs on a market environment", field="environment.kind")
-    news = section["news"]
-    if isinstance(news, str):
-        feed = load_news_feed(Path(news).read_text())
-    else:
-        import datetime as _dt
-
-        from .envs.market import NewsItem
-
-        feed = [
-            NewsItem(date=_dt.date.fromisoformat(n["date"]), headline=n["headline"], body=n.get("body", ""))
-            for n in news
-        ]
+    feed = news_feed_from_spec(section["news"], "ablation.news")
     base_env = build_environment(config.environment, config.seed)
     backend = build_backend(config.backend)
-    from .cognition import PersonaConfig
-    from .memory import memory_from_spec
-
     study = TariffStudy(
         base_config=base_env.config,
         headline=section["headline"],
@@ -330,14 +286,23 @@ def _cmd_ablation(config: ExperimentConfig, bundle: BundleWriter) -> None:
     bundle.write("summary.txt", _summary_lines("tariff ablation: mean buy/sell ratios", ratios))
 
 
-def _cmd_score(config: ExperimentConfig, bundle: BundleWriter, out_dir: Path) -> None:
-    events_path = out_dir / "events.jsonl"
+def _cmd_score(config: ExperimentConfig, bundle: BundleWriter) -> None:
+    events_path = bundle.out_dir / "events.jsonl"
     if not events_path.exists():
-        raise ConfigError(f"no events.jsonl to score in {out_dir}")
-    log = EpisodeLog.from_jsonl(events_path.read_text())
+        raise ConfigError(f"no events.jsonl to score in {bundle.out_dir}")
+    kind = environment_kind(config.environment)
+    if not kind.records_only:
+        raise ConfigError(
+            f"score cannot re-derive {config.environment['kind']} metrics from events alone",
+            field="environment.kind",
+        )
+    text = events_path.read_text()
+    episodes = sum(line.startswith('{"summary":') for line in text.splitlines())
+    if episodes != 1:
+        raise ConfigError(f"score needs a bundle of exactly one episode; {events_path} holds {episodes}")
+    log = EpisodeLog.from_jsonl(text)
     bundle.files["events.jsonl"] = _sha256(events_path.read_bytes())
-    env = build_environment(config.environment, config.seed)
-    bundle.write("metrics.csv", _env_metrics_csv(env, log))
+    bundle.write("metrics.csv", kind.metrics_csv(None, log.records))
     bundle.write(
         "summary.txt",
         _summary_lines(
@@ -346,17 +311,27 @@ def _cmd_score(config: ExperimentConfig, bundle: BundleWriter, out_dir: Path) ->
     )
 
 
+COMMANDS = {
+    "run": _cmd_run,
+    "trials": _cmd_trials,
+    "transfer": _cmd_transfer,
+    "multiworld": _cmd_multiworld,
+    "ablation": _cmd_ablation,
+    "score": _cmd_score,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cogsim", description="Multi-agent simulation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         cmd = sub.add_parser(name, help=f"{name} experiment")
         cmd.add_argument("--config", required=True, help="JSON experiment config")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed (default 0)")
         cmd.add_argument("--trials", type=int, default=None, help="override trial count")
         cmd.add_argument("--out", default=None, help="output bundle directory")
         cmd.add_argument(
-            "--backend", choices=["scripted", "replay", "remote"], default=None,
+            "--backend", choices=list(BACKENDS), default=None,
             help="override backend kind",
         )
     return parser
@@ -380,18 +355,7 @@ def main(argv: list[str] | None = None) -> int:
             config.backend = {**config.backend, "kind": args.backend}
         out_dir = Path(config.out or f"runs/{args.command}")
         bundle = BundleWriter(out_dir, Path(args.config).read_bytes(), config.seed)
-        if args.command == "run":
-            _cmd_run(config, bundle)
-        elif args.command == "trials":
-            _cmd_trials(config, bundle)
-        elif args.command == "transfer":
-            _cmd_transfer(config, bundle)
-        elif args.command == "multiworld":
-            _cmd_multiworld(config, bundle)
-        elif args.command == "ablation":
-            _cmd_ablation(config, bundle)
-        elif args.command == "score":
-            _cmd_score(config, bundle, out_dir)
+        COMMANDS[args.command](config, bundle)
         bundle.finalize()
     except ConfigError as exc:
         print(f"config error ({args.config}): {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ class PersonaConfig:
     """Static identity: persona text plus ordered extra directives."""
 
     persona_text: str = ""
-    role_tag: str = ""
     extra_directives: list[str] = field(default_factory=list)
 
     def render(self) -> str:

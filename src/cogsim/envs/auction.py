@@ -69,7 +69,6 @@ class RoundState:
     item_index: int
     standing_bid: tuple[int, float] | None = None
     round_number: int = 1
-    active_bidders: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,6 @@ def resolve_round(
         item_index=round_state.item_index,
         standing_bid=(best_agent, best_amount),
         round_number=round_state.round_number + 1,
-        active_bidders=round_state.active_bidders,
     )
 
 
@@ -174,7 +172,7 @@ class AuctionEnv(Environment):
             aid: BidderState(agent=aid, budget=self.initial_budget, objective=self.objectives.get(aid, "profit_first"))
             for aid in self.bidder_ids
         }
-        self.round_state = RoundState(item_index=0, active_bidders=frozenset(self.bidder_ids))
+        self.round_state = RoundState(item_index=0)
         self.sales: list[Sale] = []
         self.report = PriorityReport()
         self.global_round = 0
@@ -302,10 +300,7 @@ class AuctionEnv(Environment):
                 sale.winner, self.t, "sale",
                 {"item": item.name, "price": sale.price, "profit_delta": item.true_value - sale.price},
             )
-        self.round_state = RoundState(
-            item_index=self.round_state.item_index + 1,
-            active_bidders=frozenset(self.bidder_ids),
-        )
+        self.round_state = RoundState(item_index=self.round_state.item_index + 1)
 
     def metrics(self) -> dict[str, float]:
         out: dict[str, float] = {}

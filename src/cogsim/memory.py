@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Any, Mapping
+
+from .errors import ConfigError
+
 ENTRY_ROLES = ("observation", "own_action", "tool_result", "note")
 
 
@@ -38,6 +42,7 @@ class MemoryStore:
     """Base store: archives everything, renders nothing by itself."""
 
     variant = "null"
+    params: tuple[str, ...] = ()  # constructor arguments, archived in the header
 
     def __init__(self):
         self.entries: list[MemoryEntry] = []
@@ -52,13 +57,10 @@ class MemoryStore:
     def render(self) -> str:
         return "\n".join(entry.render() for entry in self.visible())
 
-    def _params(self) -> dict:
-        return {}
-
     def to_jsonl(self) -> str:
         """Versioned archive: a header line, then one entry per line."""
         header = {"version": 1, "variant": self.variant}
-        header.update(self._params())
+        header.update({name: getattr(self, name) for name in self.params})
         lines = [json.dumps(header, sort_keys=True)]
         for entry in self.entries:
             lines.append(
@@ -80,15 +82,8 @@ class MemoryStore:
         if not lines:
             raise ValueError("empty memory archive")
         header = json.loads(lines[0])
-        variant = header.get("variant")
-        if variant == "null":
-            store: MemoryStore = NullMemory()
-        elif variant == "buffer":
-            store = BufferMemory(capacity=header["capacity"])
-        elif variant == "chat_history":
-            store = ChatHistoryMemory(window=header["window"], token_limit=header["token_limit"])
-        else:
-            raise ValueError(f"unknown memory variant {variant!r}")
+        header.pop("version", None)
+        store = _build_store(header.pop("variant", None), header, "archive")
         for line in lines[1:]:
             obj = json.loads(line)
             store.record(
@@ -112,6 +107,7 @@ class BufferMemory(MemoryStore):
     """Renders at most the ``capacity`` most recent entries."""
 
     variant = "buffer"
+    params = ("capacity",)
 
     def __init__(self, capacity: int):
         super().__init__()
@@ -124,9 +120,6 @@ class BufferMemory(MemoryStore):
             return []
         return self.entries[-self.capacity:]
 
-    def _params(self) -> dict:
-        return {"capacity": self.capacity}
-
 
 class ChatHistoryMemory(MemoryStore):
     """Renders at most ``window`` entries and ~``token_limit`` content tokens.
@@ -138,6 +131,7 @@ class ChatHistoryMemory(MemoryStore):
     """
 
     variant = "chat_history"
+    params = ("window", "token_limit")
 
     def __init__(self, window: int, token_limit: int):
         super().__init__()
@@ -160,28 +154,27 @@ class ChatHistoryMemory(MemoryStore):
         survivors.reverse()
         return survivors
 
-    def _params(self) -> dict:
-        return {"window": self.window, "token_limit": self.token_limit}
+
+MEMORY_VARIANTS: dict[str, type[MemoryStore]] = {
+    cls.variant: cls for cls in (NullMemory, BufferMemory, ChatHistoryMemory)
+}
 
 
-def record(store: MemoryStore, entry: MemoryEntry) -> MemoryStore:
-    """Append ``entry`` to the store's archive (function form of ``store.record``)."""
-    store.record(entry)
-    return store
+def _build_store(variant: Any, params: Mapping[str, Any], where: str) -> MemoryStore:
+    cls = MEMORY_VARIANTS.get(variant)
+    if cls is None:
+        raise ConfigError(f"unknown memory kind {variant!r}", field=f"{where}.kind")
+    for key in sorted(params.keys() ^ set(cls.params)):
+        problem = "unknown key" if key in params else "missing key"
+        raise ConfigError(f'{problem} "{key}" for {variant} memory', field=f"{where}.{key}")
+    return cls(**params)
 
 
-def render_memory(store: MemoryStore) -> str:
-    """Render the store's surviving entries, one line each, oldest first."""
-    return store.render()
+def memory_from_spec(spec: Mapping[str, Any]) -> MemoryStore:
+    """Build a store from a config fragment like ``{"kind": "buffer", "capacity": 3}``.
 
-
-def memory_from_spec(spec: dict) -> MemoryStore:
-    """Build a store from a config fragment like ``{"kind": "buffer", "capacity": 3}``."""
-    kind = spec.get("kind", "null")
-    if kind == "null":
-        return NullMemory()
-    if kind == "buffer":
-        return BufferMemory(capacity=spec["capacity"])
-    if kind == "chat_history":
-        return ChatHistoryMemory(window=spec["window"], token_limit=spec["token_limit"])
-    raise ValueError(f"unknown memory kind {kind!r}")
+    An unknown kind, or a parameter the kind does not take or lacks, raises
+    :class:`ConfigError` naming its path under ``agents.memory``.
+    """
+    params = dict(spec)
+    return _build_store(params.pop("kind", "null"), params, "agents.memory")

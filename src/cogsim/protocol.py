@@ -10,9 +10,11 @@ and the router delivers them into inboxes on the next observation.
 
 from __future__ import annotations
 
+import json
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
@@ -201,14 +203,12 @@ class EpisodeLog:
 
     @staticmethod
     def from_jsonl(text: str) -> "EpisodeLog":
-        import json as _json
-
         records: list[EventRecord] = []
         summary: dict[str, Any] = {}
         for line in text.splitlines():
             if not line.strip():
                 continue
-            obj = _json.loads(line)
+            obj = json.loads(line)
             if "summary" in obj:
                 summary = obj["summary"]
             else:
@@ -256,6 +256,43 @@ def _invoke_policy(policy: Any, obs: Observation) -> ActionEnvelope:
     return policy(obs)
 
 
+def step_world(
+    env: Environment,
+    observations: Mapping[AgentId, Observation],
+    agents: Mapping[AgentId, Any],
+    pool: Executor | None = None,
+) -> dict[AgentId, Observation]:
+    """Advance ``env`` by one step and return its next observations.
+
+    Observations without a response schema are observe-only and skip the
+    policy. Policies run in ascending agent id, or all at once on ``pool``;
+    every body is validated against its schema before the joint action map
+    is applied.
+    """
+    pending: list[tuple[AgentId, Observation]] = []
+    for aid in sorted(observations):
+        obs = observations[aid]
+        if obs.response_schema is None:
+            continue
+        if aid not in agents:
+            raise AgentMissing(f"actionable observation for unknown agent {aid}")
+        pending.append((aid, obs))
+
+    if pool is not None and len(pending) > 1:
+        futures = [pool.submit(_invoke_policy, agents[aid], obs) for aid, obs in pending]
+        envelopes = [future.result() for future in futures]
+    else:
+        envelopes = [_invoke_policy(agents[aid], obs) for aid, obs in pending]
+
+    actions: dict[AgentId, ActionEnvelope] = {}
+    for (aid, obs), envelope in zip(pending, envelopes):
+        violations = validate_action(envelope.body, obs.response_schema)
+        if violations:
+            raise SchemaViolation(f"agent {aid} action failed validation", violations)
+        actions[aid] = envelope
+    return env.step(actions)
+
+
 def run_episode(
     env: Environment,
     agents: Mapping[AgentId, Any],
@@ -266,46 +303,23 @@ def run_episode(
     """Run one episode: observe, act, step, until done or ``max_steps``.
 
     Policies are objects with ``step(obs) -> ActionEnvelope`` (or bare
-    callables). Observations without a response schema are observe-only and
-    skip the policy. Rewards are accumulated from post-step observations.
-    With ``parallel=True`` policy calls within a step fan out to a thread
-    pool; results are still applied in ascending agent id.
+    callables). Rewards are accumulated from post-step observations. With
+    ``parallel=True`` policy calls within a step fan out to one thread pool
+    kept for the whole episode; results are still applied in ascending
+    agent id.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     total_rewards: dict[AgentId, float] = {aid: 0.0 for aid in agents}
     observations = env.reset()
     steps = 0
-    while not env.done() and steps < max_steps:
-        pending: list[tuple[AgentId, Observation]] = []
-        for aid in sorted(observations):
-            obs = observations[aid]
-            if obs.response_schema is None:
-                continue
-            if aid not in agents:
-                raise AgentMissing(f"actionable observation for unknown agent {aid}")
-            pending.append((aid, obs))
-
-        actions: dict[AgentId, ActionEnvelope] = {}
-        if parallel and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=min(len(pending), 16)) as pool:
-                futures = {aid: pool.submit(_invoke_policy, agents[aid], obs) for aid, obs in pending}
-            for aid, _ in pending:
-                actions[aid] = futures[aid].result()
-        else:
-            for aid, obs in pending:
-                actions[aid] = _invoke_policy(agents[aid], obs)
-
-        for (aid, obs) in pending:
-            violations = validate_action(actions[aid].body, obs.response_schema)
-            if violations:
-                raise SchemaViolation(f"agent {aid} action failed validation", violations)
-
-        observations = env.step(actions)
-        steps += 1
-        for aid, obs in observations.items():
-            if obs.reward is not None and aid in total_rewards:
-                total_rewards[aid] += obs.reward
+    with ThreadPoolExecutor(max_workers=min(len(agents), 16) or 1) if parallel else nullcontext() as pool:
+        while not env.done() and steps < max_steps:
+            observations = step_world(env, observations, agents, pool)
+            steps += 1
+            for aid, obs in observations.items():
+                if obs.reward is not None and aid in total_rewards:
+                    total_rewards[aid] += obs.reward
     return EpisodeLog(
         records=env.events.snapshot(),
         total_rewards=total_rewards,

@@ -10,19 +10,21 @@ between cycles.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+import json
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
+from typing import Any, Callable, Collection, Mapping, Sequence
 
-from .backends import CompletionBackend, CompletionResult, ReplayBackend, ScriptedBackend
+from .backends import CompletionBackend, CompletionResult, RemoteBackend, ReplayBackend, ScriptedBackend
 from .cognition import Agent, PersonaConfig
 from .envs.auction import AuctionEnv, AuctionItem
-from .envs.economy import EconomyConfig, EconomyEnv
-from .envs.market import MarketConfig, MarketEnv, NewsItem, buy_sell_ratio, load_news_feed
+from .envs.economy import EconomyConfig, EconomyEnv, phillips_okun_report
+from .envs.market import MarketConfig, MarketEnv, NewsItem, buy_sell_ratio, load_news_feed, session_metrics_csv
 from .envs.questionnaire import Item, QuestionnaireEnv, load_item_bank
 from .envs.social import SocialEnv, star_profiles
-from .errors import AgentMissing, ConfigError, TooFewSamples, ZeroVariance
+from .errors import ConfigError, TooFewSamples, ZeroVariance
 from .memory import BufferMemory, MemoryEntry, MemoryStore, memory_from_spec
-from .protocol import Environment, EpisodeLog, EventRecord, run_episode
+from .protocol import Environment, EpisodeLog, EventRecord, run_episode, step_world
 from .stats import mean_and_pstdev, paired_t_test
 
 
@@ -46,105 +48,155 @@ class ExperimentConfig:
     ablation: dict[str, Any] | None = None
 
 
+def _scripted_backend(spec: Mapping[str, Any]) -> CompletionBackend:
+    rules = [
+        (lambda text, needle=rule["contains"]: needle in text, CompletionResult(content=rule["content"]))
+        for rule in spec.get("rules", [])
+    ]
+    return ScriptedBackend(rules=rules, default=CompletionResult(content=spec.get("default_content", "{}")))
+
+
+BACKENDS: dict[str, Callable[[Mapping[str, Any]], CompletionBackend]] = {
+    "scripted": _scripted_backend,
+    "replay": lambda spec: ReplayBackend.from_jsonl(
+        Path(spec["transcript_path"]).read_text(encoding="utf-8"), strict=spec.get("strict", True)
+    ),
+    "remote": lambda spec: RemoteBackend(
+        endpoint=spec["endpoint"],
+        auth_env=spec.get("auth_env"),
+        in_flight_limit=spec.get("in_flight_limit", 4),
+        timeout=spec.get("timeout", 30.0),
+    ),
+}
+
+
 def build_backend(spec: Mapping[str, Any]) -> CompletionBackend:
     kind = spec.get("kind", "scripted")
-    if kind == "scripted":
-        rules = []
-        for rule in spec.get("rules", []):
-            needle = rule["contains"]
-            rules.append(
-                (lambda text, needle=needle: needle in text, CompletionResult(content=rule["content"]))
-            )
-        default = CompletionResult(content=spec.get("default_content", "{}"))
-        return ScriptedBackend(rules=rules, default=default)
-    if kind == "replay":
-        with open(spec["transcript_path"], "r", encoding="utf-8") as fh:
-            return ReplayBackend.from_jsonl(fh.read(), strict=spec.get("strict", True))
-    if kind == "remote":
-        from .backends import RemoteBackend
+    if kind not in BACKENDS:
+        raise ConfigError(f"unknown backend kind {kind!r}", field="backend.kind")
+    return BACKENDS[kind](spec)
 
-        return RemoteBackend(
-            endpoint=spec["endpoint"],
-            auth_env=spec.get("auth_env"),
-            in_flight_limit=spec.get("in_flight_limit", 4),
-            timeout=spec.get("timeout", 30.0),
-        )
-    raise ConfigError(f"unknown backend kind {kind!r}", field="backend.kind")
+
+def reject_unknown(section: Mapping[str, Any], allowed: Collection[str], prefix: str) -> None:
+    """Raise :class:`ConfigError` naming the dotted path of the first key not in ``allowed``."""
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f'unknown key "{key}"', field=f"{prefix}.{key}" if prefix else key)
+
+
+def _jsonl_spec(spec: Any, field: str) -> str:
+    """JSONL text given either as a file path or as an inline list of objects."""
+    if isinstance(spec, list):
+        return "\n".join(json.dumps(obj) for obj in spec)
+    if not isinstance(spec, str):
+        raise ConfigError("must be a file path or an inline list", field=field)
+    if not Path(spec).exists():
+        raise ConfigError(f"file not found: {spec}", field=field)
+    return Path(spec).read_text(encoding="utf-8")
+
+
+def news_feed_from_spec(spec: Any, field: str) -> list[NewsItem]:
+    return load_news_feed(_jsonl_spec(spec, field))
+
+
+def item_bank_from_spec(spec: Any, field: str) -> list[Item]:
+    return load_item_bank(_jsonl_spec(spec, field))
+
+
+def _metric_table(env: Environment, records: list[EventRecord]) -> str:
+    return "metric,value\n" + "".join(f"{name},{value}\n" for name, value in sorted(env.metrics().items()))
+
+
+@dataclass(frozen=True)
+class EnvironmentKind:
+    """How one environment kind is built from its config section and reported.
+
+    ``build(params, agents, seed)`` gets the section without ``kind`` and
+    ``agents``. ``records_only`` marks a ``metrics_csv`` that reads the event
+    records and not the environment, so ``score`` can use it.
+    """
+
+    build: Callable[[dict[str, Any], int, int], Environment]
+    keys: frozenset[str]
+    agents: int
+    metrics_csv: Callable[[Environment, list[EventRecord]], str] = _metric_table
+    records_only: bool = False
+    required: tuple[str, ...] = ()
+    report: Callable[[Environment], str] = lambda env: ""
+
+
+def _config_keys(config_cls: type, *internal: str) -> frozenset[str]:
+    return frozenset(f.name for f in fields(config_cls)).difference(internal) | {"agents"}
+
+
+def _market(params: dict[str, Any], n: int, seed: int) -> Environment:
+    feed = news_feed_from_spec(params.pop("news_feed", []), "environment.news_feed")
+    return MarketEnv(MarketConfig(n_agents=n, news_feed=feed, **params))
+
+
+def _auction(params: dict[str, Any], n: int, seed: int) -> Environment:
+    items = [
+        AuctionItem(i["name"], i["starting_price"], i["true_value"], i["estimated_value"]) for i in params.pop("items")
+    ]
+    return AuctionEnv(items, bidder_ids=list(range(n)), **params)
+
+
+ENVIRONMENTS: dict[str, EnvironmentKind] = {
+    "market": EnvironmentKind(
+        _market,
+        _config_keys(MarketConfig, "n_agents"),
+        agents=50,
+        metrics_csv=lambda env, records: session_metrics_csv(records),
+        records_only=True,
+    ),
+    "economy": EnvironmentKind(
+        lambda params, n, seed: EconomyEnv(EconomyConfig(n_households=n, seed=seed, **params)),
+        _config_keys(EconomyConfig, "n_households", "seed"),
+        agents=100,
+        metrics_csv=lambda env, records: env.indicators_csv(),
+        report=lambda env: phillips_okun_report(env.indicators) if len(env.indicators) >= 3 else "",
+    ),
+    "social": EnvironmentKind(
+        lambda params, n, seed: SocialEnv(star_profiles(n, influencer=params.pop("influencer", 0)), **params),
+        frozenset({"agents", "influencer", "feed_cap", "seed_post"}),
+        agents=111,
+    ),
+    "auction": EnvironmentKind(
+        _auction, frozenset({"agents", "items", "budget", "min_increment", "objectives"}), agents=3, required=("items",)
+    ),
+    "questionnaire": EnvironmentKind(
+        lambda params, n, seed: QuestionnaireEnv(
+            item_bank_from_spec(params["items"], "environment.items"), seed=seed, agent_ids=list(range(n))
+        ),
+        frozenset({"agents", "items"}),
+        agents=1,
+        required=("items",),
+    ),
+}
+
+
+def environment_kind(spec: Mapping[str, Any], path: str = "environment") -> EnvironmentKind:
+    """The table entry for ``spec``'s kind, once its keys are checked; errors
+    name the offending key's dotted path under ``path``."""
+    kind = ENVIRONMENTS.get(spec.get("kind"))
+    if kind is None:
+        raise ConfigError(f"unknown environment kind {spec.get('kind')!r}", field=f"{path}.kind")
+    reject_unknown(spec, kind.keys | {"kind"}, path)
+    for key in kind.required:
+        if key not in spec:
+            raise ConfigError(f'missing key "{key}"', field=f"{path}.{key}")
+    return kind
+
+
+def roster_size(spec: Mapping[str, Any]) -> int:
+    """How many agents an environment built from ``spec`` expects."""
+    return spec.get("agents", environment_kind(spec).agents)
 
 
 def build_environment(spec: Mapping[str, Any], seed: int) -> Environment:
-    kind = spec.get("kind")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    if kind == "market":
-        news_feed = params.pop("news_feed", [])
-        if isinstance(news_feed, str):
-            with open(news_feed, "r", encoding="utf-8") as fh:
-                feed = load_news_feed(fh.read())
-        else:
-            import datetime as dt
-
-            feed = [
-                NewsItem(date=dt.date.fromisoformat(n["date"]), headline=n["headline"], body=n.get("body", ""))
-                for n in news_feed
-            ]
-        cfg = MarketConfig(
-            n_agents=params.pop("agents", 50),
-            days=params.pop("days", 10),
-            news_feed=feed,
-            **params,
-        )
-        return MarketEnv(cfg)
-    if kind == "economy":
-        cfg = EconomyConfig(
-            n_households=params.pop("agents", 100),
-            months=params.pop("months", 240),
-            seed=seed,
-            **params,
-        )
-        return EconomyEnv(cfg)
-    if kind == "social":
-        n = params.pop("agents", 111)
-        return SocialEnv(
-            star_profiles(n, influencer=params.pop("influencer", 0)),
-            feed_cap=params.pop("feed_cap", 10),
-            seed_post=params.pop("seed_post", None),
-        )
-    if kind == "auction":
-        items = [
-            AuctionItem(
-                name=i["name"],
-                starting_price=i["starting_price"],
-                true_value=i["true_value"],
-                estimated_value=i["estimated_value"],
-            )
-            for i in params.pop("items")
-        ]
-        n = params.pop("agents", 3)
-        return AuctionEnv(items, bidder_ids=list(range(n)), **params)
-    if kind == "questionnaire":
-        items_spec = params.pop("items")
-        if isinstance(items_spec, str):
-            with open(items_spec, "r", encoding="utf-8") as fh:
-                items = load_item_bank(fh.read())
-        else:
-            items = load_item_bank("\n".join(__import__("json").dumps(i) for i in items_spec))
-        n = params.pop("agents", 1)
-        return QuestionnaireEnv(items, seed=seed, agent_ids=list(range(n)), **params)
-    raise ConfigError(f"unknown environment kind {kind!r}", field="environment.kind")
-
-
-def _agent_count(env: Environment) -> int:
-    if isinstance(env, MarketEnv):
-        return env.config.n_agents
-    if isinstance(env, EconomyEnv):
-        return env.config.n_households
-    if isinstance(env, SocialEnv):
-        return len(env.profiles)
-    if isinstance(env, AuctionEnv):
-        return len(env.bidder_ids)
-    if isinstance(env, QuestionnaireEnv):
-        return len(env.agent_ids)
-    raise ConfigError(f"cannot infer roster size for {type(env).__name__}")
+    kind = environment_kind(spec)
+    params = {k: v for k, v in spec.items() if k not in ("kind", "agents")}
+    return kind.build(params, spec.get("agents", kind.agents), seed)
 
 
 def build_agents(
@@ -155,7 +207,6 @@ def build_agents(
 ) -> dict[int, Agent]:
     persona = PersonaConfig(
         persona_text=roster.get("persona_text", ""),
-        role_tag=roster.get("role_tag", ""),
         extra_directives=list(roster.get("extra_directives", [])),
     )
     memory_spec = roster.get("memory", {"kind": "null"})
@@ -176,7 +227,7 @@ def build_agents(
 def build_setup(config: ExperimentConfig, seed: int) -> tuple[Environment, dict[int, Agent]]:
     env = build_environment(config.environment, seed)
     backend = build_backend(config.backend)
-    agents = build_agents(config.agents, backend, _agent_count(env), world_tag=env.name)
+    agents = build_agents(config.agents, backend, roster_size(config.environment), world_tag=env.name)
     return env, agents
 
 
@@ -355,33 +406,17 @@ def run_multiworld(schedule: MultiWorldSchedule, agents: Mapping[int, Any], seed
         for env in schedule.environments:
             if env.done():
                 continue
-            actions = {}
-            for aid in sorted(observations[id(env)]):
-                obs = observations[id(env)][aid]
-                if obs.response_schema is None:
-                    continue
-                if aid not in agents:
-                    raise AgentMissing(f"actionable observation for unknown agent {aid}")
-                agent = agents[aid]
+            for agent in agents.values():
                 if hasattr(agent, "world_tag"):
                     agent.world_tag = env.name
-                actions[aid] = agent.step(obs) if hasattr(agent, "step") else agent(obs)
-            observations[id(env)] = env.step(actions)
+            observations[id(env)] = step_world(env, observations[id(env)], agents)
             steps += 1
             for aid, obs in observations[id(env)].items():
                 if obs.reward is not None and aid in total_rewards:
                     total_rewards[aid] += obs.reward
             fresh = env.events.snapshot(marks[id(env)])
             marks[id(env)] += len(fresh)
-            for record in fresh:
-                records.append(
-                    EventRecord(
-                        user_id=record.user_id,
-                        current_time=record.current_time,
-                        action=record.action,
-                        info={**record.info, "world": env.name},
-                    )
-                )
+            records.extend(replace(record, info={**record.info, "world": env.name}) for record in fresh)
     return EpisodeLog(records=records, total_rewards=total_rewards, seed=seed, steps_executed=steps)
 
 

@@ -21,15 +21,6 @@ _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
 }
 
-_JSON_TYPES = {
-    "integer": "integer",
-    "number": "number",
-    "string": "string",
-    "boolean": "boolean",
-    "array": "array",
-    "object": "object",
-}
-
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -75,7 +66,7 @@ class ResponseSchema:
         """JSON-schema-shaped view, used on the wire for tools and response formats."""
         properties = {}
         for name, spec in self.fields.items():
-            prop: dict[str, Any] = {"type": _JSON_TYPES[spec.type]}
+            prop: dict[str, Any] = {"type": spec.type}
             if spec.description:
                 prop["description"] = spec.description
             properties[name] = prop

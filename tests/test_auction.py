@@ -32,7 +32,7 @@ def make_items(n, start=100.0):
 
 
 def test_highest_bid_takes_standing():
-    rs = RoundState(item_index=0, active_bidders=frozenset({1, 2}))
+    rs = RoundState(item_index=0)
     out = resolve_round({1: 500.0, 2: 600.0}, rs, starting_price=400.0)
     assert isinstance(out, RoundState)
     assert out.standing_bid == (2, 600.0)

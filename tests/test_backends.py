@@ -14,7 +14,6 @@ from cogsim.backends import (
     ReplayBackend,
     ScriptedBackend,
     ToolCallRequest,
-    complete,
     parse_structured,
     request_fingerprint,
     run_tool_loop,
@@ -44,7 +43,7 @@ class CountingBackend:
 
 def test_scripted_default_fires_with_empty_rules():
     backend = ScriptedBackend(default=CompletionResult(content="ok"))
-    assert complete(backend, simple_request("anything")).content == "ok"
+    assert backend.complete(simple_request("anything")).content == "ok"
 
 
 def test_scripted_first_matching_rule_wins():

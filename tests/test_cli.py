@@ -182,12 +182,108 @@ def test_score_recomputes_metrics_from_events(tmp_path):
     assert (out / "metrics.csv").read_bytes() == original_metrics
 
 
+def bundle_bytes(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_score_refuses_multi_episode_bundle(tmp_path, capsys):
+    out = tmp_path / "out"
+    body = minimal_market_config(out, trials=2, runner="trials")
+    config = write_config(tmp_path, body)
+    assert main(["trials", "--config", str(config)]) == 0
+    before = bundle_bytes(out)
+    assert main(["score", "--config", str(config)]) == 1
+    assert "exactly one episode" in capsys.readouterr().err
+    assert bundle_bytes(out) == before
+
+
+def test_score_refuses_kind_without_records_only_metrics(tmp_path, capsys):
+    out = tmp_path / "out"
+    body = minimal_market_config(out)
+    body["environment"] = {"kind": "economy", "agents": 2, "months": 2}
+    body["backend"]["default_content"] = json.dumps({"work_propensity": 0.5, "consumption_propensity": 0.5})
+    config = write_config(tmp_path, body)
+    assert main(["run", "--config", str(config)]) == 0
+    before = bundle_bytes(out)
+    assert main(["score", "--config", str(config)]) == 1
+    assert "environment.kind" in capsys.readouterr().err
+    assert bundle_bytes(out) == before
+
+
+AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0}]
+
+
+@pytest.mark.parametrize(
+    "section,field",
+    [
+        ({"environment": {"kind": "market", "agents": 3, "bogus": 1}}, "environment.bogus"),
+        ({"environment": {"kind": "economy", "agents": 3, "bogus": 1}}, "environment.bogus"),
+        ({"environment": {"kind": "social", "agents": 3, "bogus": 1}}, "environment.bogus"),
+        ({"environment": {"kind": "auction", "items": AUCTION_ITEMS, "bogus": 1}}, "environment.bogus"),
+        ({"environment": {"kind": "questionnaire", "items": [], "bogus": 1}}, "environment.bogus"),
+        ({"environment": {"kind": "questionnaire", "items": "no/such/items.jsonl"}}, "environment.items"),
+        (
+            {"runner": "transfer", "transfer": {"source": {"kind": "market", "bogus": 1}, "items": []}},
+            "transfer.source.bogus",
+        ),
+        (
+            {"runner": "multiworld", "multiworld": {"environments": [{"kind": "market", "bogus": 1}, {"kind": "social"}]}},
+            "multiworld.environments[0].bogus",
+        ),
+        ({"agents": {"memory": {"kind": "vector"}}}, "agents.memory.kind"),
+        ({"agents": {"memory": {"kind": "buffer"}}}, "agents.memory.capacity"),
+        ({"agents": {"memory": {"kind": "buffer", "capacity": 3, "window": 5}}}, "agents.memory.window"),
+        ({"agents": {"role_tag": "trader"}}, "agents.role_tag"),
+    ],
+    ids=[
+        "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
+        "transfer-source", "multiworld-env", "memory-kind", "memory-missing-capacity",
+        "memory-window-on-buffer", "role-tag",
+    ],
+)
+def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, capsys):
+    out = tmp_path / "out"
+    body = minimal_market_config(out, **section)
+    config = write_config(tmp_path, body)
+    assert main([body["runner"], "--config", str(config)]) == 1
+    assert f"{field}:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_backend_flag_rejects_unknown_choice(tmp_path, capsys):
     config = write_config(tmp_path, minimal_market_config(tmp_path / "o"))
     assert main(["run", "--config", str(config), "--backend", "psychic"]) == 1
 
 
 # --- shipped demo configs ------------------------------------------------------------
+
+
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# sha256 of (events.jsonl, metrics.csv) for each shipped config at its own
+# seed and trial count; a refactor that changes either changes behaviour
+SHIPPED_DIGESTS = {
+    "market_small.json": (
+        "3cb9606680602aec17050fe542e5e2d5711986e1ad8bf5922145310dbe8190e3",
+        "10724011acbc5a729373e21a2c6ae688849d0a6e13e026eea54fb73509f1de77",
+    ),
+    "trials_market.json": (
+        "311eb1536af410cf4df4595014efb0b552c9bb6d7eb97cc5eb1253e30849e6e5",
+        "e076a02c2417554359810a5511c4f7351428756be8d3d5b1c1a807b14ba9a52b",
+    ),
+    "multiworld_market_social.json": (
+        "f19cc9ce937c39cafe22012c77f7c771728bfed4f331269b6f4addd64a8f3b2b",
+        "6c423b2ae7f21425e431b52a1e5168dbd15b8ef0d4ed83c9035dd58fc34db832",
+    ),
+    "transfer_market_bias.json": (
+        EMPTY_SHA256,
+        "5c4f66bb36f35a49ee7e6eaaa56e5888dc7b4452e677e16320b13c767290ab55",
+    ),
+    "ablation_tariff.json": (
+        EMPTY_SHA256,
+        "9857d389ab33c0ba71c98e8797f62c3a8804591200c84a3df82599caa5fa26cd",
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -197,6 +293,7 @@ def test_backend_flag_rejects_unknown_choice(tmp_path, capsys):
         ("trials_market.json", "trials"),
         ("multiworld_market_social.json", "multiworld"),
         ("transfer_market_bias.json", "transfer"),
+        ("ablation_tariff.json", "ablation"),
     ],
 )
 def test_shipped_configs_run_clean(name, command, tmp_path, monkeypatch):
@@ -204,6 +301,8 @@ def test_shipped_configs_run_clean(name, command, tmp_path, monkeypatch):
     out = tmp_path / name.replace(".json", "")
     assert main([command, "--config", str(CONFIGS / name), "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("events.jsonl", "metrics.csv"))
+    assert digests == SHIPPED_DIGESTS[name]
 
 
 def test_shipped_ablation_config_runs_clean(tmp_path, monkeypatch):

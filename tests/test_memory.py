@@ -8,8 +8,6 @@ from cogsim.memory import (
     NullMemory,
     estimate_tokens,
     memory_from_spec,
-    record,
-    render_memory,
 )
 
 
@@ -125,9 +123,11 @@ def test_unknown_role_rejected():
         MemoryEntry(time=0, world_tag="w", role="thought", content="x")
 
 
-def test_function_forms():
-    store = record(NullMemory(), entry(0))
-    assert render_memory(store) == ""
+def test_null_memory_records_but_renders_nothing():
+    store = NullMemory()
+    store.record(entry(0))
+    assert store.entries == [entry(0)]
+    assert store.render() == ""
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cogsim import protocol
 from cogsim.errors import AgentMissing, SchemaViolation, UnknownRecipient
 from cogsim.protocol import (
     ActionEnvelope,
@@ -194,6 +195,21 @@ def test_parallel_policy_fanout_matches_sequential():
         return run_episode(env, agents, max_steps=10, seed=9, parallel=parallel).to_jsonl()
 
     assert run(False) == run(True)
+
+
+def test_parallel_episode_opens_one_pool(monkeypatch):
+    opened = []
+
+    class CountingPool(protocol.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "ThreadPoolExecutor", CountingPool)
+    env = ScriptedEnv(n_agents=4, steps=5)
+    log = run_episode(env, {aid: scripted_policy for aid in range(4)}, max_steps=10, seed=9, parallel=True)
+    assert log.steps_executed == 5
+    assert opened == [{"max_workers": 4}]
 
 
 def test_event_times_non_decreasing():

@@ -8,7 +8,9 @@ from cogsim.cognition import Agent, PersonaConfig, compose_prompt
 from cogsim.envs.market import MarketConfig, MarketEnv, NewsItem
 from cogsim.envs.questionnaire import Item, ScaleSpec
 from cogsim.envs.social import SocialEnv, star_profiles
+from cogsim.errors import SchemaViolation
 from cogsim.memory import BufferMemory
+from cogsim.protocol import ActionEnvelope
 from cogsim.runners import (
     AblationSetting,
     ExperimentConfig,
@@ -273,6 +275,19 @@ def test_multiworld_memory_archive_never_shrinks():
         run_multiworld(MultiWorldSchedule(environments=[market, social], cycles=1), agents)
         lengths.append(len(agents[0].memory.entries))
     assert lengths == sorted(lengths)
+
+
+def test_multiworld_invalid_action_body_raises_schema_violation():
+    market = MarketEnv(MarketConfig(n_agents=3, days=1))
+    social = SocialEnv(star_profiles(3))
+
+    def bad_policy(obs):
+        body = {"orders": [], "kind": "do_nothing", "bogus": 1}
+        return ActionEnvelope(agent_id=obs.agent_id, time=obs.time, body=body)
+
+    agents = {aid: bad_policy for aid in range(3)}
+    with pytest.raises(SchemaViolation):
+        run_multiworld(MultiWorldSchedule(environments=[market, social], cycles=2), agents)
 
 
 def test_multiworld_needs_two_envs():
