@@ -27,6 +27,7 @@ from typing import Mapping
 
 from ..seeds import child_rng
 from ..protocol import ActionEnvelope, Environment, Observation
+from ..errors import DegenerateX
 from ..schema import ResponseSchema
 from ..stats import fit_line
 
@@ -306,22 +307,29 @@ class EconomyEnv(Environment):
         }
 
 
+def _fit_line_text(xs: list[float], ys: list[float]) -> str:
+    try:
+        slope, intercept, r = fit_line(xs, ys)
+    except DegenerateX as exc:
+        return f"  undefined ({exc})"
+    return f"  slope={slope:.6f} intercept={intercept:.6f} r={r:.4f}"
+
+
 def phillips_okun_report(indicators: list[MacroIndicators]) -> str:
     """Fit the two macro regularities over an indicator series.
 
     Phillips: inflation on unemployment. Okun: GDP growth on the change in
-    unemployment (both skip month 1, which has no prior reference point).
+    unemployment (both skip month 1, which has no prior reference point). A
+    fit whose x values all coincide reads ``undefined (<reason>)``.
     """
     if len(indicators) < 3:
         raise ValueError("need at least three months of indicators")
     unemp = [i.unemployment for i in indicators]
-    phillips = fit_line(unemp[1:], [i.inflation for i in indicators][1:])
     d_unemp = [b - a for a, b in zip(unemp, unemp[1:])]
-    okun = fit_line(d_unemp, [i.gdp_growth for i in indicators][1:])
     lines = [
         "Phillips curve (x=unemployment, y=inflation):",
-        f"  slope={phillips[0]:.6f} intercept={phillips[1]:.6f} r={phillips[2]:.4f}",
+        _fit_line_text(unemp[1:], [i.inflation for i in indicators][1:]),
         "Okun's law (x=delta unemployment, y=gdp growth):",
-        f"  slope={okun[0]:.6f} intercept={okun[1]:.6f} r={okun[2]:.4f}",
+        _fit_line_text(d_unemp, [i.gdp_growth for i in indicators][1:]),
     ]
     return "\n".join(lines) + "\n"

@@ -7,16 +7,22 @@ per session at a single price, and unmatched orders expire. Clearing is a
 call auction: among the submitted limit prices, the clearing price is the
 one maximizing matched volume, ties broken toward the previous price and
 then downward. Matched volume is the maximum quantity pairable without any
-agent trading with itself; pairing gives priority to higher-priced buys and
-lower-priced sells, FIFO within a price level.
+agent trading with itself. Agents are paired first: the lowest-id buyer with
+demand left takes the lowest-id other seller with supply left (the next buyer
+takes it when that buyer is the only seller left); then, if one agent x still
+holds both demand and supply, existing pairs z -> y are rerouted into z -> x
+and x -> y, lowest y and then lowest z first. Orders fill those agent
+budgets with priority to higher-priced buys and lower-priced sells, FIFO
+within a price level.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import heapq
 import json
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from ..errors import LoanRefused, UndefinedRatio
@@ -140,60 +146,55 @@ def fetch_news_tool(feed: list[NewsItem], current_date: dt.date) -> str:
 
 
 def _max_flow(demand: dict[int, int], supply: dict[int, int]) -> dict[tuple[int, int], int]:
-    """Max quantity routable from buy-agents to sell-agents with no self-edge.
+    """Max quantity routable from buy-agents to sell-agents with no self-pair.
 
-    Edmonds-Karp on the tiny agent-level graph; neighbor order is sorted so
-    the resulting flow is deterministic.
+    Returns (buyer, seller) -> quantity in two phases, the augmenting paths
+    an Edmonds-Karp with id-sorted neighbours finds, in its order:
+
+    1. Pair the lowest-id buyer with demand left with the lowest-id other
+       seller with supply left; if that buyer is the only seller left, the
+       next buyer with demand takes its supply instead. Each pairing moves
+       the smaller of the two remainders.
+    2. When one agent x is left with both demand and supply, take the pair
+       z -> y (lowest y, then lowest z, neither x) and move
+       min(x's demand, x's supply, f[z, y]) of it onto z -> x and x -> y,
+       until x runs out or no such pair is left.
     """
-    source, sink = ("src",), ("snk",)
-    buys = {("b", a): q for a, q in sorted(demand.items()) if q > 0}
-    sells = {("s", a): q for a, q in sorted(supply.items()) if q > 0}
-    capacity: dict[tuple, dict[tuple, int]] = defaultdict(dict)
-    inf = 1 + sum(demand.values()) + sum(supply.values())
-    for bnode, q in buys.items():
-        capacity[source][bnode] = q
-        for snode in sells:
-            if bnode[1] != snode[1]:
-                capacity[bnode][snode] = inf
-    for snode, q in sells.items():
-        capacity[snode][sink] = q
-    adjacency: dict[tuple, set[tuple]] = defaultdict(set)
-    for u, edges in capacity.items():
-        for v in edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)  # backward residual edge
-    flow: dict[tuple, dict[tuple, int]] = defaultdict(lambda: defaultdict(int))
-
-    def residual(u: tuple, v: tuple) -> int:
-        return capacity[u].get(v, 0) - flow[u][v] + flow[v][u]
-
-    while True:
-        parents = {source: None}
-        queue = deque([source])
-        while queue and sink not in parents:
-            node = queue.popleft()
-            for nxt in sorted(adjacency[node]):
-                if nxt not in parents and residual(node, nxt) > 0:
-                    parents[nxt] = node
-                    queue.append(nxt)
-        if sink not in parents:
-            break
-        path = []
-        node = sink
-        while parents[node] is not None:
-            path.append((parents[node], node))
-            node = parents[node]
-        bottleneck = min(residual(u, v) for u, v in path)
-        for u, v in path:
-            back = min(flow[v][u], bottleneck)
-            flow[v][u] -= back
-            flow[u][v] += bottleneck - back
-    return {
-        (bnode[1], snode[1]): flow[bnode][snode]
-        for bnode in buys
-        for snode in sells
-        if flow[bnode][snode] > 0
-    }
+    need = {a: q for a, q in demand.items() if q > 0}
+    have = {a: q for a, q in supply.items() if q > 0}
+    buyers = sorted(need, reverse=True)  # stacks: lowest id last
+    sellers = sorted(have, reverse=True)
+    flow: dict[tuple[int, int], int] = defaultdict(int)
+    while buyers and sellers:
+        bi = si = -1
+        if buyers[-1] == sellers[-1]:
+            if len(sellers) > 1:
+                si = -2
+            elif len(buyers) > 1:
+                bi = -2
+            else:
+                break
+        b, s = buyers[bi], sellers[si]
+        q = min(need[b], have[s])
+        flow[b, s] += q
+        need[b] -= q
+        have[s] -= q
+        if not need[b]:
+            buyers.pop(bi)
+        if not have[s]:
+            sellers.pop(si)
+    if buyers and sellers:
+        x = buyers[0]
+        left = min(need[x], have[x])
+        for y, z in sorted((s, b) for b, s in flow if x not in (b, s)):
+            q = min(left, flow[z, y])
+            flow[z, y] -= q
+            flow[z, x] += q
+            flow[x, y] += q
+            left -= q
+            if not left:
+                break
+    return {pair: q for pair, q in sorted(flow.items()) if q}
 
 
 def _eligible(book: list[Order], price: float) -> tuple[list[Order], list[Order]]:
@@ -208,29 +209,39 @@ def _eligible(book: list[Order], price: float) -> tuple[list[Order], list[Order]
     return buys, sells
 
 
-def _volume_at(book: list[Order], price: float) -> int:
-    """Max self-trade-avoiding volume at one price, via the min-cut closed form.
+def _volumes(book: list[Order]) -> list[tuple[float, int]]:
+    """(price, max self-trade-avoiding volume) at each limit price, ascending.
 
-    For per-agent demand d_a and supply s_a the maximum flow on the
-    complete-minus-diagonal bipartite graph equals
-    min(D, S, min_a[(D - d_a) + (S - s_a)]); the order-level pairing later
-    realizes it with an explicit max-flow, so the two must agree.
+    For per-agent demand d_a (buys at or above p) and supply s_a (sells at or
+    below p) the maximum flow on the complete-minus-diagonal bipartite graph
+    is V(p) = min(D, S, D + S - max_a(d_a + s_a)) (Gale 1957). One ascending
+    sweep adds each sell at its limit and drops each buy just above its
+    limit, keeping d_a + s_a per agent and its maximum in a lazy heap.
     """
-    demand: dict[int, int] = defaultdict(int)
-    supply: dict[int, int] = defaultdict(int)
+    prices = sorted({o.limit_price for o in book})
+    rank = {p: k for k, p in enumerate(prices)}
+    shifts: dict[int, list[tuple[int, int, int]]] = defaultdict(list)  # rank -> (agent, d_a change, s_a change)
+    held: dict[int, int] = defaultdict(int)
+    total_d = total_s = 0
     for o in book:
-        if o.side == "buy" and o.limit_price >= price:
-            demand[o.agent] += o.quantity
-        elif o.side == "sell" and o.limit_price <= price:
-            supply[o.agent] += o.quantity
-    total_d, total_s = sum(demand.values()), sum(supply.values())
-    if total_d == 0 or total_s == 0:
-        return 0
-    cap = min(
-        (total_d - demand.get(a, 0)) + (total_s - supply.get(a, 0))
-        for a in set(demand) | set(supply)
-    )
-    return min(total_d, total_s, cap)
+        if o.side == "buy":
+            held[o.agent] += o.quantity
+            total_d += o.quantity
+            shifts[rank[o.limit_price] + 1].append((o.agent, -o.quantity, 0))
+        else:
+            shifts[rank[o.limit_price]].append((o.agent, 0, o.quantity))
+    heap = [(-q, a) for a, q in held.items()]
+    heapq.heapify(heap)
+    volumes = []
+    for k, price in enumerate(prices):
+        for agent, dd, ds in shifts[k]:
+            total_d, total_s = total_d + dd, total_s + ds
+            held[agent] += dd + ds
+            heapq.heappush(heap, (-held[agent], agent))
+        while -heap[0][0] != held[heap[0][1]]:
+            heapq.heappop(heap)
+        volumes.append((price, min(total_d, total_s, total_d + total_s + heap[0][0])))
+    return volumes
 
 
 def clear_session(
@@ -245,19 +256,11 @@ def clear_session(
     symbols = {o.symbol for o in book}
     if len(symbols) > 1:
         raise ValueError("clear_session expects a single-symbol book")
-    candidates = sorted({o.limit_price for o in book})
-    best_price, best_volume = prev_price, 0
-    for price in candidates:
-        volume = _volume_at(book, price)
-        if volume > best_volume:
-            best_price, best_volume = price, volume
-        elif volume == best_volume and volume > 0:
-            if abs(price - prev_price) < abs(best_price - prev_price) or (
-                abs(price - prev_price) == abs(best_price - prev_price) and price < best_price
-            ):
-                best_price = price
+    volumes = _volumes(book)
+    best_volume = max((volume for _, volume in volumes), default=0)
     if best_volume == 0:
         return prev_price, [], list(book)
+    best_price = min((p for p, volume in volumes if volume == best_volume), key=lambda p: (abs(p - prev_price), p))
 
     buys, sells = _eligible(book, best_price)
     demand: dict[int, int] = defaultdict(int)
@@ -266,48 +269,34 @@ def clear_session(
         demand[o.agent] += o.quantity
     for o in sells:
         supply[o.agent] += o.quantity
-    budgets = dict(_max_flow(demand, supply))
+    budgets = _max_flow(demand, supply)
     if sum(budgets.values()) != best_volume:
         raise AssertionError("flow decomposition fell short of the clearing volume")
 
+    # each buyer scans, in priority order, only the sells it holds a budget with
+    buyers_of: dict[int, list[int]] = defaultdict(list)
+    for buyer, seller in budgets:
+        buyers_of[seller].append(buyer)
+    partners: dict[int, list[Order]] = defaultdict(list)
+    for sell in sells:
+        for buyer in buyers_of[sell.agent]:
+            partners[buyer].append(sell)
     remaining = {o.id: o.quantity for o in book}
     trades: list[Trade] = []
     for buy in buys:
-        for sell in sells:
+        for sell in partners[buy.agent]:
             if remaining[buy.id] == 0:
                 break
             pair = (buy.agent, sell.agent)
-            quota = budgets.get(pair, 0)
+            quota = budgets[pair]
             if quota == 0 or remaining[sell.id] == 0:
                 continue
             qty = min(remaining[buy.id], remaining[sell.id], quota)
             budgets[pair] = quota - qty
             remaining[buy.id] -= qty
             remaining[sell.id] -= qty
-            trades.append(
-                Trade(
-                    symbol=buy.symbol,
-                    price=best_price,
-                    quantity=qty,
-                    buyer=buy.agent,
-                    seller=sell.agent,
-                    buy_order_id=buy.id,
-                    sell_order_id=sell.id,
-                )
-            )
-    unmatched = [
-        Order(
-            id=o.id,
-            agent=o.agent,
-            symbol=o.symbol,
-            side=o.side,
-            limit_price=o.limit_price,
-            quantity=remaining[o.id],
-            submitted_at=o.submitted_at,
-        )
-        for o in book
-        if remaining[o.id] > 0
-    ]
+            trades.append(Trade(buy.symbol, best_price, qty, buy.agent, sell.agent, buy.id, sell.id))
+    unmatched = [replace(o, quantity=remaining[o.id]) for o in book if remaining[o.id] > 0]
     return best_price, trades, unmatched
 
 
@@ -326,6 +315,21 @@ def settle(trades: list[Trade], accounts: dict[int, TraderAccount]) -> dict[int,
     return accounts
 
 
+def _grant_loan(
+    accounts: dict[int, TraderAccount], aid: int, amount: float, loan_to_value: float, prices: Mapping[str, float]
+) -> None:
+    """Lend ``amount`` to ``aid``, or raise :class:`LoanRefused` if its total
+    principal would exceed ``loan_to_value`` times its pre-loan
+    mark-to-market portfolio value.
+    """
+    account = accounts[aid]
+    cap = loan_to_value * account.portfolio_value(prices)
+    if account.loan_principal + amount > cap + 1e-9:
+        raise LoanRefused(f"agent {aid}: principal {account.loan_principal + amount:.2f} would exceed cap {cap:.2f}")
+    account.cash += amount
+    account.loan_principal += amount
+
+
 def accrue_and_lend(
     accounts: dict[int, TraderAccount],
     interest_rate: float,
@@ -333,11 +337,9 @@ def accrue_and_lend(
     prices: Mapping[str, float],
     requests: Mapping[int, float] | None = None,
 ) -> dict[int, float]:
-    """Daily pass: grow loan principal by the interest rate, then grant new loans.
-
-    A new loan is capped so total principal stays within ``loan_to_value``
-    times the borrower's pre-loan mark-to-market portfolio value. Returns
-    the granted amounts; an over-cap request raises :class:`LoanRefused`.
+    """Daily pass: grow loan principal by the interest rate, then grant new
+    loans through :func:`_grant_loan`. Returns the granted amounts; an
+    over-cap request raises :class:`LoanRefused`.
     """
     if interest_rate < 0 or loan_to_value < 0:
         raise ValueError("rates must be >= 0")
@@ -345,17 +347,9 @@ def accrue_and_lend(
         accounts[aid].loan_principal *= 1.0 + interest_rate
     grants: dict[int, float] = {}
     for aid, amount in sorted((requests or {}).items()):
-        if amount <= 0:
-            continue
-        account = accounts[aid]
-        cap = loan_to_value * account.portfolio_value(prices)
-        if account.loan_principal + amount > cap + 1e-9:
-            raise LoanRefused(
-                f"agent {aid}: principal {account.loan_principal + amount:.2f} would exceed cap {cap:.2f}"
-            )
-        account.cash += amount
-        account.loan_principal += amount
-        grants[aid] = amount
+        if amount > 0:
+            _grant_loan(accounts, aid, amount, loan_to_value, prices)
+            grants[aid] = amount
     return grants
 
 
@@ -589,17 +583,14 @@ class MarketEnv(Environment):
             if isinstance(amount, (int, float)) and amount > 0:
                 requests[aid] = float(amount)
         prices = {sym: self.stocks[sym].price for sym in SYMBOLS}
-        accrue_and_lend(self.accounts, self.config.interest_rate, self.config.loan_to_value, prices, {})
+        accrue_and_lend(self.accounts, self.config.interest_rate, self.config.loan_to_value, prices)
         for aid, amount in sorted(requests.items()):
             try:
-                grants = accrue_and_lend(self.accounts, 0.0, self.config.loan_to_value, prices, {aid: amount})
+                _grant_loan(self.accounts, aid, amount, self.config.loan_to_value, prices)
             except LoanRefused as exc:
                 self.events.append(aid, self.t, "reject_loan", {"reason": str(exc), "requested": amount})
                 continue
-            self.events.append(
-                aid, self.t, "loan",
-                {"amount": grants[aid], "principal": self.accounts[aid].loan_principal},
-            )
+            self.events.append(aid, self.t, "loan", {"amount": amount, "principal": self.accounts[aid].loan_principal})
 
     def _collect_orders(self, actions: Mapping[int, ActionEnvelope]) -> dict[str, list[Order]]:
         books: dict[str, list[Order]] = {sym: [] for sym in SYMBOLS}

@@ -157,7 +157,7 @@ ENVIRONMENTS: dict[str, EnvironmentKind] = {
         report=lambda env: phillips_okun_report(env.indicators) if len(env.indicators) >= 3 else "",
     ),
     "social": EnvironmentKind(
-        lambda params, n, seed: SocialEnv(star_profiles(n, influencer=params.pop("influencer", 0)), **params),
+        lambda params, n, seed: SocialEnv(star_profiles(n, params.get("influencer", 0)), **params),
         frozenset({"agents", "influencer", "feed_cap", "seed_post"}),
         agents=111,
     ),

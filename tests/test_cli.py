@@ -210,6 +210,18 @@ def test_score_refuses_kind_without_records_only_metrics(tmp_path, capsys):
     assert bundle_bytes(out) == before
 
 
+def test_economy_run_with_constant_propensities_reports_undefined_fits(tmp_path):
+    out = tmp_path / "out"
+    body = minimal_market_config(out)
+    body["environment"] = {"kind": "economy", "agents": 2, "months": 3}
+    body["backend"]["default_content"] = json.dumps({"work_propensity": 0.5, "consumption_propensity": 0.5})
+    config = write_config(tmp_path, body)
+    assert main(["run", "--config", str(config)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "Phillips curve (x=unemployment, y=inflation):\n  undefined (all x values are equal)\n" in summary
+    assert "Okun's law (x=delta unemployment, y=gdp growth):\n  undefined (all x values are equal)\n" in summary
+
+
 AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0}]
 
 

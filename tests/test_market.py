@@ -1,9 +1,11 @@
 import datetime as dt
 import math
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogsim.envs.market import (
     MarketClock,
@@ -12,6 +14,7 @@ from cogsim.envs.market import (
     NewsItem,
     Order,
     TraderAccount,
+    _max_flow,
     accrue_and_lend,
     buy_sell_ratio,
     clear_session,
@@ -59,6 +62,64 @@ def oracle_clear(book, prev_price):
             if tie_now < tie_best:
                 best_price = price
     return best_price, best_volume
+
+
+# reference for _max_flow, which must return exactly this Edmonds-Karp's flow
+def oracle_max_flow(demand: dict[int, int], supply: dict[int, int]) -> dict[tuple[int, int], int]:
+    """Max quantity routable from buy-agents to sell-agents with no self-edge.
+
+    Edmonds-Karp on the tiny agent-level graph; neighbor order is sorted so
+    the resulting flow is deterministic.
+    """
+    source, sink = ("src",), ("snk",)
+    buys = {("b", a): q for a, q in sorted(demand.items()) if q > 0}
+    sells = {("s", a): q for a, q in sorted(supply.items()) if q > 0}
+    capacity: dict[tuple, dict[tuple, int]] = defaultdict(dict)
+    inf = 1 + sum(demand.values()) + sum(supply.values())
+    for bnode, q in buys.items():
+        capacity[source][bnode] = q
+        for snode in sells:
+            if bnode[1] != snode[1]:
+                capacity[bnode][snode] = inf
+    for snode, q in sells.items():
+        capacity[snode][sink] = q
+    adjacency: dict[tuple, set[tuple]] = defaultdict(set)
+    for u, edges in capacity.items():
+        for v in edges:
+            adjacency[u].add(v)
+            adjacency[v].add(u)  # backward residual edge
+    flow: dict[tuple, dict[tuple, int]] = defaultdict(lambda: defaultdict(int))
+
+    def residual(u: tuple, v: tuple) -> int:
+        return capacity[u].get(v, 0) - flow[u][v] + flow[v][u]
+
+    while True:
+        parents = {source: None}
+        queue = deque([source])
+        while queue and sink not in parents:
+            node = queue.popleft()
+            for nxt in sorted(adjacency[node]):
+                if nxt not in parents and residual(node, nxt) > 0:
+                    parents[nxt] = node
+                    queue.append(nxt)
+        if sink not in parents:
+            break
+        path = []
+        node = sink
+        while parents[node] is not None:
+            path.append((parents[node], node))
+            node = parents[node]
+        bottleneck = min(residual(u, v) for u, v in path)
+        for u, v in path:
+            back = min(flow[v][u], bottleneck)
+            flow[v][u] -= back
+            flow[u][v] += bottleneck - back
+    return {
+        (bnode[1], snode[1]): flow[bnode][snode]
+        for bnode in buys
+        for snode in sells
+        if flow[bnode][snode] > 0
+    }
 
 
 def random_book(rng, max_orders=8, n_agents=5):
@@ -212,6 +273,61 @@ def test_settle_conserves_cash_and_shares():
         settle(trades, accounts)
         assert math.isclose(sum(a.cash for a in accounts.values()), total_cash, abs_tol=1e-9)
         assert sum(a.holdings["A"] for a in accounts.values()) == total_shares
+
+
+# --- properties (derandomized, so tier-1 stays deterministic) -------------------
+
+AGENT = st.integers(0, 39)
+
+
+@st.composite
+def demand_supply(draw):
+    demand = draw(st.dictionaries(AGENT, st.integers(0, 20), max_size=40))
+    supply = draw(st.dictionaries(AGENT, st.integers(0, 20), max_size=40))
+    if draw(st.booleans()):  # one agent heavy on both sides forces rerouting through it
+        dominant = draw(AGENT)
+        demand[dominant] = draw(st.integers(20, 200))
+        supply[dominant] = draw(st.integers(20, 200))
+    return demand, supply
+
+
+@st.composite
+def books(draw):
+    rows = draw(
+        st.lists(
+            st.tuples(AGENT, st.sampled_from(["buy", "sell"]), st.integers(90, 110), st.integers(1, 9)),
+            max_size=80,
+        )
+    )
+    return [order(i + 1, agent, side, price, qty) for i, (agent, side, price, qty) in enumerate(rows)]
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+@PROPERTY
+@given(demand_supply())
+def test_max_flow_equals_edmonds_karp(maps):
+    demand, supply = maps
+    assert list(_max_flow(demand, supply).items()) == list(oracle_max_flow(demand, supply).items())
+
+
+@PROPERTY
+@given(books(), st.integers(90, 110))
+def test_clearing_price_and_volume_equal_oracle(book, prev):
+    price, trades, _ = clear_session(book, float(prev))
+    assert (price, sum(t.quantity for t in trades)) == oracle_clear(book, float(prev))
+
+
+@PROPERTY
+@given(books())
+def test_clearing_has_no_self_trades_and_settle_conserves(book):
+    accounts = make_accounts(40, cash=1e6, shares=1_000)
+    _, trades, _ = clear_session(book, 100.0)
+    assert all(t.buyer != t.seller for t in trades)
+    settle(trades, accounts)
+    assert math.isclose(sum(a.cash for a in accounts.values()), 40 * 1e6, abs_tol=1e-6)
+    assert sum(a.holdings["A"] for a in accounts.values()) == 40 * 1_000
 
 
 # --- loans ---------------------------------------------------------------------

@@ -425,6 +425,15 @@ def test_build_environment_market_roster_size():
     assert env.config.days == 10
 
 
+def test_build_environment_social_seeds_post_from_influencer():
+    env = build_environment({"kind": "social", "agents": 4, "influencer": 2, "seed_post": "hello world"}, seed=0)
+    observations = env.reset()
+    (seed,) = env.events.snapshot()
+    assert (seed.user_id, seed.action, seed.info["content"]) == (2, "create_post", "hello world")
+    assert "by agent 2 at t=0 (0 likes): hello world" in observations[0].context_text
+    assert "Your feed is empty." in observations[2].context_text
+
+
 def test_build_setup_full_stack_runs():
     config = market_trials_config(trials=1, agents=3, days=1)
     env, agents = build_setup(config, seed=0)
