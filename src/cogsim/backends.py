@@ -146,23 +146,24 @@ class ScriptedBackend(CompletionBackend):
         return default(text) if callable(default) else default
 
 
+REPLAY_FALLBACK = CompletionResult(content="(replay fallback)")
+
+
 class ReplayBackend(CompletionBackend):
     """Serves recorded results keyed by request fingerprint.
 
-    Strict mode raises :class:`ReplayMiss` on unknown requests; otherwise the
-    configured fallback result is returned.
+    Strict mode raises :class:`ReplayMiss` on unknown requests; otherwise
+    :data:`REPLAY_FALLBACK` is returned.
     """
 
     def __init__(
         self,
         transcript: dict[str, CompletionResult] | None = None,
         strict: bool = True,
-        fallback: CompletionResult | None = None,
         include_model: bool = False,
     ):
         self.transcript = dict(transcript or {})
         self.strict = strict
-        self.fallback = fallback or CompletionResult(content="(replay fallback)")
         self.include_model = include_model
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
@@ -171,7 +172,7 @@ class ReplayBackend(CompletionBackend):
             return self.transcript[key]
         if self.strict:
             raise ReplayMiss(f"no recorded result for fingerprint {key[:16]}...")
-        return self.fallback
+        return REPLAY_FALLBACK
 
     def to_jsonl(self) -> str:
         lines = []
@@ -235,10 +236,11 @@ class RemoteBackend(CompletionBackend):
     """Chat-completions-compatible HTTP backend.
 
     Auth comes from the environment variable named by ``auth_env`` (never
-    from config files). Transport errors and 5xx responses are retried up
-    to ``request.max_retries`` times with exponential backoff (attempt n
-    waits 2^n x 100 ms, jittered from the injected stream). At most
-    ``in_flight_limit`` requests are open at any moment.
+    from config files). Transport errors, 5xx and 429 responses are retried
+    up to ``request.max_retries`` times with exponential backoff (attempt n
+    waits 2^n x 100 ms, jittered from the injected stream), or as long as a
+    429's ``Retry-After`` delta-seconds say (RFC 9110 section 10.2.3). Other
+    4xx responses are fatal. At most ``in_flight_limit`` requests are open.
     """
 
     def __init__(
@@ -316,7 +318,8 @@ class RemoteBackend(CompletionBackend):
         timed_out = False
         for attempt in range(request.max_retries + 1):
             if attempt > 0:
-                self._sleeper(self._backoff(attempt))
+                self._sleeper(self._backoff(attempt) if retry_after is None else retry_after)
+            retry_after: float | None = None  # set by a 429 for the next attempt's wait
             try:
                 with self._semaphore:
                     response = self._session.post(
@@ -327,6 +330,11 @@ class RemoteBackend(CompletionBackend):
                 continue
             except requests.RequestException as exc:
                 last_error, timed_out = exc, False
+                continue
+            if response.status_code == 429:
+                header = response.headers.get("Retry-After", "").strip()
+                retry_after = float(header) if header.isascii() and header.isdigit() else None
+                last_error, timed_out = RuntimeError("rate limited (429)"), False
                 continue
             if response.status_code >= 500:
                 last_error, timed_out = RuntimeError(f"server error {response.status_code}"), False
@@ -357,8 +365,6 @@ def run_tool_loop(
     turns,
     tools: list[ToolSpec],
     max_rounds: int = 5,
-    model_id: str = "scripted",
-    temperature: float = 0.0,
 ) -> tuple[str, list[tuple[ToolCallRequest, str]]]:
     """Let the model call tools for up to ``max_rounds`` rounds, then answer.
 
@@ -381,9 +387,7 @@ def run_tool_loop(
     history = list(turns)
     trace: list[tuple[ToolCallRequest, str]] = []
     for _ in range(max_rounds):
-        result = backend.complete(
-            CompletionRequest(turns=history, model_id=model_id, temperature=temperature, tools=tools)
-        )
+        result = backend.complete(CompletionRequest(turns=history, tools=tools))
         if not result.tool_calls:
             return result.content, trace
         history.append(ChatTurn(role="assistant", content=result.content, tool_calls=result.tool_calls))
@@ -391,9 +395,7 @@ def run_tool_loop(
             history.append(
                 ChatTurn(role="tool", content=_execute_tool(call, by_name, trace), tool_call_id=call.id)
             )
-    final = backend.complete(
-        CompletionRequest(turns=history, model_id=model_id, temperature=temperature)
-    )
+    final = backend.complete(CompletionRequest(turns=history))
     return final.content, trace
 
 
@@ -451,17 +453,16 @@ def _try_parse_json_object(text: str) -> dict[str, Any] | None:
 def parse_structured(
     raw_text: str,
     schema: ResponseSchema,
-    parser_backend: CompletionBackend,
+    backend: CompletionBackend,
     max_retries: int = 2,
-    temperature: float = 0.0,
-    model_id: str = "scripted",
 ) -> dict[str, Any]:
     """Convert free text into a schema-valid payload via a second parsing pass.
 
     Raw text that already parses as a valid JSON object short-circuits the
-    parser backend entirely. Otherwise the text is re-submitted with the
+    backend entirely. Otherwise the text is re-submitted with the
     schema embedded; each invalid round retries with the violation list
-    appended, up to ``max_retries`` extra attempts.
+    appended, up to ``max_retries`` extra attempts. These parse retries
+    leave each request's transport retry budget at its default.
 
     Raises :class:`ParseFailure` (carrying the last violations) when the
     retries are exhausted.
@@ -475,14 +476,8 @@ def parse_structured(
         content = prompt
         if attempt > 0:
             content = prompt + "\n\nThe previous output was invalid:\n" + "\n".join(violations)
-        result = parser_backend.complete(
-            CompletionRequest(
-                turns=[ChatTurn(role="user", content=content)],
-                model_id=model_id,
-                temperature=temperature,
-                response_schema=schema,
-                max_retries=max_retries,
-            )
+        result = backend.complete(
+            CompletionRequest(turns=[ChatTurn(role="user", content=content)], response_schema=schema)
         )
         payload = _try_parse_json_object(result.content)
         if payload is None:

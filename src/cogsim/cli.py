@@ -33,6 +33,7 @@ from .runners import (
     MultiWorldSchedule,
     TariffStudy,
     TransferPlan,
+    backend_kind,
     build_agents,
     build_backend,
     build_environment,
@@ -54,7 +55,6 @@ TOP_LEVEL_KEYS = {
     "transfer", "multiworld", "ablation",
 }
 AGENT_KEYS = {"memory", "persona_text", "extra_directives", "max_tool_rounds", "max_parse_retries"}
-BACKEND_KEYS = {"kind", "rules", "default_content", "transcript_path", "strict", "endpoint", "auth_env", "in_flight_limit", "timeout"}
 TRANSFER_KEYS = {"source", "source_steps", "carry_memory", "items", "phase2_seed"}
 MULTIWORLD_KEYS = {"environments", "cycles"}
 ABLATION_KEYS = {"headline", "summary", "news", "settings"}
@@ -64,8 +64,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Strictly parse a JSON experiment config.
 
     Defaults: runner "run", seed 0, trials 1, max_steps 100000. Unknown keys
-    anywhere in the recognized sections, including every environment section
-    and the memory spec, are rejected with their dotted path.
+    anywhere in the recognized sections, including every environment section,
+    the memory spec and the backend section (checked against its kind), are
+    rejected with their dotted path.
     """
     path = Path(path)
     if not path.exists():
@@ -86,7 +87,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     reject_unknown(agents, AGENT_KEYS, "agents")
     memory_from_spec(agents.get("memory", {}))
     backend = raw.get("backend", {"kind": "scripted"})
-    reject_unknown(backend, BACKEND_KEYS, "backend")
+    if not isinstance(backend, dict):
+        raise ConfigError("must be an object", field="backend")
+    backend_kind(backend)
     if raw.get("transfer") is not None:
         reject_unknown(raw["transfer"], TRANSFER_KEYS, "transfer")
         if "source" in raw["transfer"]:
@@ -353,6 +356,7 @@ def main(argv: list[str] | None = None) -> int:
             config.out = args.out
         if args.backend is not None:
             config.backend = {**config.backend, "kind": args.backend}
+            backend_kind(config.backend)
         out_dir = Path(config.out or f"runs/{args.command}")
         bundle = BundleWriter(out_dir, Path(args.config).read_bytes(), config.seed)
         COMMANDS[args.command](config, bundle)

@@ -79,11 +79,8 @@ def agent_step(
     mem: MemoryStore,
     backend: CompletionBackend,
     world_tag: str = "world",
-    parser_backend: CompletionBackend | None = None,
     max_tool_rounds: int = 5,
     max_parse_retries: int = 2,
-    model_id: str = "scripted",
-    temperature: float = 0.0,
 ) -> ActionEnvelope:
     """Run one full decision: prompt, tool loop, structured parse, memory writes.
 
@@ -95,14 +92,7 @@ def agent_step(
         raise ContractViolation("agent_step requires an observation with a response schema")
     bundle = compose_prompt(obs, cfg, mem)
     mem.record(MemoryEntry(time=obs.time, world_tag=world_tag, role="observation", content=obs.context_text))
-    final_text, trace = run_tool_loop(
-        backend,
-        bundle.as_turns(),
-        obs.tools,
-        max_rounds=max_tool_rounds,
-        model_id=model_id,
-        temperature=temperature,
-    )
+    final_text, trace = run_tool_loop(backend, bundle.as_turns(), obs.tools, max_rounds=max_tool_rounds)
     for call, result_text in trace:
         mem.record(
             MemoryEntry(
@@ -112,14 +102,7 @@ def agent_step(
                 content=f"{call.name}: {result_text}",
             )
         )
-    body = parse_structured(
-        final_text,
-        obs.response_schema,
-        parser_backend or backend,
-        max_retries=max_parse_retries,
-        temperature=temperature,
-        model_id=model_id,
-    )
+    body = parse_structured(final_text, obs.response_schema, backend, max_retries=max_parse_retries)
     mem.record(MemoryEntry(time=obs.time, world_tag=world_tag, role="own_action", content=canonical_json(body)))
     return ActionEnvelope(agent_id=obs.agent_id, time=obs.time, body=body)
 
@@ -134,11 +117,8 @@ class Agent:
         memory: MemoryStore | None = None,
         backend: CompletionBackend | None = None,
         world_tag: str = "world",
-        parser_backend: CompletionBackend | None = None,
         max_tool_rounds: int = 5,
         max_parse_retries: int = 2,
-        model_id: str = "scripted",
-        temperature: float = 0.0,
     ):
         if backend is None:
             raise ValueError("agent requires a completion backend")
@@ -147,11 +127,8 @@ class Agent:
         self.memory = memory or NullMemory()
         self.backend = backend
         self.world_tag = world_tag
-        self.parser_backend = parser_backend
         self.max_tool_rounds = max_tool_rounds
         self.max_parse_retries = max_parse_retries
-        self.model_id = model_id
-        self.temperature = temperature
 
     def step(self, obs: Observation) -> ActionEnvelope:
         return agent_step(
@@ -160,9 +137,6 @@ class Agent:
             self.memory,
             self.backend,
             world_tag=self.world_tag,
-            parser_backend=self.parser_backend,
             max_tool_rounds=self.max_tool_rounds,
             max_parse_retries=self.max_parse_retries,
-            model_id=self.model_id,
-            temperature=self.temperature,
         )

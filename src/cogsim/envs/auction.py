@@ -12,11 +12,10 @@ hidden true value, so overpaying realizes the winner's curse.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..protocol import ActionEnvelope, Environment, EpisodeLog, Observation, run_episode
+from ..protocol import ActionEnvelope, Environment, Observation
 from ..schema import ResponseSchema
 
 DEFAULT_BUDGET = 20_000.0
@@ -35,24 +34,6 @@ class AuctionItem:
             raise ValueError("prices must be positive")
         if self.estimated_value < self.true_value:
             raise ValueError("estimated_value must be >= true_value")
-
-
-def load_items(text: str) -> list[AuctionItem]:
-    """Parse newline-delimited JSON {name, starting_price, true_value, estimated_value}."""
-    items = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        items.append(
-            AuctionItem(
-                name=obj["name"],
-                starting_price=obj["starting_price"],
-                true_value=obj["true_value"],
-                estimated_value=obj["estimated_value"],
-            )
-        )
-    return items
 
 
 @dataclass
@@ -310,24 +291,3 @@ class AuctionEnv(Environment):
             out[f"spend_{aid}"] = self.initial_budget - self.bidders[aid].budget
         out["items_sold"] = float(sum(1 for s in self.sales if s.winner is not None))
         return out
-
-
-def run_auction(
-    items: list[AuctionItem],
-    agents: Mapping[int, Any],
-    budget: float = DEFAULT_BUDGET,
-    min_increment: float = MIN_INCREMENT,
-    objectives: Mapping[int, str] | None = None,
-    max_steps: int = 100_000,
-    seed: int = 0,
-) -> tuple[dict[int, BidderState], PriorityReport, EpisodeLog]:
-    """Auction every item in order against the given agent policies."""
-    env = AuctionEnv(
-        items,
-        bidder_ids=sorted(agents),
-        budget=budget,
-        min_increment=min_increment,
-        objectives=objectives,
-    )
-    log = run_episode(env, agents, max_steps=max_steps, seed=seed)
-    return env.bidders, env.report, log

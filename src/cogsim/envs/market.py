@@ -90,7 +90,6 @@ class Order:
     side: str  # buy | sell
     limit_price: float
     quantity: int
-    submitted_at: MarketClock = MarketClock()
 
 
 @dataclass(frozen=True)
@@ -610,7 +609,6 @@ class MarketEnv(Environment):
                     side=raw["side"],
                     limit_price=float(raw["limit_price"]),
                     quantity=int(raw["quantity"]),
-                    submitted_at=self.clock,
                 )
                 self._next_order_id += 1
                 if order.side == "buy":

@@ -10,7 +10,6 @@ plus the viewer's own posts that drew replies), newest first, capped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -77,19 +76,6 @@ class SocialState:
     # id-ordered indexes, maintained by apply_social_action
     posts_by_author: dict[int, list[int]] = field(default_factory=dict)
     comments_by_post: dict[int, list[int]] = field(default_factory=dict)
-
-
-def load_profiles(text: str) -> dict[int, UserProfile]:
-    """Parse newline-delimited JSON {agent_id, bio, follows:[ids]}."""
-    profiles = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        profiles[obj["agent_id"]] = UserProfile(
-            agent=obj["agent_id"], bio=obj.get("bio", ""), follows=set(obj.get("follows", []))
-        )
-    return profiles
 
 
 def build_feed(
@@ -240,7 +226,6 @@ class SocialEnv(Environment):
     def _setup(self):
         self.state = SocialState(profiles=self.profiles)
         self.t = 0
-        self._pending_messages: list[Message] = []
         self._inboxes: dict[int, list[Message]] = {aid: [] for aid in self.profiles}
         if self.seed_post:
             seed_influencer(self.state, self.seed_post, self.influencer, self.events)

@@ -4,8 +4,9 @@ The simulation advances in discrete time steps. Each step the environment
 emits per-agent observations; agents reply with action envelopes; the
 environment applies the full action map as one transition. Tool calls made
 while an agent deliberates never advance the clock. Inter-agent
-communication is environment-mediated: agents emit :class:`Message` values
-and the router delivers them into inboxes on the next observation.
+communication is environment-mediated: agents act only through their
+action bodies; the environment emits :class:`Message` values and
+:func:`route_messages` delivers them into inboxes on the next observation.
 """
 
 from __future__ import annotations
@@ -91,17 +92,11 @@ class Observation:
 
 @dataclass
 class ActionEnvelope:
-    """A validated action body plus any outgoing messages."""
+    """One agent's action body for one step; ``step_world`` validates it against the schema."""
 
     agent_id: AgentId
     time: TimeStep
     body: dict[str, Any]
-    outgoing_messages: list[Message] = field(default_factory=list)
-
-    def __post_init__(self):
-        for msg in self.outgoing_messages:
-            if msg.src_agent_id != self.agent_id:
-                raise ValueError("outgoing messages must carry the acting agent as src")
 
 
 @dataclass(frozen=True)
@@ -140,9 +135,6 @@ class EventLog:
         with self._lock:
             self._records.append(record)
         return record
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def snapshot(self, start: int = 0) -> list[EventRecord]:
         with self._lock:

@@ -56,25 +56,31 @@ def _scripted_backend(spec: Mapping[str, Any]) -> CompletionBackend:
     return ScriptedBackend(rules=rules, default=CompletionResult(content=spec.get("default_content", "{}")))
 
 
-BACKENDS: dict[str, Callable[[Mapping[str, Any]], CompletionBackend]] = {
-    "scripted": _scripted_backend,
-    "replay": lambda spec: ReplayBackend.from_jsonl(
-        Path(spec["transcript_path"]).read_text(encoding="utf-8"), strict=spec.get("strict", True)
-    ),
-    "remote": lambda spec: RemoteBackend(
-        endpoint=spec["endpoint"],
-        auth_env=spec.get("auth_env"),
-        in_flight_limit=spec.get("in_flight_limit", 4),
-        timeout=spec.get("timeout", 30.0),
+def _replay_backend(spec: Mapping[str, Any]) -> CompletionBackend:
+    path = Path(spec["transcript_path"])
+    if not path.is_file():
+        raise ConfigError(f"file not found: {path}", field="backend.transcript_path")
+    return ReplayBackend.from_jsonl(path.read_text(encoding="utf-8"), strict=spec.get("strict", True))
+
+
+@dataclass(frozen=True)
+class BackendKind:
+    """How one backend kind is built from the ``backend`` section, and which keys it takes."""
+
+    build: Callable[[Mapping[str, Any]], CompletionBackend]
+    keys: frozenset[str]
+    required: tuple[str, ...] = ()
+
+
+BACKENDS: dict[str, BackendKind] = {
+    "scripted": BackendKind(_scripted_backend, frozenset({"rules", "default_content"})),
+    "replay": BackendKind(_replay_backend, frozenset({"transcript_path", "strict"}), required=("transcript_path",)),
+    "remote": BackendKind(
+        lambda spec: RemoteBackend(**{key: value for key, value in spec.items() if key != "kind"}),
+        frozenset({"endpoint", "auth_env", "in_flight_limit", "timeout"}),
+        required=("endpoint",),
     ),
 }
-
-
-def build_backend(spec: Mapping[str, Any]) -> CompletionBackend:
-    kind = spec.get("kind", "scripted")
-    if kind not in BACKENDS:
-        raise ConfigError(f"unknown backend kind {kind!r}", field="backend.kind")
-    return BACKENDS[kind](spec)
 
 
 def reject_unknown(section: Mapping[str, Any], allowed: Collection[str], prefix: str) -> None:
@@ -82,6 +88,27 @@ def reject_unknown(section: Mapping[str, Any], allowed: Collection[str], prefix:
     for key in section:
         if key not in allowed:
             raise ConfigError(f'unknown key "{key}"', field=f"{prefix}.{key}" if prefix else key)
+
+
+def _checked_kind(table: Mapping[str, Any], spec: Mapping[str, Any], path: str, noun: str) -> Any:
+    """``table``'s entry for ``spec``'s kind, once ``spec``'s keys are checked against it."""
+    kind = table.get(spec.get("kind"))
+    if kind is None:
+        raise ConfigError(f"unknown {noun} kind {spec.get('kind')!r}", field=f"{path}.kind")
+    reject_unknown(spec, kind.keys | {"kind"}, path)
+    for key in kind.required:
+        if key not in spec:
+            raise ConfigError(f'missing key "{key}"', field=f"{path}.{key}")
+    return kind
+
+
+def backend_kind(spec: Mapping[str, Any]) -> BackendKind:
+    """The table entry for the ``backend`` section's kind, scripted by default."""
+    return _checked_kind(BACKENDS, {"kind": "scripted", **spec}, "backend", "backend")
+
+
+def build_backend(spec: Mapping[str, Any]) -> CompletionBackend:
+    return backend_kind(spec).build(spec)
 
 
 def _jsonl_spec(spec: Any, field: str) -> str:
@@ -178,14 +205,7 @@ ENVIRONMENTS: dict[str, EnvironmentKind] = {
 def environment_kind(spec: Mapping[str, Any], path: str = "environment") -> EnvironmentKind:
     """The table entry for ``spec``'s kind, once its keys are checked; errors
     name the offending key's dotted path under ``path``."""
-    kind = ENVIRONMENTS.get(spec.get("kind"))
-    if kind is None:
-        raise ConfigError(f"unknown environment kind {spec.get('kind')!r}", field=f"{path}.kind")
-    reject_unknown(spec, kind.keys | {"kind"}, path)
-    for key in kind.required:
-        if key not in spec:
-            raise ConfigError(f'missing key "{key}"', field=f"{path}.{key}")
-    return kind
+    return _checked_kind(ENVIRONMENTS, spec, path, "environment")
 
 
 def roster_size(spec: Mapping[str, Any]) -> int:
@@ -266,14 +286,10 @@ class TrialsResult:
         return "\n".join(lines) + "\n"
 
 
-def run_trials(
-    config: ExperimentConfig,
-    setup: Callable[[int], tuple[Environment, Mapping[int, Any]]] | None = None,
-) -> TrialsResult:
+def run_trials(config: ExperimentConfig) -> TrialsResult:
     """Run ``config.trials`` independent episodes with seeds base, base+1, ...
 
     A failing trial is recorded under ``failures`` and the rest proceed.
-    ``setup`` overrides config-driven construction (used by other harnesses).
     """
     if config.trials < 1:
         raise ConfigError("trials must be >= 1", field="trials")
@@ -283,7 +299,7 @@ def run_trials(
     for i in range(config.trials):
         seed = config.seed + i
         try:
-            env, agents = (setup or (lambda s: build_setup(config, s)))(seed)
+            env, agents = build_setup(config, seed)
             log = run_episode(env, agents, max_steps=config.max_steps, seed=seed)
             rows.append((seed, env.metrics()))
             logs.append(log)

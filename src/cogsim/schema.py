@@ -28,7 +28,6 @@ class FieldSpec:
 
     type: str
     required: bool = True
-    description: str = ""
 
     def __post_init__(self):
         if self.type not in _TYPE_CHECKS:
@@ -58,18 +57,12 @@ class ResponseSchema:
         lines = []
         for name, spec in self.fields.items():
             req = "required" if spec.required else "optional"
-            desc = f" - {spec.description}" if spec.description else ""
-            lines.append(f"- {name} ({spec.type}, {req}){desc}")
+            lines.append(f"- {name} ({spec.type}, {req})")
         return "\n".join(lines)
 
     def json_schema(self) -> dict[str, Any]:
         """JSON-schema-shaped view, used on the wire for tools and response formats."""
-        properties = {}
-        for name, spec in self.fields.items():
-            prop: dict[str, Any] = {"type": spec.type}
-            if spec.description:
-                prop["description"] = spec.description
-            properties[name] = prop
+        properties = {name: {"type": spec.type} for name, spec in self.fields.items()}
         required = [n for n, s in self.fields.items() if s.required]
         return {
             "type": "object",

@@ -9,12 +9,10 @@ from cogsim.envs.auction import (
     PriorityReport,
     RoundState,
     Sale,
-    load_items,
     resolve_round,
-    run_auction,
     settle_sale,
 )
-from cogsim.protocol import ActionEnvelope
+from cogsim.protocol import ActionEnvelope, run_episode
 
 
 def item(name="lamp", start=400.0, true=550.0, estimated=700.0):
@@ -124,16 +122,18 @@ def make_ladder_bidder(step=100.0):
 
 def test_lone_minimal_bidder_wins_everything_at_start_price():
     items = make_items(4)
-    bidders, report, log = run_auction(items, {0: minimal_bidder, 1: pass_policy, 2: pass_policy})
-    assert bidders[0].items_won == [i.name for i in items]
+    env = AuctionEnv(items, bidder_ids=[0, 1, 2])
+    log = run_episode(env, {0: minimal_bidder, 1: pass_policy, 2: pass_policy}, max_steps=10_000)
+    assert env.bidders[0].items_won == [i.name for i in items]
     sales = [r for r in log.records if r.action == "sale"]
     assert [r.info["price"] for r in sales] == [i.starting_price for i in items]
 
 
 def test_all_pass_leaves_items_unsold():
     items = make_items(2)
-    bidders, _, log = run_auction(items, {0: pass_policy, 1: pass_policy})
-    assert all(not b.items_won for b in bidders.values())
+    env = AuctionEnv(items, bidder_ids=[0, 1])
+    log = run_episode(env, {0: pass_policy, 1: pass_policy}, max_steps=10_000)
+    assert all(not b.items_won for b in env.bidders.values())
     assert sum(1 for r in log.records if r.action == "unsold") == 2
 
 
@@ -157,7 +157,8 @@ def test_two_ladder_bidders_match_hand_simulation():
     budgets = 20_000.0
     items = [AuctionItem(name="big", starting_price=1_000.0, true_value=15_000.0, estimated_value=30_000.0)]
     policy = make_ladder_bidder(100.0)
-    bidders, _, log = run_auction(items, {0: policy, 1: policy}, budget=budgets)
+    env = AuctionEnv(items, bidder_ids=[0, 1], budget=budgets)
+    log = run_episode(env, {0: policy, 1: policy}, max_steps=10_000)
     winner, price = simulate_ladder_by_hand(1_000.0, 100.0, {0: budgets, 1: budgets})
     sales = [r for r in log.records if r.action == "sale"]
     assert sales[0].user_id == winner
@@ -190,8 +191,6 @@ def test_seeded_auctions_hold_invariants():
         policy = seeded_random_policy(seed)
         agents = {aid: policy for aid in range(3)}
         env = AuctionEnv(items, bidder_ids=[0, 1, 2], budget=500.0)
-        from cogsim.protocol import run_episode
-
         log = run_episode(env, agents, max_steps=10_000, seed=seed)
         # budget safety
         for bidder in env.bidders.values():
@@ -214,7 +213,9 @@ def test_seeded_auctions_hold_invariants():
 def test_priority_report_rows_and_csv():
     items = make_items(2)
     policy = seeded_random_policy(5)
-    bidders, report, _ = run_auction(items, {0: policy, 1: policy, 2: policy}, budget=500.0)
+    env = AuctionEnv(items, bidder_ids=[0, 1, 2], budget=500.0)
+    run_episode(env, {0: policy, 1: policy, 2: policy}, max_steps=10_000)
+    report = env.report
     assert report.rows, "priorities should be captured"
     rounds = {row[0] for row in report.rows}
     for round_no in rounds:
@@ -232,10 +233,11 @@ def test_invalid_bids_rejected_and_treated_as_pass():
         return ActionEnvelope(agent_id=obs.agent_id, time=obs.time, body={"bid": 10_000_000.0})
 
     items = make_items(1)
-    bidders, _, log = run_auction(items, {0: overbidder, 1: pass_policy}, budget=500.0)
+    env = AuctionEnv(items, bidder_ids=[0, 1], budget=500.0)
+    log = run_episode(env, {0: overbidder, 1: pass_policy}, max_steps=10_000)
     rejects = [r for r in log.records if r.action == "reject_bid"]
     assert rejects and rejects[0].info["reason"] == "bid exceeds remaining budget"
-    assert not bidders[0].items_won
+    assert not env.bidders[0].items_won
 
 
 def test_needs_two_bidders():
@@ -246,12 +248,6 @@ def test_needs_two_bidders():
 def test_estimated_value_must_cover_true_value():
     with pytest.raises(ValueError):
         AuctionItem(name="x", starting_price=1.0, true_value=10.0, estimated_value=5.0)
-
-
-def test_items_file_roundtrip():
-    text = '{"name": "vase", "starting_price": 10.0, "true_value": 20.0, "estimated_value": 30.0}\n'
-    items = load_items(text)
-    assert items == [AuctionItem(name="vase", starting_price=10.0, true_value=20.0, estimated_value=30.0)]
 
 
 def test_true_value_hidden_from_observations():

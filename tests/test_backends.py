@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from cogsim.backends import (
+    REPLAY_FALLBACK,
     ChatTurn,
     CompletionRequest,
     CompletionResult,
@@ -80,8 +81,8 @@ def test_replay_hit_and_miss():
 
 
 def test_replay_non_strict_falls_back():
-    backend = ReplayBackend({}, strict=False, fallback=CompletionResult(content="fb"))
-    assert backend.complete(simple_request("x")).content == "fb"
+    backend = ReplayBackend({}, strict=False)
+    assert backend.complete(simple_request("x")) == REPLAY_FALLBACK
 
 
 def test_fingerprint_ignores_model_and_temperature_by_default():
@@ -279,6 +280,19 @@ def test_parse_retry_feedback_appends_violations():
     assert "bid" in seen[1]
 
 
+def test_parse_retries_leave_transport_retries_at_default():
+    seen = []
+
+    class Spy:
+        def complete(self, request):
+            seen.append(request.max_retries)
+            return CompletionResult(content='{"bid": "high"}')
+
+    with pytest.raises(ParseFailure):
+        parse_structured("text", ResponseSchema.of(bid="integer"), Spy(), max_retries=0)
+    assert seen == [CompletionRequest.max_retries]
+
+
 def test_parse_recovers_on_retry():
     backend = CountingBackend(
         [CompletionResult(content="not json"), CompletionResult(content='{"bid": 3}')]
@@ -312,6 +326,8 @@ def test_parse_never_accepts_invalid_silently():
 
 class StubHandler(BaseHTTPRequestHandler):
     fail_times = 0
+    fail_status = 500
+    fail_headers: dict[str, str] = {}
     seen_bodies = []
     concurrent = 0
     max_concurrent = 0
@@ -334,7 +350,9 @@ class StubHandler(BaseHTTPRequestHandler):
             if cls.delay:
                 time.sleep(cls.delay)
             if should_fail:
-                self.send_response(500)
+                self.send_response(cls.fail_status)
+                for name, value in cls.fail_headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 return
             payload = {
@@ -411,6 +429,35 @@ def test_remote_retries_on_5xx_then_succeeds(stub_server):
     assert 0.1 <= waits[0] <= 0.3
     assert 0.2 <= waits[1] <= 0.6
     assert waits[1] > waits[0]
+
+
+def test_remote_retries_429_after_retry_after(stub_server):
+    url, handler = stub_server
+    handler.fail_times, handler.fail_status, handler.fail_headers = 1, 429, {"Retry-After": "0"}
+    waits = []
+    backend = RemoteBackend(url, sleeper=waits.append)
+    assert backend.complete(simple_request("q")).content == "stub says hi"
+    assert len(handler.seen_bodies) == 2
+    assert waits == [0]
+
+
+def test_remote_429_with_http_date_waits_backoff(stub_server):
+    url, handler = stub_server
+    handler.fail_times, handler.fail_status = 1, 429
+    handler.fail_headers = {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}
+    waits = []
+    backend = RemoteBackend(url, sleeper=waits.append)
+    assert backend.complete(simple_request("q")).content == "stub says hi"
+    assert len(waits) == 1 and 0.1 <= waits[0] <= 0.3
+
+
+def test_remote_other_4xx_is_fatal(stub_server):
+    url, handler = stub_server
+    handler.fail_times, handler.fail_status = 1, 400
+    backend = RemoteBackend(url, sleeper=lambda s: None)
+    with pytest.raises(RemoteExhausted):
+        backend.complete(simple_request("q"))
+    assert len(handler.seen_bodies) == 1
 
 
 def test_remote_exhausts_retries(stub_server):

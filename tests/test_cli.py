@@ -246,11 +246,17 @@ AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "e
         ({"agents": {"memory": {"kind": "buffer"}}}, "agents.memory.capacity"),
         ({"agents": {"memory": {"kind": "buffer", "capacity": 3, "window": 5}}}, "agents.memory.window"),
         ({"agents": {"role_tag": "trader"}}, "agents.role_tag"),
+        ({"backend": {"kind": "remote"}}, "backend.endpoint"),
+        ({"backend": {"kind": "replay"}}, "backend.transcript_path"),
+        ({"backend": {"kind": "replay", "transcript_path": "no/such/transcript.jsonl"}}, "backend.transcript_path"),
+        ({"backend": {"kind": "scripted", "endpoint": "http://127.0.0.1:9/v1"}}, "backend.endpoint"),
+        ({"backend": {"kind": "psychic"}}, "backend.kind"),
     ],
     ids=[
         "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
         "transfer-source", "multiworld-env", "memory-kind", "memory-missing-capacity",
-        "memory-window-on-buffer", "role-tag",
+        "memory-window-on-buffer", "role-tag", "remote-missing-endpoint", "replay-missing-transcript-path",
+        "replay-missing-transcript-file", "endpoint-on-scripted", "backend-kind",
     ],
 )
 def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, capsys):
@@ -259,6 +265,14 @@ def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, c
     config = write_config(tmp_path, body)
     assert main([body["runner"], "--config", str(config)]) == 1
     assert f"{field}:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_backend_flag_checked_against_its_kind(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, minimal_market_config(out))
+    assert main(["run", "--config", str(config), "--backend", "replay"]) == 1
+    assert "backend.default_content:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cogsim import runners
 from cogsim.backends import CompletionResult, ScriptedBackend
 from cogsim.cognition import Agent, PersonaConfig, compose_prompt
 from cogsim.envs.market import MarketConfig, MarketEnv, NewsItem
@@ -81,10 +82,10 @@ def test_seed_sensitive_trials_mean_is_hand_average():
         assert means[name] == pytest.approx(sum(values) / len(values))
 
 
-def test_failed_trial_recorded_others_proceed():
+def test_failed_trial_recorded_others_proceed(monkeypatch):
     calls = {"n": 0}
 
-    def setup(seed):
+    def setup(config, seed):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("boom")
@@ -93,8 +94,9 @@ def test_failed_trial_recorded_others_proceed():
         agents = {aid: Agent(agent_id=aid, backend=backend) for aid in range(2)}
         return env, agents
 
+    monkeypatch.setattr(runners, "build_setup", setup)
     config = market_trials_config(trials=3)
-    result = run_trials(config, setup=setup)
+    result = run_trials(config)
     assert len(result.rows) == 2
     assert len(result.failures) == 1
     assert "boom" in result.failures[0][1]

@@ -11,7 +11,6 @@ from cogsim.envs.social import (
     UserProfile,
     apply_social_action,
     build_feed,
-    load_profiles,
     replay_events,
     seed_influencer,
     star_profiles,
@@ -180,13 +179,6 @@ def test_star_profiles_follower_count():
     followers = sum(1 for p in profiles.values() if 0 in p.follows)
     assert followers == 110
     assert profiles[0].follows == set()
-
-
-def test_profiles_file_loader():
-    text = '{"agent_id": 0, "bio": "b", "follows": [1, 2]}\n{"agent_id": 1, "follows": []}\n'
-    profiles = load_profiles(text)
-    assert profiles[0].follows == {1, 2}
-    assert profiles[1].bio == ""
 
 
 # --- environment -----------------------------------------------------------------------
