@@ -362,27 +362,23 @@ class RemoteBackend(CompletionBackend):
 
 def run_tool_loop(
     backend: CompletionBackend,
-    turns,
+    turns: list[ChatTurn],
     tools: list[ToolSpec],
     max_rounds: int = 5,
 ) -> tuple[str, list[tuple[ToolCallRequest, str]]]:
     """Let the model call tools for up to ``max_rounds`` rounds, then answer.
 
-    ``turns`` is a list of :class:`ChatTurn` or anything with ``as_turns()``
-    (a composed prompt bundle). Each round: complete with tools; if the
-    result has no tool calls its content is the answer. Otherwise every
-    requested tool runs (unknown names and handler failures become
-    error-text tool turns) and the loop continues. After ``max_rounds``
-    tool rounds one final completion runs without tools and its content is
-    returned regardless.
+    Each round: complete with tools; if the result has no tool calls its
+    content is the answer. Otherwise every requested tool runs (unknown
+    names and handler failures become error-text tool turns) and the loop
+    continues. After ``max_rounds`` tool rounds one final completion runs
+    without tools and its content is returned regardless.
 
     Returns (final_text, trace) where trace lists each executed tool call
     with its result text.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
-    if hasattr(turns, "as_turns"):
-        turns = turns.as_turns()
     by_name = {tool.name: tool for tool in tools}
     history = list(turns)
     trace: list[tuple[ToolCallRequest, str]] = []

@@ -12,21 +12,19 @@ Exit codes: 0 success, 1 config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import datetime as dt
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .cognition import PersonaConfig
 from .errors import ConfigError, SimulationError
 from .memory import memory_from_spec
 from .protocol import EpisodeLog, run_episode
 from .runners import (
-    BACKENDS,
     AblationSetting,
     ExperimentConfig,
     InstrumentSpec,
@@ -34,6 +32,7 @@ from .runners import (
     TariffStudy,
     TransferPlan,
     backend_kind,
+    build_agent,
     build_agents,
     build_backend,
     build_environment,
@@ -49,24 +48,22 @@ from .runners import (
     run_trials,
 )
 
-TOP_LEVEL_KEYS = {
-    "runner", "environment", "agents", "backend",
-    "trials", "seed", "max_steps", "out",
-    "transfer", "multiworld", "ablation",
+# The keys of each top-level section whose keys do not depend on a kind.
+SECTION_KEYS = {
+    "agents": {"memory", "persona_text", "extra_directives", "max_tool_rounds", "max_parse_retries"},
+    "transfer": {"source", "source_steps", "carry_memory", "items", "phase2_seed"},
+    "multiworld": {"environments", "cycles"},
+    "ablation": {"headline", "summary", "news", "settings"},
 }
-AGENT_KEYS = {"memory", "persona_text", "extra_directives", "max_tool_rounds", "max_parse_retries"}
-TRANSFER_KEYS = {"source", "source_steps", "carry_memory", "items", "phase2_seed"}
-MULTIWORLD_KEYS = {"environments", "cycles"}
-ABLATION_KEYS = {"headline", "summary", "news", "settings"}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Strictly parse a JSON experiment config.
+    """Strictly parse a JSON experiment config into an :class:`ExperimentConfig`.
 
-    Defaults: runner "run", seed 0, trials 1, max_steps 100000. Unknown keys
-    anywhere in the recognized sections, including every environment section,
-    the memory spec and the backend section (checked against its kind), are
-    rejected with their dotted path.
+    The top-level keys are that class's fields and its defaults apply. Every
+    section must be an object. Unknown keys anywhere in it, including every
+    environment section, the memory spec and the backend section (checked
+    against its kind), are rejected with their dotted path.
     """
     path = Path(path)
     if not path.exists():
@@ -77,45 +74,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    reject_unknown(raw, TOP_LEVEL_KEYS, "")
+    reject_unknown(raw, {f.name for f in fields(ExperimentConfig)}, "")
     if "environment" not in raw:
         raise ConfigError("missing required section", field="environment")
-    if not isinstance(raw["environment"], dict) or "kind" not in raw["environment"]:
-        raise ConfigError("environment needs a kind", field="environment.kind")
     environment_kind(raw["environment"])
-    agents = raw.get("agents", {})
-    reject_unknown(agents, AGENT_KEYS, "agents")
-    memory_from_spec(agents.get("memory", {}))
-    backend = raw.get("backend", {"kind": "scripted"})
-    if not isinstance(backend, dict):
-        raise ConfigError("must be an object", field="backend")
-    backend_kind(backend)
-    if raw.get("transfer") is not None:
-        reject_unknown(raw["transfer"], TRANSFER_KEYS, "transfer")
-        if "source" in raw["transfer"]:
-            environment_kind(raw["transfer"]["source"], "transfer.source")
-    if raw.get("multiworld") is not None:
-        reject_unknown(raw["multiworld"], MULTIWORLD_KEYS, "multiworld")
-        for i, spec in enumerate(raw["multiworld"].get("environments", [])):
-            environment_kind(spec, f"multiworld.environments[{i}]")
-    if raw.get("ablation") is not None:
-        reject_unknown(raw["ablation"], ABLATION_KEYS, "ablation")
+    backend_kind(raw.get("backend", {}))
+    for name, keys in SECTION_KEYS.items():
+        if name in raw:
+            if not isinstance(raw[name], dict):
+                raise ConfigError("must be an object", field=name)
+            reject_unknown(raw[name], keys, name)
+    memory_from_spec(raw.get("agents", {}).get("memory", {}))
+    if "source" in raw.get("transfer", {}):
+        environment_kind(raw["transfer"]["source"], "transfer.source")
+    for i, spec in enumerate(raw.get("multiworld", {}).get("environments", [])):
+        environment_kind(spec, f"multiworld.environments[{i}]")
     for field_name in ("trials", "seed", "max_steps"):
         if field_name in raw and not isinstance(raw[field_name], int):
             raise ConfigError("must be an integer", field=field_name)
-    return ExperimentConfig(
-        runner=raw.get("runner", "run"),
-        environment=raw["environment"],
-        agents=agents,
-        backend=backend,
-        trials=raw.get("trials", 1),
-        seed=raw.get("seed", 0),
-        max_steps=raw.get("max_steps", 100_000),
-        out=raw.get("out"),
-        transfer=raw.get("transfer"),
-        multiworld=raw.get("multiworld"),
-        ablation=raw.get("ablation"),
-    )
+    return ExperimentConfig(**raw)
 
 
 def _sha256(data: bytes) -> str:
@@ -194,17 +171,11 @@ def _cmd_transfer(config: ExperimentConfig, bundle: BundleWriter) -> None:
     items = item_bank_from_spec(section["items"], "transfer.items")
     source_spec = section["source"]
     n = roster_size(source_spec)
-    roster = build_agents(config.agents, build_backend(config.backend), n, world_tag="transfer")
-
-    def agent_factory(aid, memory):
-        agent = copy.copy(roster[aid])
-        agent.memory = memory
-        return agent
-
+    backend = build_backend(config.backend)
     plan = TransferPlan(
         source_env_factory=lambda seed: build_environment(source_spec, seed),
         agent_ids=list(range(n)),
-        agent_factory=agent_factory,
+        agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, "transfer", memory),
         memory_factory=lambda: memory_from_spec(config.agents.get("memory", {"kind": "buffer", "capacity": 100})),
         source_steps=section.get("source_steps", config.max_steps),
         carry_memory=section.get("carry_memory", True),
@@ -273,11 +244,7 @@ def _cmd_ablation(config: ExperimentConfig, bundle: BundleWriter) -> None:
         research_summary=section["summary"],
         news_feed=feed,
         backend_factory=lambda aid: backend,
-        persona_factory=lambda aid: PersonaConfig(
-            persona_text=config.agents.get("persona_text", "You are a stock trader."),
-            extra_directives=list(config.agents.get("extra_directives", [])),
-        ),
-        memory_factory=lambda: memory_from_spec(config.agents.get("memory", {"kind": "buffer", "capacity": 3})),
+        agents=config.agents,
         trials=config.trials,
         base_seed=config.seed,
     )
@@ -333,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override config seed (default 0)")
         cmd.add_argument("--trials", type=int, default=None, help="override trial count")
         cmd.add_argument("--out", default=None, help="output bundle directory")
-        cmd.add_argument(
-            "--backend", choices=list(BACKENDS), default=None,
-            help="override backend kind",
-        )
     return parser
 
 
@@ -354,9 +317,6 @@ def main(argv: list[str] | None = None) -> int:
             config.trials = args.trials
         if args.out is not None:
             config.out = args.out
-        if args.backend is not None:
-            config.backend = {**config.backend, "kind": args.backend}
-            backend_kind(config.backend)
         out_dir = Path(config.out or f"runs/{args.command}")
         bundle = BundleWriter(out_dir, Path(args.config).read_bytes(), config.seed)
         COMMANDS[args.command](config, bundle)

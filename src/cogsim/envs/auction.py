@@ -189,8 +189,8 @@ class AuctionEnv(Environment):
             f"Bid null to pass; include priorities as a map of remaining item name to a 0-100 score."
         )
 
-    def _observations(self, terminal: bool = False) -> dict[int, Observation]:
-        if terminal or self.done():
+    def _observations(self) -> dict[int, Observation]:
+        if self.done():
             return {
                 aid: Observation(agent_id=aid, time=self.t, context_text=self._final_context(aid))
                 for aid in self.bidder_ids
@@ -238,7 +238,7 @@ class AuctionEnv(Environment):
             winner, amount = outcome.standing_bid
             self.events.append(winner, self.t, "standing_bid", {"item": item.name, "amount": amount})
         self.t += 1
-        return self._observations(terminal=self.done())
+        return self._observations()
 
     def _capture_priorities(self, aid: int, priorities: Any) -> None:
         if not isinstance(priorities, dict):

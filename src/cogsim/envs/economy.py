@@ -246,8 +246,8 @@ class EconomyEnv(Environment):
             f"Decide how much to work and consume this month."
         )
 
-    def _observations(self, terminal: bool = False) -> dict[int, Observation]:
-        schema = None if terminal else ACTION_SCHEMA
+    def _observations(self) -> dict[int, Observation]:
+        schema = None if self.done() else ACTION_SCHEMA
         return {
             aid: Observation(
                 agent_id=aid,
@@ -284,7 +284,7 @@ class EconomyEnv(Environment):
                 "gdp_growth": indicators.gdp_growth,
             },
         )
-        return self._observations(terminal=self.done())
+        return self._observations()
 
     def indicators_csv(self) -> str:
         lines = ["month,unemployment,price_level,inflation,gdp,gdp_growth,interest_rate,tax_rate"]

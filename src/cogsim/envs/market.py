@@ -526,9 +526,9 @@ class MarketEnv(Environment):
             lines.append(f"Today's notice: {notice}")
         return "\n".join(lines)
 
-    def _observations(self, terminal: bool = False) -> dict[int, Observation]:
-        schema = None if terminal else ACTION_SCHEMA
-        tools = [] if terminal else self._tools()
+    def _observations(self) -> dict[int, Observation]:
+        schema = None if self._done else ACTION_SCHEMA
+        tools = [] if self._done else self._tools()
         return {
             aid: Observation(
                 agent_id=aid,
@@ -573,7 +573,7 @@ class MarketEnv(Environment):
         self.t += 1
         if self.clock.day > cfg.days:
             self._done = True
-        return self._observations(terminal=self._done)
+        return self._observations()
 
     def _daily_loans(self, actions: Mapping[int, ActionEnvelope]) -> None:
         requests = {}

@@ -215,8 +215,8 @@ class QuestionnaireEnv(Environment):
             f"Answer with a single integer on {item.scale.describe()}."
         )
 
-    def _observations(self, terminal: bool = False) -> dict[int, Observation]:
-        if terminal or self.done():
+    def _observations(self) -> dict[int, Observation]:
+        if self.done():
             return {
                 aid: Observation(agent_id=aid, time=self.index, context_text="Questionnaire complete.")
                 for aid in self.agent_ids
@@ -243,7 +243,7 @@ class QuestionnaireEnv(Environment):
             self.responses[aid][item.item_id] = snapped
             self.events.append(aid, self.index, "answer", {"item_id": item.item_id, "value": snapped})
         self.index += 1
-        return self._observations(terminal=self.done())
+        return self._observations()
 
     def sheet(self, aid: int) -> ResponseSheet:
         return ResponseSheet(

@@ -9,7 +9,6 @@ between cycles.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -23,7 +22,7 @@ from .envs.market import MarketConfig, MarketEnv, NewsItem, buy_sell_ratio, load
 from .envs.questionnaire import Item, QuestionnaireEnv, load_item_bank
 from .envs.social import SocialEnv, star_profiles
 from .errors import ConfigError, TooFewSamples, ZeroVariance
-from .memory import BufferMemory, MemoryEntry, MemoryStore, memory_from_spec
+from .memory import MemoryEntry, MemoryStore, memory_from_spec
 from .protocol import Environment, EpisodeLog, EventRecord, run_episode, step_world
 from .stats import mean_and_pstdev, paired_t_test
 
@@ -33,9 +32,8 @@ from .stats import mean_and_pstdev, paired_t_test
 
 @dataclass
 class ExperimentConfig:
-    """One fully-specified experiment: environment, roster, backend, runner knobs."""
+    """The config schema: its fields are the allowed top-level keys and its defaults the only defaults."""
 
-    runner: str
     environment: dict[str, Any]
     agents: dict[str, Any] = field(default_factory=dict)
     backend: dict[str, Any] = field(default_factory=dict)
@@ -90,11 +88,15 @@ def reject_unknown(section: Mapping[str, Any], allowed: Collection[str], prefix:
             raise ConfigError(f'unknown key "{key}"', field=f"{prefix}.{key}" if prefix else key)
 
 
-def _checked_kind(table: Mapping[str, Any], spec: Mapping[str, Any], path: str, noun: str) -> Any:
-    """``table``'s entry for ``spec``'s kind, once ``spec``'s keys are checked against it."""
-    kind = table.get(spec.get("kind"))
+def _checked_kind(table: Mapping[str, Any], spec: Any, path: str, noun: str, default: str | None = None) -> Any:
+    """``table``'s entry for ``spec``'s kind (``default`` when it names none),
+    once ``spec`` is checked to be an object with that kind's keys."""
+    if not isinstance(spec, dict):
+        raise ConfigError("must be an object", field=path)
+    name = spec.get("kind", default)
+    kind = table.get(name)
     if kind is None:
-        raise ConfigError(f"unknown {noun} kind {spec.get('kind')!r}", field=f"{path}.kind")
+        raise ConfigError(f"unknown {noun} kind {name!r}", field=f"{path}.kind")
     reject_unknown(spec, kind.keys | {"kind"}, path)
     for key in kind.required:
         if key not in spec:
@@ -104,30 +106,36 @@ def _checked_kind(table: Mapping[str, Any], spec: Mapping[str, Any], path: str, 
 
 def backend_kind(spec: Mapping[str, Any]) -> BackendKind:
     """The table entry for the ``backend`` section's kind, scripted by default."""
-    return _checked_kind(BACKENDS, {"kind": "scripted", **spec}, "backend", "backend")
+    return _checked_kind(BACKENDS, spec, "backend", "backend", default="scripted")
 
 
 def build_backend(spec: Mapping[str, Any]) -> CompletionBackend:
     return backend_kind(spec).build(spec)
 
 
-def _jsonl_spec(spec: Any, field: str) -> str:
-    """JSONL text given either as a file path or as an inline list of objects."""
+def _load_jsonl(load: Callable[[str], list], spec: Any, field: str) -> list:
+    """``load`` applied to JSONL given either as a file path or as an inline
+    list of objects; a malformed entry raises :class:`ConfigError` naming ``field``."""
     if isinstance(spec, list):
-        return "\n".join(json.dumps(obj) for obj in spec)
-    if not isinstance(spec, str):
+        text = "\n".join(json.dumps(obj) for obj in spec)
+    elif not isinstance(spec, str):
         raise ConfigError("must be a file path or an inline list", field=field)
-    if not Path(spec).exists():
+    elif not Path(spec).exists():
         raise ConfigError(f"file not found: {spec}", field=field)
-    return Path(spec).read_text(encoding="utf-8")
+    else:
+        text = Path(spec).read_text(encoding="utf-8")
+    try:
+        return load(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed entry: {type(exc).__name__}: {exc}", field=field) from exc
 
 
 def news_feed_from_spec(spec: Any, field: str) -> list[NewsItem]:
-    return load_news_feed(_jsonl_spec(spec, field))
+    return _load_jsonl(load_news_feed, spec, field)
 
 
 def item_bank_from_spec(spec: Any, field: str) -> list[Item]:
-    return load_item_bank(_jsonl_spec(spec, field))
+    return _load_jsonl(load_item_bank, spec, field)
 
 
 def _metric_table(env: Environment, records: list[EventRecord]) -> str:
@@ -219,29 +227,25 @@ def build_environment(spec: Mapping[str, Any], seed: int) -> Environment:
     return kind.build(params, spec.get("agents", kind.agents), seed)
 
 
-def build_agents(
-    roster: Mapping[str, Any],
-    backend: CompletionBackend,
-    n_agents: int,
-    world_tag: str,
-) -> dict[int, Agent]:
-    persona = PersonaConfig(
-        persona_text=roster.get("persona_text", ""),
-        extra_directives=list(roster.get("extra_directives", [])),
+def build_agent(
+    roster: Mapping[str, Any], backend: CompletionBackend, aid: int, world_tag: str, memory: MemoryStore | None = None
+) -> Agent:
+    """The one place an ``agents`` section becomes an :class:`Agent`; ``memory`` overrides its ``memory`` spec."""
+    return Agent(
+        agent_id=aid,
+        config=PersonaConfig(roster.get("persona_text", ""), list(roster.get("extra_directives", []))),
+        memory=memory_from_spec(roster.get("memory", {})) if memory is None else memory,
+        backend=backend,
+        world_tag=world_tag,
+        max_tool_rounds=roster.get("max_tool_rounds", 5),
+        max_parse_retries=roster.get("max_parse_retries", 2),
     )
-    memory_spec = roster.get("memory", {"kind": "null"})
-    return {
-        aid: Agent(
-            agent_id=aid,
-            config=copy.deepcopy(persona),
-            memory=memory_from_spec(memory_spec),
-            backend=backend,
-            world_tag=world_tag,
-            max_tool_rounds=roster.get("max_tool_rounds", 5),
-            max_parse_retries=roster.get("max_parse_retries", 2),
-        )
-        for aid in range(n_agents)
-    }
+
+
+def build_agents(
+    roster: Mapping[str, Any], backend: CompletionBackend, n_agents: int, world_tag: str
+) -> dict[int, Agent]:
+    return {aid: build_agent(roster, backend, aid, world_tag) for aid in range(n_agents)}
 
 
 def build_setup(config: ExperimentConfig, seed: int) -> tuple[Environment, dict[int, Agent]]:
@@ -476,35 +480,24 @@ class TariffStudy:
     research_summary: str
     news_feed: list[NewsItem]
     backend_factory: Callable[[int], CompletionBackend]
-    persona_factory: Callable[[int], PersonaConfig] | None = None
-    memory_factory: Callable[[], MemoryStore] = lambda: BufferMemory(capacity=3)
+    agents: Mapping[str, Any] = field(default_factory=dict)
     trials: int = 5
     base_seed: int = 0
 
 
 def ablation_agents(study: TariffStudy, setting: AblationSetting) -> dict[int, Agent]:
-    """Wire one setting's cognitive stack: config, memory, backend per agent."""
+    """Wire one setting's cognitive stack: the study's ``agents`` section (a
+    trader persona and a 3-entry buffer unless it says otherwise), plus the
+    setting's headline directive and research note."""
+    roster = {"persona_text": "You are a stock trader.", "memory": {"kind": "buffer", "capacity": 3}, **study.agents}
     agents = {}
     for aid in range(study.base_config.n_agents):
-        persona = (
-            copy.deepcopy(study.persona_factory(aid))
-            if study.persona_factory
-            else PersonaConfig(persona_text="You are a stock trader.")
-        )
+        agent = build_agent(roster, study.backend_factory(aid), aid, "market")
         if setting.headline_config:
-            persona.extra_directives.append(study.headline)
-        memory = study.memory_factory()
+            agent.config.extra_directives.append(study.headline)
         if setting.research_memory:
-            memory.record(
-                MemoryEntry(time=0, world_tag="market", role="note", content=study.research_summary)
-            )
-        agents[aid] = Agent(
-            agent_id=aid,
-            config=persona,
-            memory=memory,
-            backend=study.backend_factory(aid),
-            world_tag="market",
-        )
+            agent.memory.record(MemoryEntry(time=0, world_tag="market", role="note", content=study.research_summary))
+        agents[aid] = agent
     return agents
 
 

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from cogsim.cli import load_config, main
+from cogsim.cli import COMMANDS, load_config, main
 from cogsim.errors import ConfigError
 
-CONFIGS = Path(__file__).parent.parent / "configs"
+ROOT = Path(__file__).parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -18,7 +20,6 @@ def write_config(tmp_path, body, name="config.json"):
 
 def minimal_market_config(out_dir, trials=1, **extra):
     body = {
-        "runner": "run",
         "environment": {"kind": "market", "agents": 3, "days": 1},
         "agents": {"memory": {"kind": "buffer", "capacity": 3}},
         "backend": {"kind": "scripted", "default_content": json.dumps({"orders": []})},
@@ -154,7 +155,6 @@ def test_rerun_byte_identical_events_and_metrics(tmp_path):
 def test_trials_csv_mean_stddev_rows(tmp_path):
     out = tmp_path / "out"
     body = minimal_market_config(out, trials=3)
-    body["runner"] = "trials"
     config = write_config(tmp_path, body)
     assert main(["trials", "--config", str(config)]) == 0
     lines = (out / "metrics.csv").read_text().strip().splitlines()
@@ -188,7 +188,7 @@ def bundle_bytes(out):
 
 def test_score_refuses_multi_episode_bundle(tmp_path, capsys):
     out = tmp_path / "out"
-    body = minimal_market_config(out, trials=2, runner="trials")
+    body = minimal_market_config(out, trials=2)
     config = write_config(tmp_path, body)
     assert main(["trials", "--config", str(config)]) == 0
     before = bundle_bytes(out)
@@ -223,6 +223,7 @@ def test_economy_run_with_constant_propensities_reports_undefined_fits(tmp_path)
 
 
 AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0}]
+QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
 
 
 @pytest.mark.parametrize(
@@ -234,14 +235,21 @@ AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "e
         ({"environment": {"kind": "auction", "items": AUCTION_ITEMS, "bogus": 1}}, "environment.bogus"),
         ({"environment": {"kind": "questionnaire", "items": [], "bogus": 1}}, "environment.bogus"),
         ({"environment": {"kind": "questionnaire", "items": "no/such/items.jsonl"}}, "environment.items"),
+        ({"environment": {"kind": "questionnaire", "items": [QUESTION]}}, "environment.items"),
         (
-            {"runner": "transfer", "transfer": {"source": {"kind": "market", "bogus": 1}, "items": []}},
-            "transfer.source.bogus",
+            {"environment": {"kind": "questionnaire", "items": [{**QUESTION, "scale": {"kind": "likert", "points": 1}}]}},
+            "environment.items",
         ),
+        ({"transfer": {"source": {"kind": "market", "bogus": 1}, "items": []}}, "transfer.source.bogus"),
         (
-            {"runner": "multiworld", "multiworld": {"environments": [{"kind": "market", "bogus": 1}, {"kind": "social"}]}},
+            {"multiworld": {"environments": [{"kind": "market", "bogus": 1}, {"kind": "social"}]}},
             "multiworld.environments[0].bogus",
         ),
+        ({"agents": []}, "agents"),
+        ({"ablation": 3}, "ablation"),
+        ({"transfer": []}, "transfer"),
+        ({"multiworld": "ab"}, "multiworld"),
+        ({"runner": "run"}, "runner"),
         ({"agents": {"memory": {"kind": "vector"}}}, "agents.memory.kind"),
         ({"agents": {"memory": {"kind": "buffer"}}}, "agents.memory.capacity"),
         ({"agents": {"memory": {"kind": "buffer", "capacity": 3, "window": 5}}}, "agents.memory.window"),
@@ -254,7 +262,8 @@ AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "e
     ],
     ids=[
         "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
-        "transfer-source", "multiworld-env", "memory-kind", "memory-missing-capacity",
+        "questionnaire-item-without-scale", "questionnaire-one-point-scale", "transfer-source", "multiworld-env",
+        "agents-list", "ablation-int", "transfer-list", "multiworld-string", "runner", "memory-kind", "memory-missing-capacity",
         "memory-window-on-buffer", "role-tag", "remote-missing-endpoint", "replay-missing-transcript-path",
         "replay-missing-transcript-file", "endpoint-on-scripted", "backend-kind",
     ],
@@ -263,16 +272,17 @@ def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, c
     out = tmp_path / "out"
     body = minimal_market_config(out, **section)
     config = write_config(tmp_path, body)
-    assert main([body["runner"], "--config", str(config)]) == 1
+    assert main(["run", "--config", str(config)]) == 1
     assert f"{field}:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
-def test_backend_flag_checked_against_its_kind(tmp_path, capsys):
+def test_ablation_news_entry_without_headline_exits_one(tmp_path, capsys):
     out = tmp_path / "out"
-    config = write_config(tmp_path, minimal_market_config(out))
-    assert main(["run", "--config", str(config), "--backend", "replay"]) == 1
-    assert "backend.default_content:" in capsys.readouterr().err
+    ablation = {"headline": "h", "summary": "s", "news": [{"date": "2025-04-02"}]}
+    config = write_config(tmp_path, minimal_market_config(out, ablation=ablation))
+    assert main(["ablation", "--config", str(config)]) == 1
+    assert "ablation.news:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
@@ -339,3 +349,16 @@ def test_shipped_ablation_config_runs_clean(tmp_path, monkeypatch):
     lines = (out / "metrics.csv").read_text().strip().splitlines()
     assert lines[0] == "setting,stock_A,stock_B,delta_A,delta_B"
     assert len(lines) == 5
+
+
+# --- README promises ------------------------------------------------------------------
+
+
+def test_readme_flags_match_parser(capsys):
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme[readme.index("Flags:"):].split("\n\n", 1)[0]
+    promised = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    for name in COMMANDS:
+        assert main([name, "--help"]) == 0
+        offered = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert offered == promised, name

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -36,7 +37,6 @@ from cogsim.runners import (
 
 def market_trials_config(trials=5, agents=4, days=1):
     return ExperimentConfig(
-        runner="trials",
         environment={"kind": "market", "agents": agents, "days": days},
         agents={"memory": {"kind": "buffer", "capacity": 3}},
         backend={"kind": "scripted", "default_content": json.dumps({"orders": []})},
@@ -65,7 +65,6 @@ def test_single_trial_summary_equals_row():
 
 def test_seed_sensitive_trials_mean_is_hand_average():
     config = ExperimentConfig(
-        runner="trials",
         environment={"kind": "economy", "agents": 5, "months": 6},
         backend={
             "kind": "scripted",
@@ -394,6 +393,17 @@ def test_ablation_prompts_are_cumulative():
         env = ablation_environment(study, setting)
         names = [t.name for t in env.reset()[0].tools]
         assert ("fetch_news" in names) == (setting.level == 4)
+
+
+def test_ablation_agents_take_the_whole_agents_section():
+    study = replace(make_study(constant_order_backend, agents=3, days=1), agents={"max_tool_rounds": 1, "max_parse_retries": 0})
+    for setting in default_settings():
+        agents = ablation_agents(study, setting)
+        assert len(agents) == 3
+        for agent in agents.values():
+            assert (agent.max_tool_rounds, agent.max_parse_retries) == (1, 0)
+            assert agent.config.persona_text == "You are a stock trader."
+            assert isinstance(agent.memory, BufferMemory) and agent.memory.capacity == 3
 
 
 def test_ablation_flags_cumulative_definition():
