@@ -84,13 +84,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if not isinstance(raw[name], dict):
                 raise ConfigError("must be an object", field=name)
             reject_unknown(raw[name], keys, name)
-    memory_from_spec(raw.get("agents", {}).get("memory", {}))
+    agents = raw.get("agents", {})
+    memory_from_spec(agents.get("memory", {}))
+    directives = agents.get("extra_directives", [])
+    if not isinstance(directives, list) or not all(isinstance(d, str) for d in directives):
+        raise ConfigError("must be a list of strings", field="agents.extra_directives")
     if "source" in raw.get("transfer", {}):
         environment_kind(raw["transfer"]["source"], "transfer.source")
-    for i, spec in enumerate(raw.get("multiworld", {}).get("environments", [])):
+    environments = raw.get("multiworld", {}).get("environments", [])
+    if not isinstance(environments, list):
+        raise ConfigError("must be a list", field="multiworld.environments")
+    for i, spec in enumerate(environments):
         environment_kind(spec, f"multiworld.environments[{i}]")
     for field_name in ("trials", "seed", "max_steps"):
-        if field_name in raw and not isinstance(raw[field_name], int):
+        if field_name in raw and type(raw[field_name]) is not int:  # bool is an int subclass
             raise ConfigError("must be an integer", field=field_name)
     return ExperimentConfig(**raw)
 

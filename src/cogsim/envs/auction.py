@@ -129,6 +129,7 @@ class AuctionEnv(Environment):
     """Sequential English auctions over a fixed item list; one step per round."""
 
     name = "auction"
+    schema = BID_SCHEMA
 
     def __init__(
         self,
@@ -142,7 +143,7 @@ class AuctionEnv(Environment):
         if len(bidder_ids) < 2:
             raise ValueError("an auction needs at least two bidders")
         self.items = list(items)
-        self.bidder_ids = sorted(bidder_ids)
+        self.agent_ids = sorted(bidder_ids)
         self.initial_budget = budget
         self.min_increment = min_increment
         self.objectives = dict(objectives or {})
@@ -151,18 +152,13 @@ class AuctionEnv(Environment):
     def _setup(self):
         self.bidders = {
             aid: BidderState(agent=aid, budget=self.initial_budget, objective=self.objectives.get(aid, "profit_first"))
-            for aid in self.bidder_ids
+            for aid in self.agent_ids
         }
         self.round_state = RoundState(item_index=0)
         self.sales: list[Sale] = []
         self.report = PriorityReport()
         self.global_round = 0
         self.t = 0
-
-    def reset(self) -> dict[int, Observation]:
-        self.events = type(self.events)()
-        self._setup()
-        return self._observations()
 
     def done(self) -> bool:
         return self.round_state.item_index >= len(self.items)
@@ -188,22 +184,6 @@ class AuctionEnv(Environment):
             f"Remaining items: {remaining}.\n"
             f"Bid null to pass; include priorities as a map of remaining item name to a 0-100 score."
         )
-
-    def _observations(self) -> dict[int, Observation]:
-        if self.done():
-            return {
-                aid: Observation(agent_id=aid, time=self.t, context_text=self._final_context(aid))
-                for aid in self.bidder_ids
-            }
-        return {
-            aid: Observation(
-                agent_id=aid,
-                time=self.t,
-                context_text=self._context_for(aid),
-                response_schema=BID_SCHEMA,
-            )
-            for aid in self.bidder_ids
-        }
 
     def _final_context(self, aid: int) -> str:
         state = self.bidders[aid]
@@ -285,7 +265,7 @@ class AuctionEnv(Environment):
 
     def metrics(self) -> dict[str, float]:
         out: dict[str, float] = {}
-        for aid in self.bidder_ids:
+        for aid in self.agent_ids:
             out[f"profit_{aid}"] = self.bidders[aid].profit
             out[f"items_won_{aid}"] = float(len(self.bidders[aid].items_won))
             out[f"spend_{aid}"] = self.initial_budget - self.bidders[aid].budget

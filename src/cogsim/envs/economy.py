@@ -199,16 +199,18 @@ class EconomyEnv(Environment):
     """One environment step per month; shared goods market, per-agent ledgers."""
 
     name = "economy"
+    schema = ACTION_SCHEMA
 
     def __init__(self, config: EconomyConfig | None = None):
         super().__init__()
         self.config = config or EconomyConfig()
+        self.agent_ids = list(range(self.config.n_households))
         self._setup()
 
     def _setup(self):
         cfg = self.config
         households = {}
-        for aid in range(cfg.n_households):
+        for aid in self.agent_ids:
             rng = child_rng(cfg.seed, "economy", aid)
             households[aid] = HouseholdState(
                 agent=aid,
@@ -224,11 +226,6 @@ class EconomyEnv(Environment):
         self.indicators: list[MacroIndicators] = []
         self.rate_history: list[float] = []
         self.tax_history: list[float] = []
-
-    def reset(self) -> dict[int, Observation]:
-        self.events = type(self.events)()
-        self._setup()
-        return self._observations()
 
     def done(self) -> bool:
         return self.state.month >= self.config.months
@@ -246,17 +243,8 @@ class EconomyEnv(Environment):
             f"Decide how much to work and consume this month."
         )
 
-    def _observations(self) -> dict[int, Observation]:
-        schema = None if self.done() else ACTION_SCHEMA
-        return {
-            aid: Observation(
-                agent_id=aid,
-                time=self.state.month,
-                context_text=self._context_for(aid),
-                response_schema=schema,
-            )
-            for aid in sorted(self.state.households)
-        }
+    def _now(self) -> int:
+        return self.state.month
 
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:
         if self.done():
@@ -266,9 +254,7 @@ class EconomyEnv(Environment):
             year = self.state.month // 12
             if year < len(cfg.annual_tax_rates):
                 self.state.policy.tax_rate = cfg.annual_tax_rates[year]
-        clamped = {
-            aid: clamp_action(actions[aid].body, aid) for aid in sorted(self.state.households)
-        }
+        clamped = {aid: clamp_action(actions[aid].body, aid) for aid in self.agent_ids}
         indicators = monthly_step(clamped, self.state)
         self.indicators.append(indicators)
         self.rate_history.append(self.state.policy.interest_rate)

@@ -434,10 +434,12 @@ class MarketEnv(Environment):
     """Session-stepped two-stock market; one ``step`` call per session."""
 
     name = "market"
+    schema = ACTION_SCHEMA
 
     def __init__(self, config: MarketConfig | None = None):
         super().__init__()
         self.config = config or MarketConfig()
+        self.agent_ids = list(range(self.config.n_agents))
         self._setup()
 
     def _setup(self):
@@ -457,7 +459,7 @@ class MarketEnv(Environment):
                 holdings=dict(cfg.initial_holdings),
                 style=STYLES[aid % len(STYLES)],
             )
-            for aid in range(cfg.n_agents)
+            for aid in self.agent_ids
         }
         self.forum: list[ForumPost] = []
         self._next_order_id = 1
@@ -466,11 +468,6 @@ class MarketEnv(Environment):
     @property
     def current_date(self) -> dt.date:
         return self.config.start_date + dt.timedelta(days=self.clock.day - 1)
-
-    def reset(self) -> dict[int, Observation]:
-        self.events = type(self.events)()
-        self._setup()
-        return self._observations()
 
     def done(self) -> bool:
         return self._done
@@ -525,20 +522,6 @@ class MarketEnv(Environment):
         if notice:
             lines.append(f"Today's notice: {notice}")
         return "\n".join(lines)
-
-    def _observations(self) -> dict[int, Observation]:
-        schema = None if self._done else ACTION_SCHEMA
-        tools = [] if self._done else self._tools()
-        return {
-            aid: Observation(
-                agent_id=aid,
-                time=self.t,
-                context_text=self._context_for(aid),
-                tools=tools,
-                response_schema=schema,
-            )
-            for aid in sorted(self.accounts)
-        }
 
     # -- transition --------------------------------------------------------------
 

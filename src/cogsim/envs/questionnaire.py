@@ -184,6 +184,7 @@ class QuestionnaireEnv(Environment):
     """Administers one item per step to every enrolled agent."""
 
     name = "questionnaire"
+    schema = ANSWER_SCHEMA
 
     def __init__(self, items: Sequence[Item], seed: int = 0, agent_ids: Sequence[int] = (0,)):
         super().__init__()
@@ -199,11 +200,6 @@ class QuestionnaireEnv(Environment):
         self.index = 0
         self.responses: dict[int, dict[str, int]] = {aid: {} for aid in self.agent_ids}
 
-    def reset(self) -> dict[int, Observation]:
-        self.events = type(self.events)()
-        self._setup()
-        return self._observations()
-
     def done(self) -> bool:
         return self.index >= len(self.order)
 
@@ -215,21 +211,11 @@ class QuestionnaireEnv(Environment):
             f"Answer with a single integer on {item.scale.describe()}."
         )
 
-    def _observations(self) -> dict[int, Observation]:
-        if self.done():
-            return {
-                aid: Observation(agent_id=aid, time=self.index, context_text="Questionnaire complete.")
-                for aid in self.agent_ids
-            }
-        return {
-            aid: Observation(
-                agent_id=aid,
-                time=self.index,
-                context_text=self._context_for(aid),
-                response_schema=ANSWER_SCHEMA,
-            )
-            for aid in self.agent_ids
-        }
+    def _now(self) -> int:
+        return self.index
+
+    def _final_context(self, aid: int) -> str:
+        return "Questionnaire complete."
 
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:
         if self.done():

@@ -208,6 +208,7 @@ class SocialEnv(Environment):
     """One step per feed refresh; actions applied in ascending agent id."""
 
     name = "social"
+    schema = ACTION_SCHEMA
 
     def __init__(
         self,
@@ -221,6 +222,7 @@ class SocialEnv(Environment):
         self.feed_cap = feed_cap
         self.seed_post = seed_post
         self.influencer = influencer
+        self.agent_ids = sorted(profiles)
         self._setup()
 
     def _setup(self):
@@ -229,11 +231,6 @@ class SocialEnv(Environment):
         self._inboxes: dict[int, list[Message]] = {aid: [] for aid in self.profiles}
         if self.seed_post:
             seed_influencer(self.state, self.seed_post, self.influencer, self.events)
-
-    def reset(self) -> dict[int, Observation]:
-        self.events = type(self.events)()
-        self._setup()
-        return self._observations()
 
     def done(self) -> bool:
         return False  # runs until the caller's max_steps
@@ -262,17 +259,8 @@ class SocialEnv(Environment):
             "Choose one action kind: create_post, create_comment, like_post, or do_nothing."
         )
 
-    def _observations(self) -> dict[int, Observation]:
-        return {
-            aid: Observation(
-                agent_id=aid,
-                time=self.t,
-                context_text=self._context_for(aid),
-                inbox=list(self._inboxes.get(aid, [])),
-                response_schema=ACTION_SCHEMA,
-            )
-            for aid in sorted(self.profiles)
-        }
+    def _inbox(self, aid: int) -> list[Message]:
+        return list(self._inboxes.get(aid, []))
 
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:
         outbox: list[Message] = []

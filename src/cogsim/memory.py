@@ -176,5 +176,7 @@ def memory_from_spec(spec: Mapping[str, Any]) -> MemoryStore:
     An unknown kind, or a parameter the kind does not take or lacks, raises
     :class:`ConfigError` naming its path under ``agents.memory``.
     """
+    if not isinstance(spec, dict):
+        raise ConfigError("must be an object", field="agents.memory")
     params = dict(spec)
     return _build_store(params.pop("kind", "null"), params, "agents.memory")

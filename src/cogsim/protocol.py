@@ -82,7 +82,6 @@ class Observation:
     inbox: list[Message] = field(default_factory=list)
     tools: list[ToolSpec] = field(default_factory=list)
     response_schema: ResponseSchema | None = None
-    reward: float | None = None
 
     def __post_init__(self):
         names = [tool.name for tool in self.tools]
@@ -147,16 +146,25 @@ class Environment(ABC):
     ``step`` is the only mutator of environment state; ``done()`` is
     monotone until the next ``reset``. Simultaneous actions are applied in
     ascending agent id so replays are deterministic.
+
+    A subclass supplies ascending ``agent_ids``, its action ``schema``,
+    ``_setup`` (build the initial state), ``_context_for`` (one agent's
+    context text), ``step`` and ``done``. It overrides ``_now``,
+    ``_final_context``, ``_tools`` or ``_inbox`` where it differs.
     """
 
     name: str = "env"
+    agent_ids: list[AgentId]
+    schema: ResponseSchema | None = None
 
     def __init__(self):
         self.events = EventLog()
 
-    @abstractmethod
     def reset(self) -> dict[AgentId, Observation]:
         """Reinitialize state and return the first observations."""
+        self.events = EventLog()
+        self._setup()
+        return self._observations()
 
     @abstractmethod
     def step(self, actions: Mapping[AgentId, ActionEnvelope]) -> dict[AgentId, Observation]:
@@ -170,10 +178,45 @@ class Environment(ABC):
         """Scalar summary of the finished episode, for experiment tables."""
         return {}
 
+    def _setup(self) -> None:
+        raise NotImplementedError
+
+    def _context_for(self, aid: AgentId) -> str:
+        raise NotImplementedError
+
+    def _now(self) -> TimeStep:
+        """The time stamped on observations."""
+        return self.t
+
+    def _final_context(self, aid: AgentId) -> str:
+        """``aid``'s context once ``done()`` holds."""
+        return self._context_for(aid)
+
+    def _tools(self) -> list[ToolSpec]:
+        return []
+
+    def _inbox(self, aid: AgentId) -> list[Message]:
+        return []
+
+    def _observations(self) -> dict[AgentId, Observation]:
+        """One observation per agent; once ``done()`` holds, the final context
+        with no schema and no tools."""
+        if self.done():
+            context, tools, schema = self._final_context, [], None
+        else:
+            context, tools, schema = self._context_for, self._tools(), self.schema
+        now = self._now()
+        return {
+            aid: Observation(
+                agent_id=aid, time=now, context_text=context(aid), inbox=self._inbox(aid), tools=tools, response_schema=schema
+            )
+            for aid in self.agent_ids
+        }
+
 
 @dataclass
 class EpisodeLog:
-    """Everything produced by one episode: events, reward totals, seed."""
+    """Everything produced by one episode: events, all-zero reward totals, seed."""
 
     records: list[EventRecord]
     total_rewards: dict[AgentId, float]
@@ -295,26 +338,21 @@ def run_episode(
     """Run one episode: observe, act, step, until done or ``max_steps``.
 
     Policies are objects with ``step(obs) -> ActionEnvelope`` (or bare
-    callables). Rewards are accumulated from post-step observations. With
-    ``parallel=True`` policy calls within a step fan out to one thread pool
-    kept for the whole episode; results are still applied in ascending
-    agent id.
+    callables). With ``parallel=True`` policy calls within a step fan out
+    to one thread pool kept for the whole episode; results are still applied
+    in ascending agent id.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    total_rewards: dict[AgentId, float] = {aid: 0.0 for aid in agents}
     observations = env.reset()
     steps = 0
     with ThreadPoolExecutor(max_workers=min(len(agents), 16) or 1) if parallel else nullcontext() as pool:
         while not env.done() and steps < max_steps:
             observations = step_world(env, observations, agents, pool)
             steps += 1
-            for aid, obs in observations.items():
-                if obs.reward is not None and aid in total_rewards:
-                    total_rewards[aid] += obs.reward
     return EpisodeLog(
         records=env.events.snapshot(),
-        total_rewards=total_rewards,
+        total_rewards=dict.fromkeys(agents, 0.0),
         seed=seed,
         steps_executed=steps,
     )

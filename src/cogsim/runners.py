@@ -420,7 +420,6 @@ def run_multiworld(schedule: MultiWorldSchedule, agents: Mapping[int, Any], seed
     observations = {id(env): env.reset() for env in schedule.environments}
     marks = {id(env): 0 for env in schedule.environments}
     records: list[EventRecord] = []
-    total_rewards = {aid: 0.0 for aid in agents}
     steps = 0
     for _cycle in range(schedule.cycles):
         for env in schedule.environments:
@@ -431,13 +430,10 @@ def run_multiworld(schedule: MultiWorldSchedule, agents: Mapping[int, Any], seed
                     agent.world_tag = env.name
             observations[id(env)] = step_world(env, observations[id(env)], agents)
             steps += 1
-            for aid, obs in observations[id(env)].items():
-                if obs.reward is not None and aid in total_rewards:
-                    total_rewards[aid] += obs.reward
             fresh = env.events.snapshot(marks[id(env)])
             marks[id(env)] += len(fresh)
             records.extend(replace(record, info={**record.info, "world": env.name}) for record in fresh)
-    return EpisodeLog(records=records, total_rewards=total_rewards, seed=seed, steps_executed=steps)
+    return EpisodeLog(records=records, total_rewards=dict.fromkeys(agents, 0.0), seed=seed, steps_executed=steps)
 
 
 # --- tariff ablation -------------------------------------------------------------------

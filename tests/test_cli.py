@@ -259,13 +259,21 @@ QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
         ({"backend": {"kind": "replay", "transcript_path": "no/such/transcript.jsonl"}}, "backend.transcript_path"),
         ({"backend": {"kind": "scripted", "endpoint": "http://127.0.0.1:9/v1"}}, "backend.endpoint"),
         ({"backend": {"kind": "psychic"}}, "backend.kind"),
+        ({"trials": True}, "trials"),
+        ({"seed": False}, "seed"),
+        ({"max_steps": True}, "max_steps"),
+        ({"agents": {"extra_directives": "abc"}}, "agents.extra_directives"),
+        ({"agents": {"extra_directives": ["a", 3]}}, "agents.extra_directives"),
+        ({"agents": {"memory": "x"}}, "agents.memory"),
+        ({"multiworld": {"environments": 3}}, "multiworld.environments"),
     ],
     ids=[
         "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
         "questionnaire-item-without-scale", "questionnaire-one-point-scale", "transfer-source", "multiworld-env",
         "agents-list", "ablation-int", "transfer-list", "multiworld-string", "runner", "memory-kind", "memory-missing-capacity",
         "memory-window-on-buffer", "role-tag", "remote-missing-endpoint", "replay-missing-transcript-path",
-        "replay-missing-transcript-file", "endpoint-on-scripted", "backend-kind",
+        "replay-missing-transcript-file", "endpoint-on-scripted", "backend-kind", "trials-bool", "seed-bool",
+        "max-steps-bool", "directives-string", "directives-non-string", "memory-string", "multiworld-environments-int",
     ],
 )
 def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, capsys):

@@ -130,7 +130,7 @@ def test_failing_tool_recorded_in_memory_but_step_survives():
 
 def test_missing_schema_raises_contract_violation():
     with pytest.raises(ContractViolation):
-        agent_step(make_obs(response_schema=None, reward=1.0), PersonaConfig(), NullMemory(), json_backend({}))
+        agent_step(make_obs(response_schema=None), PersonaConfig(), NullMemory(), json_backend({}))
 
 
 def test_tool_results_never_advance_time():

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogsim.envs.economy import (
     EconomyConfig,
@@ -201,6 +203,37 @@ def test_annual_tax_revision_hook():
     assert env.tax_history[11] == 0.1
     assert env.tax_history[12] == 0.2
     assert env.tax_history[24] == 0.3
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+PROPENSITY = st.floats(-0.5, 1.5)
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.tuples(PROPENSITY, PROPENSITY), min_size=3, max_size=3), max_size=30), st.integers(0, 99))
+def test_env_money_ledger_identity_property(months, seed):
+    """Each month the change in total wealth plus government revenue equals
+    interest plus gross income minus spending, at the clamped propensities."""
+    env = EconomyEnv(EconomyConfig(n_households=3, months=len(months), seed=seed, annual_tax_rates=[0.1, 0.3, 0.05]))
+    env.reset()
+    state = env.state
+    for propensities in months:
+        wealth = {aid: hh.wealth for aid, hh in state.households.items()}
+        before = math.fsum(wealth.values()) + state.policy.government_revenue
+        rate = state.policy.interest_rate
+        env.step({
+            aid: ActionEnvelope(aid, state.month, {"work_propensity": wp, "consumption_propensity": cp})
+            for aid, (wp, cp) in enumerate(propensities)
+        })
+        expected = []
+        for aid, (wp, cp) in enumerate(propensities):
+            hh = state.households[aid]
+            income = hh.monthly_wage * hh.skill if wp >= 0.5 else 0.0
+            spending = min(1.0, max(0.0, cp)) * (wealth[aid] + income * (1 - state.policy.tax_rate))
+            expected += [wealth[aid] * rate / 12.0, income, -spending]
+        after = math.fsum(h.wealth for h in state.households.values()) + state.policy.government_revenue
+        assert after - before == pytest.approx(math.fsum(expected), abs=1e-9)
+    assert env.done()
 
 
 def test_indicator_csv_shape():

@@ -98,19 +98,18 @@ def test_routing_completeness_count():
 
 
 class ScriptedEnv(Environment):
-    """Emits a fixed reward to agent 0 for a fixed number of steps."""
+    """Logs every move for a fixed number of steps."""
 
     name = "scripted"
 
-    def __init__(self, n_agents=2, steps=3, reward=1.0, done_immediately=False):
+    def __init__(self, n_agents=2, steps=3, done_immediately=False):
         super().__init__()
         self.n_agents = n_agents
         self.max_t = steps
-        self.reward = reward
         self.done_immediately = done_immediately
         self.t = 0
 
-    def _obs(self, give_reward):
+    def _obs(self):
         schema = ResponseSchema.of(move="string") if not self.done() else None
         return {
             aid: Observation(
@@ -118,20 +117,19 @@ class ScriptedEnv(Environment):
                 time=self.t,
                 context_text=f"state at t={self.t}",
                 response_schema=schema,
-                reward=(self.reward if give_reward and aid == 0 else None),
             )
             for aid in range(self.n_agents)
         }
 
     def reset(self):
         self.t = 0
-        return self._obs(give_reward=False)
+        return self._obs()
 
     def step(self, actions):
         for aid in sorted(actions):
             self.events.append(aid, self.t, "move", {"move": actions[aid].body["move"]})
         self.t += 1
-        return self._obs(give_reward=True)
+        return self._obs()
 
     def done(self):
         return self.done_immediately or self.t >= self.max_t
@@ -147,14 +145,6 @@ def test_done_immediately_yields_empty_log():
     assert log.records == []
     assert log.total_rewards == {0: 0.0, 1: 0.0}
     assert log.steps_executed == 0
-
-
-def test_rewards_accumulate():
-    env = ScriptedEnv(steps=3, reward=1.0)
-    log = run_episode(env, {0: scripted_policy, 1: scripted_policy}, max_steps=10, seed=1)
-    assert log.total_rewards[0] == 3.0
-    assert log.total_rewards[1] == 0.0
-    assert log.steps_executed == 3
 
 
 def test_identical_runs_are_byte_identical():

@@ -1,6 +1,7 @@
 import itertools
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from cogsim.envs.questionnaire import Item, ScaleSpec
 from cogsim.envs.social import SocialEnv, star_profiles
 from cogsim.errors import SchemaViolation
 from cogsim.memory import BufferMemory
-from cogsim.protocol import ActionEnvelope
+from cogsim.protocol import ActionEnvelope, step_world
 from cogsim.runners import (
     AblationSetting,
     ExperimentConfig,
@@ -454,3 +455,48 @@ def test_build_setup_full_stack_runs():
 
     log = run_episode(env, agents, max_steps=10, seed=0)
     assert log.steps_executed == 3
+
+
+# A small spec, a valid action body and the clock stamped on observations, per environment kind.
+AUCTION_LOTS = [{"name": n, "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0} for n in "ab"]
+CONTRACT_CASES = {
+    "market": ({"kind": "market", "agents": 3, "days": 1}, {"orders": []}, lambda env: env.t),
+    "economy": (
+        {"kind": "economy", "agents": 3, "months": 3},
+        {"work_propensity": 0.6, "consumption_propensity": 0.3},
+        lambda env: env.state.month,
+    ),
+    "social": (
+        {"kind": "social", "agents": 3, "seed_post": "hello"},
+        {"kind": "create_comment", "content": "hi", "target_post": 1},
+        lambda env: env.t,
+    ),
+    "auction": ({"kind": "auction", "agents": 2, "items": AUCTION_LOTS}, {"bid": None}, lambda env: env.t),
+    "questionnaire": (
+        {"kind": "questionnaire", "agents": 2, "items": str(Path(__file__).parent / "data" / "bias_bank.jsonl")},
+        {"answer": 4},
+        lambda env: env.index,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(runners.ENVIRONMENTS))
+def test_environment_observation_contract(kind):
+    spec, body, clock = CONTRACT_CASES[kind]
+    env = build_environment(spec, seed=0)
+
+    def policy(obs):
+        return ActionEnvelope(agent_id=obs.agent_id, time=obs.time, body=dict(body))
+
+    agents = dict.fromkeys(env.agent_ids, policy)
+    assert env.agent_ids == sorted(env.agent_ids)
+    observations = env.reset()
+    for _ in range(12):
+        assert list(observations) == env.agent_ids
+        assert all(obs.time == clock(env) for obs in observations.values())
+        if env.done():
+            assert all(obs.response_schema is None and obs.tools == [] for obs in observations.values())
+            break
+        assert all(obs.response_schema is env.schema is not None for obs in observations.values())
+        observations = step_world(env, observations, agents)
+    assert env.done() == (kind != "social")

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogsim.envs.social import (
+    ACTION_KINDS,
     Comment,
     Post,
     SocialAction,
@@ -226,6 +229,24 @@ def test_replay_reconstructs_tables():
         c: (v.post_id, v.author, v.content) for c, v in env.state.comments.items()
     }
     assert {p: v.likes for p, v in rebuilt.posts.items()} == {p: v.likes for p, v in env.state.posts.items()}
+
+
+# Bodies that include every kind of rejection: an unknown kind, missing
+# content or target, and targets of posts that do not exist (yet).
+SOCIAL_BODY = st.fixed_dictionaries(
+    {"kind": st.sampled_from([*ACTION_KINDS, "share_post"])},
+    optional={"content": st.sampled_from(["", "hello", "again"]), "target_post": st.integers(0, 6)},
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(st.lists(SOCIAL_BODY, min_size=3, max_size=3), max_size=8), st.booleans())
+def test_replay_rebuilds_tables_from_random_actions(steps, seeded):
+    env = SocialEnv(star_profiles(3), seed_post="opening post" if seeded else None)
+    env.reset()
+    for bodies in steps:
+        env.step({aid: ActionEnvelope(aid, env.t, body) for aid, body in enumerate(bodies)})
+    assert replay_events(env.events.snapshot(), env.profiles) == env.state
 
 
 def test_comments_route_messages_to_post_author():
