@@ -353,9 +353,9 @@ def accrue_and_lend(
 
 
 def price_change_rate(history: list[float]) -> float:
-    """(last - first) / first over a price series."""
-    if len(history) < 2:
-        raise ValueError("need at least two prices")
+    """(last - first) / first over a price series; 0.0 for a single price."""
+    if not history:
+        raise ValueError("need at least one price")
     return (history[-1] - history[0]) / history[0]
 
 
@@ -463,14 +463,13 @@ class MarketEnv(Environment):
         }
         self.forum: list[ForumPost] = []
         self._next_order_id = 1
-        self._done = False
 
     @property
     def current_date(self) -> dt.date:
         return self.config.start_date + dt.timedelta(days=self.clock.day - 1)
 
     def done(self) -> bool:
-        return self._done
+        return self.clock.day > self.config.days
 
     # -- tools -----------------------------------------------------------
 
@@ -526,7 +525,7 @@ class MarketEnv(Environment):
     # -- transition --------------------------------------------------------------
 
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:
-        if self._done:
+        if self.done():
             raise RuntimeError("step called on a finished episode")
         cfg = self.config
         day, session = self.clock.day, self.clock.session
@@ -554,8 +553,6 @@ class MarketEnv(Environment):
 
         self.clock = self.clock.advanced(cfg.sessions_per_day)
         self.t += 1
-        if self.clock.day > cfg.days:
-            self._done = True
         return self._observations()
 
     def _daily_loans(self, actions: Mapping[int, ActionEnvelope]) -> None:

@@ -6,12 +6,20 @@ Ids are dense: post_ids and comment_ids each count 1, 2, 3, ... in creation
 order, so a run's tables can be reconstructed exactly by replaying its event
 stream. Feeds are pure recency over the follow graph (followed users' posts
 plus the viewer's own posts that drew replies), newest first, capped.
+
+Each feed is built once per step: ``SocialEnv`` computes every post's
+visible comments and rendered block once and shares them across all the
+followers who see that post. Posts are created at non-decreasing times, so
+each author's posts in id order are also in time order, and ``build_feed``
+picks the newest ``cap`` posts by a heap merge of those lists walked backwards.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import islice
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import UnknownPost
 from ..protocol import ActionEnvelope, Environment, EventRecord, Message, Observation, route_messages
@@ -84,46 +92,55 @@ def build_feed(
     state: SocialState,
     cap: int = 10,
     now: int | None = None,
+    comments: dict[int, list[Comment]] | None = None,
 ) -> list[tuple[Post, list[Comment]]]:
     """Recency feed: followed users' posts, plus own posts that have replies.
 
     Newest first (ties to the higher post id), truncated to ``cap``; never
-    includes anything from the future of ``now``.
+    includes anything from the future of ``now``. Posts are created at
+    non-decreasing times, so each author's id-ordered ``posts_by_author``
+    list, walked backwards, is already in feed order; the newest ``cap``
+    posts are a lazy heap merge of those lists. ``comments`` memoizes each
+    post's visible comments by post id; share one dict only between calls
+    with the same ``now`` and an unchanged state.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
+    memo = {} if comments is None else comments
 
     def visible_comments(post_id: int) -> list[Comment]:
-        return [
-            state.comments[cid]
-            for cid in state.comments_by_post.get(post_id, ())
-            if now is None or state.comments[cid].time <= now
-        ]
+        found = memo.get(post_id)
+        if found is None:
+            found = memo[post_id] = [
+                state.comments[cid]
+                for cid in state.comments_by_post.get(post_id, ())
+                if now is None or state.comments[cid].time <= now
+            ]
+        return found
 
-    entries = []
-    for author in sorted(profiles[user].follows):
-        for pid in state.posts_by_author.get(author, ()):
+    def newest_first(author: int, replied_only: bool) -> Iterator[Post]:
+        for pid in reversed(state.posts_by_author.get(author, ())):
             post = state.posts[pid]
-            if now is not None and post.time > now:
-                continue
-            entries.append((post, visible_comments(pid)))
-    for pid in state.posts_by_author.get(user, ()):
-        post = state.posts[pid]
-        if now is not None and post.time > now:
-            continue
-        comments = visible_comments(pid)
-        if comments:
-            entries.append((post, comments))
-    entries.sort(key=lambda pc: (-pc[0].time, -pc[0].post_id))
-    return entries[:cap]
+            if (now is None or post.time <= now) and (not replied_only or visible_comments(pid)):
+                yield post
+
+    lists = [newest_first(author, False) for author in profiles[user].follows]
+    lists.append(newest_first(user, True))
+    merged = heapq.merge(*lists, key=lambda post: (-post.time, -post.post_id))
+    return [(post, visible_comments(post.post_id)) for post in islice(merged, cap)]
 
 
 def apply_social_action(action: SocialAction, state: SocialState, agent: int, time: int) -> EventRecord:
     """Mutate the post/comment/like tables and return the matching log record.
 
-    Raises :class:`UnknownPost` (state untouched) when the target is absent.
+    Raises :class:`UnknownPost` (state untouched) when the target is absent,
+    and ``ValueError`` for a post older than the newest one, which would break
+    the time order ``build_feed`` relies on.
     """
     if action.kind == "create_post":
+        newest = state.posts.get(state.next_post_id - 1)
+        if newest is not None and time < newest.time:
+            raise ValueError(f"post at t={time} is older than post {newest.post_id} at t={newest.time}")
         post = Post(post_id=state.next_post_id, author=agent, time=time, content=action.content)
         state.posts[post.post_id] = post
         state.posts_by_author.setdefault(agent, []).append(post.post_id)
@@ -229,27 +246,33 @@ class SocialEnv(Environment):
         self.state = SocialState(profiles=self.profiles)
         self.t = 0
         self._inboxes: dict[int, list[Message]] = {aid: [] for aid in self.profiles}
+        self._clear_feed_cache()
         if self.seed_post:
             seed_influencer(self.state, self.seed_post, self.influencer, self.events)
+
+    def _clear_feed_cache(self):
+        # per step, by post id: visible comments and the rendered block; every
+        # observation of a step shares them, and each step's actions change them
+        self._comments: dict[int, list[Comment]] = {}
+        self._blocks: dict[int, str] = {}
 
     def done(self) -> bool:
         return False  # runs until the caller's max_steps
 
     def _render_feed(self, aid: int) -> str:
-        entries = build_feed(aid, self.profiles, self.state, cap=self.feed_cap, now=self.t)
+        entries = build_feed(aid, self.profiles, self.state, cap=self.feed_cap, now=self.t, comments=self._comments)
         if not entries:
             return "Your feed is empty."
-        lines = ["Your feed (newest first):"]
-        for post, comments in entries:
+        return "\n".join(["Your feed (newest first):", *(self._block(post, comments) for post, comments in entries)])
+
+    def _block(self, post: Post, comments: list[Comment]) -> str:
+        block = self._blocks.get(post.post_id)
+        if block is None:
             likes = len(post.likes)
-            lines.append(
-                f"- post {post.post_id} by agent {post.author} at t={post.time} ({likes} likes): {post.content}"
-            )
-            for comment in comments:
-                lines.append(
-                    f"    comment {comment.comment_id} by agent {comment.author}: {comment.content}"
-                )
-        return "\n".join(lines)
+            lines = [f"- post {post.post_id} by agent {post.author} at t={post.time} ({likes} likes): {post.content}"]
+            lines += [f"    comment {c.comment_id} by agent {c.author}: {c.content}" for c in comments]
+            block = self._blocks[post.post_id] = "\n".join(lines)
+        return block
 
     def _context_for(self, aid: int) -> str:
         profile = self.profiles[aid]
@@ -263,6 +286,7 @@ class SocialEnv(Environment):
         return list(self._inboxes.get(aid, []))
 
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:
+        self._clear_feed_cache()
         outbox: list[Message] = []
         for aid in sorted(actions):
             body = actions[aid].body

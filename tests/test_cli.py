@@ -222,6 +222,17 @@ def test_economy_run_with_constant_propensities_reports_undefined_fits(tmp_path)
     assert "Okun's law (x=delta unemployment, y=gdp growth):\n  undefined (all x values are equal)\n" in summary
 
 
+def test_market_run_with_zero_days_runs_no_session(tmp_path):
+    out = tmp_path / "out"
+    body = minimal_market_config(out)
+    body["environment"]["days"] = 0
+    config = write_config(tmp_path, body)
+    assert main(["run", "--config", str(config)]) == 0
+    assert "  steps: 0\n" in (out / "summary.txt").read_text()
+    actions = [json.loads(line).get("action") for line in (out / "events.jsonl").read_text().splitlines()]
+    assert "clear" not in actions
+
+
 AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0}]
 QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
 

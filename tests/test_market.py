@@ -368,6 +368,7 @@ def test_price_change_rate():
     assert price_change_rate([100.0, 110.0]) == pytest.approx(0.10)
     assert price_change_rate([100.0, 100.0, 100.0]) == 0.0
     assert price_change_rate([100.0, 80.0]) == pytest.approx(-0.20)
+    assert price_change_rate([100.0]) == 0.0
 
 
 class FakeRecord:

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogsim.memory import (
+    ENTRY_ROLES,
+    MEMORY_VARIANTS,
     BufferMemory,
     ChatHistoryMemory,
     MemoryEntry,
@@ -148,6 +152,33 @@ def test_serialization_roundtrip_deep_equal(store_factory):
     assert restored.entries == store.entries
     assert restored.render() == store.render()
     assert restored.to_jsonl() == text
+
+
+ENTRIES = st.lists(
+    st.builds(
+        MemoryEntry,
+        time=st.integers(-5, 10**6),
+        world_tag=st.text(max_size=8),
+        role=st.sampled_from(ENTRY_ROLES),
+        content=st.text(max_size=40),
+    ),
+    max_size=12,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(MEMORY_VARIANTS)), st.data(), ENTRIES)
+def test_archive_roundtrip_keeps_variant_params_entries_and_render(variant, data, entries):
+    cls = MEMORY_VARIANTS[variant]
+    params = {name: data.draw(st.integers(0, 50), label=name) for name in cls.params}
+    store = cls(**params)
+    for item in entries:
+        store.record(item)
+    restored = MemoryStore.from_jsonl(store.to_jsonl())
+    assert restored.variant == variant
+    assert {name: getattr(restored, name) for name in cls.params} == params
+    assert restored.entries == store.entries
+    assert restored.render() == store.render()
 
 
 def test_transfer_preserves_world_tags_and_order():

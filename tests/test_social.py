@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,15 @@ def test_like_idempotent():
     for _ in range(2):
         apply_social_action(SocialAction(kind="like_post", target_post=1), state, agent=1, time=1)
     assert state.posts[1].likes == {1}
+
+
+def test_post_older_than_newest_post_rejected():
+    state = simple_state()
+    apply_social_action(SocialAction(kind="create_post", content="now"), state, agent=1, time=5)
+    with pytest.raises(ValueError):
+        apply_social_action(SocialAction(kind="create_post", content="past"), state, agent=2, time=3)
+    assert list(state.posts) == [1]
+    apply_social_action(SocialAction(kind="create_post", content="same time"), state, agent=2, time=5)
 
 
 def test_action_shape_validation():
@@ -151,6 +161,42 @@ def test_feed_matches_brute_force_oracle():
             assert [(p.post_id, [c.comment_id for c in cs]) for p, cs in got] == [
                 (p.post_id, [c.comment_id for c in cs]) for p, cs in want
             ]
+
+
+# One event per tuple: (time step, agent, kind, target index into the posts so far).
+FEED_EVENTS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 5), st.sampled_from(ACTION_KINDS[:3]), st.integers(0, 30)),
+    max_size=40,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.lists(st.sets(st.integers(0, 5)), min_size=6, max_size=6),
+    FEED_EVENTS,
+    st.integers(0, 12),
+    st.one_of(st.none(), st.integers(-1, 30)),
+)
+def test_feed_equals_oracle_on_random_streams(n, follow_sets, events, cap, now):
+    follows = {aid: sorted(follow_sets[aid] - {aid} & set(range(n))) for aid in range(n)}
+    state = simple_state(n, follows=follows)
+    time = 0
+    for gap, agent, kind, target in events:
+        time += gap  # posts, comments and likes arrive at non-decreasing times
+        if kind == "create_post":
+            action = SocialAction(kind=kind, content=f"{agent}@{time}")
+        elif state.posts:
+            action = SocialAction(kind=kind, content="c", target_post=target % len(state.posts) + 1)
+        else:
+            continue
+        apply_social_action(action, state, agent % n, time)
+    for user in range(n):
+        got = build_feed(user, state.profiles, state, cap=cap, now=now)
+        want = feed_oracle(user, state.profiles, state, cap, now)
+        assert [(p.post_id, [c.comment_id for c in cs]) for p, cs in got] == [
+            (p.post_id, [c.comment_id for c in cs]) for p, cs in want
+        ]
 
 
 def test_feed_never_leaks_future():
@@ -247,6 +293,69 @@ def test_replay_rebuilds_tables_from_random_actions(steps, seeded):
     for bodies in steps:
         env.step({aid: ActionEnvelope(aid, env.t, body) for aid, body in enumerate(bodies)})
     assert replay_events(env.events.snapshot(), env.profiles) == env.state
+
+
+def reference_render_feed(self, aid):
+    """The feed renderer from before the per-step cache, kept verbatim as the reference."""
+    entries = build_feed(aid, self.profiles, self.state, cap=self.feed_cap, now=self.t)
+    if not entries:
+        return "Your feed is empty."
+    lines = ["Your feed (newest first):"]
+    for post, comments in entries:
+        likes = len(post.likes)
+        lines.append(
+            f"- post {post.post_id} by agent {post.author} at t={post.time} ({likes} likes): {post.content}"
+        )
+        for comment in comments:
+            lines.append(
+                f"    comment {comment.comment_id} by agent {comment.author}: {comment.content}"
+            )
+    return "\n".join(lines)
+
+
+def reference_context(env, aid):
+    return (
+        f"t={env.t}. You are a social media user. Bio: {env.profiles[aid].bio}\n"
+        f"{reference_render_feed(env, aid)}\n"
+        "Choose one action kind: create_post, create_comment, like_post, or do_nothing."
+    )
+
+
+def test_cached_feed_equals_reference_render_after_every_step():
+    n = 10
+    rng = random.Random(21)
+    profiles = {
+        aid: UserProfile(agent=aid, bio=f"user {aid}", follows=set(rng.sample([a for a in range(n) if a != aid], k=3)))
+        for aid in range(n)
+    }
+    env = SocialEnv(profiles, feed_cap=4, seed_post="opening post")
+
+    def act(obs):
+        shown = [int(pid) for pid in re.findall(r"post (\d+) by", obs.context_text)]
+        roll = rng.random()
+        if roll < 0.3 or not shown:
+            return {"kind": "create_post", "content": f"post by {obs.agent_id} at {obs.time}"}
+        if roll < 0.6:
+            return {"kind": "create_comment", "content": f"re {obs.time}", "target_post": rng.choice(shown)}
+        if roll < 0.9:
+            return {"kind": "like_post", "target_post": rng.choice(shown)}
+        return {"kind": "do_nothing"}
+
+    def check(observations):
+        assert {aid: obs.context_text for aid, obs in observations.items()} == {
+            aid: reference_context(env, aid) for aid in env.agent_ids
+        }
+        return observations
+
+    # the first episode ends while the opening post still shows its replies,
+    # so the second reset renders it afresh only if it drops the old feeds
+    for steps in (1, 8):
+        observations = check(env.reset())
+        for _ in range(steps):
+            observations = check(
+                env.step({aid: ActionEnvelope(aid, obs.time, act(obs)) for aid, obs in observations.items()})
+            )
+    assert env.state.comments and any(post.likes for post in env.state.posts.values())
 
 
 def test_comments_route_messages_to_post_author():
