@@ -37,6 +37,7 @@ from .runners import (
     build_backend,
     build_environment,
     build_setup,
+    check_step_limit,
     environment_kind,
     item_bank_from_spec,
     news_feed_from_spec,
@@ -143,6 +144,7 @@ def _summary_lines(title: str, pairs: dict[str, Any]) -> str:
 
 def _cmd_run(config: ExperimentConfig, bundle: BundleWriter) -> None:
     kind = environment_kind(config.environment)
+    check_step_limit(config.environment, config.max_steps)
     env, agents = build_setup(config, config.seed)
     log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed)
     bundle.write("events.jsonl", log.to_jsonl())
@@ -177,6 +179,8 @@ def _cmd_transfer(config: ExperimentConfig, bundle: BundleWriter) -> None:
         raise ConfigError("transfer needs source and items", field="transfer")
     items = item_bank_from_spec(section["items"], "transfer.items")
     source_spec = section["source"]
+    source_steps = section.get("source_steps", config.max_steps)
+    check_step_limit(source_spec, source_steps, "transfer.source_steps")
     n = roster_size(source_spec)
     backend = build_backend(config.backend)
     plan = TransferPlan(
@@ -184,7 +188,7 @@ def _cmd_transfer(config: ExperimentConfig, bundle: BundleWriter) -> None:
         agent_ids=list(range(n)),
         agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, "transfer", memory),
         memory_factory=lambda: memory_from_spec(config.agents.get("memory", {"kind": "buffer", "capacity": 100})),
-        source_steps=section.get("source_steps", config.max_steps),
+        source_steps=source_steps,
         carry_memory=section.get("carry_memory", True),
         seed=config.seed,
         phase2_seed=section.get("phase2_seed", config.seed),

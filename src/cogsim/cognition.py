@@ -62,7 +62,8 @@ class PromptBundle:
 
 def compose_prompt(obs: Observation, cfg: PersonaConfig, mem: MemoryStore) -> PromptBundle:
     """Assemble the prompt sections for one observation."""
-    observation_lines = [obs.context_text] if obs.context_text else []
+    context = obs.context_text
+    observation_lines = [context] if context else []
     for msg in obs.inbox:
         observation_lines.append(msg.render())
     return PromptBundle(
@@ -91,7 +92,7 @@ def agent_step(
     if obs.response_schema is None:
         raise ContractViolation("agent_step requires an observation with a response schema")
     bundle = compose_prompt(obs, cfg, mem)
-    mem.record(MemoryEntry(time=obs.time, world_tag=world_tag, role="observation", content=obs.context_text))
+    mem.record(MemoryEntry(time=obs.time, world_tag=world_tag, role="observation", content=obs.context_parts))
     final_text, trace = run_tool_loop(backend, bundle.as_turns(), obs.tools, max_rounds=max_tool_rounds)
     for call, result_text in trace:
         mem.record(

@@ -9,9 +9,17 @@ plus the viewer's own posts that drew replies), newest first, capped.
 
 Each feed is built once per step: ``SocialEnv`` computes every post's
 visible comments and rendered block once and shares them across all the
-followers who see that post. Posts are created at non-decreasing times, so
-each author's posts in id order are also in time order, and ``build_feed``
-picks the newest ``cap`` posts by a heap merge of those lists walked backwards.
+followers who see that post, and renders each distinct feed (keyed by its
+post ids) once for all the followers who get it. Posts are created at
+non-decreasing times, so each author's posts in id order are also in time
+order, and ``build_feed`` picks the newest ``cap`` posts by a heap merge of
+those lists walked backwards.
+
+An observation's context is three parts: a per-agent header (clock and
+bio), the shared feed string and a constant footer. Agents' memories keep
+the parts, so a step's feed is held once however many followers archive it;
+the parts are joined wherever text is read, so prompts, archives and
+events are byte-equal to those of one joined string per agent.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from ..protocol import ActionEnvelope, Environment, EventRecord, Message, Observ
 from ..schema import ResponseSchema
 
 ACTION_KINDS = ("create_post", "create_comment", "like_post", "do_nothing")
+
+FOOTER = "\nChoose one action kind: create_post, create_comment, like_post, or do_nothing."
 
 DEFAULT_SEED_POST = "report: amazon plans to open its first physical store in new york URL"
 
@@ -251,10 +261,12 @@ class SocialEnv(Environment):
             seed_influencer(self.state, self.seed_post, self.influencer, self.events)
 
     def _clear_feed_cache(self):
-        # per step, by post id: visible comments and the rendered block; every
-        # observation of a step shares them, and each step's actions change them
+        # per step, by post id: visible comments and the rendered block, and by
+        # a feed's post ids: the rendered feed; every observation of a step
+        # shares them, and each step's actions change them
         self._comments: dict[int, list[Comment]] = {}
         self._blocks: dict[int, str] = {}
+        self._feeds: dict[tuple[int, ...], str] = {}
 
     def done(self) -> bool:
         return False  # runs until the caller's max_steps
@@ -263,7 +275,12 @@ class SocialEnv(Environment):
         entries = build_feed(aid, self.profiles, self.state, cap=self.feed_cap, now=self.t, comments=self._comments)
         if not entries:
             return "Your feed is empty."
-        return "\n".join(["Your feed (newest first):", *(self._block(post, comments) for post, comments in entries)])
+        key = tuple(post.post_id for post, _ in entries)
+        feed = self._feeds.get(key)
+        if feed is None:
+            blocks = (self._block(post, comments) for post, comments in entries)
+            feed = self._feeds[key] = "\n".join(["Your feed (newest first):", *blocks])
+        return feed
 
     def _block(self, post: Post, comments: list[Comment]) -> str:
         block = self._blocks.get(post.post_id)
@@ -274,13 +291,9 @@ class SocialEnv(Environment):
             block = self._blocks[post.post_id] = "\n".join(lines)
         return block
 
-    def _context_for(self, aid: int) -> str:
-        profile = self.profiles[aid]
-        return (
-            f"t={self.t}. You are a social media user. Bio: {profile.bio}\n"
-            f"{self._render_feed(aid)}\n"
-            "Choose one action kind: create_post, create_comment, like_post, or do_nothing."
-        )
+    def _context_for(self, aid: int) -> tuple[str, str, str]:
+        header = f"t={self.t}. You are a social media user. Bio: {self.profiles[aid].bio}\n"
+        return header, self._render_feed(aid), FOOTER
 
     def _inbox(self, aid: int) -> list[Message]:
         return list(self._inboxes.get(aid, []))

@@ -3,39 +3,68 @@
 Every store keeps the full append-only archive; capacity, window, and token
 limits only restrict what ``render()`` shows. The archive is what transfers
 between environments, tagged per entry with the world it came from.
+
+An entry's content is :data:`~cogsim.protocol.Text`: a plain str, or the
+parts of an observation as the environment gave them. Parts are held by
+reference, so the followers of one social feed archive that step's feed
+string once between them, not once each. Everything that reads content
+joins the parts (``content``, ``render``, ``to_jsonl``, equality), so
+prompts and archives are byte-equal to those of a store fed the joined text;
+token budgets are sized from the summed part lengths without joining.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Mapping
 
 from .errors import ConfigError
+from .protocol import Text, join_text
 
 ENTRY_ROLES = ("observation", "own_action", "tool_result", "note")
 
 
-def estimate_tokens(text: str) -> int:
-    """Cheap deterministic token estimate: ceil(len/4)."""
-    return (len(text) + 3) // 4
+def estimate_tokens(text: Text) -> int:
+    """Cheap deterministic token estimate: ceil(len/4), over all parts."""
+    chars = len(text) if isinstance(text, str) else sum(map(len, text))
+    return (chars + 3) // 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class MemoryEntry:
-    """One immutable memory line: when, where, what kind, and the content."""
+    """One immutable memory line: when, where, what kind, and the content.
+
+    ``content`` is kept as given in ``parts`` and reads back as one str;
+    entries are equal when their joined content is.
+    """
 
     time: int
     world_tag: str
     role: str
-    content: str
+    content: InitVar[Text]
+    parts: Text = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, content: Text):
         if self.role not in ENTRY_ROLES:
             raise ValueError(f"unknown memory role {self.role!r}")
+        object.__setattr__(self, "parts", content)
+
+    def _key(self) -> tuple[int, str, str, str]:
+        return (self.time, self.world_tag, self.role, self.content)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, MemoryEntry) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def render(self) -> str:
         return f"[{self.world_tag} t={self.time} {self.role}] {self.content}"
+
+
+# an InitVar leaves the name free for this read-only view
+MemoryEntry.content = property(lambda entry: join_text(entry.parts), doc="The content as one str.")
 
 
 class MemoryStore:
@@ -146,7 +175,7 @@ class ChatHistoryMemory(MemoryStore):
         for entry in reversed(self.entries):
             if len(survivors) >= self.window:
                 break
-            cost = estimate_tokens(entry.content)
+            cost = estimate_tokens(entry.parts)
             if survivors and tokens + cost > self.token_limit:
                 break
             survivors.append(entry)

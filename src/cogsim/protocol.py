@@ -16,7 +16,7 @@ import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import AgentMissing, SchemaViolation, UnknownRecipient
@@ -24,6 +24,16 @@ from .schema import ResponseSchema, canonical_json, validate_action
 
 AgentId = int
 TimeStep = int
+
+Text = str | tuple[str, ...]
+"""Text given whole, or as a tuple of parts that reads as their concatenation.
+Parts let many holders share one large string, such as a feed every follower
+sees in the same step, by reference."""
+
+
+def join_text(text: Text) -> str:
+    """``text`` as one str; a str is returned as it is."""
+    return text if isinstance(text, str) else "".join(text)
 
 
 @dataclass(frozen=True)
@@ -73,20 +83,28 @@ class Observation:
 
     ``response_schema`` present means an action is expected this step;
     observe-only observations leave it ``None`` and the runner skips the
-    agent's policy.
+    agent's policy. ``context_text`` is given as :data:`Text` and kept as
+    given in ``context_parts``, so memory can archive a shared part by
+    reference; reading ``context_text`` joins the parts.
     """
 
     agent_id: AgentId
     time: TimeStep
-    context_text: str
+    context_text: InitVar[Text]
     inbox: list[Message] = field(default_factory=list)
     tools: list[ToolSpec] = field(default_factory=list)
     response_schema: ResponseSchema | None = None
+    context_parts: Text = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, context_text: Text):
+        self.context_parts = context_text
         names = [tool.name for tool in self.tools]
         if len(names) != len(set(names)):
             raise ValueError("tool names must be unique within one observation")
+
+
+# an InitVar leaves the name free for this read-only view
+Observation.context_text = property(lambda obs: join_text(obs.context_parts), doc="The context as one str.")
 
 
 @dataclass
@@ -149,7 +167,7 @@ class Environment(ABC):
 
     A subclass supplies ascending ``agent_ids``, its action ``schema``,
     ``_setup`` (build the initial state), ``_context_for`` (one agent's
-    context text), ``step`` and ``done``. It overrides ``_now``,
+    context :data:`Text`), ``step`` and ``done``. It overrides ``_now``,
     ``_final_context``, ``_tools`` or ``_inbox`` where it differs.
     """
 
@@ -181,14 +199,14 @@ class Environment(ABC):
     def _setup(self) -> None:
         raise NotImplementedError
 
-    def _context_for(self, aid: AgentId) -> str:
+    def _context_for(self, aid: AgentId) -> Text:
         raise NotImplementedError
 
     def _now(self) -> TimeStep:
         """The time stamped on observations."""
         return self.t
 
-    def _final_context(self, aid: AgentId) -> str:
+    def _final_context(self, aid: AgentId) -> Text:
         """``aid``'s context once ``done()`` holds."""
         return self._context_for(aid)
 
@@ -331,23 +349,23 @@ def step_world(
 def run_episode(
     env: Environment,
     agents: Mapping[AgentId, Any],
-    max_steps: int,
+    max_steps: int | None,
     seed: int = 0,
     parallel: bool = False,
 ) -> EpisodeLog:
-    """Run one episode: observe, act, step, until done or ``max_steps``.
+    """Run one episode: observe, act, step, until done or ``max_steps`` (``None``: until done).
 
     Policies are objects with ``step(obs) -> ActionEnvelope`` (or bare
     callables). With ``parallel=True`` policy calls within a step fan out
     to one thread pool kept for the whole episode; results are still applied
     in ascending agent id.
     """
-    if max_steps < 0:
+    if max_steps is not None and max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     observations = env.reset()
     steps = 0
     with ThreadPoolExecutor(max_workers=min(len(agents), 16) or 1) if parallel else nullcontext() as pool:
-        while not env.done() and steps < max_steps:
+        while not env.done() and (max_steps is None or steps < max_steps):
             observations = step_world(env, observations, agents, pool)
             steps += 1
     return EpisodeLog(

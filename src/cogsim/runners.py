@@ -39,7 +39,7 @@ class ExperimentConfig:
     backend: dict[str, Any] = field(default_factory=dict)
     trials: int = 1
     seed: int = 0
-    max_steps: int = 100_000
+    max_steps: int | None = None  # None: until the environment ends, which social never does
     out: str | None = None
     transfer: dict[str, Any] | None = None
     multiworld: dict[str, Any] | None = None
@@ -148,7 +148,9 @@ class EnvironmentKind:
 
     ``build(params, agents, seed)`` gets the section without ``kind`` and
     ``agents``. ``records_only`` marks a ``metrics_csv`` that reads the event
-    records and not the environment, so ``score`` can use it.
+    records and not the environment, so ``score`` can use it. ``ends`` is
+    false for a kind whose ``done()`` never holds, which runs only with a
+    step limit.
     """
 
     build: Callable[[dict[str, Any], int, int], Environment]
@@ -158,6 +160,7 @@ class EnvironmentKind:
     records_only: bool = False
     required: tuple[str, ...] = ()
     report: Callable[[Environment], str] = lambda env: ""
+    ends: bool = True
 
 
 def _config_keys(config_cls: type, *internal: str) -> frozenset[str]:
@@ -195,6 +198,7 @@ ENVIRONMENTS: dict[str, EnvironmentKind] = {
         lambda params, n, seed: SocialEnv(star_profiles(n, params.get("influencer", 0)), **params),
         frozenset({"agents", "influencer", "feed_cap", "seed_post"}),
         agents=111,
+        ends=False,
     ),
     "auction": EnvironmentKind(
         _auction, frozenset({"agents", "items", "budget", "min_increment", "objectives"}), agents=3, required=("items",)
@@ -214,6 +218,13 @@ def environment_kind(spec: Mapping[str, Any], path: str = "environment") -> Envi
     """The table entry for ``spec``'s kind, once its keys are checked; errors
     name the offending key's dotted path under ``path``."""
     return _checked_kind(ENVIRONMENTS, spec, path, "environment")
+
+
+def check_step_limit(spec: Mapping[str, Any], max_steps: int | None, field: str = "max_steps") -> None:
+    """Raise :class:`ConfigError` naming ``field`` when an environment built
+    from ``spec`` never ends by itself and ``max_steps`` sets no limit."""
+    if max_steps is None and not environment_kind(spec).ends:
+        raise ConfigError(f"a {spec['kind']} environment never ends by itself; set a step limit", field=field)
 
 
 def roster_size(spec: Mapping[str, Any]) -> int:
@@ -297,6 +308,7 @@ def run_trials(config: ExperimentConfig) -> TrialsResult:
     """
     if config.trials < 1:
         raise ConfigError("trials must be >= 1", field="trials")
+    check_step_limit(config.environment, config.max_steps)
     rows: list[tuple[int, dict[str, float]]] = []
     failures: list[tuple[int, str]] = []
     logs: list[EpisodeLog] = []
@@ -324,7 +336,7 @@ class TransferPlan:
     agent_ids: list[int]
     agent_factory: Callable[[int, MemoryStore], Agent]
     memory_factory: Callable[[], MemoryStore]
-    source_steps: int = 10
+    source_steps: int | None = 10
     carry_memory: bool = True
     seed: int = 0
     phase2_seed: int = 0

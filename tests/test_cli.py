@@ -233,6 +233,30 @@ def test_market_run_with_zero_days_runs_no_session(tmp_path):
     assert "clear" not in actions
 
 
+@pytest.mark.parametrize("command", ["run", "trials"])
+def test_social_run_needs_max_steps(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    body = minimal_market_config(out, environment={"kind": "social", "agents": 3, "seed_post": "hello"})
+    body["backend"]["default_content"] = json.dumps({"kind": "do_nothing"})
+    assert main([command, "--config", str(write_config(tmp_path, body))]) == 1
+    assert "max_steps:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    body["max_steps"] = 2
+    assert main([command, "--config", str(write_config(tmp_path, body))]) == 0
+    summary = json.loads((out / "events.jsonl").read_text().splitlines()[-1])["summary"]
+    assert summary["steps_executed"] == 2
+
+
+def test_transfer_from_social_needs_source_steps(tmp_path, capsys):
+    out = tmp_path / "out"
+    item = {"item_id": "q1", "subscale": "s", "text": "How sure are you?", "scale": {"kind": "likert", "points": 7}}
+    transfer = {"source": {"kind": "social", "agents": 2}, "items": [item]}
+    body = minimal_market_config(out, transfer=transfer)
+    assert main(["transfer", "--config", str(write_config(tmp_path, body))]) == 1
+    assert "transfer.source_steps:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0}]
 QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
 

@@ -13,6 +13,7 @@ from cogsim.memory import (
     estimate_tokens,
     memory_from_spec,
 )
+from cogsim.protocol import join_text
 
 
 def entry(i, content=None, world="w"):
@@ -179,6 +180,37 @@ def test_archive_roundtrip_keeps_variant_params_entries_and_render(variant, data
     assert {name: getattr(restored, name) for name in cls.params} == params
     assert restored.entries == store.entries
     assert restored.render() == store.render()
+
+
+TEXTS = st.one_of(st.text(max_size=40), st.lists(st.text(max_size=12), max_size=4).map(tuple))
+
+
+@pytest.mark.parametrize("variant", sorted(MEMORY_VARIANTS))
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.lists(st.tuples(st.integers(-5, 10**6), st.text(max_size=8), st.sampled_from(ENTRY_ROLES), TEXTS), max_size=12),
+)
+def test_entries_in_parts_read_as_their_joined_text(variant, data, rows):
+    cls = MEMORY_VARIANTS[variant]
+    params = {name: data.draw(st.integers(0, 50), label=name) for name in cls.params}
+    split, joined = cls(**params), cls(**params)
+    for time, tag, role, text in rows:
+        split.record(MemoryEntry(time=time, world_tag=tag, role=role, content=text))
+        joined.record(MemoryEntry(time=time, world_tag=tag, role=role, content=join_text(text)))
+    assert [(e.time, e.content) for e in split.visible()] == [(e.time, e.content) for e in joined.visible()]
+    assert split.render() == joined.render()
+    archive = split.to_jsonl()
+    assert archive.encode() == joined.to_jsonl().encode()
+    restored = MemoryStore.from_jsonl(archive)
+    assert restored.entries == split.entries == joined.entries
+    assert restored.to_jsonl() == archive
+
+
+def test_entry_has_no_instance_dict():
+    # slotted entries keep per-entry memory small; stores archive every entry
+    assert not hasattr(entry(0), "__dict__")
+    assert MemoryEntry(time=0, world_tag="w", role="note", content=("a", "b")).content == "ab"
 
 
 def test_transfer_preserves_world_tags_and_order():

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cogsim.backends import CompletionResult, ScriptedBackend
+from cogsim.cognition import Agent
 from cogsim.envs.social import (
     ACTION_KINDS,
     Comment,
@@ -20,6 +23,7 @@ from cogsim.envs.social import (
     star_profiles,
 )
 from cogsim.errors import UnknownPost
+from cogsim.memory import ChatHistoryMemory
 from cogsim.protocol import ActionEnvelope, run_episode
 from cogsim.seeds import child_rng
 
@@ -356,6 +360,49 @@ def test_cached_feed_equals_reference_render_after_every_step():
                 env.step({aid: ActionEnvelope(aid, obs.time, act(obs)) for aid, obs in observations.items()})
             )
     assert env.state.comments and any(post.likes for post in env.state.posts.values())
+
+
+def test_followers_archive_one_shared_feed_per_step():
+    n, steps = 16, 6
+    rng = random.Random(13)
+
+    def act(prompt):
+        shown = [int(pid) for pid in re.findall(r"post (\d+) by", prompt[prompt.rfind("You are a social media user."):])]
+        roll = rng.random()
+        if roll < 0.3 or not shown:
+            body = {"kind": "create_post", "content": f"note {roll:.3f}"}
+        elif roll < 0.7:
+            body = {"kind": "create_comment", "content": "agreed", "target_post": rng.choice(shown)}
+        else:
+            body = {"kind": "like_post", "target_post": rng.choice(shown)}
+        return CompletionResult(content=json.dumps(body))
+
+    backend = ScriptedBackend(default=act)
+    agents = {
+        aid: Agent(aid, memory=ChatHistoryMemory(window=4, token_limit=256), backend=backend, world_tag="social")
+        for aid in range(n)
+    }
+    env = SocialEnv(star_profiles(n), seed_post="opening post")
+    run_episode(env, agents, max_steps=steps, seed=13)
+    assert env.state.comments and any(post.likes for post in env.state.posts.values())
+
+    observed = [entry for agent in agents.values() for entry in agent.memory.entries if entry.role == "observation"]
+    assert len(observed) == n * steps
+    holders: dict[tuple[int, str], list[int]] = {}
+    for entry in observed:
+        _, feed, _ = entry.parts
+        holders.setdefault((entry.time, feed), []).append(id(feed))
+    assert all(len(set(ids)) == 1 for ids in holders.values())
+    assert max(len(ids) for ids in holders.values()) >= n - 1
+
+    # every archived string counted once, however many entries hold it
+    sizes = {}
+    for agent in agents.values():
+        for entry in agent.memory.entries:
+            for part in (entry.parts,) if isinstance(entry.parts, str) else entry.parts:
+                sizes[id(part)] = len(part)
+    largest = max(len(entry.content) for entry in observed)
+    assert sum(sizes.values()) < 4 * steps * largest
 
 
 def test_comments_route_messages_to_post_author():
