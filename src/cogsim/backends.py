@@ -65,12 +65,12 @@ class CompletionRequest:
 
     def rendered(self) -> str:
         """Flat text view of the transcript, used by scripted rule predicates."""
-        parts = []
+        parts: list[str] = []
         for turn in self.turns:
-            parts.append(f"{turn.role}: {turn.content}")
+            parts += ("\n", turn.role, ": ", turn.content)
             for call in turn.tool_calls:
-                parts.append(f"{turn.role} tool_call {call.name}({call.arguments_text})")
-        return "\n".join(parts)
+                parts += ("\n", turn.role, " tool_call ", call.name, "(", call.arguments_text, ")")
+        return "".join(parts[1:])
 
 
 @dataclass(frozen=True)

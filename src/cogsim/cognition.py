@@ -4,16 +4,20 @@ One agent step composes a prompt from its observation, runs the tool loop,
 parses the final text into a schema-valid body, and records what happened
 into memory. However many tools the agent calls, the environment clock
 does not move until the action envelope is returned.
+
+The prompt is joined once per agent step: the observation stays in the
+parts its environment gave (a social feed is one string shared by every
+follower), and the user turn is built from them in one join.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .backends import ChatTurn, CompletionBackend, parse_structured, run_tool_loop
 from .errors import ContractViolation
 from .memory import MemoryEntry, MemoryStore, NullMemory
-from .protocol import ActionEnvelope, Observation
+from .protocol import ActionEnvelope, Observation, Text, join_text
 from .schema import canonical_json
 
 
@@ -32,44 +36,62 @@ class PersonaConfig:
 
 @dataclass
 class PromptBundle:
-    """The four prompt sections, always in this order."""
+    """The four prompt sections, always in this order.
+
+    ``observation_text`` is given as :data:`~cogsim.protocol.Text` and kept
+    as a tuple of parts in ``observation_parts``; reading
+    ``observation_text`` joins them. ``as_turns`` and ``full_text`` join
+    straight from the parts.
+    """
 
     system_text: str
     memory_text: str
-    observation_text: str
+    observation_text: InitVar[Text]
     schema_hint: str
+    observation_parts: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self, observation_text: Text):
+        self.observation_parts = (observation_text,) if isinstance(observation_text, str) else observation_text
 
     def as_turns(self) -> list[ChatTurn]:
-        user_parts = []
+        user: list[str] = []
         if self.memory_text:
-            user_parts.append("Your memory:\n" + self.memory_text)
-        user_parts.append(self.observation_text)
+            user += ("Your memory:\n", self.memory_text, "\n\n")
+        user += self.observation_parts
         if self.schema_hint:
-            user_parts.append("Respond with a JSON object with fields:\n" + self.schema_hint)
+            user += ("\n\nRespond with a JSON object with fields:\n", self.schema_hint)
         turns = []
         if self.system_text:
             turns.append(ChatTurn(role="system", content=self.system_text))
-        turns.append(ChatTurn(role="user", content="\n\n".join(user_parts)))
+        turns.append(ChatTurn(role="user", content="".join(user)))
         return turns
 
     def full_text(self) -> str:
-        return "\n\n".join(
-            part
-            for part in (self.system_text, self.memory_text, self.observation_text, self.schema_hint)
-            if part
-        )
+        sections = ((self.system_text,), (self.memory_text,), self.observation_parts, (self.schema_hint,))
+        text = [part for section in sections if any(section) for part in ("\n\n", *section)]
+        return "".join(text[1:])
+
+
+# an InitVar leaves the name free for this read-only view
+PromptBundle.observation_text = property(
+    lambda bundle: join_text(bundle.observation_parts), doc="The observation as one str."
+)
 
 
 def compose_prompt(obs: Observation, cfg: PersonaConfig, mem: MemoryStore) -> PromptBundle:
-    """Assemble the prompt sections for one observation."""
-    context = obs.context_text
-    observation_lines = [context] if context else []
-    for msg in obs.inbox:
-        observation_lines.append(msg.render())
+    """Assemble the prompt sections for one observation.
+
+    The observation stays in parts: the context's, then the inbox lines.
+    """
+    observation = obs.context_parts
+    inbox = "\n".join(msg.render() for msg in obs.inbox)
+    if inbox:
+        context = (observation,) if isinstance(observation, str) else observation
+        observation = (*context, "\n", inbox) if any(context) else inbox
     return PromptBundle(
         system_text=cfg.render(),
         memory_text=mem.render(),
-        observation_text="\n".join(observation_lines),
+        observation_text=observation,
         schema_hint=obs.response_schema.hint_text() if obs.response_schema else "",
     )
 

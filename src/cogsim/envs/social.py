@@ -7,13 +7,15 @@ order, so a run's tables can be reconstructed exactly by replaying its event
 stream. Feeds are pure recency over the follow graph (followed users' posts
 plus the viewer's own posts that drew replies), newest first, capped.
 
-Each feed is built once per step: ``SocialEnv`` computes every post's
-visible comments and rendered block once and shares them across all the
-followers who see that post, and renders each distinct feed (keyed by its
-post ids) once for all the followers who get it. Posts are created at
-non-decreasing times, so each author's posts in id order are also in time
-order, and ``build_feed`` picks the newest ``cap`` posts by a heap merge of
-those lists walked backwards.
+Each feed is built once per step: ``SocialEnv`` builds one feed per
+distinct follow set and serves it to every viewer with that follow set
+whose own posts drew no replies; only a viewer with a replied post gets a
+feed built for it alone. Every post's visible comments and rendered block
+are computed once per step and shared by all the feeds that show the post,
+and each distinct feed (keyed by its post ids) is rendered once. Posts are
+created at non-decreasing times, so each author's posts in id order are
+also in time order, and ``build_feed`` picks the newest ``cap`` posts by a
+heap merge of those lists walked backwards.
 
 An observation's context is three parts: a per-agent header (clock and
 bio), the shared feed string and a constant footer. Agents' memories keep
@@ -261,17 +263,31 @@ class SocialEnv(Environment):
             seed_influencer(self.state, self.seed_post, self.influencer, self.events)
 
     def _clear_feed_cache(self):
-        # per step, by post id: visible comments and the rendered block, and by
-        # a feed's post ids: the rendered feed; every observation of a step
+        # per step, by post id: visible comments and the rendered block; by a
+        # feed's post ids: the rendered feed; and by follow set: the rendered
+        # feed of a viewer with no replied post. Every observation of a step
         # shares them, and each step's actions change them
         self._comments: dict[int, list[Comment]] = {}
         self._blocks: dict[int, str] = {}
         self._feeds: dict[tuple[int, ...], str] = {}
+        self._follow_feeds: dict[frozenset[int], str] = {}
 
     def done(self) -> bool:
         return False  # runs until the caller's max_steps
 
     def _render_feed(self, aid: int) -> str:
+        # every post and comment is at most self.t old, so an own post with
+        # comments is one with visible replies, which only aid's feed shows
+        state = self.state
+        if any(pid in state.comments_by_post for pid in state.posts_by_author.get(aid, ())):
+            return self._build_feed(aid)
+        follows = frozenset(self.profiles[aid].follows)
+        feed = self._follow_feeds.get(follows)
+        if feed is None:
+            feed = self._follow_feeds[follows] = self._build_feed(aid)
+        return feed
+
+    def _build_feed(self, aid: int) -> str:
         entries = build_feed(aid, self.profiles, self.state, cap=self.feed_cap, now=self.t, comments=self._comments)
         if not entries:
             return "Your feed is empty."

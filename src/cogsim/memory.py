@@ -60,7 +60,9 @@ class MemoryEntry:
         return hash(self._key())
 
     def render(self) -> str:
-        return f"[{self.world_tag} t={self.time} {self.role}] {self.content}"
+        prefix = f"[{self.world_tag} t={self.time} {self.role}] "
+        parts = self.parts
+        return prefix + parts if isinstance(parts, str) else "".join((prefix, *parts))
 
 
 # an InitVar leaves the name free for this read-only view

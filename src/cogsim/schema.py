@@ -95,6 +95,6 @@ def validate_action(body: Any, schema: ResponseSchema) -> list[str]:
     return violations
 
 
-def canonical_json(obj: Any) -> str:
-    """Deterministic JSON used for hashing, logs, and replay fingerprints."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
+"""Deterministic JSON used for hashing, logs, and replay fingerprints; one
+encoder serves every call, with the bytes of ``json.dumps`` at these settings."""

@@ -1,11 +1,15 @@
 import json
+import tracemalloc
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cogsim.backends import CompletionResult, ScriptedBackend, ToolCallRequest
+from cogsim.backends import ChatTurn, CompletionRequest, CompletionResult, ScriptedBackend, ToolCallRequest
 from cogsim.cognition import Agent, PersonaConfig, agent_step, compose_prompt
 from cogsim.errors import ContractViolation
-from cogsim.memory import BufferMemory, MemoryStore, NullMemory
+from cogsim.memory import ENTRY_ROLES, MEMORY_VARIANTS, BufferMemory, MemoryEntry, MemoryStore, NullMemory
 from cogsim.protocol import Message, Observation, ToolSpec
 from cogsim.schema import ResponseSchema
 
@@ -56,12 +60,137 @@ def test_inbox_rendered_in_delivery_order_with_attribution():
 def test_section_order_fixed():
     cfg = PersonaConfig(persona_text="PERSONA")
     mem = BufferMemory(capacity=5)
-    from cogsim.memory import MemoryEntry
-
     mem.record(MemoryEntry(time=0, world_tag="w", role="note", content="MEMNOTE"))
     bundle = compose_prompt(make_obs(context_text="CTX"), cfg, mem)
     full = bundle.full_text()
     assert full.index("PERSONA") < full.index("MEMNOTE") < full.index("CTX") < full.index("move")
+
+
+# The prompt assembly from before the observation was kept in parts, kept
+# verbatim as the reference: the memory text as each entry rendered it, the
+# sections joined section by section, and the transcript line by line.
+
+
+@dataclass
+class OraclePromptBundle:
+    system_text: str
+    memory_text: str
+    observation_text: str
+    schema_hint: str
+
+    def as_turns(self) -> list[ChatTurn]:
+        user_parts = []
+        if self.memory_text:
+            user_parts.append("Your memory:\n" + self.memory_text)
+        user_parts.append(self.observation_text)
+        if self.schema_hint:
+            user_parts.append("Respond with a JSON object with fields:\n" + self.schema_hint)
+        turns = []
+        if self.system_text:
+            turns.append(ChatTurn(role="system", content=self.system_text))
+        turns.append(ChatTurn(role="user", content="\n\n".join(user_parts)))
+        return turns
+
+    def full_text(self) -> str:
+        return "\n\n".join(
+            part
+            for part in (self.system_text, self.memory_text, self.observation_text, self.schema_hint)
+            if part
+        )
+
+
+def oracle_memory_render(mem: MemoryStore) -> str:
+    return "\n".join(f"[{entry.world_tag} t={entry.time} {entry.role}] {entry.content}" for entry in mem.visible())
+
+
+def oracle_compose_prompt(obs: Observation, cfg: PersonaConfig, mem: MemoryStore) -> OraclePromptBundle:
+    context = obs.context_text
+    observation_lines = [context] if context else []
+    for msg in obs.inbox:
+        observation_lines.append(msg.render())
+    return OraclePromptBundle(
+        system_text=cfg.render(),
+        memory_text=oracle_memory_render(mem),
+        observation_text="\n".join(observation_lines),
+        schema_hint=obs.response_schema.hint_text() if obs.response_schema else "",
+    )
+
+
+def oracle_rendered(turns: list[ChatTurn]) -> str:
+    parts = []
+    for turn in turns:
+        parts.append(f"{turn.role}: {turn.content}")
+        for call in turn.tool_calls:
+            parts.append(f"{turn.role} tool_call {call.name}({call.arguments_text})")
+    return "\n".join(parts)
+
+
+TEXTS = st.one_of(st.text(max_size=30), st.lists(st.text(max_size=12), max_size=4).map(tuple))
+ENTRY_ROWS = st.lists(st.tuples(st.integers(0, 9), st.text(max_size=6), st.sampled_from(ENTRY_ROLES), TEXTS), max_size=6)
+INBOX = st.lists(
+    st.builds(
+        Message,
+        time=st.integers(0, 9),
+        src_agent_id=st.none() | st.integers(1, 5),
+        dst_agent_id=st.just(0),
+        payload=st.dictionaries(st.text(max_size=6), st.text(max_size=12), max_size=2),
+    ),
+    max_size=3,
+)
+SCHEMAS = st.none() | st.just(ResponseSchema.of(move="string", size="integer?"))
+TOOL_CALLS = st.lists(
+    st.builds(ToolCallRequest, id=st.text(min_size=1, max_size=4), name=st.text(max_size=6), arguments_text=st.text(max_size=12)),
+    max_size=2,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    persona=st.text(max_size=20),
+    directives=st.lists(st.text(max_size=12), max_size=3),
+    variant=st.sampled_from(sorted(MEMORY_VARIANTS)),
+    data=st.data(),
+    rows=ENTRY_ROWS,
+    context=TEXTS,
+    inbox=INBOX,
+    schema=SCHEMAS,
+    calls=TOOL_CALLS,
+)
+def test_prompt_bytes_equal_the_joined_string_oracle(persona, directives, variant, data, rows, context, inbox, schema, calls):
+    cls = MEMORY_VARIANTS[variant]
+    mem = cls(**{name: data.draw(st.integers(0, 8), label=name) for name in cls.params})
+    for time, tag, role, content in rows:
+        mem.record(MemoryEntry(time=time, world_tag=tag, role=role, content=content))
+    cfg = PersonaConfig(persona_text=persona, extra_directives=directives)
+    obs = Observation(agent_id=0, time=3, context_text=context, inbox=inbox, response_schema=schema)
+
+    bundle, oracle = compose_prompt(obs, cfg, mem), oracle_compose_prompt(obs, cfg, mem)
+    assert (bundle.system_text, bundle.memory_text, bundle.observation_text, bundle.schema_hint) == (
+        oracle.system_text, oracle.memory_text, oracle.observation_text, oracle.schema_hint
+    )
+    assert bundle.full_text() == oracle.full_text()
+    turns, oracle_turns = bundle.as_turns(), oracle.as_turns()
+    assert turns == oracle_turns
+    # a tool round after the prompt exercises the transcript's tool_call lines
+    if calls:
+        tail = [ChatTurn(role="assistant", content="", tool_calls=tuple(calls)), ChatTurn(role="tool", content="r", tool_call_id="c")]
+        turns, oracle_turns = turns + tail, oracle_turns + tail
+    assert CompletionRequest(turns=turns).rendered() == oracle_rendered(oracle_turns)
+
+
+def test_agent_step_holds_no_more_than_two_prompt_copies():
+    # a social-sized shared part, given by reference; the step should hold
+    # the user turn and the rendered transcript, not four copies of it
+    shared = "x" * 200_000
+    obs = make_obs(context_text=("t=1. header\n", shared, "\nfooter"))
+    backend = json_backend({"move": "hold"})
+    tracemalloc.start()
+    try:
+        agent_step(obs, PersonaConfig(persona_text="p"), NullMemory(), backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(shared)
 
 
 # --- agent step ---------------------------------------------------------------

@@ -1,4 +1,9 @@
-from cogsim.schema import FieldSpec, ResponseSchema, validate_action
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cogsim.schema import FieldSpec, ResponseSchema, canonical_json, validate_action
 
 
 def test_valid_payload():
@@ -71,3 +76,18 @@ def test_hint_text_mentions_every_field():
     hint = schema.hint_text()
     assert "bid" in hint and "note" in hint
     assert "required" in hint and "optional" in hint
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_equals_dumps_at_the_same_settings(value):
+    # the shared encoder must give the bytes json.dumps gives, non-ASCII,
+    # non-finite floats and nested objects with unsorted keys included
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=True)

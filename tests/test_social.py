@@ -362,6 +362,45 @@ def test_cached_feed_equals_reference_render_after_every_step():
     assert env.state.comments and any(post.likes for post in env.state.posts.values())
 
 
+# Per step, per agent: (kind, target index into the posts so far).
+STEP_ACTIONS = st.lists(st.tuples(st.sampled_from(ACTION_KINDS), st.integers(0, 30)), min_size=6, max_size=6)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.lists(st.sets(st.integers(0, 5)), min_size=6, max_size=6),
+    st.lists(STEP_ACTIONS, max_size=8),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_every_feed_equals_build_feed_on_random_graphs(n, follow_sets, steps, cap, seeded):
+    # mutual follows, agents who follow nobody and own posts with replies:
+    # the feed shared by a follow set must be each such viewer's own feed
+    profiles = {
+        aid: UserProfile(agent=aid, bio=f"user {aid}", follows=follow_sets[aid] - {aid} & set(range(n)))
+        for aid in range(n)
+    }
+    env = SocialEnv(profiles, feed_cap=cap, seed_post="opening post" if seeded else None)
+
+    def check(observations):
+        assert {aid: obs.context_text for aid, obs in observations.items()} == {
+            aid: reference_context(env, aid) for aid in env.agent_ids
+        }
+
+    check(env.reset())
+    for actions in steps:
+        bodies = {}
+        for aid, (kind, target) in zip(env.agent_ids, actions):
+            if kind == "create_post":
+                bodies[aid] = {"kind": kind, "content": f"{aid}@{env.t}"}
+            elif kind == "do_nothing" or not env.state.posts:
+                bodies[aid] = {"kind": "do_nothing"}
+            else:
+                bodies[aid] = {"kind": kind, "content": "re", "target_post": target % len(env.state.posts) + 1}
+        check(env.step({aid: ActionEnvelope(aid, env.t, body) for aid, body in bodies.items()}))
+
+
 def test_followers_archive_one_shared_feed_per_step():
     n, steps = 16, 6
     rng = random.Random(13)
