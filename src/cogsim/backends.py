@@ -83,12 +83,9 @@ class CompletionResult:
             raise ValueError("completion result must carry content or tool calls")
 
 
-def request_fingerprint(request: CompletionRequest, include_model: bool = False) -> str:
-    """Stable hash of (turns, tools, schema); model/temperature excluded by default.
-
-    Excluding them lets recorded transcripts survive cosmetic config changes;
-    strict replay setups can opt back in.
-    """
+def request_fingerprint(request: CompletionRequest) -> str:
+    """Stable hash of (turns, tools, schema); model and temperature are
+    excluded, so recorded transcripts survive cosmetic config changes."""
     payload: dict[str, Any] = {
         "turns": [
             {
@@ -108,9 +105,6 @@ def request_fingerprint(request: CompletionRequest, include_model: bool = False)
         ],
         "schema": request.response_schema.json_schema() if request.response_schema else None,
     }
-    if include_model:
-        payload["model_id"] = request.model_id
-        payload["temperature"] = request.temperature
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
@@ -156,18 +150,12 @@ class ReplayBackend(CompletionBackend):
     :data:`REPLAY_FALLBACK` is returned.
     """
 
-    def __init__(
-        self,
-        transcript: dict[str, CompletionResult] | None = None,
-        strict: bool = True,
-        include_model: bool = False,
-    ):
+    def __init__(self, transcript: dict[str, CompletionResult] | None = None, strict: bool = True):
         self.transcript = dict(transcript or {})
         self.strict = strict
-        self.include_model = include_model
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        key = request_fingerprint(request, include_model=self.include_model)
+        key = request_fingerprint(request)
         if key in self.transcript:
             return self.transcript[key]
         if self.strict:
@@ -195,7 +183,7 @@ class ReplayBackend(CompletionBackend):
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_jsonl(text: str, strict: bool = True, include_model: bool = False) -> "ReplayBackend":
+    def from_jsonl(text: str, strict: bool = True) -> "ReplayBackend":
         transcript = {}
         for line in text.splitlines():
             if not line.strip():
@@ -209,27 +197,26 @@ class ReplayBackend(CompletionBackend):
                     for c in result.get("tool_calls", [])
                 ),
             )
-        return ReplayBackend(transcript, strict=strict, include_model=include_model)
+        return ReplayBackend(transcript, strict=strict)
 
 
 class RecordingBackend(CompletionBackend):
     """Wraps another backend and captures (fingerprint, result) pairs for replay."""
 
-    def __init__(self, inner: CompletionBackend, include_model: bool = False):
+    def __init__(self, inner: CompletionBackend):
         self.inner = inner
-        self.include_model = include_model
         self.transcript: dict[str, CompletionResult] = {}
         self._lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         result = self.inner.complete(request)
-        key = request_fingerprint(request, include_model=self.include_model)
+        key = request_fingerprint(request)
         with self._lock:
             self.transcript[key] = result
         return result
 
     def to_replay(self, strict: bool = True) -> ReplayBackend:
-        return ReplayBackend(self.transcript, strict=strict, include_model=self.include_model)
+        return ReplayBackend(self.transcript, strict=strict)
 
 
 class RemoteBackend(CompletionBackend):

@@ -211,17 +211,16 @@ def _cmd_transfer(config: ExperimentConfig, bundle: BundleWriter) -> None:
 
 def _cmd_multiworld(config: ExperimentConfig, bundle: BundleWriter) -> None:
     section = config.multiworld or {}
-    if "environments" not in section:
-        raise ConfigError("multiworld needs environments", field="multiworld.environments")
+    if len(section.get("environments", [])) < 2:
+        raise ConfigError("multiworld needs at least two environments", field="multiworld.environments")
+    cycles = section.get("cycles", 1)
+    if type(cycles) is not int or cycles < 0:  # bool is an int subclass
+        raise ConfigError("must be an integer >= 0", field="multiworld.cycles")
     envs = [build_environment(spec, config.seed) for spec in section["environments"]]
     backend = build_backend(config.backend)
     n = max(roster_size(spec) for spec in section["environments"])
     agents = build_agents(config.agents, backend, n, world_tag=envs[0].name)
-    log = run_multiworld(
-        MultiWorldSchedule(environments=envs, cycles=section.get("cycles", 1)),
-        agents,
-        seed=config.seed,
-    )
+    log = run_multiworld(MultiWorldSchedule(environments=envs, cycles=cycles), agents, seed=config.seed)
     bundle.write("events.jsonl", log.to_jsonl())
     counts: dict[str, int] = {}
     for record in log.records:
@@ -233,7 +232,7 @@ def _cmd_multiworld(config: ExperimentConfig, bundle: BundleWriter) -> None:
     bundle.write(
         "summary.txt",
         _summary_lines(
-            f"multiworld: {[e.name for e in envs]} x {section.get('cycles', 1)} cycles",
+            f"multiworld: {[e.name for e in envs]} x {cycles} cycles",
             {"steps": log.steps_executed, **counts},
         ),
     )
@@ -246,6 +245,9 @@ def _cmd_ablation(config: ExperimentConfig, bundle: BundleWriter) -> None:
             raise ConfigError(f"ablation needs {required}", field=f"ablation.{required}")
     if config.environment.get("kind") != "market":
         raise ConfigError("ablation runs on a market environment", field="environment.kind")
+    levels = section.get("settings", [1, 2, 3, 4])
+    if not isinstance(levels, list) or not all(type(level) is int and 1 <= level <= 4 for level in levels):
+        raise ConfigError("must be a list of levels 1..4", field="ablation.settings")
     feed = news_feed_from_spec(section["news"], "ablation.news")
     base_env = build_environment(config.environment, config.seed)
     backend = build_backend(config.backend)
@@ -259,8 +261,7 @@ def _cmd_ablation(config: ExperimentConfig, bundle: BundleWriter) -> None:
         trials=config.trials,
         base_seed=config.seed,
     )
-    settings = [AblationSetting(level) for level in section.get("settings", [1, 2, 3, 4])]
-    table = run_tariff_ablation(study, settings)
+    table = run_tariff_ablation(study, [AblationSetting(level) for level in levels])
     bundle.write("metrics.csv", table.to_csv())
     bundle.write("events.jsonl", "")
     ratios = {f"setting_{row.setting}": f"A={row.stock_a:.4f} B={row.stock_b:.4f}" for row in table.rows}

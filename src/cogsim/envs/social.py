@@ -7,15 +7,14 @@ order, so a run's tables can be reconstructed exactly by replaying its event
 stream. Feeds are pure recency over the follow graph (followed users' posts
 plus the viewer's own posts that drew replies), newest first, capped.
 
-Each feed is built once per step: ``SocialEnv`` builds one feed per
-distinct follow set and serves it to every viewer with that follow set
-whose own posts drew no replies; only a viewer with a replied post gets a
-feed built for it alone. Every post's visible comments and rendered block
-are computed once per step and shared by all the feeds that show the post,
-and each distinct feed (keyed by its post ids) is rendered once. Posts are
-created at non-decreasing times, so each author's posts in id order are
-also in time order, and ``build_feed`` picks the newest ``cap`` posts by a
-heap merge of those lists walked backwards.
+Each feed is built once per step. Every viewer with the same follow set
+and no replied own post sees the same feed, so ``SocialEnv`` builds that
+follow set's feed once per step and serves it to all of them; a viewer with
+a replied post gets a feed built for it alone. Each built feed is rendered
+once per step and keyed by its post ids, so viewers with equal feeds share
+one string. Posts are created at non-decreasing times, so each author's
+posts in id order are also in time order, and ``build_feed`` picks the
+newest ``cap`` posts by a heap merge of those lists walked backwards.
 
 An observation's context is three parts: a per-agent header (clock and
 bio), the shared feed string and a constant footer. Agents' memories keep
@@ -38,8 +37,6 @@ from ..schema import ResponseSchema
 ACTION_KINDS = ("create_post", "create_comment", "like_post", "do_nothing")
 
 FOOTER = "\nChoose one action kind: create_post, create_comment, like_post, or do_nothing."
-
-DEFAULT_SEED_POST = "report: amazon plans to open its first physical store in new york URL"
 
 
 @dataclass
@@ -104,7 +101,6 @@ def build_feed(
     state: SocialState,
     cap: int = 10,
     now: int | None = None,
-    comments: dict[int, list[Comment]] | None = None,
 ) -> list[tuple[Post, list[Comment]]]:
     """Recency feed: followed users' posts, plus own posts that have replies.
 
@@ -112,13 +108,12 @@ def build_feed(
     includes anything from the future of ``now``. Posts are created at
     non-decreasing times, so each author's id-ordered ``posts_by_author``
     list, walked backwards, is already in feed order; the newest ``cap``
-    posts are a lazy heap merge of those lists. ``comments`` memoizes each
-    post's visible comments by post id; share one dict only between calls
-    with the same ``now`` and an unchanged state.
+    posts are a lazy heap merge of those lists. Each post's visible comments
+    are gathered at most once per call.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    memo = {} if comments is None else comments
+    memo: dict[int, list[Comment]] = {}
 
     def visible_comments(post_id: int) -> list[Comment]:
         found = memo.get(post_id)
@@ -263,12 +258,10 @@ class SocialEnv(Environment):
             seed_influencer(self.state, self.seed_post, self.influencer, self.events)
 
     def _clear_feed_cache(self):
-        # per step, by post id: visible comments and the rendered block; by a
-        # feed's post ids: the rendered feed; and by follow set: the rendered
-        # feed of a viewer with no replied post. Every observation of a step
-        # shares them, and each step's actions change them
-        self._comments: dict[int, list[Comment]] = {}
-        self._blocks: dict[int, str] = {}
+        # per step: each rendered feed by its post ids, so equal feeds are one
+        # string, and by follow set the feed of a viewer with no replied own
+        # post. Every observation of a step shares them, and each step's
+        # actions change them
         self._feeds: dict[tuple[int, ...], str] = {}
         self._follow_feeds: dict[frozenset[int], str] = {}
 
@@ -279,33 +272,23 @@ class SocialEnv(Environment):
         # every post and comment is at most self.t old, so an own post with
         # comments is one with visible replies, which only aid's feed shows
         state = self.state
-        if any(pid in state.comments_by_post for pid in state.posts_by_author.get(aid, ())):
-            return self._build_feed(aid)
+        replied = any(pid in state.comments_by_post for pid in state.posts_by_author.get(aid, ()))
         follows = frozenset(self.profiles[aid].follows)
-        feed = self._follow_feeds.get(follows)
-        if feed is None:
-            feed = self._follow_feeds[follows] = self._build_feed(aid)
-        return feed
-
-    def _build_feed(self, aid: int) -> str:
-        entries = build_feed(aid, self.profiles, self.state, cap=self.feed_cap, now=self.t, comments=self._comments)
-        if not entries:
-            return "Your feed is empty."
+        if not replied and follows in self._follow_feeds:
+            return self._follow_feeds[follows]
+        entries = build_feed(aid, self.profiles, state, cap=self.feed_cap, now=self.t)
         key = tuple(post.post_id for post, _ in entries)
         feed = self._feeds.get(key)
         if feed is None:
-            blocks = (self._block(post, comments) for post, comments in entries)
-            feed = self._feeds[key] = "\n".join(["Your feed (newest first):", *blocks])
+            lines = ["Your feed (newest first):" if entries else "Your feed is empty."]
+            for post, comments in entries:
+                likes = len(post.likes)
+                lines.append(f"- post {post.post_id} by agent {post.author} at t={post.time} ({likes} likes): {post.content}")
+                lines += [f"    comment {c.comment_id} by agent {c.author}: {c.content}" for c in comments]
+            feed = self._feeds[key] = "\n".join(lines)
+        if not replied:
+            self._follow_feeds[follows] = feed
         return feed
-
-    def _block(self, post: Post, comments: list[Comment]) -> str:
-        block = self._blocks.get(post.post_id)
-        if block is None:
-            likes = len(post.likes)
-            lines = [f"- post {post.post_id} by agent {post.author} at t={post.time} ({likes} likes): {post.content}"]
-            lines += [f"    comment {c.comment_id} by agent {c.author}: {c.content}" for c in comments]
-            block = self._blocks[post.post_id] = "\n".join(lines)
-        return block
 
     def _context_for(self, aid: int) -> tuple[str, str, str]:
         header = f"t={self.t}. You are a social media user. Bio: {self.profiles[aid].bio}\n"

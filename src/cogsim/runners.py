@@ -47,11 +47,27 @@ class ExperimentConfig:
 
 
 def _scripted_backend(spec: Mapping[str, Any]) -> CompletionBackend:
-    rules = [
-        (lambda text, needle=rule["contains"]: needle in text, CompletionResult(content=rule["content"]))
-        for rule in spec.get("rules", [])
-    ]
-    return ScriptedBackend(rules=rules, default=CompletionResult(content=spec.get("default_content", "{}")))
+    """A rule table from ``rules``, a list of ``{contains, content}`` objects,
+    falling back to ``default_content``; each of them a non-empty string."""
+
+    def text(value: Any, field: str) -> str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError("must be a non-empty string", field=field)
+        return value
+
+    rules = spec.get("rules", [])
+    if not isinstance(rules, list):
+        raise ConfigError("must be a list", field="backend.rules")
+    table = []
+    for i, rule in enumerate(rules):
+        path = f"backend.rules[{i}]"
+        if not isinstance(rule, dict):
+            raise ConfigError("must be an object", field=path)
+        reject_unknown(rule, ("contains", "content"), path)
+        needle, content = text(rule.get("contains"), f"{path}.contains"), text(rule.get("content"), f"{path}.content")
+        table.append((lambda rendered, needle=needle: needle in rendered, CompletionResult(content=content)))
+    default = text(spec.get("default_content", "{}"), "backend.default_content")
+    return ScriptedBackend(table, default=CompletionResult(content=default))
 
 
 def _replay_backend(spec: Mapping[str, Any]) -> CompletionBackend:
@@ -182,7 +198,8 @@ def _auction(params: dict[str, Any], n: int, seed: int) -> Environment:
 ENVIRONMENTS: dict[str, EnvironmentKind] = {
     "market": EnvironmentKind(
         _market,
-        _config_keys(MarketConfig, "n_agents"),
+        # JSON cannot carry a date or an int-keyed dict
+        _config_keys(MarketConfig, "n_agents", "start_date", "events_by_day"),
         agents=50,
         metrics_csv=lambda env, records: session_metrics_csv(records),
         records_only=True,

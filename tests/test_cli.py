@@ -301,6 +301,20 @@ QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
         ({"agents": {"extra_directives": ["a", 3]}}, "agents.extra_directives"),
         ({"agents": {"memory": "x"}}, "agents.memory"),
         ({"multiworld": {"environments": 3}}, "multiworld.environments"),
+        ({"backend": {"kind": "scripted", "rules": [{"content": "{}"}]}}, "backend.rules[0].contains"),
+        (
+            {"backend": {"kind": "scripted", "rules": [{"contains": "a", "content": "{}"}, {"contains": "b"}]}},
+            "backend.rules[1].content",
+        ),
+        ({"backend": {"kind": "scripted", "default_content": 5}}, "backend.default_content"),
+        (
+            {"environment": {"kind": "market", "agents": 3, "days": 1, "events_by_day": {"1": "earnings due"}}},
+            "environment.events_by_day",
+        ),
+        (
+            {"environment": {"kind": "market", "agents": 3, "days": 1, "start_date": "2025-04-01"}},
+            "environment.start_date",
+        ),
     ],
     ids=[
         "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
@@ -309,6 +323,7 @@ QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
         "memory-window-on-buffer", "role-tag", "remote-missing-endpoint", "replay-missing-transcript-path",
         "replay-missing-transcript-file", "endpoint-on-scripted", "backend-kind", "trials-bool", "seed-bool",
         "max-steps-bool", "directives-string", "directives-non-string", "memory-string", "multiworld-environments-int",
+        "rule-without-contains", "rule-without-content", "default-content-int", "events-by-day", "start-date",
     ],
 )
 def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, capsys):
@@ -326,6 +341,34 @@ def test_ablation_news_entry_without_headline_exits_one(tmp_path, capsys):
     config = write_config(tmp_path, minimal_market_config(out, ablation=ablation))
     assert main(["ablation", "--config", str(config)]) == 1
     assert "ablation.news:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+MARKET_AND_SOCIAL = [{"kind": "market", "agents": 3, "days": 1}, {"kind": "social", "agents": 3}]
+
+
+@pytest.mark.parametrize(
+    "multiworld,field",
+    [
+        ({"environments": MARKET_AND_SOCIAL[:1]}, "multiworld.environments"),
+        ({"environments": MARKET_AND_SOCIAL, "cycles": -1}, "multiworld.cycles"),
+    ],
+    ids=["one-environment", "negative-cycles"],
+)
+def test_rejected_multiworld_values_exit_one(multiworld, field, tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, minimal_market_config(out, multiworld=multiworld))
+    assert main(["multiworld", "--config", str(config)]) == 1
+    assert f"{field}:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_ablation_level_outside_one_to_four_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    ablation = {"headline": "h", "summary": "s", "news": [], "settings": [1, 5]}
+    config = write_config(tmp_path, minimal_market_config(out, ablation=ablation))
+    assert main(["ablation", "--config", str(config)]) == 1
+    assert "ablation.settings:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cogsim.backends import CompletionResult, ScriptedBackend
 from cogsim.cognition import Agent
+from cogsim.envs import social
 from cogsim.envs.social import (
     ACTION_KINDS,
     Comment,
@@ -399,6 +400,47 @@ def test_every_feed_equals_build_feed_on_random_graphs(n, follow_sets, steps, ca
             else:
                 bodies[aid] = {"kind": kind, "content": "re", "target_post": target % len(env.state.posts) + 1}
         check(env.step({aid: ActionEnvelope(aid, env.t, body) for aid, body in bodies.items()}))
+
+
+def test_star_episode_builds_one_feed_per_follow_set_plus_one_per_replied_viewer(monkeypatch):
+    built = []
+
+    def counted(user, *args, **kwargs):
+        built.append(user)
+        return build_feed(user, *args, **kwargs)
+
+    monkeypatch.setattr(social, "build_feed", counted)
+    n = 12
+    env = SocialEnv(star_profiles(n), seed_post="opening post")
+    rng = random.Random(5)
+
+    def expected_builds():
+        # a viewer whose own post drew a reply needs a feed of its own; every
+        # other viewer shares its follow set's feed
+        replied = {env.state.posts[c.post_id].author for c in env.state.comments.values()}
+        shared = {frozenset(env.profiles[aid].follows) for aid in env.agent_ids if aid not in replied}
+        return len(shared) + len(replied)
+
+    per_step = []
+    env.reset()
+    per_step.append((len(built), expected_builds()))
+    for _ in range(8):
+        built.clear()
+        bodies = {}
+        for aid in env.agent_ids:
+            roll = rng.random()
+            if roll < 0.3 or not env.state.posts:
+                bodies[aid] = {"kind": "create_post", "content": f"{aid}@{env.t}"}
+            elif roll < 0.6:
+                target = rng.randint(1, len(env.state.posts))
+                bodies[aid] = {"kind": "create_comment", "content": "re", "target_post": target}
+            else:
+                bodies[aid] = {"kind": "do_nothing"}
+        env.step({aid: ActionEnvelope(aid, env.t, body) for aid, body in bodies.items()})
+        per_step.append((len(built), expected_builds()))
+    assert all(got == want for got, want in per_step), per_step
+    # the first steps build two feeds for n viewers; later ones add replied viewers
+    assert per_step[0][0] == 2 and max(want for _, want in per_step) > 2
 
 
 def test_followers_archive_one_shared_feed_per_step():
