@@ -1,10 +1,13 @@
-"""Command-line entry point: load an experiment config, dispatch a runner,
-write the output bundle, print a summary.
+"""Command-line entry point: load an experiment config, run the
+subcommand's harness, and write its result as the output bundle.
 
-Every run leaves a bundle directory with events.jsonl, metrics.csv,
-summary.txt, and a manifest.json written last that inventories the other
-files with content hashes. Reruns of the same config and seed with a
-scripted backend reproduce events.jsonl and metrics.csv byte for byte.
+Every subcommand returns a :class:`~cogsim.runners.HarnessResult` and
+:func:`write_bundle` writes every bundle: events.jsonl (each tagged
+episode's log in order), metrics.csv, summary.txt, and a manifest.json
+written last that inventories the other files with content hashes and
+lists the episode tags. Reruns of the same config and seed with a scripted
+backend reproduce events.jsonl and metrics.csv byte for byte. ``score``
+re-derives a ``run`` bundle's metrics and refuses every other bundle.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 """
@@ -18,35 +21,23 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Any
+from typing import Callable
 
 from . import __version__
 from .errors import ConfigError, SimulationError
 from .memory import memory_from_spec
-from .protocol import EpisodeLog, run_episode
+from .protocol import EpisodeLog
 from .runners import (
-    AblationSetting,
     ExperimentConfig,
-    InstrumentSpec,
-    MultiWorldSchedule,
-    TariffStudy,
-    TransferPlan,
+    HarnessResult,
+    ablation_harness,
     backend_kind,
-    build_agent,
-    build_agents,
-    build_backend,
-    build_environment,
-    build_setup,
-    check_step_limit,
     environment_kind,
-    item_bank_from_spec,
-    news_feed_from_spec,
+    multiworld_harness,
     reject_unknown,
-    roster_size,
-    run_memory_transfer,
-    run_multiworld,
-    run_tariff_ablation,
-    run_trials,
+    run_harness,
+    transfer_harness,
+    trials_harness,
 )
 
 # The keys of each top-level section whose keys do not depend on a kind.
@@ -123,7 +114,7 @@ class BundleWriter:
         (self.out_dir / name).write_bytes(data)
         self.files[name] = _sha256(data)
 
-    def finalize(self) -> None:
+    def finalize(self, episodes: list[str] | None = None) -> None:
         manifest = {
             "config_sha256": self.config_hash,
             "code_version": __version__,
@@ -132,174 +123,46 @@ class BundleWriter:
             "finished_at": dt.datetime.now(dt.timezone.utc).isoformat(),
             "files": [{"name": name, "sha256": digest} for name, digest in sorted(self.files.items())],
         }
+        if episodes is not None:
+            manifest["episodes"] = episodes
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _summary_lines(title: str, pairs: dict[str, Any]) -> str:
-    lines = [title]
-    for name, value in pairs.items():
-        lines.append(f"  {name}: {value}")
-    return "\n".join(lines) + "\n"
+def write_bundle(bundle: BundleWriter, result: HarnessResult) -> None:
+    """Write ``result`` as the bundle's files, then the manifest listing its episode tags."""
+    bundle.write("events.jsonl", "".join(log.to_jsonl() for _, log in result.episodes))
+    bundle.write("metrics.csv", result.metrics_csv)
+    pairs = "".join(f"  {name}: {value}\n" for name, value in result.summary.items())
+    bundle.write("summary.txt", f"{result.title}\n{pairs}{result.report}")
+    bundle.finalize([tag for tag, _ in result.episodes])
 
 
-def _cmd_run(config: ExperimentConfig, bundle: BundleWriter) -> None:
-    kind = environment_kind(config.environment)
-    check_step_limit(config.environment, config.max_steps)
-    env, agents = build_setup(config, config.seed)
-    log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed)
-    bundle.write("events.jsonl", log.to_jsonl())
-    bundle.write("metrics.csv", kind.metrics_csv(env, log.records))
-    summary = _summary_lines(
-        f"run: {config.environment['kind']} environment",
-        {"seed": config.seed, "steps": log.steps_executed, **env.metrics()},
-    )
-    bundle.write("summary.txt", summary + kind.report(env))
-
-
-def _cmd_trials(config: ExperimentConfig, bundle: BundleWriter) -> None:
-    result = run_trials(config)
-    bundle.write("events.jsonl", "".join(log.to_jsonl() for log in result.logs))
-    bundle.write("metrics.csv", result.to_csv())
-    means, stds = result.summary()
-    summary = _summary_lines(
-        f"trials: {config.trials} runs of {config.environment['kind']}",
-        {
-            "seeds": f"{config.seed}..{config.seed + config.trials - 1}",
-            "failures": len(result.failures),
-            **{f"mean_{k}": v for k, v in means.items()},
-            **{f"stddev_{k}": v for k, v in stds.items()},
-        },
-    )
-    bundle.write("summary.txt", summary)
-
-
-def _cmd_transfer(config: ExperimentConfig, bundle: BundleWriter) -> None:
-    section = config.transfer or {}
-    if "source" not in section or "items" not in section:
-        raise ConfigError("transfer needs source and items", field="transfer")
-    items = item_bank_from_spec(section["items"], "transfer.items")
-    source_spec = section["source"]
-    source_steps = section.get("source_steps", config.max_steps)
-    check_step_limit(source_spec, source_steps, "transfer.source_steps")
-    n = roster_size(source_spec)
-    backend = build_backend(config.backend)
-    plan = TransferPlan(
-        source_env_factory=lambda seed: build_environment(source_spec, seed),
-        agent_ids=list(range(n)),
-        agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, "transfer", memory),
-        memory_factory=lambda: memory_from_spec(config.agents.get("memory", {"kind": "buffer", "capacity": 100})),
-        source_steps=source_steps,
-        carry_memory=section.get("carry_memory", True),
-        seed=config.seed,
-        phase2_seed=section.get("phase2_seed", config.seed),
-    )
-    result = run_memory_transfer(plan, InstrumentSpec(items=items))
-    lines = ["pair,diff,t,p,df"]
-    for pair in sorted(result.diffs_by_pair):
-        stats = result.t_tests.get(pair)
-        if stats is None:
-            lines.append(f"{pair},{result.diffs_by_pair[pair]},,,")
-        else:
-            lines.append(f"{pair},{result.diffs_by_pair[pair]},{stats[0]},{stats[1]},{stats[2]}")
-    bundle.write("metrics.csv", "\n".join(lines) + "\n")
-    bundle.write("events.jsonl", "")
-    bundle.write(
-        "summary.txt",
-        _summary_lines("memory transfer: carry minus fresh bias per pair", result.diffs_by_pair),
-    )
-
-
-def _cmd_multiworld(config: ExperimentConfig, bundle: BundleWriter) -> None:
-    section = config.multiworld or {}
-    if len(section.get("environments", [])) < 2:
-        raise ConfigError("multiworld needs at least two environments", field="multiworld.environments")
-    cycles = section.get("cycles", 1)
-    if type(cycles) is not int or cycles < 0:  # bool is an int subclass
-        raise ConfigError("must be an integer >= 0", field="multiworld.cycles")
-    envs = [build_environment(spec, config.seed) for spec in section["environments"]]
-    backend = build_backend(config.backend)
-    n = max(roster_size(spec) for spec in section["environments"])
-    agents = build_agents(config.agents, backend, n, world_tag=envs[0].name)
-    log = run_multiworld(MultiWorldSchedule(environments=envs, cycles=cycles), agents, seed=config.seed)
-    bundle.write("events.jsonl", log.to_jsonl())
-    counts: dict[str, int] = {}
-    for record in log.records:
-        counts[record.info.get("world", "?")] = counts.get(record.info.get("world", "?"), 0) + 1
-    lines = ["world,records"]
-    for world in sorted(counts):
-        lines.append(f"{world},{counts[world]}")
-    bundle.write("metrics.csv", "\n".join(lines) + "\n")
-    bundle.write(
-        "summary.txt",
-        _summary_lines(
-            f"multiworld: {[e.name for e in envs]} x {cycles} cycles",
-            {"steps": log.steps_executed, **counts},
-        ),
-    )
-
-
-def _cmd_ablation(config: ExperimentConfig, bundle: BundleWriter) -> None:
-    section = config.ablation or {}
-    for required in ("headline", "summary", "news"):
-        if required not in section:
-            raise ConfigError(f"ablation needs {required}", field=f"ablation.{required}")
-    if config.environment.get("kind") != "market":
-        raise ConfigError("ablation runs on a market environment", field="environment.kind")
-    levels = section.get("settings", [1, 2, 3, 4])
-    if not isinstance(levels, list) or not all(type(level) is int and 1 <= level <= 4 for level in levels):
-        raise ConfigError("must be a list of levels 1..4", field="ablation.settings")
-    feed = news_feed_from_spec(section["news"], "ablation.news")
-    base_env = build_environment(config.environment, config.seed)
-    backend = build_backend(config.backend)
-    study = TariffStudy(
-        base_config=base_env.config,
-        headline=section["headline"],
-        research_summary=section["summary"],
-        news_feed=feed,
-        backend_factory=lambda aid: backend,
-        agents=config.agents,
-        trials=config.trials,
-        base_seed=config.seed,
-    )
-    table = run_tariff_ablation(study, [AblationSetting(level) for level in levels])
-    bundle.write("metrics.csv", table.to_csv())
-    bundle.write("events.jsonl", "")
-    ratios = {f"setting_{row.setting}": f"A={row.stock_a:.4f} B={row.stock_b:.4f}" for row in table.rows}
-    bundle.write("summary.txt", _summary_lines("tariff ablation: mean buy/sell ratios", ratios))
-
-
-def _cmd_score(config: ExperimentConfig, bundle: BundleWriter) -> None:
-    events_path = bundle.out_dir / "events.jsonl"
-    if not events_path.exists():
-        raise ConfigError(f"no events.jsonl to score in {bundle.out_dir}")
+def score(config: ExperimentConfig) -> HarnessResult:
+    """Re-derive the metrics of the bundle at ``config.out`` from its events, if its manifest
+    lists exactly the episode ``run`` of a ``records_only`` kind; refuse any other bundle."""
     kind = environment_kind(config.environment)
     if not kind.records_only:
-        raise ConfigError(
-            f"score cannot re-derive {config.environment['kind']} metrics from events alone",
-            field="environment.kind",
-        )
-    text = events_path.read_text()
-    episodes = sum(line.startswith('{"summary":') for line in text.splitlines())
-    if episodes != 1:
-        raise ConfigError(f"score needs a bundle of exactly one episode; {events_path} holds {episodes}")
-    log = EpisodeLog.from_jsonl(text)
-    bundle.files["events.jsonl"] = _sha256(events_path.read_bytes())
-    bundle.write("metrics.csv", kind.metrics_csv(None, log.records))
-    bundle.write(
-        "summary.txt",
-        _summary_lines(
-            f"score: re-scored {len(log.records)} events", {"seed": log.seed, "steps": log.steps_executed}
-        ),
-    )
+        message = f"score cannot re-derive {config.environment['kind']} metrics from events alone"
+        raise ConfigError(message, field="environment.kind")
+    manifest = Path(config.out) / "manifest.json"
+    if not manifest.exists():
+        raise ConfigError(f"no manifest.json to score in {config.out}")
+    episodes = json.loads(manifest.read_text()).get("episodes")
+    if episodes != ["run"]:
+        raise ConfigError(f"score needs a run bundle of exactly one episode; {manifest} lists {episodes or 'none'}")
+    log = EpisodeLog.from_jsonl((Path(config.out) / "events.jsonl").read_text())
+    summary = {"seed": log.seed, "steps": log.steps_executed}
+    title = f"score: re-scored {len(log.records)} events"
+    return HarnessResult(title, [("run", log)], kind.metrics_csv(None, log.records), summary)
 
 
-COMMANDS = {
-    "run": _cmd_run,
-    "trials": _cmd_trials,
-    "transfer": _cmd_transfer,
-    "multiworld": _cmd_multiworld,
-    "ablation": _cmd_ablation,
-    "score": _cmd_score,
+COMMANDS: dict[str, Callable[[ExperimentConfig], HarnessResult]] = {
+    "run": run_harness,
+    "trials": trials_harness,
+    "transfer": transfer_harness,
+    "multiworld": multiworld_harness,
+    "ablation": ablation_harness,
+    "score": score,
 }
 
 
@@ -327,19 +190,16 @@ def main(argv: list[str] | None = None) -> int:
             config.seed = args.seed
         if args.trials is not None:
             config.trials = args.trials
-        if args.out is not None:
-            config.out = args.out
-        out_dir = Path(config.out or f"runs/{args.command}")
-        bundle = BundleWriter(out_dir, Path(args.config).read_bytes(), config.seed)
-        COMMANDS[args.command](config, bundle)
-        bundle.finalize()
+        config.out = args.out or config.out or f"runs/{args.command}"
+        bundle = BundleWriter(Path(config.out), Path(args.config).read_bytes(), config.seed)
+        write_bundle(bundle, COMMANDS[args.command](config))
     except ConfigError as exc:
         print(f"config error ({args.config}): {exc}", file=sys.stderr)
         return 1
     except (SimulationError, OSError, ValueError, TypeError) as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote bundle: {out_dir}")
+    print(f"wrote bundle: {config.out}")
     return 0
 
 

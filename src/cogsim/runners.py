@@ -1,5 +1,7 @@
-"""Experiment harnesses: repeated trials, memory transfer across
-environments, multi-world cycling, and the tariff-shock cumulative ablation.
+"""Experiment harnesses: single runs, repeated trials, memory transfer
+across environments, multi-world cycling, and the tariff-shock cumulative
+ablation. Each CLI subcommand but ``score`` is a ``<name>_harness(config)``
+here that returns a :class:`HarnessResult` of tagged episodes.
 
 Every harness is deterministic given its config: trial i always runs with
 seed base+i, transfer arms share the same phase-2 seed so memory content is
@@ -10,6 +12,7 @@ between cycles.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Collection, Mapping, Sequence
@@ -232,9 +235,14 @@ ENVIRONMENTS: dict[str, EnvironmentKind] = {
 
 
 def environment_kind(spec: Mapping[str, Any], path: str = "environment") -> EnvironmentKind:
-    """The table entry for ``spec``'s kind, once its keys are checked; errors
-    name the offending key's dotted path under ``path``."""
-    return _checked_kind(ENVIRONMENTS, spec, path, "environment")
+    """The table entry for ``spec``'s kind, once its keys, its roster size
+    (an int >= 1) and any feed cap (an int >= 0) are checked; errors name the
+    offending key's dotted path under ``path``."""
+    kind = _checked_kind(ENVIRONMENTS, spec, path, "environment")
+    for key, low in (("agents", 1), ("feed_cap", 0)):
+        if key in spec and (type(spec[key]) is not int or spec[key] < low):  # bool is an int subclass
+            raise ConfigError(f"must be an integer >= {low}", field=f"{path}.{key}")
+    return kind
 
 
 def check_step_limit(spec: Mapping[str, Any], max_steps: int | None, field: str = "max_steps") -> None:
@@ -283,6 +291,29 @@ def build_setup(config: ExperimentConfig, seed: int) -> tuple[Environment, dict[
     return env, agents
 
 
+@dataclass
+class HarnessResult:
+    """A harness's episodes, tagged, in run order; its metrics table; and its summary:
+    ``title``, one indented ``name: value`` line per ``summary`` pair, then ``report``."""
+
+    title: str
+    episodes: list[tuple[str, EpisodeLog]]
+    metrics_csv: str
+    summary: dict[str, Any] = field(default_factory=dict)
+    report: str = ""
+
+
+def run_harness(config: ExperimentConfig) -> HarnessResult:
+    """One episode of ``config.environment`` at ``config.seed``."""
+    kind = environment_kind(config.environment)
+    check_step_limit(config.environment, config.max_steps)
+    env, agents = build_setup(config, config.seed)
+    log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed)
+    summary = {"seed": config.seed, "steps": log.steps_executed, **env.metrics()}
+    title = f"run: {config.environment['kind']} environment"
+    return HarnessResult(title, [("run", log)], kind.metrics_csv(env, log.records), summary, kind.report(env))
+
+
 # --- repeated trials ----------------------------------------------------------------
 
 
@@ -290,7 +321,7 @@ def build_setup(config: ExperimentConfig, seed: int) -> tuple[Environment, dict[
 class TrialsResult:
     rows: list[tuple[int, dict[str, float]]]
     failures: list[tuple[int, str]]
-    logs: list[EpisodeLog]
+    episodes: list[tuple[str, EpisodeLog]]
 
     def metric_names(self) -> list[str]:
         names: set[str] = set()
@@ -328,17 +359,27 @@ def run_trials(config: ExperimentConfig) -> TrialsResult:
     check_step_limit(config.environment, config.max_steps)
     rows: list[tuple[int, dict[str, float]]] = []
     failures: list[tuple[int, str]] = []
-    logs: list[EpisodeLog] = []
+    episodes: list[tuple[str, EpisodeLog]] = []
     for i in range(config.trials):
         seed = config.seed + i
         try:
             env, agents = build_setup(config, seed)
             log = run_episode(env, agents, max_steps=config.max_steps, seed=seed)
             rows.append((seed, env.metrics()))
-            logs.append(log)
+            episodes.append((f"trial/{seed}", log))
         except Exception as exc:  # a broken trial must not sink the study
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
-    return TrialsResult(rows=rows, failures=failures, logs=logs)
+    return TrialsResult(rows=rows, failures=failures, episodes=episodes)
+
+
+def trials_harness(config: ExperimentConfig) -> HarnessResult:
+    result = run_trials(config)
+    means, stds = result.summary()
+    summary = {"seeds": f"{config.seed}..{config.seed + config.trials - 1}", "failures": len(result.failures)}
+    summary.update({f"mean_{k}": v for k, v in means.items()})
+    summary.update({f"stddev_{k}": v for k, v in stds.items()})
+    title = f"trials: {config.trials} runs of {config.environment['kind']}"
+    return HarnessResult(title, result.episodes, result.to_csv(), summary)
 
 
 # --- memory transfer ------------------------------------------------------------------
@@ -372,18 +413,27 @@ class TransferResult:
     source_archives: dict[int, str]
     carry_bias: dict[int, dict[str, float]] = field(default_factory=dict)
     fresh_bias: dict[int, dict[str, float]] = field(default_factory=dict)
+    episodes: list[tuple[str, EpisodeLog]] = field(default_factory=list)
+
+    def to_csv(self) -> str:
+        lines = ["pair,diff,t,p,df"]
+        for pair in sorted(self.diffs_by_pair):
+            stats = self.t_tests.get(pair)
+            lines.append(f"{pair},{self.diffs_by_pair[pair]}," + (",," if stats is None else ",".join(map(str, stats))))
+        return "\n".join(lines) + "\n"
 
 
 def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> TransferResult:
-    """Per-pair bias difference: carried-memory arm minus fresh-memory arm."""
+    """Per-pair bias difference: carried-memory arm minus fresh-memory arm; the
+    phase-1 episode and the two arms' are kept, tagged source, carry and fresh."""
     source_env = plan.source_env_factory(plan.seed)
     phase1_agents = {aid: plan.agent_factory(aid, plan.memory_factory()) for aid in plan.agent_ids}
     for agent in phase1_agents.values():
         agent.world_tag = source_env.name
-    run_episode(source_env, phase1_agents, max_steps=plan.source_steps, seed=plan.seed)
+    episodes = [("source", run_episode(source_env, phase1_agents, max_steps=plan.source_steps, seed=plan.seed))]
     archives = {aid: phase1_agents[aid].memory.to_jsonl() for aid in plan.agent_ids}
 
-    def administer(restore: bool) -> dict[int, dict[str, float]]:
+    def administer(tag: str, restore: bool) -> dict[int, dict[str, float]]:
         env = QuestionnaireEnv(instrument.items, seed=plan.phase2_seed, agent_ids=plan.agent_ids)
         agents = {}
         for aid in plan.agent_ids:
@@ -391,11 +441,11 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
             agent = plan.agent_factory(aid, memory)
             agent.world_tag = env.name
             agents[aid] = agent
-        run_episode(env, agents, max_steps=len(instrument.items), seed=plan.phase2_seed)
+        episodes.append((tag, run_episode(env, agents, max_steps=len(instrument.items), seed=plan.phase2_seed)))
         return {aid: env.score_report(aid).bias_by_pair for aid in plan.agent_ids}
 
-    carry_scores = administer(restore=plan.carry_memory)
-    fresh_scores = administer(restore=False)
+    carry_scores = administer("carry", restore=plan.carry_memory)
+    fresh_scores = administer("fresh", restore=False)
 
     per_agent: dict[int, dict[str, float]] = {}
     for aid in plan.agent_ids:
@@ -421,7 +471,33 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
         source_archives=archives,
         carry_bias=carry_scores,
         fresh_bias=fresh_scores,
+        episodes=episodes,
     )
+
+
+def transfer_harness(config: ExperimentConfig) -> HarnessResult:
+    """Memory transfer from ``transfer.source`` to the ``transfer.items`` questionnaire."""
+    section = config.transfer or {}
+    if "source" not in section or "items" not in section:
+        raise ConfigError("transfer needs source and items", field="transfer")
+    items = item_bank_from_spec(section["items"], "transfer.items")
+    source_spec = section["source"]
+    source_steps = section.get("source_steps", config.max_steps)
+    check_step_limit(source_spec, source_steps, "transfer.source_steps")
+    backend = build_backend(config.backend)
+    plan = TransferPlan(
+        source_env_factory=lambda seed: build_environment(source_spec, seed),
+        agent_ids=list(range(roster_size(source_spec))),
+        agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, "transfer", memory),
+        memory_factory=lambda: memory_from_spec(config.agents.get("memory", {"kind": "buffer", "capacity": 100})),
+        source_steps=source_steps,
+        carry_memory=section.get("carry_memory", True),
+        seed=config.seed,
+        phase2_seed=section.get("phase2_seed", config.seed),
+    )
+    result = run_memory_transfer(plan, InstrumentSpec(items=items))
+    title = "memory transfer: carry minus fresh bias per pair"
+    return HarnessResult(title, result.episodes, result.to_csv(), result.diffs_by_pair)
 
 
 # --- multi-world -----------------------------------------------------------------------
@@ -463,6 +539,28 @@ def run_multiworld(schedule: MultiWorldSchedule, agents: Mapping[int, Any], seed
             marks[id(env)] += len(fresh)
             records.extend(replace(record, info={**record.info, "world": env.name}) for record in fresh)
     return EpisodeLog(records=records, total_rewards=dict.fromkeys(agents, 0.0), seed=seed, steps_executed=steps)
+
+
+def multiworld_harness(config: ExperimentConfig) -> HarnessResult:
+    """One roster cycled through ``multiworld.environments``; the metrics count records per world."""
+    section = config.multiworld or {}
+    specs = section.get("environments", [])
+    if len(specs) < 2:
+        raise ConfigError("multiworld needs at least two environments", field="multiworld.environments")
+    cycles = section.get("cycles", 1)
+    if type(cycles) is not int or cycles < 0:  # bool is an int subclass
+        raise ConfigError("must be an integer >= 0", field="multiworld.cycles")
+    envs = [build_environment(spec, config.seed) for spec in specs]
+    n = max(roster_size(spec) for spec in specs)
+    agents = build_agents(config.agents, build_backend(config.backend), n, world_tag=envs[0].name)
+    log = run_multiworld(MultiWorldSchedule(environments=envs, cycles=cycles), agents, seed=config.seed)
+    counts = Counter(record.info.get("world", "?") for record in log.records)
+    return HarnessResult(
+        f"multiworld: {[e.name for e in envs]} x {cycles} cycles",
+        [("multiworld", log)],
+        "world,records\n" + "".join(f"{world},{counts[world]}\n" for world in sorted(counts)),
+        {"steps": log.steps_executed, **counts},
+    )
 
 
 # --- tariff ablation -------------------------------------------------------------------
@@ -547,6 +645,7 @@ class AblationRow:
 @dataclass
 class AblationTable:
     rows: list[AblationRow]
+    episodes: list[tuple[str, EpisodeLog]] = field(default_factory=list)
 
     def to_csv(self) -> str:
         lines = ["setting,stock_A,stock_B,delta_A,delta_B"]
@@ -561,9 +660,13 @@ def run_tariff_ablation(
     study: TariffStudy,
     settings: Sequence[AblationSetting] | None = None,
 ) -> AblationTable:
-    """Mean buy/sell ratio per stock for each setting, with row-over-row deltas."""
+    """Mean buy/sell ratio per stock for each setting, with row-over-row deltas.
+
+    Each episode runs to the market's end; the table keeps them all, tagged
+    ``setting_<level>/trial/<seed>``, setting-major."""
     settings = list(settings or default_settings())
     rows: list[AblationRow] = []
+    episodes: list[tuple[str, EpisodeLog]] = []
     for setting in settings:
         ratios_a: list[float] = []
         ratios_b: list[float] = []
@@ -571,7 +674,8 @@ def run_tariff_ablation(
             seed = study.base_seed + i
             env = ablation_environment(study, setting)
             agents = ablation_agents(study, setting)
-            log = run_episode(env, agents, max_steps=1_000_000, seed=seed)
+            log = run_episode(env, agents, max_steps=None, seed=seed)
+            episodes.append((f"setting_{setting.level}/trial/{seed}", log))
             ratios_a.append(buy_sell_ratio(log.records, "A"))
             ratios_b.append(buy_sell_ratio(log.records, "B"))
         mean_a = sum(ratios_a) / len(ratios_a)
@@ -586,4 +690,31 @@ def run_tariff_ablation(
                 delta_b=None if previous is None else mean_b - previous.stock_b,
             )
         )
-    return AblationTable(rows=rows)
+    return AblationTable(rows=rows, episodes=episodes)
+
+
+def ablation_harness(config: ExperimentConfig) -> HarnessResult:
+    """The cumulative tariff ablation over ``ablation.settings`` on the ``environment`` market."""
+    section = config.ablation or {}
+    for required in ("headline", "summary", "news"):
+        if required not in section:
+            raise ConfigError(f"ablation needs {required}", field=f"ablation.{required}")
+    if config.environment.get("kind") != "market":
+        raise ConfigError("ablation runs on a market environment", field="environment.kind")
+    levels = section.get("settings", [1, 2, 3, 4])
+    if not isinstance(levels, list) or not all(type(level) is int and 1 <= level <= 4 for level in levels):
+        raise ConfigError("must be a list of levels 1..4", field="ablation.settings")
+    backend = build_backend(config.backend)
+    study = TariffStudy(
+        base_config=build_environment(config.environment, config.seed).config,
+        headline=section["headline"],
+        research_summary=section["summary"],
+        news_feed=news_feed_from_spec(section["news"], "ablation.news"),
+        backend_factory=lambda aid: backend,
+        agents=config.agents,
+        trials=config.trials,
+        base_seed=config.seed,
+    )
+    table = run_tariff_ablation(study, [AblationSetting(level) for level in levels])
+    ratios = {f"setting_{row.setting}": f"A={row.stock_a:.4f} B={row.stock_b:.4f}" for row in table.rows}
+    return HarnessResult("tariff ablation: mean buy/sell ratios", table.episodes, table.to_csv(), ratios)

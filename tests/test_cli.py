@@ -7,6 +7,7 @@ import pytest
 
 from cogsim.cli import COMMANDS, load_config, main
 from cogsim.errors import ConfigError
+from cogsim.protocol import EpisodeLog
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -315,6 +316,15 @@ QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
             {"environment": {"kind": "market", "agents": 3, "days": 1, "start_date": "2025-04-01"}},
             "environment.start_date",
         ),
+        ({"environment": {"kind": "market", "agents": -2, "days": 1}}, "environment.agents"),
+        ({"environment": {"kind": "market", "agents": 0, "days": 1}}, "environment.agents"),
+        ({"environment": {"kind": "market", "agents": True, "days": 1}}, "environment.agents"),
+        ({"environment": {"kind": "social", "agents": 3, "feed_cap": -1}}, "environment.feed_cap"),
+        ({"transfer": {"source": {"kind": "market", "agents": 0}, "items": []}}, "transfer.source.agents"),
+        (
+            {"multiworld": {"environments": [{"kind": "market"}, {"kind": "social", "feed_cap": -1}]}},
+            "multiworld.environments[1].feed_cap",
+        ),
     ],
     ids=[
         "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
@@ -324,6 +334,8 @@ QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
         "replay-missing-transcript-file", "endpoint-on-scripted", "backend-kind", "trials-bool", "seed-bool",
         "max-steps-bool", "directives-string", "directives-non-string", "memory-string", "multiworld-environments-int",
         "rule-without-contains", "rule-without-content", "default-content-int", "events-by-day", "start-date",
+        "negative-agents", "zero-agents", "bool-agents", "negative-feed-cap", "transfer-source-zero-agents",
+        "multiworld-negative-feed-cap",
     ],
 )
 def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, capsys):
@@ -380,8 +392,6 @@ def test_backend_flag_rejects_unknown_choice(tmp_path, capsys):
 # --- shipped demo configs ------------------------------------------------------------
 
 
-EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-
 # sha256 of (events.jsonl, metrics.csv) for each shipped config at its own
 # seed and trial count; a refactor that changes either changes behaviour
 SHIPPED_DIGESTS = {
@@ -398,11 +408,11 @@ SHIPPED_DIGESTS = {
         "6c423b2ae7f21425e431b52a1e5168dbd15b8ef0d4ed83c9035dd58fc34db832",
     ),
     "transfer_market_bias.json": (
-        EMPTY_SHA256,
+        "aaf16a76bf40d0fd9f0eb2af13485546d96d01c2d7de188bac45e98e1d916525",
         "5c4f66bb36f35a49ee7e6eaaa56e5888dc7b4452e677e16320b13c767290ab55",
     ),
     "ablation_tariff.json": (
-        EMPTY_SHA256,
+        "cf9ec19250d401505315ef7d6c9cebfdb69c980fb02a63f96152c8311aaf15e6",
         "9857d389ab33c0ba71c98e8797f62c3a8804591200c84a3df82599caa5fa26cd",
     ),
 }
@@ -448,3 +458,68 @@ def test_readme_flags_match_parser(capsys):
         assert main([name, "--help"]) == 0
         offered = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
         assert offered == promised, name
+
+
+SHIPPED_RUNS = next(m for m in test_shipped_configs_run_clean.pytestmark if m.name == "parametrize").args[1]
+
+SHIPPED_EPISODES = {
+    "market_small.json": ["run"],
+    "trials_market.json": [f"trial/{seed}" for seed in range(5)],
+    "multiworld_market_social.json": ["multiworld"],
+    "transfer_market_bias.json": ["source", "carry", "fresh"],
+    "ablation_tariff.json": [f"setting_{level}/trial/{seed}" for level in (1, 2, 3, 4) for seed in range(5)],
+}
+
+
+def test_every_command_and_config_has_a_pinned_run():
+    commands = {command for _, command in SHIPPED_RUNS}
+    names = {name for name, _ in SHIPPED_RUNS}
+    assert set(COMMANDS) - {"score"} <= commands
+    assert {path.name for path in CONFIGS.glob("*.json")} <= names
+
+
+def run_shipped(name, command, tmp_path, monkeypatch):
+    monkeypatch.chdir(CONFIGS.parent)
+    out = tmp_path / name.replace(".json", "")
+    assert main([command, "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name,command", SHIPPED_RUNS)
+def test_every_shipped_bundle_is_scored_or_refused(name, command, tmp_path, monkeypatch, capsys):
+    out = run_shipped(name, command, tmp_path, monkeypatch)
+    before = bundle_bytes(out)
+    code = main(["score", "--config", str(CONFIGS / name), "--out", str(out)])
+    if name == "market_small.json":
+        assert code == 0
+        for file in ("events.jsonl", "metrics.csv"):
+            assert (out / file).read_bytes() == before[file]
+    else:
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert bundle_bytes(out) == before
+
+
+@pytest.mark.parametrize("name,command", SHIPPED_RUNS)
+def test_shipped_manifests_list_their_episodes(name, command, tmp_path, monkeypatch):
+    out = run_shipped(name, command, tmp_path, monkeypatch)
+    tags = json.loads((out / "manifest.json").read_text())["episodes"]
+    assert tags == SHIPPED_EPISODES[name]
+    blocks = re.findall(r'(?:.*\n)*?\{"summary":.*\n', (out / "events.jsonl").read_text())
+    assert "".join(blocks) == (out / "events.jsonl").read_text()
+    assert len(blocks) == len(tags)
+    for block in blocks:
+        assert EpisodeLog.from_jsonl(block).to_jsonl() == block
+
+
+def test_score_refuses_bundle_whose_manifest_lists_no_episodes(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, minimal_market_config(out))
+    assert main(["run", "--config", str(config)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["episodes"]
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    before = bundle_bytes(out)
+    assert main(["score", "--config", str(config)]) == 1
+    assert "exactly one episode" in capsys.readouterr().err
+    assert bundle_bytes(out) == before
