@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 import requests
 
-from .errors import ParseFailure, RemoteExhausted, RemoteTimeout, ReplayMiss
+from .errors import ConfigError, ParseFailure, RemoteExhausted, RemoteTimeout, ReplayMiss
 from .protocol import ToolSpec
 from .schema import ResponseSchema, canonical_json, validate_action
 
@@ -240,6 +240,8 @@ class RemoteBackend(CompletionBackend):
         sleeper: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
     ):
+        if in_flight_limit < 1:
+            raise ConfigError("must be >= 1", field="in_flight_limit")
         self.endpoint = endpoint
         self.auth_env = auth_env
         self.timeout = timeout
@@ -364,8 +366,6 @@ def run_tool_loop(
     Returns (final_text, trace) where trace lists each executed tool call
     with its result text.
     """
-    if max_rounds < 0:
-        raise ValueError("max_rounds must be >= 0")
     by_name = {tool.name: tool for tool in tools}
     history = list(turns)
     trace: list[tuple[ToolCallRequest, str]] = []

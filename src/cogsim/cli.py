@@ -19,44 +19,27 @@ import datetime as dt
 import hashlib
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from . import __version__
 from .errors import ConfigError, SimulationError
-from .memory import memory_from_spec
 from .protocol import EpisodeLog
 from .runners import (
+    ENVIRONMENTS,
     ExperimentConfig,
     HarnessResult,
     ablation_harness,
-    backend_kind,
-    environment_kind,
     multiworld_harness,
-    reject_unknown,
+    parse,
     run_harness,
     transfer_harness,
     trials_harness,
 )
 
-# The keys of each top-level section whose keys do not depend on a kind.
-SECTION_KEYS = {
-    "agents": {"memory", "persona_text", "extra_directives", "max_tool_rounds", "max_parse_retries"},
-    "transfer": {"source", "source_steps", "carry_memory", "items", "phase2_seed"},
-    "multiworld": {"environments", "cycles"},
-    "ablation": {"headline", "summary", "news", "settings"},
-}
 
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Strictly parse a JSON experiment config into an :class:`ExperimentConfig`.
-
-    The top-level keys are that class's fields and its defaults apply. Every
-    section must be an object. Unknown keys anywhere in it, including every
-    environment section, the memory spec and the backend section (checked
-    against its kind), are rejected with their dotted path.
-    """
+def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
+    """Parse a JSON experiment config, with ``overrides`` over its top-level keys, in one :func:`parse`."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -66,32 +49,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    reject_unknown(raw, {f.name for f in fields(ExperimentConfig)}, "")
-    if "environment" not in raw:
-        raise ConfigError("missing required section", field="environment")
-    environment_kind(raw["environment"])
-    backend_kind(raw.get("backend", {}))
-    for name, keys in SECTION_KEYS.items():
-        if name in raw:
-            if not isinstance(raw[name], dict):
-                raise ConfigError("must be an object", field=name)
-            reject_unknown(raw[name], keys, name)
-    agents = raw.get("agents", {})
-    memory_from_spec(agents.get("memory", {}))
-    directives = agents.get("extra_directives", [])
-    if not isinstance(directives, list) or not all(isinstance(d, str) for d in directives):
-        raise ConfigError("must be a list of strings", field="agents.extra_directives")
-    if "source" in raw.get("transfer", {}):
-        environment_kind(raw["transfer"]["source"], "transfer.source")
-    environments = raw.get("multiworld", {}).get("environments", [])
-    if not isinstance(environments, list):
-        raise ConfigError("must be a list", field="multiworld.environments")
-    for i, spec in enumerate(environments):
-        environment_kind(spec, f"multiworld.environments[{i}]")
-    for field_name in ("trials", "seed", "max_steps"):
-        if field_name in raw and type(raw[field_name]) is not int:  # bool is an int subclass
-            raise ConfigError("must be an integer", field=field_name)
-    return ExperimentConfig(**raw)
+    return parse(ExperimentConfig, {**raw, **(overrides or {})}, "")
 
 
 def _sha256(data: bytes) -> str:
@@ -140,7 +98,7 @@ def write_bundle(bundle: BundleWriter, result: HarnessResult) -> None:
 def score(config: ExperimentConfig) -> HarnessResult:
     """Re-derive the metrics of the bundle at ``config.out`` from its events, if its manifest
     lists exactly the episode ``run`` of a ``records_only`` kind; refuse any other bundle."""
-    kind = environment_kind(config.environment)
+    kind = ENVIRONMENTS[config.environment["kind"]]
     if not kind.records_only:
         message = f"score cannot re-derive {config.environment['kind']} metrics from events alone"
         raise ConfigError(message, field="environment.kind")
@@ -185,11 +143,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.trials is not None:
-            config.trials = args.trials
+        flags = {key: value for key, value in (("seed", args.seed), ("trials", args.trials)) if value is not None}
+        config = load_config(args.config, flags)
+        if getattr(config, args.command, 0) is None:  # transfer, multiworld and ablation read their own section
+            raise ConfigError(f"the {args.command} command needs this section", field=args.command)
         config.out = args.out or config.out or f"runs/{args.command}"
         bundle = BundleWriter(Path(config.out), Path(args.config).read_bytes(), config.seed)
         write_bundle(bundle, COMMANDS[args.command](config))

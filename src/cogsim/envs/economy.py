@@ -186,7 +186,7 @@ ACTION_SCHEMA = ResponseSchema.of(work_propensity="number", consumption_propensi
 @dataclass
 class EconomyConfig:
     n_households: int = 100
-    months: int = 240
+    months: int = field(default=240, metadata={"min": 0})
     tax_rate: float = 0.1
     interest_rate: float = 0.02
     initial_price: float = 100.0

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import datetime as dt
 import heapq
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from ..errors import LoanRefused, UndefinedRatio
+from ..errors import ConfigError, LoanRefused, UndefinedRatio
 from ..protocol import ActionEnvelope, Environment, EventRecord, Observation, ToolSpec
 from ..schema import ResponseSchema, validate_action
 
@@ -117,20 +116,13 @@ class NewsItem:
     body: str = ""
 
 
-def load_news_feed(text: str) -> list[NewsItem]:
-    """Parse a newline-delimited JSON feed of {date, headline, body}."""
-    feed = []
+def check_news_feed(feed: list[NewsItem]) -> None:
+    """Raise ``ValueError`` if two items share a date: the news tool serves one item a day."""
     seen = set()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        date = dt.date.fromisoformat(obj["date"])
-        if date in seen:
-            raise ValueError(f"duplicate news date {date}")
-        seen.add(date)
-        feed.append(NewsItem(date=date, headline=obj["headline"], body=obj.get("body", "")))
-    return feed
+    for item in feed:
+        if item.date in seen:
+            raise ValueError(f"duplicate news date {item.date}")
+        seen.add(item.date)
 
 
 def fetch_news_tool(feed: list[NewsItem], current_date: dt.date) -> str:
@@ -340,8 +332,6 @@ def accrue_and_lend(
     loans through :func:`_grant_loan`. Returns the granted amounts; an
     over-cap request raises :class:`LoanRefused`.
     """
-    if interest_rate < 0 or loan_to_value < 0:
-        raise ValueError("rates must be >= 0")
     for aid in sorted(accounts):
         accounts[aid].loan_principal *= 1.0 + interest_rate
     grants: dict[int, float] = {}
@@ -409,18 +399,23 @@ def session_metrics_csv(records: list[EventRecord]) -> str:
 @dataclass
 class MarketConfig:
     n_agents: int = 50
-    days: int = 10
-    sessions_per_day: int = 3
-    initial_cash: float = 100_000.0
+    days: int = field(default=10, metadata={"min": 0})
+    sessions_per_day: int = field(default=3, metadata={"min": 1})
+    initial_cash: float = field(default=100_000.0, metadata={"min": 0})
     initial_prices: dict[str, float] = field(default_factory=lambda: {"A": 30.0, "B": 45.0})
     initial_holdings: dict[str, int] = field(default_factory=lambda: {"A": 100, "B": 100})
-    interest_rate: float = 0.01  # per day, on loan principal
-    loan_to_value: float = 0.5
+    interest_rate: float = field(default=0.01, metadata={"min": 0})  # per day, on loan principal
+    loan_to_value: float = field(default=0.5, metadata={"min": 0})
     start_date: dt.date = dt.date(2025, 4, 1)
     profiles: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PROFILES))
     enable_news_tool: bool = False
     news_feed: list[NewsItem] = field(default_factory=list)
     events_by_day: dict[int, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("initial_prices", "initial_holdings"):
+            if set(getattr(self, name)) != set(SYMBOLS):
+                raise ConfigError(f"must have exactly the symbols {', '.join(SYMBOLS)}", field=name)
 
 
 ACTION_SCHEMA = ResponseSchema.of(loan_request="number?", orders="array", forum_post="string?")

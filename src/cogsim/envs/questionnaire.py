@@ -9,12 +9,11 @@ treatment mean minus the control mean (so it always lands in [-1, 1]).
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..errors import IncompleteSheet
+from ..errors import ConfigError, IncompleteSheet
 from ..protocol import ActionEnvelope, Environment, Observation
 from ..schema import ResponseSchema
 from ..seeds import child_rng
@@ -83,28 +82,8 @@ class Item:
             raise ValueError("control/treatment items need a pair_id")
 
 
-def load_item_bank(text: str) -> list[Item]:
-    """Parse newline-delimited JSON items."""
-    items = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        items.append(
-            Item(
-                item_id=obj["item_id"],
-                subscale=obj["subscale"],
-                text=obj["text"],
-                scale=ScaleSpec(kind=obj["scale"]["kind"], points=obj["scale"]["points"]),
-                variant=obj.get("variant", "neutral"),
-                pair_id=obj.get("pair_id"),
-            )
-        )
-    _check_pairs(items)
-    return items
-
-
-def _check_pairs(items: Sequence[Item]) -> None:
+def check_item_bank(items: Sequence[Item]) -> None:
+    """Raise ``ValueError`` if a control/treatment pair mixes scales."""
     by_pair: dict[str, list[Item]] = {}
     for item in items:
         if item.pair_id:
@@ -189,7 +168,7 @@ class QuestionnaireEnv(Environment):
     def __init__(self, items: Sequence[Item], seed: int = 0, agent_ids: Sequence[int] = (0,)):
         super().__init__()
         if not items:
-            raise ValueError("questionnaire needs at least one item")
+            raise ConfigError("a questionnaire needs at least one item", field="items")
         self.items = list(items)
         self.seed = seed
         self.agent_ids = sorted(agent_ids)

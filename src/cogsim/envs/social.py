@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
-from ..errors import UnknownPost
+from ..errors import ConfigError, UnknownPost
 from ..protocol import ActionEnvelope, Environment, EventRecord, Message, Observation, route_messages
 from ..schema import ResponseSchema
 
@@ -111,8 +111,6 @@ def build_feed(
     posts are a lazy heap merge of those lists. Each post's visible comments
     are gathered at most once per call.
     """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
     memo: dict[int, list[Comment]] = {}
 
     def visible_comments(post_id: int) -> list[Comment]:
@@ -242,6 +240,8 @@ class SocialEnv(Environment):
         influencer: int = 0,
     ):
         super().__init__()
+        if feed_cap < 0:
+            raise ConfigError("must be >= 0", field="feed_cap")
         self.profiles = profiles
         self.feed_cap = feed_cap
         self.seed_post = seed_post

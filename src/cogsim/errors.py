@@ -73,12 +73,11 @@ class TooFewSamples(SimulationError):
     """A t-test was requested on fewer than two samples."""
 
 
-class ConfigError(SimulationError):
-    """An experiment config failed strict parsing.
-
-    ``field`` carries the dotted path of the offending entry.
-    """
+class ConfigError(SimulationError, ValueError):
+    """A config value failed its check. ``field`` names it: its dotted path
+    in a config, or a constructor's parameter, which the config parser prefixes."""
 
     def __init__(self, message: str, field: str = ""):
         super().__init__(f"{field}: {message}" if field else message)
+        self.message = message
         self.field = field

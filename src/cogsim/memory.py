@@ -114,7 +114,7 @@ class MemoryStore:
             raise ValueError("empty memory archive")
         header = json.loads(lines[0])
         header.pop("version", None)
-        store = _build_store(header.pop("variant", None), header, "archive")
+        store = _build_store(header.pop("variant", None), header)
         for line in lines[1:]:
             obj = json.loads(line)
             store.record(
@@ -143,7 +143,7 @@ class BufferMemory(MemoryStore):
     def __init__(self, capacity: int):
         super().__init__()
         if capacity < 0:
-            raise ValueError("capacity must be >= 0")
+            raise ConfigError("must be >= 0", field="capacity")
         self.capacity = capacity
 
     def visible(self) -> list[MemoryEntry]:
@@ -166,8 +166,9 @@ class ChatHistoryMemory(MemoryStore):
 
     def __init__(self, window: int, token_limit: int):
         super().__init__()
-        if window < 0 or token_limit < 0:
-            raise ValueError("window and token_limit must be >= 0")
+        for name, value in (("window", window), ("token_limit", token_limit)):
+            if value < 0:
+                raise ConfigError("must be >= 0", field=name)
         self.window = window
         self.token_limit = token_limit
 
@@ -191,23 +192,11 @@ MEMORY_VARIANTS: dict[str, type[MemoryStore]] = {
 }
 
 
-def _build_store(variant: Any, params: Mapping[str, Any], where: str) -> MemoryStore:
+def _build_store(variant: Any, params: Mapping[str, Any]) -> MemoryStore:
     cls = MEMORY_VARIANTS.get(variant)
     if cls is None:
-        raise ConfigError(f"unknown memory kind {variant!r}", field=f"{where}.kind")
+        raise ConfigError(f"unknown memory kind {variant!r}", field="archive.kind")
     for key in sorted(params.keys() ^ set(cls.params)):
         problem = "unknown key" if key in params else "missing key"
-        raise ConfigError(f'{problem} "{key}" for {variant} memory', field=f"{where}.{key}")
+        raise ConfigError(f'{problem} "{key}" for {variant} memory', field=f"archive.{key}")
     return cls(**params)
-
-
-def memory_from_spec(spec: Mapping[str, Any]) -> MemoryStore:
-    """Build a store from a config fragment like ``{"kind": "buffer", "capacity": 3}``.
-
-    An unknown kind, or a parameter the kind does not take or lacks, raises
-    :class:`ConfigError` naming its path under ``agents.memory``.
-    """
-    if not isinstance(spec, dict):
-        raise ConfigError("must be an object", field="agents.memory")
-    params = dict(spec)
-    return _build_store(params.pop("kind", "null"), params, "agents.memory")

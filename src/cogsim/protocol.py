@@ -360,8 +360,6 @@ def run_episode(
     to one thread pool kept for the whole episode; results are still applied
     in ascending agent id.
     """
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
     observations = env.reset()
     steps = 0
     with ThreadPoolExecutor(max_workers=min(len(agents), 16) or 1) if parallel else nullcontext() as pool:

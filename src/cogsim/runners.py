@@ -11,283 +11,374 @@ between cycles.
 
 from __future__ import annotations
 
+import datetime as dt
+import inspect
 import json
-from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from collections import Counter, abc
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Collection, Mapping, Sequence
+from types import UnionType
+from typing import Any, Callable, Collection, Iterator, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .backends import CompletionBackend, CompletionResult, RemoteBackend, ReplayBackend, ScriptedBackend
 from .cognition import Agent, PersonaConfig
-from .envs.auction import AuctionEnv, AuctionItem
+from .envs.auction import AuctionEnv
 from .envs.economy import EconomyConfig, EconomyEnv, phillips_okun_report
-from .envs.market import MarketConfig, MarketEnv, NewsItem, buy_sell_ratio, load_news_feed, session_metrics_csv
-from .envs.questionnaire import Item, QuestionnaireEnv, load_item_bank
+from .envs.market import MarketConfig, MarketEnv, NewsItem, buy_sell_ratio, check_news_feed, session_metrics_csv
+from .envs.questionnaire import Item, QuestionnaireEnv, check_item_bank
 from .envs.social import SocialEnv, star_profiles
 from .errors import ConfigError, TooFewSamples, ZeroVariance
-from .memory import MemoryEntry, MemoryStore, memory_from_spec
+from .memory import MEMORY_VARIANTS, MemoryEntry, MemoryStore
 from .protocol import Environment, EpisodeLog, EventRecord, run_episode, step_world
 from .stats import mean_and_pstdev, paired_t_test
 
 
-# --- config-driven construction -------------------------------------------------
-
-
-@dataclass
-class ExperimentConfig:
-    """The config schema: its fields are the allowed top-level keys and its defaults the only defaults."""
-
-    environment: dict[str, Any]
-    agents: dict[str, Any] = field(default_factory=dict)
-    backend: dict[str, Any] = field(default_factory=dict)
-    trials: int = 1
-    seed: int = 0
-    max_steps: int | None = None  # None: until the environment ends, which social never does
-    out: str | None = None
-    transfer: dict[str, Any] | None = None
-    multiworld: dict[str, Any] | None = None
-    ablation: dict[str, Any] | None = None
-
-
-def _scripted_backend(spec: Mapping[str, Any]) -> CompletionBackend:
-    """A rule table from ``rules``, a list of ``{contains, content}`` objects,
-    falling back to ``default_content``; each of them a non-empty string."""
-
-    def text(value: Any, field: str) -> str:
-        if not isinstance(value, str) or not value:
-            raise ConfigError("must be a non-empty string", field=field)
-        return value
-
-    rules = spec.get("rules", [])
-    if not isinstance(rules, list):
-        raise ConfigError("must be a list", field="backend.rules")
-    table = []
-    for i, rule in enumerate(rules):
-        path = f"backend.rules[{i}]"
-        if not isinstance(rule, dict):
-            raise ConfigError("must be an object", field=path)
-        reject_unknown(rule, ("contains", "content"), path)
-        needle, content = text(rule.get("contains"), f"{path}.contains"), text(rule.get("content"), f"{path}.content")
-        table.append((lambda rendered, needle=needle: needle in rendered, CompletionResult(content=content)))
-    default = text(spec.get("default_content", "{}"), "backend.default_content")
-    return ScriptedBackend(table, default=CompletionResult(content=default))
-
-
-def _replay_backend(spec: Mapping[str, Any]) -> CompletionBackend:
-    path = Path(spec["transcript_path"])
-    if not path.is_file():
-        raise ConfigError(f"file not found: {path}", field="backend.transcript_path")
-    return ReplayBackend.from_jsonl(path.read_text(encoding="utf-8"), strict=spec.get("strict", True))
+# --- config schema ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class BackendKind:
-    """How one backend kind is built from the ``backend`` section, and which keys it takes."""
+class Kind:
+    """A kind a section picks with its ``kind`` key: its other keys are the
+    annotated parameters of ``schema``, which makes the object, but ``internal``."""
 
-    build: Callable[[Mapping[str, Any]], CompletionBackend]
-    keys: frozenset[str]
-    required: tuple[str, ...] = ()
+    schema: Callable[..., Any]
+    internal: tuple[str, ...] = ()
 
 
-BACKENDS: dict[str, BackendKind] = {
-    "scripted": BackendKind(_scripted_backend, frozenset({"rules", "default_content"})),
-    "replay": BackendKind(_replay_backend, frozenset({"transcript_path", "strict"}), required=("transcript_path",)),
-    "remote": BackendKind(
-        lambda spec: RemoteBackend(**{key: value for key, value in spec.items() if key != "kind"}),
-        frozenset({"endpoint", "auth_env", "in_flight_limit", "timeout"}),
-        required=("endpoint",),
-    ),
+@dataclass(frozen=True)
+class ScriptedRule:
+    """The first rule whose ``contains`` occurs in the prompt answers with its ``content``."""
+
+    contains: str = field(metadata={"min": 1})
+    content: str = field(metadata={"min": 1})
+
+
+def _scripted_backend(rules: Sequence[ScriptedRule] = (), default_content: str = "{}") -> CompletionBackend:
+    if not default_content:
+        raise ConfigError("must be at least 1 characters long", field="default_content")
+    table = [(lambda text, needle=rule.contains: needle in text, CompletionResult(content=rule.content)) for rule in rules]
+    return ScriptedBackend(table, default=CompletionResult(content=default_content))
+
+
+def _replay_backend(transcript_path: str, strict: bool = True) -> CompletionBackend:
+    path = Path(transcript_path)
+    if not path.is_file():
+        raise ConfigError(f"file not found: {path}", field="transcript_path")
+    return ReplayBackend.from_jsonl(path.read_text(encoding="utf-8"), strict=strict)
+
+
+BACKENDS: dict[str, Kind] = {
+    "scripted": Kind(_scripted_backend),
+    "replay": Kind(_replay_backend),
+    "remote": Kind(RemoteBackend, internal=("rng", "sleeper", "session")),
 }
 
-
-def reject_unknown(section: Mapping[str, Any], allowed: Collection[str], prefix: str) -> None:
-    """Raise :class:`ConfigError` naming the dotted path of the first key not in ``allowed``."""
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f'unknown key "{key}"', field=f"{prefix}.{key}" if prefix else key)
-
-
-def _checked_kind(table: Mapping[str, Any], spec: Any, path: str, noun: str, default: str | None = None) -> Any:
-    """``table``'s entry for ``spec``'s kind (``default`` when it names none),
-    once ``spec`` is checked to be an object with that kind's keys."""
-    if not isinstance(spec, dict):
-        raise ConfigError("must be an object", field=path)
-    name = spec.get("kind", default)
-    kind = table.get(name)
-    if kind is None:
-        raise ConfigError(f"unknown {noun} kind {name!r}", field=f"{path}.kind")
-    reject_unknown(spec, kind.keys | {"kind"}, path)
-    for key in kind.required:
-        if key not in spec:
-            raise ConfigError(f'missing key "{key}"', field=f"{path}.{key}")
-    return kind
-
-
-def backend_kind(spec: Mapping[str, Any]) -> BackendKind:
-    """The table entry for the ``backend`` section's kind, scripted by default."""
-    return _checked_kind(BACKENDS, spec, "backend", "backend", default="scripted")
-
-
-def build_backend(spec: Mapping[str, Any]) -> CompletionBackend:
-    return backend_kind(spec).build(spec)
-
-
-def _load_jsonl(load: Callable[[str], list], spec: Any, field: str) -> list:
-    """``load`` applied to JSONL given either as a file path or as an inline
-    list of objects; a malformed entry raises :class:`ConfigError` naming ``field``."""
-    if isinstance(spec, list):
-        text = "\n".join(json.dumps(obj) for obj in spec)
-    elif not isinstance(spec, str):
-        raise ConfigError("must be a file path or an inline list", field=field)
-    elif not Path(spec).exists():
-        raise ConfigError(f"file not found: {spec}", field=field)
-    else:
-        text = Path(spec).read_text(encoding="utf-8")
-    try:
-        return load(text)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed entry: {type(exc).__name__}: {exc}", field=field) from exc
-
-
-def news_feed_from_spec(spec: Any, field: str) -> list[NewsItem]:
-    return _load_jsonl(load_news_feed, spec, field)
-
-
-def item_bank_from_spec(spec: Any, field: str) -> list[Item]:
-    return _load_jsonl(load_item_bank, spec, field)
+MEMORIES: dict[str, Kind] = {name: Kind(cls) for name, cls in MEMORY_VARIANTS.items()}
 
 
 def _metric_table(env: Environment, records: list[EventRecord]) -> str:
     return "metric,value\n" + "".join(f"{name},{value}\n" for name, value in sorted(env.metrics().items()))
 
 
-@dataclass(frozen=True)
-class EnvironmentKind:
+@dataclass(frozen=True, kw_only=True)
+class EnvironmentKind(Kind):
     """How one environment kind is built from its config section and reported.
 
-    ``build(params, agents, seed)`` gets the section without ``kind`` and
-    ``agents``. ``records_only`` marks a ``metrics_csv`` that reads the event
-    records and not the environment, so ``score`` can use it. ``ends`` is
-    false for a kind whose ``done()`` never holds, which runs only with a
-    step limit.
+    The section also takes ``agents``, the roster size (default ``agents``);
+    ``build(params, agents, seed)`` gets the other keys. ``records_only``
+    marks a ``metrics_csv`` that reads only the event records, so ``score``
+    can use it. ``ends`` is false for a kind whose ``done()`` never holds.
     """
 
     build: Callable[[dict[str, Any], int, int], Environment]
-    keys: frozenset[str]
     agents: int
     metrics_csv: Callable[[Environment, list[EventRecord]], str] = _metric_table
     records_only: bool = False
-    required: tuple[str, ...] = ()
     report: Callable[[Environment], str] = lambda env: ""
     ends: bool = True
 
 
-def _config_keys(config_cls: type, *internal: str) -> frozenset[str]:
-    return frozenset(f.name for f in fields(config_cls)).difference(internal) | {"agents"}
-
-
-def _market(params: dict[str, Any], n: int, seed: int) -> Environment:
-    feed = news_feed_from_spec(params.pop("news_feed", []), "environment.news_feed")
-    return MarketEnv(MarketConfig(n_agents=n, news_feed=feed, **params))
-
-
-def _auction(params: dict[str, Any], n: int, seed: int) -> Environment:
-    items = [
-        AuctionItem(i["name"], i["starting_price"], i["true_value"], i["estimated_value"]) for i in params.pop("items")
-    ]
-    return AuctionEnv(items, bidder_ids=list(range(n)), **params)
-
-
 ENVIRONMENTS: dict[str, EnvironmentKind] = {
     "market": EnvironmentKind(
-        _market,
-        # JSON cannot carry a date or an int-keyed dict
-        _config_keys(MarketConfig, "n_agents", "start_date", "events_by_day"),
+        MarketConfig,
+        build=lambda params, n, seed: MarketEnv(MarketConfig(n_agents=n, **params)),
+        # start_date and events_by_day are not config keys
+        internal=("n_agents", "start_date", "events_by_day"),
         agents=50,
         metrics_csv=lambda env, records: session_metrics_csv(records),
         records_only=True,
     ),
     "economy": EnvironmentKind(
-        lambda params, n, seed: EconomyEnv(EconomyConfig(n_households=n, seed=seed, **params)),
-        _config_keys(EconomyConfig, "n_households", "seed"),
+        EconomyConfig,
+        build=lambda params, n, seed: EconomyEnv(EconomyConfig(n_households=n, seed=seed, **params)),
+        internal=("n_households", "seed"),
         agents=100,
         metrics_csv=lambda env, records: env.indicators_csv(),
         report=lambda env: phillips_okun_report(env.indicators) if len(env.indicators) >= 3 else "",
     ),
     "social": EnvironmentKind(
-        lambda params, n, seed: SocialEnv(star_profiles(n, params.get("influencer", 0)), **params),
-        frozenset({"agents", "influencer", "feed_cap", "seed_post"}),
+        SocialEnv,
+        build=lambda params, n, seed: SocialEnv(star_profiles(n, params.get("influencer", 0)), **params),
+        internal=("profiles",),
         agents=111,
         ends=False,
     ),
     "auction": EnvironmentKind(
-        _auction, frozenset({"agents", "items", "budget", "min_increment", "objectives"}), agents=3, required=("items",)
+        AuctionEnv,
+        build=lambda params, n, seed: AuctionEnv(bidder_ids=list(range(n)), **params),
+        # JSON cannot carry objectives' integer agent ids
+        internal=("bidder_ids", "objectives"),
+        agents=3,
     ),
     "questionnaire": EnvironmentKind(
-        lambda params, n, seed: QuestionnaireEnv(
-            item_bank_from_spec(params["items"], "environment.items"), seed=seed, agent_ids=list(range(n))
-        ),
-        frozenset({"agents", "items"}),
+        QuestionnaireEnv,
+        build=lambda params, n, seed: QuestionnaireEnv(seed=seed, agent_ids=list(range(n)), **params),
+        internal=("seed", "agent_ids"),
         agents=1,
-        required=("items",),
     ),
 }
 
+# entry types a list may also give as the path of a JSONL file, and the check of a whole list
+BANKS: dict[type, Callable[[list], None]] = {NewsItem: check_news_feed, Item: check_item_bank}
 
-def environment_kind(spec: Mapping[str, Any], path: str = "environment") -> EnvironmentKind:
-    """The table entry for ``spec``'s kind, once its keys, its roster size
-    (an int >= 1) and any feed cap (an int >= 0) are checked; errors name the
-    offending key's dotted path under ``path``."""
-    kind = _checked_kind(ENVIRONMENTS, spec, path, "environment")
-    for key, low in (("agents", 1), ("feed_cap", 0)):
-        if key in spec and (type(spec[key]) is not int or spec[key] < low):  # bool is an int subclass
-            raise ConfigError(f"must be an integer >= {low}", field=f"{path}.{key}")
-    return kind
+
+@dataclass
+class AgentsConfig:
+    """The ``agents`` section. A ``persona_text`` or ``memory`` of None takes
+    the harness's default: none and null memory, but a 100-entry buffer in
+    ``transfer``, and a trader persona and a 3-entry buffer in ``ablation``."""
+
+    persona_text: str | None = None
+    extra_directives: list[str] = field(default_factory=list)
+    memory: dict[str, Any] | None = field(default=None, metadata={"kinds": MEMORIES, "kind": "null"})
+    max_tool_rounds: int = field(default=5, metadata={"min": 0})
+    max_parse_retries: int = field(default=2, metadata={"min": 0})
+
+
+@dataclass
+class TransferConfig:
+    """The ``transfer`` section: phase 1 runs in ``source`` for ``source_steps``
+    (None: ``max_steps``); phase 2 asks ``items`` at ``phase2_seed`` (None: ``seed``)."""
+
+    source: dict[str, Any] = field(metadata={"kinds": ENVIRONMENTS})
+    items: list[Item]
+    source_steps: int | None = field(default=None, metadata={"min": 0})
+    carry_memory: bool = True
+    phase2_seed: int | None = None
+
+    def __post_init__(self):
+        QuestionnaireEnv(self.items)  # the instrument's own checks, named by field
+
+
+@dataclass
+class MultiWorldConfig:
+    """The ``multiworld`` section; :class:`MultiWorldSchedule` holds its ranges."""
+
+    environments: list[dict[str, Any]] = field(metadata={"kinds": ENVIRONMENTS})
+    cycles: int = 1
+
+
+@dataclass
+class AblationConfig:
+    """The ``ablation`` section: ``settings`` lists the levels to run (None: all four)."""
+
+    headline: str
+    summary: str
+    news: list[NewsItem]
+    settings: list[int] | None = None
+
+
+@dataclass
+class ExperimentConfig:
+    """The config schema: its fields are the allowed top-level keys and its defaults the only defaults."""
+
+    environment: dict[str, Any] = field(metadata={"kinds": ENVIRONMENTS})
+    agents: AgentsConfig = field(default_factory=AgentsConfig)
+    backend: dict[str, Any] = field(
+        default_factory=lambda: {"kind": "scripted"}, metadata={"kinds": BACKENDS, "kind": "scripted"}
+    )
+    trials: int = field(default=1, metadata={"min": 1})
+    seed: int = 0
+    max_steps: int | None = field(default=None, metadata={"min": 0})  # None: until the environment ends
+    out: str | None = None
+    transfer: TransferConfig | None = None
+    multiworld: MultiWorldConfig | None = None
+    ablation: AblationConfig | None = None
+
+
+_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def parse(cls: Any, raw: Any, path: str = "", meta: Mapping[str, Any] = {}) -> Any:
+    """``raw``, read from JSON, checked against the annotation ``cls`` and returned typed.
+
+    ``cls`` is ``bool``, ``int``, ``float`` (an int too; a bool is neither),
+    ``str``, ``dt.date`` (ISO), ``list[T]`` (for a :data:`BANKS` type, also a
+    JSONL file path), ``dict[str, T]``, ``T | None``, or a record: a
+    dataclass or annotated constructor, built once its keys are parsed.
+    ``meta``, a field's metadata, may name a kind table under ``kinds``.
+    Every error is a :class:`ConfigError` naming the value's dotted path.
+    """
+    origin, args = get_origin(cls), get_args(cls)
+    if origin in (Union, UnionType):
+        if raw is None and type(None) in args:
+            return None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return parse(inner, raw, path, meta)
+    if origin in (list, abc.Sequence):
+        if args[0] in BANKS:
+            return _bank(args[0], raw, path)
+        if not isinstance(raw, list):
+            raise ConfigError("must be a list", field=path)
+        return [parse(args[0], value, f"{path}[{i}]", meta) for i, value in enumerate(raw)]
+    if origin is dict:
+        if "kinds" in meta:
+            return _pick(meta["kinds"], raw, path, meta.get("kind"))
+        if not isinstance(raw, dict):
+            raise ConfigError("must be an object", field=path)
+        return {key: parse(args[1], value, f"{path}.{key}", meta) for key, value in raw.items()}
+    if cls in _SCALARS:
+        if type(raw) is not cls and not (cls is float and type(raw) is int):
+            raise ConfigError(f"must be {_SCALARS[cls]}", field=path)
+        return raw
+    if cls is dt.date:
+        try:
+            return dt.date.fromisoformat(parse(str, raw, path))
+        except ValueError:
+            raise ConfigError("must be an ISO date", field=path) from None
+    values = _record(cls, raw, path)
+    with _within(path):
+        return cls(**values)
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path and key else path or key
+
+
+@contextmanager
+def _within(path: str) -> Iterator[None]:
+    """Re-raise a constructor's error as a :class:`ConfigError` under ``path``:
+    one naming its parameter gets that name appended."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(exc.message, field=_join(path, exc.field)) from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=path) from exc
+
+
+def _record(schema: Callable[..., Any], raw: Any, path: str, internal: Collection[str] = ()) -> dict[str, Any]:
+    """``raw``'s keys parsed against ``schema``'s fields or annotated parameters but
+    ``internal``; a field's ``min`` metadata bounds a number or a string's length."""
+    if not isinstance(raw, dict):
+        raise ConfigError("must be an object", field=path)
+    hints = get_type_hints(schema.__init__ if isinstance(schema, type) and not is_dataclass(schema) else schema)
+    metadata = {f.name: f.metadata for f in fields(schema)} if is_dataclass(schema) else {}
+    parameters = inspect.signature(schema).parameters.values()
+    specs = {p.name: (hints[p.name], metadata.get(p.name, {}), p.default is p.empty) for p in parameters}
+    for key in raw:
+        if key not in specs or key in internal:
+            raise ConfigError(f'unknown key "{key}"', field=_join(path, key))
+    values = {}
+    for name, (cls, meta, required) in specs.items():
+        where = _join(path, name)
+        if name not in raw:
+            if required and name not in internal:
+                raise ConfigError(f'missing key "{name}"', field=where)
+            continue
+        value = values[name] = parse(cls, raw[name], where, meta)
+        low = meta.get("min")
+        if low is not None and value is not None:
+            if isinstance(value, str) and len(value) < low:
+                raise ConfigError(f"must be at least {low} characters long", field=where)
+            if not isinstance(value, str) and value < low:
+                raise ConfigError(f"must be >= {low}", field=where)
+    return values
+
+
+def _pick(table: Mapping[str, Kind], raw: Any, path: str, default: str | None) -> dict[str, Any]:
+    """A kind section parsed into ``{"kind": name, **keys}`` (an environment's with its
+    roster size under ``agents``), then built once so that the kind's own checks run."""
+    if not isinstance(raw, dict):
+        raise ConfigError("must be an object", field=path)
+    if "kind" not in raw and default is None:
+        raise ConfigError('missing key "kind"', field=_join(path, "kind"))
+    name = parse(str, raw.get("kind", default), _join(path, "kind"))
+    kind = table.get(name)
+    if kind is None:
+        raise ConfigError(f"unknown kind {name!r}", field=_join(path, "kind"))
+    spec: dict[str, Any] = {"kind": name}
+    rest = {key: value for key, value in raw.items() if key != "kind"}
+    if isinstance(kind, EnvironmentKind):
+        spec["agents"] = parse(int, rest.pop("agents", kind.agents), _join(path, "agents"))
+        if spec["agents"] < 1:
+            raise ConfigError("must be >= 1", field=_join(path, "agents"))
+    spec.update(_record(kind.schema, rest, path, kind.internal))
+    with _within(path):
+        build_environment(spec, 0) if isinstance(kind, EnvironmentKind) else make(table, spec)
+    return spec
+
+
+def _bank(entry: type, raw: Any, path: str) -> list:
+    """A list of ``entry`` given inline or as a JSONL file path, vetted by its :data:`BANKS` check."""
+    try:
+        if isinstance(raw, str):
+            if not Path(raw).is_file():
+                raise ConfigError(f"file not found: {raw}")
+            raw = [json.loads(line) for line in Path(raw).read_text(encoding="utf-8").splitlines() if line.strip()]
+        if not isinstance(raw, list):
+            raise ConfigError("must be a file path or an inline list")
+        entries = [parse(entry, value, f"{path}[{i}]") for i, value in enumerate(raw)]
+        BANKS[entry](entries)
+    except ValueError as exc:  # a ConfigError or a JSON decode error too
+        raise ConfigError(str(exc), field=path) from exc
+    return entries
+
+
+# --- construction ------------------------------------------------------------------
+
+
+def make(table: Mapping[str, Kind], spec: Mapping[str, Any]) -> Any:
+    """The backend or memory store a parsed ``backend`` or ``memory`` section names."""
+    return table[spec["kind"]].schema(**{key: value for key, value in spec.items() if key != "kind"})
 
 
 def check_step_limit(spec: Mapping[str, Any], max_steps: int | None, field: str = "max_steps") -> None:
-    """Raise :class:`ConfigError` naming ``field`` when an environment built
-    from ``spec`` never ends by itself and ``max_steps`` sets no limit."""
-    if max_steps is None and not environment_kind(spec).ends:
+    """Raise :class:`ConfigError` naming ``field`` if ``spec``'s environment would run forever."""
+    if max_steps is None and not ENVIRONMENTS[spec["kind"]].ends:
         raise ConfigError(f"a {spec['kind']} environment never ends by itself; set a step limit", field=field)
 
 
-def roster_size(spec: Mapping[str, Any]) -> int:
-    """How many agents an environment built from ``spec`` expects."""
-    return spec.get("agents", environment_kind(spec).agents)
-
-
 def build_environment(spec: Mapping[str, Any], seed: int) -> Environment:
-    kind = environment_kind(spec)
-    params = {k: v for k, v in spec.items() if k not in ("kind", "agents")}
-    return kind.build(params, spec.get("agents", kind.agents), seed)
+    """An environment from a parsed environment section."""
+    params = {key: value for key, value in spec.items() if key not in ("kind", "agents")}
+    return ENVIRONMENTS[spec["kind"]].build(params, spec["agents"], seed)
 
 
 def build_agent(
-    roster: Mapping[str, Any], backend: CompletionBackend, aid: int, world_tag: str, memory: MemoryStore | None = None
+    roster: AgentsConfig, backend: CompletionBackend, aid: int, world_tag: str, memory: MemoryStore | None = None
 ) -> Agent:
-    """The one place an ``agents`` section becomes an :class:`Agent`; ``memory`` overrides its ``memory`` spec."""
+    """The one place an ``agents`` section becomes an :class:`Agent`; ``memory`` overrides its ``memory``."""
     return Agent(
         agent_id=aid,
-        config=PersonaConfig(roster.get("persona_text", ""), list(roster.get("extra_directives", []))),
-        memory=memory_from_spec(roster.get("memory", {})) if memory is None else memory,
+        config=PersonaConfig(roster.persona_text or "", list(roster.extra_directives)),
+        memory=make(MEMORIES, roster.memory or {"kind": "null"}) if memory is None else memory,
         backend=backend,
         world_tag=world_tag,
-        max_tool_rounds=roster.get("max_tool_rounds", 5),
-        max_parse_retries=roster.get("max_parse_retries", 2),
+        max_tool_rounds=roster.max_tool_rounds,
+        max_parse_retries=roster.max_parse_retries,
     )
 
 
-def build_agents(
-    roster: Mapping[str, Any], backend: CompletionBackend, n_agents: int, world_tag: str
-) -> dict[int, Agent]:
+def build_agents(roster: AgentsConfig, backend: CompletionBackend, n_agents: int, world_tag: str) -> dict[int, Agent]:
     return {aid: build_agent(roster, backend, aid, world_tag) for aid in range(n_agents)}
 
 
 def build_setup(config: ExperimentConfig, seed: int) -> tuple[Environment, dict[int, Agent]]:
     env = build_environment(config.environment, seed)
-    backend = build_backend(config.backend)
-    agents = build_agents(config.agents, backend, roster_size(config.environment), world_tag=env.name)
+    backend = make(BACKENDS, config.backend)
+    agents = build_agents(config.agents, backend, config.environment["agents"], world_tag=env.name)
     return env, agents
 
 
@@ -305,7 +396,7 @@ class HarnessResult:
 
 def run_harness(config: ExperimentConfig) -> HarnessResult:
     """One episode of ``config.environment`` at ``config.seed``."""
-    kind = environment_kind(config.environment)
+    kind = ENVIRONMENTS[config.environment["kind"]]
     check_step_limit(config.environment, config.max_steps)
     env, agents = build_setup(config, config.seed)
     log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed)
@@ -354,8 +445,6 @@ def run_trials(config: ExperimentConfig) -> TrialsResult:
 
     A failing trial is recorded under ``failures`` and the rest proceed.
     """
-    if config.trials < 1:
-        raise ConfigError("trials must be >= 1", field="trials")
     check_step_limit(config.environment, config.max_steps)
     rows: list[tuple[int, dict[str, float]]] = []
     failures: list[tuple[int, str]] = []
@@ -477,25 +566,21 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
 
 def transfer_harness(config: ExperimentConfig) -> HarnessResult:
     """Memory transfer from ``transfer.source`` to the ``transfer.items`` questionnaire."""
-    section = config.transfer or {}
-    if "source" not in section or "items" not in section:
-        raise ConfigError("transfer needs source and items", field="transfer")
-    items = item_bank_from_spec(section["items"], "transfer.items")
-    source_spec = section["source"]
-    source_steps = section.get("source_steps", config.max_steps)
-    check_step_limit(source_spec, source_steps, "transfer.source_steps")
-    backend = build_backend(config.backend)
+    section = config.transfer
+    source_steps = config.max_steps if section.source_steps is None else section.source_steps
+    check_step_limit(section.source, source_steps, "transfer.source_steps")
+    backend = make(BACKENDS, config.backend)
     plan = TransferPlan(
-        source_env_factory=lambda seed: build_environment(source_spec, seed),
-        agent_ids=list(range(roster_size(source_spec))),
+        source_env_factory=lambda seed: build_environment(section.source, seed),
+        agent_ids=list(range(section.source["agents"])),
         agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, "transfer", memory),
-        memory_factory=lambda: memory_from_spec(config.agents.get("memory", {"kind": "buffer", "capacity": 100})),
+        memory_factory=lambda: make(MEMORIES, config.agents.memory or {"kind": "buffer", "capacity": 100}),
         source_steps=source_steps,
-        carry_memory=section.get("carry_memory", True),
+        carry_memory=section.carry_memory,
         seed=config.seed,
-        phase2_seed=section.get("phase2_seed", config.seed),
+        phase2_seed=config.seed if section.phase2_seed is None else section.phase2_seed,
     )
-    result = run_memory_transfer(plan, InstrumentSpec(items=items))
+    result = run_memory_transfer(plan, InstrumentSpec(items=section.items))
     title = "memory transfer: carry minus fresh bias per pair"
     return HarnessResult(title, result.episodes, result.to_csv(), result.diffs_by_pair)
 
@@ -510,9 +595,9 @@ class MultiWorldSchedule:
 
     def __post_init__(self):
         if len(self.environments) < 2:
-            raise ValueError("a multi-world schedule needs at least two environments")
+            raise ConfigError("a multi-world schedule needs at least two environments", field="environments")
         if self.cycles < 0:
-            raise ValueError("cycles must be >= 0")
+            raise ConfigError("must be >= 0", field="cycles")
 
 
 def run_multiworld(schedule: MultiWorldSchedule, agents: Mapping[int, Any], seed: int = 0) -> EpisodeLog:
@@ -543,20 +628,16 @@ def run_multiworld(schedule: MultiWorldSchedule, agents: Mapping[int, Any], seed
 
 def multiworld_harness(config: ExperimentConfig) -> HarnessResult:
     """One roster cycled through ``multiworld.environments``; the metrics count records per world."""
-    section = config.multiworld or {}
-    specs = section.get("environments", [])
-    if len(specs) < 2:
-        raise ConfigError("multiworld needs at least two environments", field="multiworld.environments")
-    cycles = section.get("cycles", 1)
-    if type(cycles) is not int or cycles < 0:  # bool is an int subclass
-        raise ConfigError("must be an integer >= 0", field="multiworld.cycles")
-    envs = [build_environment(spec, config.seed) for spec in specs]
-    n = max(roster_size(spec) for spec in specs)
-    agents = build_agents(config.agents, build_backend(config.backend), n, world_tag=envs[0].name)
-    log = run_multiworld(MultiWorldSchedule(environments=envs, cycles=cycles), agents, seed=config.seed)
+    section = config.multiworld
+    envs = [build_environment(spec, config.seed) for spec in section.environments]
+    with _within("multiworld"):
+        schedule = MultiWorldSchedule(environments=envs, cycles=section.cycles)
+    n = max(spec["agents"] for spec in section.environments)
+    agents = build_agents(config.agents, make(BACKENDS, config.backend), n, world_tag=envs[0].name)
+    log = run_multiworld(schedule, agents, seed=config.seed)
     counts = Counter(record.info.get("world", "?") for record in log.records)
     return HarnessResult(
-        f"multiworld: {[e.name for e in envs]} x {cycles} cycles",
+        f"multiworld: {[e.name for e in envs]} x {section.cycles} cycles",
         [("multiworld", log)],
         "world,records\n" + "".join(f"{world},{counts[world]}\n" for world in sorted(counts)),
         {"steps": log.steps_executed, **counts},
@@ -575,7 +656,7 @@ class AblationSetting:
 
     def __post_init__(self):
         if not 1 <= self.level <= 4:
-            raise ValueError("ablation level must be 1..4")
+            raise ConfigError("ablation level must be 1..4")
 
     @property
     def headline_config(self) -> bool:
@@ -603,7 +684,7 @@ class TariffStudy:
     research_summary: str
     news_feed: list[NewsItem]
     backend_factory: Callable[[int], CompletionBackend]
-    agents: Mapping[str, Any] = field(default_factory=dict)
+    agents: AgentsConfig = field(default_factory=AgentsConfig)
     trials: int = 5
     base_seed: int = 0
 
@@ -612,7 +693,11 @@ def ablation_agents(study: TariffStudy, setting: AblationSetting) -> dict[int, A
     """Wire one setting's cognitive stack: the study's ``agents`` section (a
     trader persona and a 3-entry buffer unless it says otherwise), plus the
     setting's headline directive and research note."""
-    roster = {"persona_text": "You are a stock trader.", "memory": {"kind": "buffer", "capacity": 3}, **study.agents}
+    roster = replace(
+        study.agents,
+        persona_text="You are a stock trader." if study.agents.persona_text is None else study.agents.persona_text,
+        memory=study.agents.memory or {"kind": "buffer", "capacity": 3},
+    )
     agents = {}
     for aid in range(study.base_config.n_agents):
         agent = build_agent(roster, study.backend_factory(aid), aid, "market")
@@ -695,26 +780,22 @@ def run_tariff_ablation(
 
 def ablation_harness(config: ExperimentConfig) -> HarnessResult:
     """The cumulative tariff ablation over ``ablation.settings`` on the ``environment`` market."""
-    section = config.ablation or {}
-    for required in ("headline", "summary", "news"):
-        if required not in section:
-            raise ConfigError(f"ablation needs {required}", field=f"ablation.{required}")
-    if config.environment.get("kind") != "market":
+    section = config.ablation
+    if config.environment["kind"] != "market":
         raise ConfigError("ablation runs on a market environment", field="environment.kind")
-    levels = section.get("settings", [1, 2, 3, 4])
-    if not isinstance(levels, list) or not all(type(level) is int and 1 <= level <= 4 for level in levels):
-        raise ConfigError("must be a list of levels 1..4", field="ablation.settings")
-    backend = build_backend(config.backend)
+    with _within("ablation.settings"):
+        settings = [AblationSetting(level) for level in section.settings or ()]
+    backend = make(BACKENDS, config.backend)
     study = TariffStudy(
         base_config=build_environment(config.environment, config.seed).config,
-        headline=section["headline"],
-        research_summary=section["summary"],
-        news_feed=news_feed_from_spec(section["news"], "ablation.news"),
+        headline=section.headline,
+        research_summary=section.summary,
+        news_feed=section.news,
         backend_factory=lambda aid: backend,
         agents=config.agents,
         trials=config.trials,
         base_seed=config.seed,
     )
-    table = run_tariff_ablation(study, [AblationSetting(level) for level in levels])
+    table = run_tariff_ablation(study, settings)
     ratios = {f"setting_{row.setting}": f"A={row.stock_a:.4f} B={row.stock_b:.4f}" for row in table.rows}
     return HarnessResult("tariff ablation: mean buy/sell ratios", table.episodes, table.to_csv(), ratios)

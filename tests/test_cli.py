@@ -1,13 +1,31 @@
 import hashlib
+import inspect
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cogsim.cli import COMMANDS, load_config, main
+from cogsim.envs.auction import AuctionItem
+from cogsim.envs.market import NewsItem
+from cogsim.envs.questionnaire import Item
 from cogsim.errors import ConfigError
 from cogsim.protocol import EpisodeLog
+from cogsim.runners import (
+    BACKENDS,
+    ENVIRONMENTS,
+    MEMORIES,
+    AblationConfig,
+    AgentsConfig,
+    ExperimentConfig,
+    MultiWorldConfig,
+    ScriptedRule,
+    TransferConfig,
+)
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -260,6 +278,7 @@ def test_transfer_from_social_needs_source_steps(tmp_path, capsys):
 
 AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0}]
 QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
+SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
 
 
 @pytest.mark.parametrize(
@@ -299,7 +318,7 @@ QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
         ({"seed": False}, "seed"),
         ({"max_steps": True}, "max_steps"),
         ({"agents": {"extra_directives": "abc"}}, "agents.extra_directives"),
-        ({"agents": {"extra_directives": ["a", 3]}}, "agents.extra_directives"),
+        ({"agents": {"extra_directives": ["a", 3]}}, "agents.extra_directives[1]"),
         ({"agents": {"memory": "x"}}, "agents.memory"),
         ({"multiworld": {"environments": 3}}, "multiworld.environments"),
         ({"backend": {"kind": "scripted", "rules": [{"content": "{}"}]}}, "backend.rules[0].contains"),
@@ -325,6 +344,20 @@ QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
             {"multiworld": {"environments": [{"kind": "market"}, {"kind": "social", "feed_cap": -1}]}},
             "multiworld.environments[1].feed_cap",
         ),
+        (
+            {"environment": {"kind": "auction", "items": [{k: v for k, v in AUCTION_ITEMS[0].items() if k != "true_value"}]}},
+            "environment.items[0].true_value",
+        ),
+        ({"environment": {"kind": "market", "agents": 3, "initial_prices": {"A": 30.0}}}, "environment.initial_prices"),
+        ({"transfer": {"source": {"kind": "market"}, "items": [SCALED], "carry_memory": "no"}}, "transfer.carry_memory"),
+        ({"agents": {"max_parse_retries": -3}}, "agents.max_parse_retries"),
+        ({"environment": {"kind": "market", "agents": 3, "days": -2}}, "environment.days"),
+        ({"transfer": {"source": {"kind": "market"}, "items": [SCALED], "phase2_seed": "7"}}, "transfer.phase2_seed"),
+        ({"transfer": {"source": {"kind": "market"}, "items": [SCALED], "source_steps": "3"}}, "transfer.source_steps"),
+        ({"agents": {"max_tool_rounds": "x"}}, "agents.max_tool_rounds"),
+        ({"agents": {"memory": {"kind": "buffer", "capacity": "3"}}}, "agents.memory.capacity"),
+        ({"environment": {"kind": "market", "agents": 3, "days": "2"}}, "environment.days"),
+        ({"ablation": {"headline": "h", "summary": ["x"], "news": []}}, "ablation.summary"),
     ],
     ids=[
         "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
@@ -335,7 +368,9 @@ QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
         "max-steps-bool", "directives-string", "directives-non-string", "memory-string", "multiworld-environments-int",
         "rule-without-contains", "rule-without-content", "default-content-int", "events-by-day", "start-date",
         "negative-agents", "zero-agents", "bool-agents", "negative-feed-cap", "transfer-source-zero-agents",
-        "multiworld-negative-feed-cap",
+        "multiworld-negative-feed-cap", "auction-item-without-true-value", "market-prices-missing-a-symbol",
+        "carry-memory-string", "negative-parse-retries", "negative-days", "phase2-seed-string", "source-steps-string",
+        "tool-rounds-string", "memory-capacity-string", "days-string", "ablation-summary-list",
     ],
 )
 def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, capsys):
@@ -381,6 +416,16 @@ def test_ablation_level_outside_one_to_four_exits_one(tmp_path, capsys):
     config = write_config(tmp_path, minimal_market_config(out, ablation=ablation))
     assert main(["ablation", "--config", str(config)]) == 1
     assert "ablation.settings:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["trials", "ablation"])
+def test_zero_trials_flag_exits_one(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    ablation = {"headline": "h", "summary": "s", "news": []}
+    config = write_config(tmp_path, minimal_market_config(out, ablation=ablation))
+    assert main([command, "--config", str(config), "--trials", "0"]) == 1
+    assert "trials:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
@@ -523,3 +568,90 @@ def test_score_refuses_bundle_whose_manifest_lists_no_episodes(tmp_path, capsys)
     assert main(["score", "--config", str(config)]) == 1
     assert "exactly one episode" in capsys.readouterr().err
     assert bundle_bytes(out) == before
+
+
+def schema_keys(schema, internal=()):
+    return [name for name in inspect.signature(schema).parameters if name not in internal]
+
+
+def test_readme_config_tables_list_each_schemas_keys():
+    readme = (ROOT / "README.md").read_text()
+    tables = {}
+    for block in re.findall(r"(?:^\|.*\n)+", readme, flags=re.M):
+        header, _, *rows = block.splitlines()
+        tables[header.split("|")[1].strip()] = [row.split("|")[1].strip().strip("`") for row in rows]
+    expected = {
+        "top level": schema_keys(ExperimentConfig),
+        "`agents`": schema_keys(AgentsConfig),
+        "`transfer`": schema_keys(TransferConfig),
+        "`multiworld`": schema_keys(MultiWorldConfig),
+        "`ablation`": schema_keys(AblationConfig),
+        "scripted rule": schema_keys(ScriptedRule),
+        "auction item": schema_keys(AuctionItem),
+        "news item": schema_keys(NewsItem),
+        "bank item": schema_keys(Item),
+    }
+    for name, kind in ENVIRONMENTS.items():
+        expected[f"`{name}` environment (`agents` {kind.agents})"] = schema_keys(kind.schema, kind.internal)
+    for table, noun in ((BACKENDS, "backend"), (MEMORIES, "memory")):
+        for name, kind in table.items():
+            expected[f"`{name}` {noun}"] = schema_keys(kind.schema, kind.internal)
+    assert tables == expected
+
+
+# --- mutated shipped configs -------------------------------------------------------------
+
+
+def leaves(node, path=""):
+    """(dotted path, value) of every scalar in a JSON value."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def with_leaf(node, target, new, path=""):
+    if path == target:
+        return new
+    if isinstance(node, dict):
+        return {key: with_leaf(value, target, new, f"{path}.{key}" if path else key) for key, value in node.items()}
+    if isinstance(node, list):
+        return [with_leaf(value, target, new, f"{path}[{i}]") for i, value in enumerate(node)]
+    return node
+
+
+# one value of each JSON type, and -1, below every integer bound a shipped config meets
+REPLACEMENTS = [None, True, -1, 2.5, "x", [], {}]
+NULLABLE = {"out", "persona_text", "seed_post", "source_steps", "phase2_seed"}
+ANY_INTEGER = {"seed", "phase2_seed"}
+
+
+@settings(
+    derandomize=True, database=None, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_mutated_shipped_config_exits_one_naming_the_leaf(data, monkeypatch, capsys):
+    name, command = data.draw(st.sampled_from(SHIPPED_RUNS))
+    raw = json.loads((CONFIGS / name).read_text())
+    path, old = data.draw(st.sampled_from(sorted(leaves(raw), key=lambda leaf: leaf[0])))
+    new = data.draw(st.sampled_from(REPLACEMENTS))
+    key = re.sub(r"\[\d+\]$", "", path).rsplit(".", 1)[-1]
+    below_bound = new == -1 and type(old) is int
+    assume(type(new) is not type(old) or below_bound)
+    assume(not (type(old) is float and type(new) is int))  # a number takes an integer
+    assume(not (new is None and key in NULLABLE))
+    assume(not (below_bound and key in ANY_INTEGER))
+    monkeypatch.chdir(ROOT)
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / name
+        config.write_text(json.dumps(with_leaf(raw, path, new)))
+        out = Path(scratch) / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1, (path, new)
+        assert f"{path}:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()

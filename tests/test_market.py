@@ -19,13 +19,13 @@ from cogsim.envs.market import (
     buy_sell_ratio,
     clear_session,
     fetch_news_tool,
-    load_news_feed,
     price_change_rate,
     session_metrics_csv,
     settle,
 )
 from cogsim.errors import LoanRefused, UndefinedRatio
 from cogsim.protocol import ActionEnvelope, run_episode
+from cogsim.runners import parse
 
 
 # --- oracle -------------------------------------------------------------------
@@ -424,14 +424,15 @@ def test_fetch_news_absent_date():
 
 
 def test_news_feed_loader_rejects_duplicates():
-    text = '{"date": "2025-04-02", "headline": "a"}\n{"date": "2025-04-02", "headline": "b"}\n'
+    entries = [{"date": "2025-04-02", "headline": "a"}, {"date": "2025-04-02", "headline": "b"}]
     with pytest.raises(ValueError):
-        load_news_feed(text)
+        parse(list[NewsItem], entries, "news")
 
 
-def test_news_feed_loader_roundtrip():
-    text = '{"date": "2025-04-02", "headline": "a", "body": "b"}\n'
-    feed = load_news_feed(text)
+def test_news_feed_loader_roundtrip(tmp_path):
+    path = tmp_path / "news.jsonl"
+    path.write_text('{"date": "2025-04-02", "headline": "a", "body": "b"}\n')
+    feed = parse(list[NewsItem], str(path), "news")
     assert feed == [NewsItem(date=dt.date(2025, 4, 2), headline="a", body="b")]
 
 

@@ -11,9 +11,9 @@ from cogsim.memory import (
     MemoryStore,
     NullMemory,
     estimate_tokens,
-    memory_from_spec,
 )
 from cogsim.protocol import join_text
+from cogsim.runners import MEMORIES, make
 
 
 def entry(i, content=None, world="w"):
@@ -232,8 +232,8 @@ def test_archive_monotone_under_recording():
 
 
 def test_memory_from_spec():
-    assert isinstance(memory_from_spec({"kind": "null"}), NullMemory)
-    buf = memory_from_spec({"kind": "buffer", "capacity": 3})
+    assert isinstance(make(MEMORIES, {"kind": "null"}), NullMemory)
+    buf = make(MEMORIES, {"kind": "buffer", "capacity": 3})
     assert isinstance(buf, BufferMemory) and buf.capacity == 3
-    chm = memory_from_spec({"kind": "chat_history", "window": 5, "token_limit": 100000})
+    chm = make(MEMORIES, {"kind": "chat_history", "window": 5, "token_limit": 100000})
     assert isinstance(chm, ChatHistoryMemory) and chm.window == 5

@@ -10,12 +10,12 @@ from cogsim.envs.questionnaire import (
     QuestionnaireEnv,
     ResponseSheet,
     ScaleSpec,
-    load_item_bank,
     score,
     shuffle_items,
 )
 from cogsim.errors import IncompleteSheet
 from cogsim.protocol import ActionEnvelope, run_episode
+from cogsim.runners import parse
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,8 +143,8 @@ def test_bias_bounds_and_zero_on_equal_responses():
 
 
 def test_bundled_banks_load():
-    bias_items = load_item_bank((DATA / "bias_bank.jsonl").read_text())
-    trait_items = load_item_bank((DATA / "trait_bank.jsonl").read_text())
+    bias_items = parse(list[Item], str(DATA / "bias_bank.jsonl"), "items")
+    trait_items = parse(list[Item], str(DATA / "trait_bank.jsonl"), "items")
     assert len(bias_items) == 6
     assert len(trait_items) == 4
     pairs = {i.pair_id for i in bias_items}
@@ -175,7 +175,7 @@ def test_mixed_scale_pair_rejected():
         ),
     ]
     with pytest.raises(ValueError):
-        load_item_bank("\n".join(lines))
+        parse(list[Item], [json.loads(line) for line in lines], "items")
 
 
 # --- environment -------------------------------------------------------------------
@@ -189,7 +189,7 @@ def fixed_answer_policy(value):
 
 
 def test_env_administers_every_item_once():
-    items = load_item_bank((DATA / "trait_bank.jsonl").read_text())
+    items = parse(list[Item], str(DATA / "trait_bank.jsonl"), "items")
     env = QuestionnaireEnv(items, seed=4, agent_ids=[0, 1])
     log = run_episode(env, {0: fixed_answer_policy(4), 1: fixed_answer_policy(7)}, max_steps=100, seed=4)
     assert log.steps_executed == len(items)

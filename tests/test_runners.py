@@ -16,6 +16,7 @@ from cogsim.memory import BufferMemory
 from cogsim.protocol import ActionEnvelope, step_world
 from cogsim.runners import (
     AblationSetting,
+    AgentsConfig,
     ExperimentConfig,
     InstrumentSpec,
     MultiWorldSchedule,
@@ -26,6 +27,7 @@ from cogsim.runners import (
     build_environment,
     build_setup,
     default_settings,
+    parse,
     run_memory_transfer,
     run_multiworld,
     run_tariff_ablation,
@@ -37,13 +39,14 @@ from cogsim.runners import (
 
 
 def market_trials_config(trials=5, agents=4, days=1):
-    return ExperimentConfig(
-        environment={"kind": "market", "agents": agents, "days": days},
-        agents={"memory": {"kind": "buffer", "capacity": 3}},
-        backend={"kind": "scripted", "default_content": json.dumps({"orders": []})},
-        trials=trials,
-        seed=0,
-    )
+    raw = {
+        "environment": {"kind": "market", "agents": agents, "days": days},
+        "agents": {"memory": {"kind": "buffer", "capacity": 3}},
+        "backend": {"kind": "scripted", "default_content": json.dumps({"orders": []})},
+        "trials": trials,
+        "seed": 0,
+    }
+    return parse(ExperimentConfig, raw)
 
 
 def test_deterministic_trials_identical_rows_zero_stddev():
@@ -65,15 +68,16 @@ def test_single_trial_summary_equals_row():
 
 
 def test_seed_sensitive_trials_mean_is_hand_average():
-    config = ExperimentConfig(
-        environment={"kind": "economy", "agents": 5, "months": 6},
-        backend={
+    raw = {
+        "environment": {"kind": "economy", "agents": 5, "months": 6},
+        "backend": {
             "kind": "scripted",
             "default_content": json.dumps({"work_propensity": 1.0, "consumption_propensity": 0.3}),
         },
-        trials=3,
-        seed=10,
-    )
+        "trials": 3,
+        "seed": 10,
+    }
+    config = parse(ExperimentConfig, raw)
     result = run_trials(config)
     assert len({json.dumps(m, sort_keys=True) for _, m in result.rows}) == 3  # seeds differ
     means, _ = result.summary()
@@ -397,7 +401,7 @@ def test_ablation_prompts_are_cumulative():
 
 
 def test_ablation_agents_take_the_whole_agents_section():
-    study = replace(make_study(constant_order_backend, agents=3, days=1), agents={"max_tool_rounds": 1, "max_parse_retries": 0})
+    study = replace(make_study(constant_order_backend, agents=3, days=1), agents=AgentsConfig(max_tool_rounds=1, max_parse_retries=0))
     for setting in default_settings():
         agents = ablation_agents(study, setting)
         assert len(agents) == 3
@@ -483,7 +487,7 @@ CONTRACT_CASES = {
 @pytest.mark.parametrize("kind", sorted(runners.ENVIRONMENTS))
 def test_environment_observation_contract(kind):
     spec, body, clock = CONTRACT_CASES[kind]
-    env = build_environment(spec, seed=0)
+    env = build_environment(parse(ExperimentConfig, {"environment": spec}).environment, seed=0)
 
     def policy(obs):
         return ActionEnvelope(agent_id=obs.agent_id, time=obs.time, body=dict(body))
