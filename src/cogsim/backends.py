@@ -34,6 +34,15 @@ class ToolCallRequest:
     arguments_text: str
 
 
+def _call_to_json(call: ToolCallRequest) -> dict[str, str]:
+    """A tool call as transcripts write it, in fingerprints and in replay files alike."""
+    return {"id": call.id, "name": call.name, "arguments": call.arguments_text}
+
+
+def _call_from_json(obj: dict[str, str]) -> ToolCallRequest:
+    return ToolCallRequest(id=obj["id"], name=obj["name"], arguments_text=obj["arguments"])
+
+
 @dataclass(frozen=True)
 class ChatTurn:
     """One turn of a chat transcript; role=tool turns answer a prior request."""
@@ -91,10 +100,7 @@ def request_fingerprint(request: CompletionRequest) -> str:
             {
                 "role": t.role,
                 "content": t.content,
-                "tool_calls": [
-                    {"id": c.id, "name": c.name, "arguments": c.arguments_text}
-                    for c in t.tool_calls
-                ],
+                "tool_calls": [_call_to_json(c) for c in t.tool_calls],
                 "tool_call_id": t.tool_call_id,
             }
             for t in request.turns
@@ -140,64 +146,43 @@ class ScriptedBackend(CompletionBackend):
         return default(text) if callable(default) else default
 
 
-REPLAY_FALLBACK = CompletionResult(content="(replay fallback)")
-
-
 class ReplayBackend(CompletionBackend):
-    """Serves recorded results keyed by request fingerprint.
+    """Serves recorded results keyed by request fingerprint; a request with no
+    recorded result raises :class:`ReplayMiss`."""
 
-    Strict mode raises :class:`ReplayMiss` on unknown requests; otherwise
-    :data:`REPLAY_FALLBACK` is returned.
-    """
-
-    def __init__(self, transcript: dict[str, CompletionResult] | None = None, strict: bool = True):
+    def __init__(self, transcript: dict[str, CompletionResult] | None = None):
         self.transcript = dict(transcript or {})
-        self.strict = strict
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         key = request_fingerprint(request)
-        if key in self.transcript:
-            return self.transcript[key]
-        if self.strict:
+        if key not in self.transcript:
             raise ReplayMiss(f"no recorded result for fingerprint {key[:16]}...")
-        return REPLAY_FALLBACK
+        return self.transcript[key]
 
     def to_jsonl(self) -> str:
-        lines = []
-        for fingerprint, result in sorted(self.transcript.items()):
-            lines.append(
-                json.dumps(
-                    {
-                        "fingerprint": fingerprint,
-                        "result": {
-                            "content": result.content,
-                            "tool_calls": [
-                                {"id": c.id, "name": c.name, "arguments": c.arguments_text}
-                                for c in result.tool_calls
-                            ],
-                        },
-                    },
-                    sort_keys=True,
-                )
+        lines = [
+            json.dumps(
+                {
+                    "fingerprint": fingerprint,
+                    "result": {"content": result.content, "tool_calls": [_call_to_json(c) for c in result.tool_calls]},
+                },
+                sort_keys=True,
             )
+            for fingerprint, result in sorted(self.transcript.items())
+        ]
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_jsonl(text: str, strict: bool = True) -> "ReplayBackend":
+    def from_jsonl(text: str) -> "ReplayBackend":
         transcript = {}
         for line in text.splitlines():
             if not line.strip():
                 continue
             obj = json.loads(line)
             result = obj["result"]
-            transcript[obj["fingerprint"]] = CompletionResult(
-                content=result.get("content", ""),
-                tool_calls=tuple(
-                    ToolCallRequest(id=c["id"], name=c["name"], arguments_text=c["arguments"])
-                    for c in result.get("tool_calls", [])
-                ),
-            )
-        return ReplayBackend(transcript, strict=strict)
+            calls = tuple(_call_from_json(c) for c in result.get("tool_calls", []))
+            transcript[obj["fingerprint"]] = CompletionResult(content=result.get("content", ""), tool_calls=calls)
+        return ReplayBackend(transcript)
 
 
 class RecordingBackend(CompletionBackend):
@@ -215,8 +200,8 @@ class RecordingBackend(CompletionBackend):
             self.transcript[key] = result
         return result
 
-    def to_replay(self, strict: bool = True) -> ReplayBackend:
-        return ReplayBackend(self.transcript, strict=strict)
+    def to_replay(self) -> ReplayBackend:
+        return ReplayBackend(self.transcript)
 
 
 class RemoteBackend(CompletionBackend):

@@ -1,6 +1,6 @@
 """Open ascending-price auction environment: sequential items, round-based
 bidding, budget enforcement, profit accounting, and per-round priority
-scores exported for analysis.
+scores kept on the environment's ``report``.
 
 One environment step is one bidding round. A round with at least one valid
 bid raises the standing bid (ties to the lowest agent id) and re-invites
@@ -67,12 +67,6 @@ class PriorityReport:
 
     def add(self, round_no: int, agent: int, item: str, score: float) -> None:
         self.rows.append((round_no, agent, item, score))
-
-    def to_csv(self) -> str:
-        lines = ["round,agent,item,score"]
-        for round_no, agent, item, score in self.rows:
-            lines.append(f"{round_no},{agent},{item},{score}")
-        return "\n".join(lines) + "\n"
 
 
 def resolve_round(

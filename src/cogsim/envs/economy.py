@@ -22,12 +22,12 @@ interest credited plus gross production income minus spending.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from ..seeds import child_rng
-from ..protocol import ActionEnvelope, Environment, Observation
-from ..errors import DegenerateX
+from ..protocol import ActionEnvelope, Environment, Observation, csv_table
+from ..errors import ConfigError, DegenerateX
 from ..schema import ResponseSchema
 from ..stats import fit_line
 
@@ -194,6 +194,10 @@ class EconomyConfig:
     # optional annual revision hook: year index (0-based) -> tax rate
     annual_tax_rates: list[float] | None = None
 
+    def __post_init__(self):
+        if self.initial_price <= 0:  # inflation divides by the previous price level
+            raise ConfigError("must be > 0", field="initial_price")
+
 
 class EconomyEnv(Environment):
     """One environment step per month; shared goods market, per-agent ledgers."""
@@ -259,27 +263,14 @@ class EconomyEnv(Environment):
         self.indicators.append(indicators)
         self.rate_history.append(self.state.policy.interest_rate)
         self.tax_history.append(self.state.policy.tax_rate)
-        self.events.append(
-            -1, self.state.month - 1, "month_close",
-            {
-                "month": indicators.month,
-                "unemployment": indicators.unemployment,
-                "price_level": indicators.price_level,
-                "inflation": indicators.inflation,
-                "gdp": indicators.gdp,
-                "gdp_growth": indicators.gdp_growth,
-            },
-        )
+        self.events.append(-1, self.state.month - 1, "month_close", vars(indicators))
         return self._observations()
 
     def indicators_csv(self) -> str:
-        lines = ["month,unemployment,price_level,inflation,gdp,gdp_growth,interest_rate,tax_rate"]
-        for ind, rate, tax in zip(self.indicators, self.rate_history, self.tax_history):
-            lines.append(
-                f"{ind.month},{ind.unemployment},{ind.price_level},{ind.inflation},"
-                f"{ind.gdp},{ind.gdp_growth},{rate},{tax}"
-            )
-        return "\n".join(lines) + "\n"
+        """One row per month: its :class:`MacroIndicators`, then the rates in force after it."""
+        header = [f.name for f in fields(MacroIndicators)] + ["interest_rate", "tax_rate"]
+        months = zip(self.indicators, self.rate_history, self.tax_history)
+        return csv_table(header, ([*vars(ind).values(), rate, tax] for ind, rate, tax in months))
 
     def metrics(self) -> dict[str, float]:
         if not self.indicators:

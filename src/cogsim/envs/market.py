@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from ..errors import ConfigError, LoanRefused, UndefinedRatio
-from ..protocol import ActionEnvelope, Environment, EventRecord, Observation, ToolSpec
+from ..protocol import ActionEnvelope, Environment, EventRecord, Observation, ToolSpec, csv_table
 from ..schema import ResponseSchema, validate_action
 
 SYMBOLS = ("A", "B")
@@ -60,13 +60,13 @@ class StockState:
     symbol: str
     price: float
     profile_text: str = ""
-    price_history: list[tuple[MarketClock, float]] = field(default_factory=list)
+    price_history: list[float] = field(default_factory=list)
 
-    def record_price(self, clock: MarketClock, price: float) -> None:
+    def record_price(self, price: float) -> None:
         if price <= 0:
             raise ValueError("stock price must stay positive")
         self.price = price
-        self.price_history.append((clock, price))
+        self.price_history.append(price)
 
 
 @dataclass
@@ -321,25 +321,15 @@ def _grant_loan(
     account.loan_principal += amount
 
 
-def accrue_and_lend(
-    accounts: dict[int, TraderAccount],
-    interest_rate: float,
-    loan_to_value: float,
-    prices: Mapping[str, float],
-    requests: Mapping[int, float] | None = None,
-) -> dict[int, float]:
-    """Daily pass: grow loan principal by the interest rate, then grant new
-    loans through :func:`_grant_loan`. Returns the granted amounts; an
-    over-cap request raises :class:`LoanRefused`.
+def accrue_and_lend(accounts: dict[int, TraderAccount], interest_rate: float) -> None:
+    """Daily interest: grow every loan principal by ``interest_rate``.
+
+    It only accrues; :meth:`MarketEnv._daily_loans` grants the day's loans. The
+    name stays because the benchmark's tracer reports
+    ``envs.market.accrue_and_lend.self_s`` under it.
     """
     for aid in sorted(accounts):
         accounts[aid].loan_principal *= 1.0 + interest_rate
-    grants: dict[int, float] = {}
-    for aid, amount in sorted((requests or {}).items()):
-        if amount > 0:
-            _grant_loan(accounts, aid, amount, loan_to_value, prices)
-            grants[aid] = amount
-    return grants
 
 
 def price_change_rate(history: list[float]) -> float:
@@ -349,11 +339,7 @@ def price_change_rate(history: list[float]) -> float:
     return (history[-1] - history[0]) / history[0]
 
 
-def buy_sell_ratio(
-    records: list[EventRecord],
-    symbol: str,
-    day_range: tuple[int, int] | None = None,
-) -> float:
+def buy_sell_ratio(records: list[EventRecord], symbol: str) -> float:
     """Mean over days of (#submitted buys / #submitted sells) for one stock."""
     buys: dict[int, int] = defaultdict(int)
     sells: dict[int, int] = defaultdict(int)
@@ -362,15 +348,13 @@ def buy_sell_ratio(
         if record.action != "submit_order" or record.info.get("symbol") != symbol:
             continue
         day = record.info["day"]
-        if day_range is not None and not (day_range[0] <= day <= day_range[1]):
-            continue
         days.add(day)
         if record.info["side"] == "buy":
             buys[day] += 1
         else:
             sells[day] += 1
     if not days:
-        raise UndefinedRatio(f"no orders for {symbol} in range")
+        raise UndefinedRatio(f"no orders for {symbol}")
     ratios = []
     for day in sorted(days):
         if sells[day] == 0:
@@ -379,18 +363,13 @@ def buy_sell_ratio(
     return sum(ratios) / len(ratios)
 
 
+CLEAR_COLUMNS = ("day", "session", "symbol", "price", "volume", "n_buys", "n_sells")
+
+
 def session_metrics_csv(records: list[EventRecord]) -> str:
-    """Per-session market metrics from the event stream."""
-    lines = ["day,session,symbol,price,volume,n_buys,n_sells"]
-    for record in records:
-        if record.action != "clear":
-            continue
-        info = record.info
-        lines.append(
-            f"{info['day']},{info['session']},{info['symbol']},{info['price']},"
-            f"{info['volume']},{info['n_buys']},{info['n_sells']}"
-        )
-    return "\n".join(lines) + "\n"
+    """Per-session market metrics: the ``clear`` events' info, one row each."""
+    rows = ([record.info[column] for column in CLEAR_COLUMNS] for record in records if record.action == "clear")
+    return csv_table(CLEAR_COLUMNS, rows)
 
 
 # --- environment ----------------------------------------------------------------
@@ -416,6 +395,8 @@ class MarketConfig:
         for name in ("initial_prices", "initial_holdings"):
             if set(getattr(self, name)) != set(SYMBOLS):
                 raise ConfigError(f"must have exactly the symbols {', '.join(SYMBOLS)}", field=name)
+        if min(self.initial_prices.values()) <= 0:
+            raise ConfigError("every price must be > 0", field="initial_prices")
 
 
 ACTION_SCHEMA = ResponseSchema.of(loan_request="number?", orders="array", forum_post="string?")
@@ -442,11 +423,9 @@ class MarketEnv(Environment):
         self.clock = MarketClock(1, 1)
         self.t = 0
         self.stocks = {
-            sym: StockState(symbol=sym, price=cfg.initial_prices[sym], profile_text=cfg.profiles.get(sym, ""))
+            sym: StockState(sym, cfg.initial_prices[sym], cfg.profiles.get(sym, ""), [cfg.initial_prices[sym]])
             for sym in SYMBOLS
         }
-        for sym in SYMBOLS:
-            self.stocks[sym].price_history.append((MarketClock(1, 0), cfg.initial_prices[sym]))
         self.accounts = {
             aid: TraderAccount(
                 agent=aid,
@@ -551,14 +530,15 @@ class MarketEnv(Environment):
         return self._observations()
 
     def _daily_loans(self, actions: Mapping[int, ActionEnvelope]) -> None:
-        requests = {}
+        """Accrue the day's interest, then grant each positive ``loan_request`` in
+        ascending agent id, logging a ``loan``, or a ``reject_loan`` over the cap."""
+        accrue_and_lend(self.accounts, self.config.interest_rate)
+        prices = {sym: self.stocks[sym].price for sym in SYMBOLS}
         for aid in sorted(actions):
             amount = actions[aid].body.get("loan_request")
-            if isinstance(amount, (int, float)) and amount > 0:
-                requests[aid] = float(amount)
-        prices = {sym: self.stocks[sym].price for sym in SYMBOLS}
-        accrue_and_lend(self.accounts, self.config.interest_rate, self.config.loan_to_value, prices)
-        for aid, amount in sorted(requests.items()):
+            if not (isinstance(amount, (int, float)) and amount > 0):
+                continue
+            amount = float(amount)
             try:
                 _grant_loan(self.accounts, aid, amount, self.config.loan_to_value, prices)
             except LoanRefused as exc:
@@ -641,19 +621,8 @@ class MarketEnv(Environment):
         price, trades, _unmatched = clear_session(book, stock.price)
         settle(trades, self.accounts)
         for trade in trades:
-            self.events.append(
-                trade.buyer, self.t, "trade",
-                {
-                    "symbol": sym,
-                    "price": trade.price,
-                    "quantity": trade.quantity,
-                    "buyer": trade.buyer,
-                    "seller": trade.seller,
-                    "buy_order_id": trade.buy_order_id,
-                    "sell_order_id": trade.sell_order_id,
-                },
-            )
-        stock.record_price(self.clock, price)
+            self.events.append(trade.buyer, self.t, "trade", vars(trade))
+        stock.record_price(price)
         self.events.append(
             ENV_ACTOR, self.t, "clear",
             {
@@ -672,7 +641,7 @@ class MarketEnv(Environment):
     def metrics(self) -> dict[str, float]:
         out: dict[str, float] = {}
         for sym in SYMBOLS:
-            prices = [p for _, p in self.stocks[sym].price_history]
+            prices = self.stocks[sym].price_history
             out[f"price_{sym}"] = prices[-1]
             out[f"price_change_{sym}"] = price_change_rate(prices)
         volume = buys = sells = 0

@@ -107,16 +107,6 @@ class ScoreReport:
     subscale_normalized: dict[str, float]
     bias_by_pair: dict[str, float]
 
-    def to_csv(self) -> str:
-        lines = ["kind,name,value"]
-        for name in sorted(self.subscale_raw):
-            lines.append(f"subscale_raw,{name},{self.subscale_raw[name]}")
-        for name in sorted(self.subscale_normalized):
-            lines.append(f"subscale_normalized,{name},{self.subscale_normalized[name]}")
-        for name in sorted(self.bias_by_pair):
-            lines.append(f"bias,{name},{self.bias_by_pair[name]}")
-        return "\n".join(lines) + "\n"
-
 
 def shuffle_items(items: Sequence[Item], seed: int) -> list[Item]:
     """Seeded Fisher-Yates permutation of the item list."""

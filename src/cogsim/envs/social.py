@@ -242,6 +242,8 @@ class SocialEnv(Environment):
         super().__init__()
         if feed_cap < 0:
             raise ConfigError("must be >= 0", field="feed_cap")
+        if influencer not in profiles:
+            raise ConfigError("must be one of the agent ids", field="influencer")
         self.profiles = profiles
         self.feed_cap = feed_cap
         self.seed_post = seed_post

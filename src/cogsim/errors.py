@@ -30,7 +30,7 @@ class UnknownRecipient(SimulationError):
 
 
 class ReplayMiss(SimulationError):
-    """A strict replay backend saw a request with no recorded result."""
+    """A replay backend saw a request with no recorded result."""
 
 
 class RemoteExhausted(SimulationError):

@@ -36,6 +36,14 @@ def join_text(text: Text) -> str:
     return text if isinstance(text, str) else "".join(text)
 
 
+def csv_table(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
+    """The CSV format of every table a run writes: each cell is ``str(value)``,
+    ``None`` is an empty cell, and every line ends in a newline."""
+    lines = [",".join(header)]
+    lines += (",".join("" if value is None else str(value) for value in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class Message:
     """One unit of environment-mediated communication.
@@ -116,9 +124,13 @@ class ActionEnvelope:
     body: dict[str, Any]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
-    """One append-only simulation log line."""
+    """One append-only simulation log line; its fields are the line's keys.
+
+    Slotted, so ``to_json`` reads the fields by name: ``vars()`` would attach
+    a dict to every record an episode keeps.
+    """
 
     user_id: AgentId
     current_time: TimeStep
@@ -126,14 +138,7 @@ class EventRecord:
     info: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return canonical_json(
-            {
-                "user_id": self.user_id,
-                "current_time": self.current_time,
-                "action": self.action,
-                "info": self.info,
-            }
-        )
+        return canonical_json({name: getattr(self, name) for name in self.__slots__})
 
 
 class EventLog:
@@ -265,14 +270,7 @@ class EpisodeLog:
             if "summary" in obj:
                 summary = obj["summary"]
             else:
-                records.append(
-                    EventRecord(
-                        user_id=obj["user_id"],
-                        current_time=obj["current_time"],
-                        action=obj["action"],
-                        info=obj["info"],
-                    )
-                )
+                records.append(EventRecord(**obj))
         return EpisodeLog(
             records=records,
             total_rewards={int(k): v for k, v in summary.get("total_rewards", {}).items()},

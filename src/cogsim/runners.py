@@ -30,7 +30,7 @@ from .envs.questionnaire import Item, QuestionnaireEnv, check_item_bank
 from .envs.social import SocialEnv, star_profiles
 from .errors import ConfigError, TooFewSamples, ZeroVariance
 from .memory import MEMORY_VARIANTS, MemoryEntry, MemoryStore
-from .protocol import Environment, EpisodeLog, EventRecord, run_episode, step_world
+from .protocol import Environment, EpisodeLog, EventRecord, csv_table, run_episode, step_world
 from .stats import mean_and_pstdev, paired_t_test
 
 
@@ -61,11 +61,11 @@ def _scripted_backend(rules: Sequence[ScriptedRule] = (), default_content: str =
     return ScriptedBackend(table, default=CompletionResult(content=default_content))
 
 
-def _replay_backend(transcript_path: str, strict: bool = True) -> CompletionBackend:
+def _replay_backend(transcript_path: str) -> CompletionBackend:
     path = Path(transcript_path)
     if not path.is_file():
         raise ConfigError(f"file not found: {path}", field="transcript_path")
-    return ReplayBackend.from_jsonl(path.read_text(encoding="utf-8"), strict=strict)
+    return ReplayBackend.from_jsonl(path.read_text(encoding="utf-8"))
 
 
 BACKENDS: dict[str, Kind] = {
@@ -78,7 +78,7 @@ MEMORIES: dict[str, Kind] = {name: Kind(cls) for name, cls in MEMORY_VARIANTS.it
 
 
 def _metric_table(env: Environment, records: list[EventRecord]) -> str:
-    return "metric,value\n" + "".join(f"{name},{value}\n" for name, value in sorted(env.metrics().items()))
+    return csv_table(("metric", "value"), sorted(env.metrics().items()))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -431,13 +431,10 @@ class TrialsResult:
 
     def to_csv(self) -> str:
         names = self.metric_names()
-        lines = ["seed," + ",".join(names)]
-        for seed, metrics in self.rows:
-            lines.append(str(seed) + "," + ",".join(str(metrics.get(n, "")) for n in names))
         means, stds = self.summary()
-        lines.append("mean," + ",".join(str(means[n]) for n in names))
-        lines.append("stddev," + ",".join(str(stds[n]) for n in names))
-        return "\n".join(lines) + "\n"
+        rows = [[seed, *(metrics.get(n) for n in names)] for seed, metrics in self.rows]
+        rows += [["mean", *(means[n] for n in names)], ["stddev", *(stds[n] for n in names)]]
+        return csv_table(["seed", *names], rows)
 
 
 def run_trials(config: ExperimentConfig) -> TrialsResult:
@@ -505,11 +502,8 @@ class TransferResult:
     episodes: list[tuple[str, EpisodeLog]] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = ["pair,diff,t,p,df"]
-        for pair in sorted(self.diffs_by_pair):
-            stats = self.t_tests.get(pair)
-            lines.append(f"{pair},{self.diffs_by_pair[pair]}," + (",," if stats is None else ",".join(map(str, stats))))
-        return "\n".join(lines) + "\n"
+        rows = ([pair, diff, *(self.t_tests.get(pair) or (None,) * 3)] for pair, diff in sorted(self.diffs_by_pair.items()))
+        return csv_table(("pair", "diff", "t", "p", "df"), rows)
 
 
 def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> TransferResult:
@@ -639,7 +633,7 @@ def multiworld_harness(config: ExperimentConfig) -> HarnessResult:
     return HarnessResult(
         f"multiworld: {[e.name for e in envs]} x {section.cycles} cycles",
         [("multiworld", log)],
-        "world,records\n" + "".join(f"{world},{counts[world]}\n" for world in sorted(counts)),
+        csv_table(("world", "records"), sorted(counts.items())),
         {"steps": log.steps_executed, **counts},
     )
 
@@ -733,12 +727,8 @@ class AblationTable:
     episodes: list[tuple[str, EpisodeLog]] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = ["setting,stock_A,stock_B,delta_A,delta_B"]
-        for row in self.rows:
-            da = "" if row.delta_a is None else str(row.delta_a)
-            db = "" if row.delta_b is None else str(row.delta_b)
-            lines.append(f"{row.setting},{row.stock_a},{row.stock_b},{da},{db}")
-        return "\n".join(lines) + "\n"
+        header = ("setting", "stock_A", "stock_B", "delta_A", "delta_B")
+        return csv_table(header, (vars(row).values() for row in self.rows))
 
 
 def run_tariff_ablation(

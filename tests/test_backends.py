@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 import time
@@ -6,7 +7,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from cogsim.backends import (
-    REPLAY_FALLBACK,
     ChatTurn,
     CompletionRequest,
     CompletionResult,
@@ -80,11 +80,6 @@ def test_replay_hit_and_miss():
         backend.complete(simple_request("perturbed"))
 
 
-def test_replay_non_strict_falls_back():
-    backend = ReplayBackend({}, strict=False)
-    assert backend.complete(simple_request("x")) == REPLAY_FALLBACK
-
-
 def test_fingerprint_ignores_model_and_temperature_by_default():
     a = request_fingerprint(simple_request("q", model_id="m1", temperature=0.0))
     b = request_fingerprint(simple_request("q", model_id="m2", temperature=1.0))
@@ -120,6 +115,25 @@ def test_replay_transcript_jsonl_roundtrip():
     restored = ReplayBackend.from_jsonl(text)
     assert restored.complete(simple_request("q")).content == "a"
     assert restored.to_jsonl() == text
+
+
+def test_fingerprint_and_transcript_bytes_are_pinned():
+    call = ToolCallRequest(id="call_1", name="news", arguments_text='{"topic": "tariffs"}')
+    request = CompletionRequest(
+        turns=[
+            ChatTurn(role="user", content="q"),
+            ChatTurn(role="assistant", content="", tool_calls=(call,)),
+            ChatTurn(role="tool", content="none", tool_call_id="call_1"),
+        ],
+        tools=[make_tool("news", lambda topic: "", topic="string")],
+        response_schema=ResponseSchema.of(a="integer"),
+    )
+    key = request_fingerprint(request)
+    assert key == "60fabfcc7fbeec247f112455861f78c0ff5a9bef62af72a94e38064e986424e8"
+    text = ReplayBackend({key: CompletionResult(content="checking", tool_calls=(call,))}).to_jsonl()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "d832dfc94f5574cb7738c4ee5d26e0e8bc213f47914cdbe3e2a416a682fc894b"
+    assert ReplayBackend.from_jsonl(text).complete(request).tool_calls == (call,)
 
 
 # --- tool loop ---------------------------------------------------------------

@@ -358,6 +358,16 @@ SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
         ({"agents": {"memory": {"kind": "buffer", "capacity": "3"}}}, "agents.memory.capacity"),
         ({"environment": {"kind": "market", "agents": 3, "days": "2"}}, "environment.days"),
         ({"ablation": {"headline": "h", "summary": ["x"], "news": []}}, "ablation.summary"),
+        (
+            {"backend": {"kind": "replay", "transcript_path": str(CONFIGS / "bias_items.jsonl"), "strict": False}},
+            "backend.strict",
+        ),
+        ({"environment": {"kind": "economy", "agents": 3, "initial_price": 0.0}}, "environment.initial_price"),
+        (
+            {"environment": {"kind": "market", "agents": 3, "initial_prices": {"A": 0.0, "B": 45.0}}},
+            "environment.initial_prices",
+        ),
+        ({"environment": {"kind": "social", "agents": 3, "influencer": 7}}, "environment.influencer"),
     ],
     ids=[
         "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
@@ -370,7 +380,8 @@ SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
         "negative-agents", "zero-agents", "bool-agents", "negative-feed-cap", "transfer-source-zero-agents",
         "multiworld-negative-feed-cap", "auction-item-without-true-value", "market-prices-missing-a-symbol",
         "carry-memory-string", "negative-parse-retries", "negative-days", "phase2-seed-string", "source-steps-string",
-        "tool-rounds-string", "memory-capacity-string", "days-string", "ablation-summary-list",
+        "tool-rounds-string", "memory-capacity-string", "days-string", "ablation-summary-list", "replay-strict",
+        "zero-initial-price", "zero-initial-prices", "influencer-outside-roster",
     ],
 )
 def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, capsys):
@@ -480,6 +491,43 @@ def test_shipped_configs_run_clean(name, command, tmp_path, monkeypatch):
     assert (out / "manifest.json").exists()
     digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("events.jsonl", "metrics.csv"))
     assert digests == SHIPPED_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "environment,backend,digest",
+    [
+        (
+            {"kind": "economy", "agents": 4, "months": 14, "annual_tax_rates": [0.1, 0.15]},
+            {
+                "kind": "scripted",
+                "rules": [
+                    {
+                        "contains": "(last month: employed)",
+                        "content": json.dumps({"work_propensity": 0.3, "consumption_propensity": 0.6}),
+                    }
+                ],
+                "default_content": json.dumps({"work_propensity": 0.8, "consumption_propensity": 0.2}),
+            },
+            "0a07698bdff309385d45f5fd2db83c3b17a5098faeafccba7c72f4128a0668f8",
+        ),
+        (
+            {"kind": "auction", "items": AUCTION_ITEMS},
+            {
+                "kind": "scripted",
+                "rules": [{"contains": "(round 1)", "content": json.dumps({"bid": 11.5})}],
+                "default_content": json.dumps({"bid": None}),
+            },
+            "01d9664aa2d88f078697aa514659834f7d64ca5e761572bdeea3601fb21836e1",
+        ),
+    ],
+    ids=["economy-indicators", "auction-metric-value"],
+)
+def test_metrics_bytes_of_unshipped_kinds_are_pinned(environment, backend, digest, tmp_path):
+    """The two table formats no shipped config writes: an economy's indicators and a metric,value table."""
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {"environment": environment, "backend": backend, "out": str(out)})
+    assert main(["run", "--config", str(config)]) == 0
+    assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == digest
 
 
 def test_shipped_ablation_config_runs_clean(tmp_path, monkeypatch):

@@ -1,11 +1,15 @@
-"""Every module of the package uses each name it imports, and every
-module-level UPPER_CASE constant is named somewhere besides its definition.
+"""Every module of the package uses each name it imports, every
+module-level UPPER_CASE constant is named somewhere besides its definition,
+and every per-layer family of the benchmark's tracer still measures a
+cogsim function.
 
 ``__init__.py`` is exempt from the import check: it imports names to
 re-export them.
 """
 
 import ast
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -58,3 +62,40 @@ def test_every_constant_is_named_outside_its_definition():
             if sum(len(pattern.findall(text)) for text in texts) < 2:
                 unused.append(f"{path.relative_to(PACKAGE)}:{name}")
     assert not unused, f"constants that nothing names: {unused}"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def anchor_resolves(name: str, modules: tuple[str, ...]) -> bool:
+    """Whether ``name`` is what ``Tracer.install`` wraps: a function of a traced
+    module, or a function in the own ``__dict__`` of a class defined there."""
+    short = max((m for m in modules if name.startswith(f"{m}.")), key=len, default=None)
+    if short is None:
+        return False
+    module = importlib.import_module(f"cogsim.{short}")
+    owner, _, attr = name[len(short) + 1:].rpartition(".")
+    if not owner:
+        return inspect.isfunction(vars(module).get(attr))
+    cls = vars(module).get(owner)
+    if not (inspect.isclass(cls) and cls.__module__ == module.__name__):
+        return False
+    value = vars(cls).get(attr)
+    return inspect.isfunction(value.__func__ if isinstance(value, (staticmethod, classmethod)) else value)
+
+
+def test_every_tracer_family_keeps_a_live_anchor():
+    tracer = load_tracer()
+    synthetic = {tracer.HTTP, tracer.BACKOFF, tracer.MODEL}
+    families: dict[str, list[str]] = {}
+    for name, family in tracer.ANCHORS.items():
+        if family not in synthetic:
+            families.setdefault(family, []).append(name)
+    dead = sorted(
+        family for family, names in families.items() if not any(anchor_resolves(n, tracer.MODULES) for n in names)
+    )
+    assert not dead, f"tracer families whose every anchor names no cogsim function: {dead}"

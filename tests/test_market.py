@@ -14,6 +14,7 @@ from cogsim.envs.market import (
     NewsItem,
     Order,
     TraderAccount,
+    _grant_loan,
     _max_flow,
     accrue_and_lend,
     buy_sell_ratio,
@@ -335,14 +336,14 @@ def test_clearing_has_no_self_trades_and_settle_conserves(book):
 
 def test_interest_accrues_daily():
     accounts = {0: TraderAccount(agent=0, cash=0.0, holdings={}, loan_principal=100.0)}
-    accrue_and_lend(accounts, 0.01, 0.5, {"A": 30.0, "B": 45.0})
+    accrue_and_lend(accounts, 0.01)
     assert accounts[0].loan_principal == pytest.approx(101.0)
 
 
 def test_zero_rate_keeps_principal():
     accounts = {0: TraderAccount(agent=0, cash=0.0, holdings={}, loan_principal=123.0)}
     for _ in range(10):
-        accrue_and_lend(accounts, 0.0, 0.5, {"A": 30.0, "B": 45.0})
+        accrue_and_lend(accounts, 0.0)
     assert accounts[0].loan_principal == 123.0
 
 
@@ -352,13 +353,12 @@ def test_loan_cap_closed_form():
         return {0: TraderAccount(agent=0, cash=1000.0, holdings={}, loan_principal=400.0)}
 
     accounts = account()
-    grants = accrue_and_lend(accounts, 0.0, 0.5, {"A": 1.0, "B": 1.0}, {0: 100.0})
-    assert grants == {0: 100.0}
+    _grant_loan(accounts, 0, 100.0, 0.5, {"A": 1.0, "B": 1.0})
     assert accounts[0].cash == 1100.0
     assert accounts[0].loan_principal == 500.0
 
     with pytest.raises(LoanRefused):
-        accrue_and_lend(account(), 0.0, 0.5, {"A": 1.0, "B": 1.0}, {0: 100.5})
+        _grant_loan(account(), 0, 100.5, 0.5, {"A": 1.0, "B": 1.0})
 
 
 # --- ratios and rates ------------------------------------------------------------
@@ -464,8 +464,7 @@ def test_all_holding_keeps_prices_constant():
     env = MarketEnv(MarketConfig(n_agents=4, days=3))
     log = run_episode(env, {aid: hold_policy for aid in range(4)}, max_steps=100, seed=0)
     for sym in ("A", "B"):
-        prices = [p for _, p in env.stocks[sym].price_history]
-        assert len(set(prices)) == 1
+        assert len(set(env.stocks[sym].price_history)) == 1
 
 
 def test_sell_of_unowned_stock_rejected_and_logged():

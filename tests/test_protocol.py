@@ -12,6 +12,7 @@ from cogsim.protocol import (
     EventRecord,
     Message,
     Observation,
+    csv_table,
     route_messages,
     run_episode,
 )
@@ -218,6 +219,11 @@ def test_episode_log_jsonl_roundtrip():
     assert back.total_rewards == log.total_rewards
     assert back.seed == log.seed
     assert back.steps_executed == log.steps_executed
+
+
+def test_csv_table_cells_are_str_with_none_empty():
+    assert csv_table(("a", "b", "c"), [(1, None, "x"), (2.5, True, "")]) == "a,b,c\n1,,x\n2.5,True,\n"
+    assert csv_table(("a",), []) == "a\n"
 
 
 def test_jsonl_field_names_exact():

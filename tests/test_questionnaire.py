@@ -213,11 +213,3 @@ def test_env_respects_seeded_order():
     env_c = QuestionnaireEnv(items, seed=9)
     assert [i.item_id for i in env_a.order] != [i.item_id for i in env_c.order]
 
-
-def test_report_csv_shape():
-    items = make_pair("p")
-    sheet = ResponseSheet(responses={"p_c": 4, "p_t": 6}, order=["p_c", "p_t"], seed=0)
-    csv_text = score(sheet, items).to_csv()
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "kind,name,value"
-    assert any(line.startswith("bias,p,") for line in lines)
