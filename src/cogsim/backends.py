@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-import requests
-
 from .errors import ConfigError, ParseFailure, RemoteExhausted, RemoteTimeout, ReplayMiss
 from .protocol import ToolSpec
 from .schema import ResponseSchema, canonical_json, validate_action
@@ -213,6 +211,9 @@ class RemoteBackend(CompletionBackend):
     waits 2^n x 100 ms, jittered from the injected stream), or as long as a
     429's ``Retry-After`` delta-seconds say (RFC 9110 section 10.2.3). Other
     4xx responses are fatal. At most ``in_flight_limit`` requests are open.
+
+    ``requests`` is imported when the first remote backend is built, so a
+    run on a local backend never loads an HTTP client.
     """
 
     def __init__(
@@ -223,8 +224,10 @@ class RemoteBackend(CompletionBackend):
         timeout: float = 30.0,
         rng: random.Random | None = None,
         sleeper: Callable[[float], None] = time.sleep,
-        session: requests.Session | None = None,
+        session: Any = None,  # a requests.Session; None opens one
     ):
+        import requests
+
         if in_flight_limit < 1:
             raise ConfigError("must be >= 1", field="in_flight_limit")
         self.endpoint = endpoint
@@ -287,6 +290,8 @@ class RemoteBackend(CompletionBackend):
         return 0.1 * (2**attempt) * jitter
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
+        import requests  # already loaded by __init__
+
         body = self._body(request)
         last_error: Exception | None = None
         timed_out = False

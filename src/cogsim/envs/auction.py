@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from ..errors import ConfigError
 from ..protocol import ActionEnvelope, Environment, Observation
 from ..schema import ResponseSchema
 
@@ -136,6 +137,8 @@ class AuctionEnv(Environment):
         super().__init__()
         if len(bidder_ids) < 2:
             raise ValueError("an auction needs at least two bidders")
+        if min_increment <= 0:  # a repeated bid would keep the item open for ever
+            raise ConfigError("must be > 0", field="min_increment")
         self.items = list(items)
         self.agent_ids = sorted(bidder_ids)
         self.initial_budget = budget

@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import InitVar, dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, ContextManager, Iterable, Mapping
 
 from .errors import AgentMissing, SchemaViolation, UnknownRecipient
 from .schema import ResponseSchema, canonical_json, validate_action
@@ -256,8 +256,8 @@ class EpisodeLog:
                 "total_rewards": {str(k): v for k, v in sorted(self.total_rewards.items())},
             }
         }
-        lines.append(canonical_json(summary))
-        return "\n".join(lines) + "\n"
+        lines += (canonical_json(summary), "")  # the empty last line ends the text in "\n"
+        return "\n".join(lines)
 
     @staticmethod
     def from_jsonl(text: str) -> "EpisodeLog":
@@ -344,6 +344,11 @@ def step_world(
     return env.step(actions)
 
 
+def policy_pool(agents: Mapping[AgentId, Any], parallel: bool) -> ContextManager[Executor | None]:
+    """The thread pool a run's ``step_world`` calls fan out to, or no pool unless ``parallel``."""
+    return ThreadPoolExecutor(max_workers=min(len(agents), 16) or 1) if parallel else nullcontext()
+
+
 def run_episode(
     env: Environment,
     agents: Mapping[AgentId, Any],
@@ -360,7 +365,7 @@ def run_episode(
     """
     observations = env.reset()
     steps = 0
-    with ThreadPoolExecutor(max_workers=min(len(agents), 16) or 1) if parallel else nullcontext() as pool:
+    with policy_pool(agents, parallel) as pool:
         while not env.done() and (max_steps is None or steps < max_steps):
             observations = step_world(env, observations, agents, pool)
             steps += 1

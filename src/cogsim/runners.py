@@ -30,7 +30,7 @@ from .envs.questionnaire import Item, QuestionnaireEnv, check_item_bank
 from .envs.social import SocialEnv, star_profiles
 from .errors import ConfigError, TooFewSamples, ZeroVariance
 from .memory import MEMORY_VARIANTS, MemoryEntry, MemoryStore
-from .protocol import Environment, EpisodeLog, EventRecord, csv_table, run_episode, step_world
+from .protocol import Environment, EpisodeLog, EventRecord, csv_table, policy_pool, run_episode, step_world
 from .stats import mean_and_pstdev, paired_t_test
 
 
@@ -205,6 +205,12 @@ class ExperimentConfig:
     transfer: TransferConfig | None = None
     multiworld: MultiWorldConfig | None = None
     ablation: AblationConfig | None = None
+
+    @property
+    def parallel(self) -> bool:
+        """Whether agents' policy calls within a step fan out to a thread pool:
+        on a remote backend, so that up to ``in_flight_limit`` requests are open."""
+        return self.backend["kind"] == "remote"
 
 
 _SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
@@ -399,7 +405,7 @@ def run_harness(config: ExperimentConfig) -> HarnessResult:
     kind = ENVIRONMENTS[config.environment["kind"]]
     check_step_limit(config.environment, config.max_steps)
     env, agents = build_setup(config, config.seed)
-    log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed)
+    log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed, parallel=config.parallel)
     summary = {"seed": config.seed, "steps": log.steps_executed, **env.metrics()}
     title = f"run: {config.environment['kind']} environment"
     return HarnessResult(title, [("run", log)], kind.metrics_csv(env, log.records), summary, kind.report(env))
@@ -450,7 +456,7 @@ def run_trials(config: ExperimentConfig) -> TrialsResult:
         seed = config.seed + i
         try:
             env, agents = build_setup(config, seed)
-            log = run_episode(env, agents, max_steps=config.max_steps, seed=seed)
+            log = run_episode(env, agents, max_steps=config.max_steps, seed=seed, parallel=config.parallel)
             rows.append((seed, env.metrics()))
             episodes.append((f"trial/{seed}", log))
         except Exception as exc:  # a broken trial must not sink the study
@@ -474,7 +480,8 @@ def trials_harness(config: ExperimentConfig) -> HarnessResult:
 @dataclass
 class TransferPlan:
     """Phase 1 populates memories in the source world; phase 2 administers the
-    instrument twice, with carried and with fresh stores."""
+    instrument twice, with carried and with fresh stores. ``parallel`` fans
+    each episode's policy calls out as in :func:`run_episode`."""
 
     source_env_factory: Callable[[int], Environment]
     agent_ids: list[int]
@@ -484,6 +491,7 @@ class TransferPlan:
     carry_memory: bool = True
     seed: int = 0
     phase2_seed: int = 0
+    parallel: bool = False
 
 
 @dataclass
@@ -513,7 +521,10 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
     phase1_agents = {aid: plan.agent_factory(aid, plan.memory_factory()) for aid in plan.agent_ids}
     for agent in phase1_agents.values():
         agent.world_tag = source_env.name
-    episodes = [("source", run_episode(source_env, phase1_agents, max_steps=plan.source_steps, seed=plan.seed))]
+    phase1 = run_episode(
+        source_env, phase1_agents, max_steps=plan.source_steps, seed=plan.seed, parallel=plan.parallel
+    )
+    episodes = [("source", phase1)]
     archives = {aid: phase1_agents[aid].memory.to_jsonl() for aid in plan.agent_ids}
 
     def administer(tag: str, restore: bool) -> dict[int, dict[str, float]]:
@@ -524,7 +535,8 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
             agent = plan.agent_factory(aid, memory)
             agent.world_tag = env.name
             agents[aid] = agent
-        episodes.append((tag, run_episode(env, agents, max_steps=len(instrument.items), seed=plan.phase2_seed)))
+        log = run_episode(env, agents, max_steps=len(instrument.items), seed=plan.phase2_seed, parallel=plan.parallel)
+        episodes.append((tag, log))
         return {aid: env.score_report(aid).bias_by_pair for aid in plan.agent_ids}
 
     carry_scores = administer("carry", restore=plan.carry_memory)
@@ -573,6 +585,7 @@ def transfer_harness(config: ExperimentConfig) -> HarnessResult:
         carry_memory=section.carry_memory,
         seed=config.seed,
         phase2_seed=config.seed if section.phase2_seed is None else section.phase2_seed,
+        parallel=config.parallel,
     )
     result = run_memory_transfer(plan, InstrumentSpec(items=section.items))
     title = "memory transfer: carry minus fresh bias per pair"
@@ -594,29 +607,32 @@ class MultiWorldSchedule:
             raise ConfigError("must be >= 0", field="cycles")
 
 
-def run_multiworld(schedule: MultiWorldSchedule, agents: Mapping[int, Any], seed: int = 0) -> EpisodeLog:
+def run_multiworld(
+    schedule: MultiWorldSchedule, agents: Mapping[int, Any], seed: int = 0, parallel: bool = False
+) -> EpisodeLog:
     """Cycle a shared roster through the environments, one step each per cycle.
 
     Agent configs and memories persist across phases; environment states are
     never reset between cycles. Log records carry their world tag in
-    ``info["world"]``.
+    ``info["world"]``. ``parallel`` fans policy calls out as in :func:`run_episode`.
     """
     observations = {id(env): env.reset() for env in schedule.environments}
     marks = {id(env): 0 for env in schedule.environments}
     records: list[EventRecord] = []
     steps = 0
-    for _cycle in range(schedule.cycles):
-        for env in schedule.environments:
-            if env.done():
-                continue
-            for agent in agents.values():
-                if hasattr(agent, "world_tag"):
-                    agent.world_tag = env.name
-            observations[id(env)] = step_world(env, observations[id(env)], agents)
-            steps += 1
-            fresh = env.events.snapshot(marks[id(env)])
-            marks[id(env)] += len(fresh)
-            records.extend(replace(record, info={**record.info, "world": env.name}) for record in fresh)
+    with policy_pool(agents, parallel) as pool:
+        for _cycle in range(schedule.cycles):
+            for env in schedule.environments:
+                if env.done():
+                    continue
+                for agent in agents.values():
+                    if hasattr(agent, "world_tag"):
+                        agent.world_tag = env.name
+                observations[id(env)] = step_world(env, observations[id(env)], agents, pool)
+                steps += 1
+                fresh = env.events.snapshot(marks[id(env)])
+                marks[id(env)] += len(fresh)
+                records.extend(replace(record, info={**record.info, "world": env.name}) for record in fresh)
     return EpisodeLog(records=records, total_rewards=dict.fromkeys(agents, 0.0), seed=seed, steps_executed=steps)
 
 
@@ -628,7 +644,7 @@ def multiworld_harness(config: ExperimentConfig) -> HarnessResult:
         schedule = MultiWorldSchedule(environments=envs, cycles=section.cycles)
     n = max(spec["agents"] for spec in section.environments)
     agents = build_agents(config.agents, make(BACKENDS, config.backend), n, world_tag=envs[0].name)
-    log = run_multiworld(schedule, agents, seed=config.seed)
+    log = run_multiworld(schedule, agents, seed=config.seed, parallel=config.parallel)
     counts = Counter(record.info.get("world", "?") for record in log.records)
     return HarnessResult(
         f"multiworld: {[e.name for e in envs]} x {section.cycles} cycles",
@@ -681,6 +697,7 @@ class TariffStudy:
     agents: AgentsConfig = field(default_factory=AgentsConfig)
     trials: int = 5
     base_seed: int = 0
+    parallel: bool = False
 
 
 def ablation_agents(study: TariffStudy, setting: AblationSetting) -> dict[int, Agent]:
@@ -749,7 +766,7 @@ def run_tariff_ablation(
             seed = study.base_seed + i
             env = ablation_environment(study, setting)
             agents = ablation_agents(study, setting)
-            log = run_episode(env, agents, max_steps=None, seed=seed)
+            log = run_episode(env, agents, max_steps=None, seed=seed, parallel=study.parallel)
             episodes.append((f"setting_{setting.level}/trial/{seed}", log))
             ratios_a.append(buy_sell_ratio(log.records, "A"))
             ratios_b.append(buy_sell_ratio(log.records, "B"))
@@ -785,6 +802,7 @@ def ablation_harness(config: ExperimentConfig) -> HarnessResult:
         agents=config.agents,
         trials=config.trials,
         base_seed=config.seed,
+        parallel=config.parallel,
     )
     table = run_tariff_ablation(study, settings)
     ratios = {f"setting_{row.setting}": f"A={row.stock_a:.4f} B={row.stock_b:.4f}" for row in table.rows}

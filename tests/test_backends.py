@@ -19,6 +19,7 @@ from cogsim.backends import (
     request_fingerprint,
     run_tool_loop,
 )
+from cogsim.cli import main
 from cogsim.errors import ParseFailure, RemoteExhausted, ReplayMiss
 from cogsim.protocol import ToolSpec
 from cogsim.schema import ResponseSchema
@@ -344,6 +345,7 @@ class StubHandler(BaseHTTPRequestHandler):
     max_concurrent = 0
     lock = threading.Lock()
     delay = 0.0
+    content = "stub says hi"
 
     def do_POST(self):
         cls = type(self)
@@ -358,6 +360,7 @@ class StubHandler(BaseHTTPRequestHandler):
                 should_fail = cls.fail_times > 0
                 if should_fail:
                     cls.fail_times -= 1
+            content = cls.content(body) if callable(cls.content) else cls.content
             if cls.delay:
                 time.sleep(cls.delay)
             if should_fail:
@@ -368,7 +371,7 @@ class StubHandler(BaseHTTPRequestHandler):
                 return
             payload = {
                 "choices": [
-                    {"message": {"content": "stub says hi", "tool_calls": None}}
+                    {"message": {"content": content, "tool_calls": None}}
                 ]
             }
             data = json.dumps(payload).encode()
@@ -504,3 +507,44 @@ def test_remote_in_flight_limit(stub_server):
         t.join()
     assert handler.max_concurrent <= 2
     assert len(handler.seen_bodies) == 8
+
+
+MARKET = {"kind": "market", "agents": 4, "days": 1}
+ORDERS = [
+    {"symbol": symbol, "side": side, "limit_price": price, "quantity": 1}
+    for symbol, price in (("A", 30.0), ("B", 45.0))
+    for side in ("buy", "sell")
+]
+ITEM = {"item_id": "q1", "subscale": "s", "text": "How sure are you?", "scale": {"kind": "likert", "points": 7}}
+
+
+def trader_or_respondent(body):
+    """Answers a questionnaire item; places ORDERS on every other prompt."""
+    prompt = body["messages"][-1]["content"]
+    return json.dumps({"answer": 4} if "- answer (" in prompt else {"orders": ORDERS})
+
+
+@pytest.mark.parametrize(
+    "command,section",
+    [
+        ("run", {}),
+        ("trials", {"trials": 2}),
+        ("transfer", {"transfer": {"source": MARKET, "items": [ITEM]}}),
+        ("multiworld", {"multiworld": {"environments": [MARKET, MARKET]}}),
+        ("ablation", {"ablation": {"headline": "h", "summary": "s", "news": [], "settings": [1]}}),
+    ],
+    ids=["run", "trials", "transfer", "multiworld", "ablation"],
+)
+def test_remote_harnesses_fan_out_from_the_cli(command, section, stub_server, tmp_path):
+    url, handler = stub_server
+    handler.delay, handler.content = 0.05, trader_or_respondent
+    config = {
+        "environment": MARKET,
+        "backend": {"kind": "remote", "endpoint": url, "in_flight_limit": 4},
+        "out": str(tmp_path / "out"),
+        **section,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 0
+    assert handler.max_concurrent >= 2

@@ -368,6 +368,7 @@ SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
             "environment.initial_prices",
         ),
         ({"environment": {"kind": "social", "agents": 3, "influencer": 7}}, "environment.influencer"),
+        ({"environment": {"kind": "auction", "items": AUCTION_ITEMS, "min_increment": 0.0}}, "environment.min_increment"),
     ],
     ids=[
         "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
@@ -381,7 +382,7 @@ SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
         "multiworld-negative-feed-cap", "auction-item-without-true-value", "market-prices-missing-a-symbol",
         "carry-memory-string", "negative-parse-retries", "negative-days", "phase2-seed-string", "source-steps-string",
         "tool-rounds-string", "memory-capacity-string", "days-string", "ablation-summary-list", "replay-strict",
-        "zero-initial-price", "zero-initial-prices", "influencer-outside-roster",
+        "zero-initial-price", "zero-initial-prices", "influencer-outside-roster", "zero-min-increment",
     ],
 )
 def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, every
 module-level UPPER_CASE constant is named somewhere besides its definition,
-and every per-layer family of the benchmark's tracer still measures a
-cogsim function.
+every per-layer family of the benchmark's tracer still measures a cogsim
+function, and a run on a local backend never loads the HTTP client.
 
 ``__init__.py`` is exempt from the import check: it imports names to
 re-export them.
@@ -10,7 +10,10 @@ re-export them.
 import ast
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +102,21 @@ def test_every_tracer_family_keeps_a_live_anchor():
         family for family, names in families.items() if not any(anchor_resolves(n, tracer.MODULES) for n in names)
     )
     assert not dead, f"tracer families whose every anchor names no cogsim function: {dead}"
+
+
+STARTUP = """
+import sys
+import cogsim, cogsim.cli
+assert cogsim.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
+"""
+
+
+def test_local_run_never_imports_the_http_client(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    config, out = ROOT / "configs" / "market_small.json", tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP, str(config), str(out)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]", f"a scripted run loaded the HTTP client: {done.stdout}"
