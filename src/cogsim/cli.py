@@ -1,15 +1,19 @@
 """Command-line entry point: load an experiment config, run the
 subcommand's harness, and write its result as the output bundle.
 
-Every subcommand returns a :class:`~cogsim.runners.HarnessResult` and
-:func:`write_bundle` writes every bundle: events.jsonl (each tagged
-episode's log in order), metrics.csv, summary.txt, and a manifest.json
-written last that inventories the other files with content hashes and
-lists the episode tags. Reruns of the same config and seed with a scripted
+Every subcommand but ``score`` is a harness in
+:data:`~cogsim.runners.HARNESSES`, and :func:`write_bundle` writes every
+bundle: events.jsonl (each tagged episode's log in order), metrics.csv,
+summary.txt, and a manifest.json written last that inventories the other
+files with content hashes and records the command, the episode tags and
+each failed tag's error. Reruns of the same config and seed with a scripted
 backend reproduce events.jsonl and metrics.csv byte for byte. ``score``
-re-derives a ``run`` bundle's metrics and refuses every other bundle.
+checks a bundle against its manifest and its config, then hands its
+episodes to the command's harness, which re-derives metrics.csv and
+summary.txt from them alone.
 
-Exit codes: 0 success, 1 config error, 2 runtime failure.
+Exit codes: 0 success, 1 config error or a bundle ``score`` refuses, 2
+runtime failure.
 """
 
 from __future__ import annotations
@@ -20,22 +24,12 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from . import __version__
 from .errors import ConfigError, SimulationError
-from .protocol import EpisodeLog
-from .runners import (
-    ENVIRONMENTS,
-    ExperimentConfig,
-    HarnessResult,
-    ablation_harness,
-    multiworld_harness,
-    parse,
-    run_harness,
-    transfer_harness,
-    trials_harness,
-)
+from .protocol import read_episodes
+from .runners import HARNESSES, Episodes, ExperimentConfig, HarnessResult, parse
 
 
 def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
@@ -72,7 +66,8 @@ class BundleWriter:
         (self.out_dir / name).write_bytes(data)
         self.files[name] = _sha256(data)
 
-    def finalize(self, episodes: list[str] | None = None) -> None:
+    def finalize(self, **fields: Any) -> None:
+        """Write manifest.json: provenance and each written file's hash, then ``fields``."""
         manifest = {
             "config_sha256": self.config_hash,
             "code_version": __version__,
@@ -80,48 +75,43 @@ class BundleWriter:
             "started_at": self.started_at,
             "finished_at": dt.datetime.now(dt.timezone.utc).isoformat(),
             "files": [{"name": name, "sha256": digest} for name, digest in sorted(self.files.items())],
+            **fields,
         }
-        if episodes is not None:
-            manifest["episodes"] = episodes
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def write_bundle(bundle: BundleWriter, result: HarnessResult) -> None:
-    """Write ``result`` as the bundle's files, then the manifest listing its episode tags."""
-    bundle.write("events.jsonl", "".join(log.to_jsonl() for _, log in result.episodes))
+def write_bundle(bundle: BundleWriter, command: str, result: HarnessResult) -> None:
+    """Write ``result`` as the bundle's files, then the manifest naming
+    ``command``, the episode tags and each failed tag's error."""
+    episodes = result.episodes
+    bundle.write("events.jsonl", "".join(log.to_jsonl() for _, log in episodes.logs))
     bundle.write("metrics.csv", result.metrics_csv)
     pairs = "".join(f"  {name}: {value}\n" for name, value in result.summary.items())
     bundle.write("summary.txt", f"{result.title}\n{pairs}{result.report}")
-    bundle.finalize([tag for tag, _ in result.episodes])
+    bundle.finalize(command=command, episodes=[tag for tag, _ in episodes.logs], failures=episodes.failures)
 
 
-def score(config: ExperimentConfig) -> HarnessResult:
-    """Re-derive the metrics of the bundle at ``config.out`` from its events, if its manifest
-    lists exactly the episode ``run`` of a ``records_only`` kind; refuse any other bundle."""
-    kind = ENVIRONMENTS[config.environment["kind"]]
-    if not kind.records_only:
-        message = f"score cannot re-derive {config.environment['kind']} metrics from events alone"
-        raise ConfigError(message, field="environment.kind")
-    manifest = Path(config.out) / "manifest.json"
-    if not manifest.exists():
-        raise ConfigError(f"no manifest.json to score in {config.out}")
-    episodes = json.loads(manifest.read_text()).get("episodes")
-    if episodes != ["run"]:
-        raise ConfigError(f"score needs a run bundle of exactly one episode; {manifest} lists {episodes or 'none'}")
-    log = EpisodeLog.from_jsonl((Path(config.out) / "events.jsonl").read_text())
-    summary = {"seed": log.seed, "steps": log.steps_executed}
-    title = f"score: re-scored {len(log.records)} events"
-    return HarnessResult(title, [("run", log)], kind.metrics_csv(None, log.records), summary)
+def read_bundle(out: Path, config_bytes: bytes) -> tuple[dict[str, Any], Episodes]:
+    """The manifest of the bundle in ``out`` and its tagged episodes, or a
+    :class:`ConfigError` if a file does not match its hash, the bundle was
+    written from another config, or the manifest names no command and episodes."""
+    path = out / "manifest.json"
+    if not path.exists():
+        raise ConfigError(f"no manifest.json to score in {out}")
+    manifest = json.loads(path.read_text())
+    for entry in manifest.get("files", []):
+        file = out / entry["name"]
+        if not file.is_file() or _sha256(file.read_bytes()) != entry["sha256"]:
+            raise ConfigError(f"{file} does not match its sha256 in {path}")
+    if manifest.get("config_sha256") != _sha256(config_bytes):
+        raise ConfigError(f"{path} was written from another config (config_sha256 differs)")
+    if manifest.get("command") not in HARNESSES or "episodes" not in manifest:
+        raise ConfigError(f"{path} names no command and episodes to score")
+    logs = zip(manifest["episodes"], read_episodes((out / "events.jsonl").read_text()), strict=True)
+    return manifest, Episodes(list(logs), manifest.get("failures", {}))
 
 
-COMMANDS: dict[str, Callable[[ExperimentConfig], HarnessResult]] = {
-    "run": run_harness,
-    "trials": trials_harness,
-    "transfer": transfer_harness,
-    "multiworld": multiworld_harness,
-    "ablation": ablation_harness,
-    "score": score,
-}
+COMMANDS = (*HARNESSES, "score")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,11 +135,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         flags = {key: value for key, value in (("seed", args.seed), ("trials", args.trials)) if value is not None}
         config = load_config(args.config, flags)
-        if getattr(config, args.command, 0) is None:  # transfer, multiworld and ablation read their own section
-            raise ConfigError(f"the {args.command} command needs this section", field=args.command)
+        config_bytes = Path(args.config).read_bytes()
         config.out = args.out or config.out or f"runs/{args.command}"
-        bundle = BundleWriter(Path(config.out), Path(args.config).read_bytes(), config.seed)
-        write_bundle(bundle, COMMANDS[args.command](config))
+        command, seed, episodes = args.command, config.seed, None
+        if command == "score":
+            manifest, episodes = read_bundle(Path(config.out), config_bytes)
+            command, seed = manifest["command"], manifest["seed"]
+        if getattr(config, command, 0) is None:  # transfer, multiworld and ablation read their own section
+            raise ConfigError(f"the {command} command needs this section", field=command)
+        bundle = BundleWriter(Path(config.out), config_bytes, seed)
+        write_bundle(bundle, command, HARNESSES[command](config, episodes))
     except ConfigError as exc:
         print(f"config error ({args.config}): {exc}", file=sys.stderr)
         return 1

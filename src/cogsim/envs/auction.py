@@ -13,10 +13,10 @@ hidden true value, so overpaying realizes the winner's curse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..errors import ConfigError
-from ..protocol import ActionEnvelope, Environment, Observation
+from ..protocol import ActionEnvelope, Environment, EventRecord, Observation
 from ..schema import ResponseSchema
 
 DEFAULT_BUDGET = 20_000.0
@@ -152,7 +152,6 @@ class AuctionEnv(Environment):
             for aid in self.agent_ids
         }
         self.round_state = RoundState(item_index=0)
-        self.sales: list[Sale] = []
         self.report = PriorityReport()
         self.global_round = 0
         self.t = 0
@@ -249,7 +248,6 @@ class AuctionEnv(Environment):
         return amount
 
     def _close_item(self, sale: Sale, item: AuctionItem) -> None:
-        self.sales.append(sale)
         if sale.winner is None:
             self.events.append(-1, self.t, "unsold", {"item": item.name})
         else:
@@ -260,11 +258,19 @@ class AuctionEnv(Environment):
             )
         self.round_state = RoundState(item_index=self.round_state.item_index + 1)
 
-    def metrics(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for aid in self.agent_ids:
-            out[f"profit_{aid}"] = self.bidders[aid].profit
-            out[f"items_won_{aid}"] = float(len(self.bidders[aid].items_won))
-            out[f"spend_{aid}"] = self.initial_budget - self.bidders[aid].budget
-        out["items_sold"] = float(sum(1 for s in self.sales if s.winner is not None))
-        return out
+
+def auction_metrics(records: list[EventRecord], bidder_ids: Iterable[int], budget: float) -> dict[str, float]:
+    """Each bidder's profit, items won and spend, then the items sold, from the ``sale``
+    records; spend is ``budget`` less what each sale price in turn left of it."""
+    sales = [record for record in records if record.action == "sale"]
+    out: dict[str, float] = {}
+    for aid in bidder_ids:
+        won = [sale.info for sale in sales if sale.user_id == aid]
+        left = budget
+        for info in won:
+            left -= info["price"]
+        out[f"profit_{aid}"] = sum((info["profit_delta"] for info in won), 0.0)
+        out[f"items_won_{aid}"] = float(len(won))
+        out[f"spend_{aid}"] = budget - left
+    out["items_sold"] = float(len(sales))
+    return out

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, fields
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..seeds import child_rng
-from ..protocol import ActionEnvelope, Environment, Observation, csv_table
+from ..protocol import ActionEnvelope, Environment, EventRecord, Observation, csv_table
 from ..errors import ConfigError, DegenerateX
 from ..schema import ResponseSchema
 from ..stats import fit_line
@@ -150,11 +150,14 @@ def monthly_step(
     indicators = compute_indicators(state, state.month)
     state.gdp_history.append(indicators.gdp)
     state.price_history.append(state.price_level)
-
-    annualized = (1.0 + indicators.inflation) ** 12 - 1.0
-    adjusted = state.policy.interest_rate + RATE_GAIN * (annualized - INFLATION_TARGET)
-    state.policy.interest_rate = min(RATE_MAX, max(RATE_MIN, adjusted))
+    state.policy.interest_rate = next_interest_rate(state.policy.interest_rate, indicators.inflation)
     return indicators
+
+
+def next_interest_rate(rate: float, inflation: float) -> float:
+    """The central bank's rule (step 7) after a month of ``inflation``."""
+    annualized = (1.0 + inflation) ** 12 - 1.0
+    return min(RATE_MAX, max(RATE_MIN, rate + RATE_GAIN * (annualized - INFLATION_TARGET)))
 
 
 def compute_indicators(state: EconomyState, month: int) -> MacroIndicators:
@@ -198,6 +201,12 @@ class EconomyConfig:
         if self.initial_price <= 0:  # inflation divides by the previous price level
             raise ConfigError("must be > 0", field="initial_price")
 
+    def tax_rate_in(self, month: int) -> float:
+        """The tax rate in force in month ``month + 1``: that year's entry of
+        ``annual_tax_rates`` (past its end, the last), else ``tax_rate``."""
+        rates = self.annual_tax_rates
+        return rates[min(month // 12, len(rates) - 1)] if rates else self.tax_rate
+
 
 class EconomyEnv(Environment):
     """One environment step per month; shared goods market, per-agent ledgers."""
@@ -227,9 +236,6 @@ class EconomyEnv(Environment):
             policy=PolicyState(tax_rate=cfg.tax_rate, interest_rate=cfg.interest_rate),
             price_level=cfg.initial_price,
         )
-        self.indicators: list[MacroIndicators] = []
-        self.rate_history: list[float] = []
-        self.tax_history: list[float] = []
 
     def done(self) -> bool:
         return self.state.month >= self.config.months
@@ -253,36 +259,47 @@ class EconomyEnv(Environment):
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:
         if self.done():
             raise RuntimeError("step called on a finished episode")
-        cfg = self.config
-        if cfg.annual_tax_rates and self.state.month % 12 == 0:
-            year = self.state.month // 12
-            if year < len(cfg.annual_tax_rates):
-                self.state.policy.tax_rate = cfg.annual_tax_rates[year]
+        self.state.policy.tax_rate = self.config.tax_rate_in(self.state.month)
         clamped = {aid: clamp_action(actions[aid].body, aid) for aid in self.agent_ids}
         indicators = monthly_step(clamped, self.state)
-        self.indicators.append(indicators)
-        self.rate_history.append(self.state.policy.interest_rate)
-        self.tax_history.append(self.state.policy.tax_rate)
         self.events.append(-1, self.state.month - 1, "month_close", vars(indicators))
         return self._observations()
 
-    def indicators_csv(self) -> str:
-        """One row per month: its :class:`MacroIndicators`, then the rates in force after it."""
-        header = [f.name for f in fields(MacroIndicators)] + ["interest_rate", "tax_rate"]
-        months = zip(self.indicators, self.rate_history, self.tax_history)
-        return csv_table(header, ([*vars(ind).values(), rate, tax] for ind, rate, tax in months))
 
-    def metrics(self) -> dict[str, float]:
-        if not self.indicators:
-            return {}
-        last = self.indicators[-1]
-        return {
-            "unemployment": last.unemployment,
-            "price_level": last.price_level,
-            "gdp": last.gdp,
-            "mean_inflation": sum(i.inflation for i in self.indicators) / len(self.indicators),
-        }
 
+def month_closes(records: Iterable[EventRecord]) -> list[MacroIndicators]:
+    """Each month's indicators, from its ``month_close`` record."""
+    return [MacroIndicators(**record.info) for record in records if record.action == "month_close"]
+
+
+def policy_rates(config: EconomyConfig, indicators: list[MacroIndicators]) -> list[tuple[float, float]]:
+    """Each month's interest rate set after it and tax rate in force in it, by :class:`EconomyEnv`'s rules."""
+    rate, rates = config.interest_rate, []
+    for month in indicators:
+        rate = next_interest_rate(rate, month.inflation)
+        rates.append((rate, config.tax_rate_in(month.month - 1)))
+    return rates
+
+
+def indicators_csv(config: EconomyConfig, records: Iterable[EventRecord]) -> str:
+    """One row per month: its :class:`MacroIndicators`, then its :func:`policy_rates`."""
+    indicators = month_closes(records)
+    header = [f.name for f in fields(MacroIndicators)] + ["interest_rate", "tax_rate"]
+    months = zip(indicators, policy_rates(config, indicators))
+    return csv_table(header, ([*vars(month).values(), rate, tax] for month, (rate, tax) in months))
+
+
+def economy_metrics(records: Iterable[EventRecord]) -> dict[str, float]:
+    indicators = month_closes(records)
+    if not indicators:
+        return {}
+    last = indicators[-1]
+    return {
+        "unemployment": last.unemployment,
+        "price_level": last.price_level,
+        "gdp": last.gdp,
+        "mean_inflation": sum(i.inflation for i in indicators) / len(indicators),
+    }
 
 def _fit_line_text(xs: list[float], ys: list[float]) -> str:
     try:
@@ -297,10 +314,11 @@ def phillips_okun_report(indicators: list[MacroIndicators]) -> str:
 
     Phillips: inflation on unemployment. Okun: GDP growth on the change in
     unemployment (both skip month 1, which has no prior reference point). A
-    fit whose x values all coincide reads ``undefined (<reason>)``.
+    fit whose x values all coincide reads ``undefined (<reason>)``; under
+    three months there is no report.
     """
     if len(indicators) < 3:
-        raise ValueError("need at least three months of indicators")
+        return ""
     unemp = [i.unemployment for i in indicators]
     d_unemp = [b - a for a, b in zip(unemp, unemp[1:])]
     lines = [

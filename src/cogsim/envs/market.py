@@ -60,13 +60,11 @@ class StockState:
     symbol: str
     price: float
     profile_text: str = ""
-    price_history: list[float] = field(default_factory=list)
 
     def record_price(self, price: float) -> None:
         if price <= 0:
             raise ValueError("stock price must stay positive")
         self.price = price
-        self.price_history.append(price)
 
 
 @dataclass
@@ -372,6 +370,23 @@ def session_metrics_csv(records: list[EventRecord]) -> str:
     return csv_table(CLEAR_COLUMNS, rows)
 
 
+def market_metrics(initial_prices: Mapping[str, float], records: list[EventRecord]) -> dict[str, float]:
+    """Each stock's last clearing price (its initial one if it never cleared) and
+    change since ``initial_prices``, then the ``clear`` records' totals."""
+    prices = dict(initial_prices)
+    totals = dict.fromkeys(("volume", "n_buys", "n_sells"), 0)
+    for record in records:
+        if record.action == "clear":
+            prices[record.info["symbol"]] = record.info["price"]
+            for name in totals:
+                totals[name] += record.info[name]
+    out: dict[str, float] = {}
+    for sym in SYMBOLS:
+        out[f"price_{sym}"] = prices[sym]
+        out[f"price_change_{sym}"] = price_change_rate([initial_prices[sym], prices[sym]])
+    return out | {name: float(total) for name, total in totals.items()}
+
+
 # --- environment ----------------------------------------------------------------
 
 
@@ -423,7 +438,7 @@ class MarketEnv(Environment):
         self.clock = MarketClock(1, 1)
         self.t = 0
         self.stocks = {
-            sym: StockState(sym, cfg.initial_prices[sym], cfg.profiles.get(sym, ""), [cfg.initial_prices[sym]])
+            sym: StockState(sym, cfg.initial_prices[sym], cfg.profiles.get(sym, ""))
             for sym in SYMBOLS
         }
         self.accounts = {
@@ -635,22 +650,3 @@ class MarketEnv(Environment):
                 "n_sells": sum(1 for o in book if o.side == "sell"),
             },
         )
-
-    # -- summaries ----------------------------------------------------------------
-
-    def metrics(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for sym in SYMBOLS:
-            prices = self.stocks[sym].price_history
-            out[f"price_{sym}"] = prices[-1]
-            out[f"price_change_{sym}"] = price_change_rate(prices)
-        volume = buys = sells = 0
-        for record in self.events.snapshot():
-            if record.action == "clear":
-                volume += record.info["volume"]
-                buys += record.info["n_buys"]
-                sells += record.info["n_sells"]
-        out["volume"] = float(volume)
-        out["n_buys"] = float(buys)
-        out["n_sells"] = float(sells)
-        return out

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import ConfigError, IncompleteSheet
-from ..protocol import ActionEnvelope, Environment, Observation
+from ..protocol import ActionEnvelope, Environment, EventRecord, Observation
 from ..schema import ResponseSchema
 from ..seeds import child_rng
 
@@ -96,9 +96,12 @@ def check_item_bank(items: Sequence[Item]) -> None:
 
 @dataclass
 class ResponseSheet:
+    """One respondent's answers by item id, the ids in the order asked, and that
+    order's seed (None when the sheet is read back from answer records)."""
+
     responses: dict[str, int]
     order: list[str]
-    seed: int
+    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,6 @@ class QuestionnaireEnv(Environment):
     def _setup(self):
         self.order = shuffle_items(self.items, self.seed)
         self.index = 0
-        self.responses: dict[int, dict[str, int]] = {aid: {} for aid in self.agent_ids}
 
     def done(self) -> bool:
         return self.index >= len(self.order)
@@ -195,30 +197,35 @@ class QuestionnaireEnv(Environment):
             snapped = item.scale.snap(float(raw))
             if snapped != raw:
                 logger.warning("agent %d answer %r off-scale for %s; snapped to %d", aid, raw, item.item_id, snapped)
-            self.responses[aid][item.item_id] = snapped
             self.events.append(aid, self.index, "answer", {"item_id": item.item_id, "value": snapped})
         self.index += 1
         return self._observations()
 
-    def sheet(self, aid: int) -> ResponseSheet:
-        return ResponseSheet(
-            responses=dict(self.responses[aid]),
-            order=[item.item_id for item in self.order],
-            seed=self.seed,
-        )
 
-    def score_report(self, aid: int) -> ScoreReport:
-        return score(self.sheet(aid), self.items)
+def score_answers(items: Sequence[Item], records: Iterable[EventRecord]) -> dict[int, ScoreReport]:
+    """Each respondent's :func:`score` over ``items``, from its ``answer``
+    records, by ascending agent id; one that left an item unanswered has none."""
+    sheets: dict[int, ResponseSheet] = {}
+    for record in records:
+        if record.action == "answer":
+            sheet = sheets.setdefault(record.user_id, ResponseSheet({}, []))
+            sheet.responses[record.info["item_id"]] = record.info["value"]
+            sheet.order.append(record.info["item_id"])
+    reports = {}
+    for aid in sorted(sheets):
+        try:
+            reports[aid] = score(sheets[aid], items)
+        except IncompleteSheet:
+            continue
+    return reports
 
-    def metrics(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for aid in self.agent_ids:
-            try:
-                report = self.score_report(aid)
-            except IncompleteSheet:
-                continue
-            for name, value in report.subscale_normalized.items():
-                out[f"subscale_{name}_{aid}"] = value
-            for name, value in report.bias_by_pair.items():
-                out[f"bias_{name}_{aid}"] = value
-        return out
+
+def questionnaire_metrics(items: Sequence[Item], records: Iterable[EventRecord]) -> dict[str, float]:
+    """Each complete respondent's normalized subscale means and pair biases, from :func:`score_answers`."""
+    out: dict[str, float] = {}
+    for aid, report in score_answers(items, records).items():
+        for name, value in report.subscale_normalized.items():
+            out[f"subscale_{name}_{aid}"] = value
+        for name, value in report.bias_by_pair.items():
+            out[f"bias_{name}_{aid}"] = value
+    return out

@@ -26,6 +26,7 @@ events are byte-equal to those of one joined string per agent.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, Mapping
@@ -339,9 +340,9 @@ class SocialEnv(Environment):
         self.t += 1
         return self._observations()
 
-    def metrics(self) -> dict[str, float]:
-        return {
-            "posts": float(len(self.state.posts)),
-            "comments": float(len(self.state.comments)),
-            "likes": float(sum(len(p.likes) for p in self.state.posts.values())),
-        }
+
+def social_metrics(records: list[EventRecord]) -> dict[str, float]:
+    """Posts and comments created, and likes: a user's repeated like of one post counts once."""
+    counts = Counter(record.action for record in records)
+    likes = {(record.user_id, record.info["post_id"]) for record in records if record.action == "like_post"}
+    return {"posts": float(counts["create_post"]), "comments": float(counts["create_comment"]), "likes": float(len(likes))}

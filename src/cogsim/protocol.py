@@ -197,10 +197,6 @@ class Environment(ABC):
     def done(self) -> bool:
         """True once the episode has ended; stays true until reset."""
 
-    def metrics(self) -> dict[str, float]:
-        """Scalar summary of the finished episode, for experiment tables."""
-        return {}
-
     def _setup(self) -> None:
         raise NotImplementedError
 
@@ -259,24 +255,23 @@ class EpisodeLog:
         lines += (canonical_json(summary), "")  # the empty last line ends the text in "\n"
         return "\n".join(lines)
 
-    @staticmethod
-    def from_jsonl(text: str) -> "EpisodeLog":
-        records: list[EventRecord] = []
-        summary: dict[str, Any] = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "summary" in obj:
-                summary = obj["summary"]
-            else:
-                records.append(EventRecord(**obj))
-        return EpisodeLog(
-            records=records,
-            total_rewards={int(k): v for k, v in summary.get("total_rewards", {}).items()},
-            seed=summary.get("seed", 0),
-            steps_executed=summary.get("steps_executed", 0),
-        )
+
+def read_episodes(text: str) -> list[EpisodeLog]:
+    """The episodes of concatenated :meth:`EpisodeLog.to_jsonl` texts, each ended by its summary line."""
+    logs: list[EpisodeLog] = []
+    records: list[EventRecord] = []
+    for line in filter(str.strip, text.splitlines()):
+        obj = json.loads(line)
+        if "summary" not in obj:
+            records.append(EventRecord(**obj))
+            continue
+        summary = obj["summary"]
+        rewards = {int(k): v for k, v in summary["total_rewards"].items()}
+        logs.append(EpisodeLog(records, rewards, summary["seed"], summary["steps_executed"]))
+        records = []
+    if records:
+        raise ValueError("event records after the last episode's summary line")
+    return logs
 
 
 def route_messages(

@@ -1,7 +1,9 @@
 """Experiment harnesses: single runs, repeated trials, memory transfer
 across environments, multi-world cycling, and the tariff-shock cumulative
-ablation. Each CLI subcommand but ``score`` is a ``<name>_harness(config)``
-here that returns a :class:`HarnessResult` of tagged episodes.
+ablation. Each CLI subcommand but ``score`` is a harness in :data:`HARNESSES`:
+``<name>_harness(config, episodes=None)`` runs its tagged :class:`Episodes`
+unless ``score`` gives it a bundle's, then measures them into a
+:class:`HarnessResult` from the config and their event records alone.
 
 Every harness is deterministic given its config: trial i always runs with
 seed base+i, transfer arms share the same phase-2 seed so memory content is
@@ -23,12 +25,12 @@ from typing import Any, Callable, Collection, Iterator, Mapping, Sequence, Union
 
 from .backends import CompletionBackend, CompletionResult, RemoteBackend, ReplayBackend, ScriptedBackend
 from .cognition import Agent, PersonaConfig
-from .envs.auction import AuctionEnv
-from .envs.economy import EconomyConfig, EconomyEnv, phillips_okun_report
-from .envs.market import MarketConfig, MarketEnv, NewsItem, buy_sell_ratio, check_news_feed, session_metrics_csv
-from .envs.questionnaire import Item, QuestionnaireEnv, check_item_bank
-from .envs.social import SocialEnv, star_profiles
-from .errors import ConfigError, TooFewSamples, ZeroVariance
+from .envs.auction import DEFAULT_BUDGET, AuctionEnv, auction_metrics
+from .envs.economy import EconomyConfig, EconomyEnv, economy_metrics, indicators_csv, month_closes, phillips_okun_report
+from .envs.market import MarketConfig, MarketEnv, NewsItem, buy_sell_ratio, check_news_feed, market_metrics, session_metrics_csv
+from .envs.questionnaire import Item, QuestionnaireEnv, check_item_bank, questionnaire_metrics, score_answers
+from .envs.social import SocialEnv, social_metrics, star_profiles
+from .errors import ConfigError, SimulationError, TooFewSamples, ZeroVariance
 from .memory import MEMORY_VARIANTS, MemoryEntry, MemoryStore
 from .protocol import Environment, EpisodeLog, EventRecord, csv_table, policy_pool, run_episode, step_world
 from .stats import mean_and_pstdev, paired_t_test
@@ -77,65 +79,78 @@ BACKENDS: dict[str, Kind] = {
 MEMORIES: dict[str, Kind] = {name: Kind(cls) for name, cls in MEMORY_VARIANTS.items()}
 
 
-def _metric_table(env: Environment, records: list[EventRecord]) -> str:
-    return csv_table(("metric", "value"), sorted(env.metrics().items()))
-
-
 @dataclass(frozen=True, kw_only=True)
 class EnvironmentKind(Kind):
-    """How one environment kind is built from its config section and reported.
+    """How one environment kind is built from its config section, and measured
+    from that section and an episode's event records alone.
 
-    The section also takes ``agents``, the roster size (default ``agents``);
-    ``build(params, agents, seed)`` gets the other keys. ``records_only``
-    marks a ``metrics_csv`` that reads only the event records, so ``score``
-    can use it. ``ends`` is false for a kind whose ``done()`` never holds.
+    The section also takes ``agents``, the roster size (default ``agents``).
+    ``metrics`` are the episode's scalars; a ``run`` writes them as
+    ``metric,value`` rows unless the kind has its own ``table``, and appends
+    ``report`` to its summary. ``ends`` is false for a kind whose ``done()`` never holds.
     """
 
-    build: Callable[[dict[str, Any], int, int], Environment]
+    build: Callable[[Mapping[str, Any], int], Environment]
     agents: int
-    metrics_csv: Callable[[Environment, list[EventRecord]], str] = _metric_table
-    records_only: bool = False
-    report: Callable[[Environment], str] = lambda env: ""
+    metrics: Callable[[Mapping[str, Any], list[EventRecord]], dict[str, float]]
+    table: Callable[[Mapping[str, Any], list[EventRecord]], str] | None = None
+    report: Callable[[Mapping[str, Any], list[EventRecord]], str] = lambda section, records: ""
     ends: bool = True
+
+
+def _params(section: Mapping[str, Any]) -> dict[str, Any]:
+    return {key: value for key, value in section.items() if key not in ("kind", "agents")}
+
+
+def _market(section: Mapping[str, Any]) -> MarketConfig:
+    return MarketConfig(n_agents=section["agents"], **_params(section))
+
+
+def _economy(section: Mapping[str, Any], seed: int = 0) -> EconomyConfig:
+    return EconomyConfig(n_households=section["agents"], seed=seed, **_params(section))
 
 
 ENVIRONMENTS: dict[str, EnvironmentKind] = {
     "market": EnvironmentKind(
         MarketConfig,
-        build=lambda params, n, seed: MarketEnv(MarketConfig(n_agents=n, **params)),
+        build=lambda section, seed: MarketEnv(_market(section)),
         # start_date and events_by_day are not config keys
         internal=("n_agents", "start_date", "events_by_day"),
         agents=50,
-        metrics_csv=lambda env, records: session_metrics_csv(records),
-        records_only=True,
+        metrics=lambda section, records: market_metrics(_market(section).initial_prices, records),
+        table=lambda section, records: session_metrics_csv(records),
     ),
     "economy": EnvironmentKind(
         EconomyConfig,
-        build=lambda params, n, seed: EconomyEnv(EconomyConfig(n_households=n, seed=seed, **params)),
+        build=lambda section, seed: EconomyEnv(_economy(section, seed)),
         internal=("n_households", "seed"),
         agents=100,
-        metrics_csv=lambda env, records: env.indicators_csv(),
-        report=lambda env: phillips_okun_report(env.indicators) if len(env.indicators) >= 3 else "",
+        metrics=lambda section, records: economy_metrics(records),
+        table=lambda section, records: indicators_csv(_economy(section), records),
+        report=lambda section, records: phillips_okun_report(month_closes(records)),
     ),
     "social": EnvironmentKind(
         SocialEnv,
-        build=lambda params, n, seed: SocialEnv(star_profiles(n, params.get("influencer", 0)), **params),
+        build=lambda section, seed: SocialEnv(star_profiles(section["agents"], section.get("influencer", 0)), **_params(section)),
         internal=("profiles",),
         agents=111,
+        metrics=lambda section, records: social_metrics(records),
         ends=False,
     ),
     "auction": EnvironmentKind(
         AuctionEnv,
-        build=lambda params, n, seed: AuctionEnv(bidder_ids=list(range(n)), **params),
+        build=lambda section, seed: AuctionEnv(bidder_ids=list(range(section["agents"])), **_params(section)),
         # JSON cannot carry objectives' integer agent ids
         internal=("bidder_ids", "objectives"),
         agents=3,
+        metrics=lambda section, records: auction_metrics(records, range(section["agents"]), section.get("budget", DEFAULT_BUDGET)),
     ),
     "questionnaire": EnvironmentKind(
         QuestionnaireEnv,
-        build=lambda params, n, seed: QuestionnaireEnv(seed=seed, agent_ids=list(range(n)), **params),
+        build=lambda section, seed: QuestionnaireEnv(seed=seed, agent_ids=list(range(section["agents"])), **_params(section)),
         internal=("seed", "agent_ids"),
         agents=1,
+        metrics=lambda section, records: questionnaire_metrics(section["items"], records),
     ),
 }
 
@@ -358,8 +373,7 @@ def check_step_limit(spec: Mapping[str, Any], max_steps: int | None, field: str 
 
 def build_environment(spec: Mapping[str, Any], seed: int) -> Environment:
     """An environment from a parsed environment section."""
-    params = {key: value for key, value in spec.items() if key not in ("kind", "agents")}
-    return ENVIRONMENTS[spec["kind"]].build(params, spec["agents"], seed)
+    return ENVIRONMENTS[spec["kind"]].build(spec, seed)
 
 
 def build_agent(
@@ -389,26 +403,41 @@ def build_setup(config: ExperimentConfig, seed: int) -> tuple[Environment, dict[
 
 
 @dataclass
+class Episodes:
+    """A harness's episodes, tagged, in run order, and the error of each tag
+    whose episode failed (only ``trials`` goes on past a failure)."""
+
+    logs: list[tuple[str, EpisodeLog]]
+    failures: dict[str, str] = field(default_factory=dict)
+
+
+@dataclass
 class HarnessResult:
-    """A harness's episodes, tagged, in run order; its metrics table; and its summary:
-    ``title``, one indented ``name: value`` line per ``summary`` pair, then ``report``."""
+    """A harness's episodes; its metrics table; and its summary: ``title``, one
+    indented ``name: value`` line per ``summary`` pair, then ``report``."""
 
     title: str
-    episodes: list[tuple[str, EpisodeLog]]
+    episodes: Episodes
     metrics_csv: str
     summary: dict[str, Any] = field(default_factory=dict)
     report: str = ""
 
 
-def run_harness(config: ExperimentConfig) -> HarnessResult:
-    """One episode of ``config.environment`` at ``config.seed``."""
-    kind = ENVIRONMENTS[config.environment["kind"]]
-    check_step_limit(config.environment, config.max_steps)
-    env, agents = build_setup(config, config.seed)
-    log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed, parallel=config.parallel)
-    summary = {"seed": config.seed, "steps": log.steps_executed, **env.metrics()}
-    title = f"run: {config.environment['kind']} environment"
-    return HarnessResult(title, [("run", log)], kind.metrics_csv(env, log.records), summary, kind.report(env))
+def run_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> HarnessResult:
+    """One episode of ``config.environment`` at ``config.seed``, tagged ``run``."""
+    section = config.environment
+    if episodes is None:
+        check_step_limit(section, config.max_steps)
+        env, agents = build_setup(config, config.seed)
+        log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed, parallel=config.parallel)
+        episodes = Episodes([("run", log)])
+    ((_, log),) = episodes.logs
+    kind = ENVIRONMENTS[section["kind"]]
+    metrics = kind.metrics(section, log.records)
+    table = kind.table(section, log.records) if kind.table else csv_table(("metric", "value"), sorted(metrics.items()))
+    summary = {"seed": log.seed, "steps": log.steps_executed, **metrics}
+    title = f"run: {section['kind']} environment"
+    return HarnessResult(title, episodes, table, summary, kind.report(section, log.records))
 
 
 # --- repeated trials ----------------------------------------------------------------
@@ -416,9 +445,18 @@ def run_harness(config: ExperimentConfig) -> HarnessResult:
 
 @dataclass
 class TrialsResult:
-    rows: list[tuple[int, dict[str, float]]]
-    failures: list[tuple[int, str]]
-    episodes: list[tuple[str, EpisodeLog]]
+    """Each ``trial/<seed>`` episode's metrics by the kind of ``section``, and each failed seed's error."""
+
+    section: Mapping[str, Any]
+    episodes: Episodes
+    rows: list[tuple[int, dict[str, float]]] = field(init=False)
+    failures: list[tuple[int, str]] = field(init=False)
+
+    def __post_init__(self):
+        kind = ENVIRONMENTS[self.section["kind"]]
+        logs, failures = self.episodes.logs, self.episodes.failures.items()
+        self.rows = [(int(tag.removeprefix("trial/")), kind.metrics(self.section, log.records)) for tag, log in logs]
+        self.failures = [(int(tag.removeprefix("trial/")), error) for tag, error in failures]
 
     def metric_names(self) -> list[str]:
         names: set[str] = set()
@@ -446,32 +484,35 @@ class TrialsResult:
 def run_trials(config: ExperimentConfig) -> TrialsResult:
     """Run ``config.trials`` independent episodes with seeds base, base+1, ...
 
-    A failing trial is recorded under ``failures`` and the rest proceed.
+    A failing trial is recorded under ``failures`` and the rest proceed; if
+    none succeeds, a :class:`SimulationError` names each seed's error.
     """
     check_step_limit(config.environment, config.max_steps)
-    rows: list[tuple[int, dict[str, float]]] = []
-    failures: list[tuple[int, str]] = []
-    episodes: list[tuple[str, EpisodeLog]] = []
-    for i in range(config.trials):
-        seed = config.seed + i
+    episodes = Episodes([])
+    for seed in range(config.seed, config.seed + config.trials):
         try:
             env, agents = build_setup(config, seed)
             log = run_episode(env, agents, max_steps=config.max_steps, seed=seed, parallel=config.parallel)
-            rows.append((seed, env.metrics()))
-            episodes.append((f"trial/{seed}", log))
+            episodes.logs.append((f"trial/{seed}", log))
         except Exception as exc:  # a broken trial must not sink the study
-            failures.append((seed, f"{type(exc).__name__}: {exc}"))
-    return TrialsResult(rows=rows, failures=failures, episodes=episodes)
+            episodes.failures[f"trial/{seed}"] = f"{type(exc).__name__}: {exc}"
+    result = TrialsResult(config.environment, episodes)
+    if not result.rows:
+        raise SimulationError("no trial succeeded: " + "; ".join(f"seed {seed}: {error}" for seed, error in result.failures))
+    return result
 
 
-def trials_harness(config: ExperimentConfig) -> HarnessResult:
-    result = run_trials(config)
+def trials_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> HarnessResult:
+    """The trials table, each metric's mean and stddev, and each failed seed's error."""
+    result = run_trials(config) if episodes is None else TrialsResult(config.environment, episodes)
     means, stds = result.summary()
-    summary = {"seeds": f"{config.seed}..{config.seed + config.trials - 1}", "failures": len(result.failures)}
+    seeds = sorted(seed for seed, _ in result.rows + result.failures)
+    summary = {"seeds": f"{seeds[0]}..{seeds[-1]}", "failures": len(result.failures)}
     summary.update({f"mean_{k}": v for k, v in means.items()})
     summary.update({f"stddev_{k}": v for k, v in stds.items()})
-    title = f"trials: {config.trials} runs of {config.environment['kind']}"
-    return HarnessResult(title, result.episodes, result.to_csv(), summary)
+    title = f"trials: {len(seeds)} runs of {config.environment['kind']}"
+    failed = "".join(f"  seed {seed}: {error}\n" for seed, error in result.failures)
+    return HarnessResult(title, result.episodes, result.to_csv(), summary, failed and f"failed trials:\n{failed}")
 
 
 # --- memory transfer ------------------------------------------------------------------
@@ -504,7 +545,7 @@ class TransferResult:
     diffs_by_pair: dict[str, float]
     per_agent: dict[int, dict[str, float]]
     t_tests: dict[str, tuple[float, float, int] | None]
-    source_archives: dict[int, str]
+    source_archives: dict[int, str] = field(default_factory=dict)
     carry_bias: dict[int, dict[str, float]] = field(default_factory=dict)
     fresh_bias: dict[int, dict[str, float]] = field(default_factory=dict)
     episodes: list[tuple[str, EpisodeLog]] = field(default_factory=list)
@@ -514,47 +555,24 @@ class TransferResult:
         return csv_table(("pair", "diff", "t", "p", "df"), rows)
 
 
-def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> TransferResult:
-    """Per-pair bias difference: carried-memory arm minus fresh-memory arm; the
-    phase-1 episode and the two arms' are kept, tagged source, carry and fresh."""
-    source_env = plan.source_env_factory(plan.seed)
-    phase1_agents = {aid: plan.agent_factory(aid, plan.memory_factory()) for aid in plan.agent_ids}
-    for agent in phase1_agents.values():
-        agent.world_tag = source_env.name
-    phase1 = run_episode(
-        source_env, phase1_agents, max_steps=plan.source_steps, seed=plan.seed, parallel=plan.parallel
-    )
-    episodes = [("source", phase1)]
-    archives = {aid: phase1_agents[aid].memory.to_jsonl() for aid in plan.agent_ids}
-
-    def administer(tag: str, restore: bool) -> dict[int, dict[str, float]]:
-        env = QuestionnaireEnv(instrument.items, seed=plan.phase2_seed, agent_ids=plan.agent_ids)
-        agents = {}
-        for aid in plan.agent_ids:
-            memory = MemoryStore.from_jsonl(archives[aid]) if restore else plan.memory_factory()
-            agent = plan.agent_factory(aid, memory)
-            agent.world_tag = env.name
-            agents[aid] = agent
-        log = run_episode(env, agents, max_steps=len(instrument.items), seed=plan.phase2_seed, parallel=plan.parallel)
-        episodes.append((tag, log))
-        return {aid: env.score_report(aid).bias_by_pair for aid in plan.agent_ids}
-
-    carry_scores = administer("carry", restore=plan.carry_memory)
-    fresh_scores = administer("fresh", restore=False)
-
+def compare_arms(items: Sequence[Item], agent_ids: Sequence[int], carry: list[EventRecord], fresh: list[EventRecord]) -> TransferResult:
+    """Per-pair bias difference, carried-memory arm minus fresh-memory arm, from the arms' ``answer`` records."""
+    carry_reports, fresh_reports = score_answers(items, carry), score_answers(items, fresh)
+    carry_scores = {aid: carry_reports[aid].bias_by_pair for aid in agent_ids}
+    fresh_scores = {aid: fresh_reports[aid].bias_by_pair for aid in agent_ids}
     per_agent: dict[int, dict[str, float]] = {}
-    for aid in plan.agent_ids:
+    for aid in agent_ids:
         per_agent[aid] = {
             pair: carry_scores[aid][pair] - fresh_scores[aid][pair] for pair in carry_scores[aid]
         }
     pairs = sorted({pair for diffs in per_agent.values() for pair in diffs})
     diffs_by_pair = {
-        pair: sum(per_agent[aid][pair] for aid in plan.agent_ids) / len(plan.agent_ids)
+        pair: sum(per_agent[aid][pair] for aid in agent_ids) / len(agent_ids)
         for pair in pairs
     }
     t_tests: dict[str, tuple[float, float, int] | None] = {}
     for pair in pairs:
-        samples = [per_agent[aid][pair] for aid in plan.agent_ids]
+        samples = [per_agent[aid][pair] for aid in agent_ids]
         try:
             t_tests[pair] = paired_t_test(samples)
         except (TooFewSamples, ZeroVariance):
@@ -563,33 +581,63 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
         diffs_by_pair=diffs_by_pair,
         per_agent=per_agent,
         t_tests=t_tests,
-        source_archives=archives,
         carry_bias=carry_scores,
         fresh_bias=fresh_scores,
-        episodes=episodes,
     )
 
 
-def transfer_harness(config: ExperimentConfig) -> HarnessResult:
+def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> TransferResult:
+    """:func:`compare_arms` of the two arms; the phase-1 episode and the two
+    arms' are kept, tagged source, carry and fresh."""
+    source_env = plan.source_env_factory(plan.seed)
+    phase1_agents = {aid: plan.agent_factory(aid, plan.memory_factory()) for aid in plan.agent_ids}
+    for agent in phase1_agents.values():
+        agent.world_tag = source_env.name
+    phase1 = run_episode(
+        source_env, phase1_agents, max_steps=plan.source_steps, seed=plan.seed, parallel=plan.parallel
+    )
+    archives = {aid: phase1_agents[aid].memory.to_jsonl() for aid in plan.agent_ids}
+
+    def administer(restore: bool) -> EpisodeLog:
+        env = QuestionnaireEnv(instrument.items, seed=plan.phase2_seed, agent_ids=plan.agent_ids)
+        agents = {}
+        for aid in plan.agent_ids:
+            memory = MemoryStore.from_jsonl(archives[aid]) if restore else plan.memory_factory()
+            agent = plan.agent_factory(aid, memory)
+            agent.world_tag = env.name
+            agents[aid] = agent
+        return run_episode(env, agents, max_steps=len(instrument.items), seed=plan.phase2_seed, parallel=plan.parallel)
+
+    carry = administer(restore=plan.carry_memory)
+    fresh = administer(restore=False)
+    result = compare_arms(instrument.items, plan.agent_ids, carry.records, fresh.records)
+    episodes = [("source", phase1), ("carry", carry), ("fresh", fresh)]
+    return replace(result, source_archives=archives, episodes=episodes)
+
+
+def transfer_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> HarnessResult:
     """Memory transfer from ``transfer.source`` to the ``transfer.items`` questionnaire."""
     section = config.transfer
-    source_steps = config.max_steps if section.source_steps is None else section.source_steps
-    check_step_limit(section.source, source_steps, "transfer.source_steps")
-    backend = make(BACKENDS, config.backend)
-    plan = TransferPlan(
-        source_env_factory=lambda seed: build_environment(section.source, seed),
-        agent_ids=list(range(section.source["agents"])),
-        agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, "transfer", memory),
-        memory_factory=lambda: make(MEMORIES, config.agents.memory or {"kind": "buffer", "capacity": 100}),
-        source_steps=source_steps,
-        carry_memory=section.carry_memory,
-        seed=config.seed,
-        phase2_seed=config.seed if section.phase2_seed is None else section.phase2_seed,
-        parallel=config.parallel,
-    )
-    result = run_memory_transfer(plan, InstrumentSpec(items=section.items))
+    if episodes is None:
+        source_steps = config.max_steps if section.source_steps is None else section.source_steps
+        check_step_limit(section.source, source_steps, "transfer.source_steps")
+        backend = make(BACKENDS, config.backend)
+        plan = TransferPlan(
+            source_env_factory=lambda seed: build_environment(section.source, seed),
+            agent_ids=list(range(section.source["agents"])),
+            agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, "transfer", memory),
+            memory_factory=lambda: make(MEMORIES, config.agents.memory or {"kind": "buffer", "capacity": 100}),
+            source_steps=source_steps,
+            carry_memory=section.carry_memory,
+            seed=config.seed,
+            phase2_seed=config.seed if section.phase2_seed is None else section.phase2_seed,
+            parallel=config.parallel,
+        )
+        episodes = Episodes(run_memory_transfer(plan, InstrumentSpec(items=section.items)).episodes)
+    logs = dict(episodes.logs)
+    result = compare_arms(section.items, range(section.source["agents"]), logs["carry"].records, logs["fresh"].records)
     title = "memory transfer: carry minus fresh bias per pair"
-    return HarnessResult(title, result.episodes, result.to_csv(), result.diffs_by_pair)
+    return HarnessResult(title, episodes, result.to_csv(), result.diffs_by_pair)
 
 
 # --- multi-world -----------------------------------------------------------------------
@@ -636,19 +684,21 @@ def run_multiworld(
     return EpisodeLog(records=records, total_rewards=dict.fromkeys(agents, 0.0), seed=seed, steps_executed=steps)
 
 
-def multiworld_harness(config: ExperimentConfig) -> HarnessResult:
+def multiworld_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> HarnessResult:
     """One roster cycled through ``multiworld.environments``; the metrics count records per world."""
     section = config.multiworld
-    envs = [build_environment(spec, config.seed) for spec in section.environments]
-    with _within("multiworld"):
-        schedule = MultiWorldSchedule(environments=envs, cycles=section.cycles)
-    n = max(spec["agents"] for spec in section.environments)
-    agents = build_agents(config.agents, make(BACKENDS, config.backend), n, world_tag=envs[0].name)
-    log = run_multiworld(schedule, agents, seed=config.seed, parallel=config.parallel)
+    if episodes is None:
+        envs = [build_environment(spec, config.seed) for spec in section.environments]
+        with _within("multiworld"):
+            schedule = MultiWorldSchedule(environments=envs, cycles=section.cycles)
+        n = max(spec["agents"] for spec in section.environments)
+        agents = build_agents(config.agents, make(BACKENDS, config.backend), n, world_tag=envs[0].name)
+        episodes = Episodes([("multiworld", run_multiworld(schedule, agents, seed=config.seed, parallel=config.parallel))])
+    ((_, log),) = episodes.logs
     counts = Counter(record.info.get("world", "?") for record in log.records)
-    return HarnessResult(
-        f"multiworld: {[e.name for e in envs]} x {section.cycles} cycles",
-        [("multiworld", log)],
+    return HarnessResult(  # each kind's environment is named after it
+        f"multiworld: {[spec['kind'] for spec in section.environments]} x {section.cycles} cycles",
+        episodes,
         csv_table(("world", "records"), sorted(counts.items())),
         {"steps": log.steps_executed, **counts},
     )
@@ -748,62 +798,67 @@ class AblationTable:
         return csv_table(header, (vars(row).values() for row in self.rows))
 
 
+def ablation_table(episodes: list[tuple[str, EpisodeLog]]) -> AblationTable:
+    """Mean buy/sell ratio per stock for each ``setting_<level>/trial/<seed>`` setting, with row-over-row deltas."""
+    by_setting: dict[str, list[EpisodeLog]] = {}
+    for tag, log in episodes:
+        by_setting.setdefault(tag.split("/")[0], []).append(log)
+    rows: list[AblationRow] = []
+    for setting, logs in by_setting.items():
+        a, b = (sum(buy_sell_ratio(log.records, symbol) for log in logs) / len(logs) for symbol in "AB")
+        deltas = (a - rows[-1].stock_a, b - rows[-1].stock_b) if rows else (None, None)
+        rows.append(AblationRow(int(setting.removeprefix("setting_")), a, b, *deltas))
+    return AblationTable(rows=rows, episodes=list(episodes))
+
+
 def run_tariff_ablation(
     study: TariffStudy,
     settings: Sequence[AblationSetting] | None = None,
 ) -> AblationTable:
-    """Mean buy/sell ratio per stock for each setting, with row-over-row deltas.
-
-    Each episode runs to the market's end; the table keeps them all, tagged
-    ``setting_<level>/trial/<seed>``, setting-major."""
-    settings = list(settings or default_settings())
-    rows: list[AblationRow] = []
+    """:func:`ablation_table` of ``study.trials`` episodes per setting, each run
+    to the market's end; the table keeps them all, setting-major."""
     episodes: list[tuple[str, EpisodeLog]] = []
-    for setting in settings:
-        ratios_a: list[float] = []
-        ratios_b: list[float] = []
-        for i in range(study.trials):
-            seed = study.base_seed + i
+    for setting in settings or default_settings():
+        for seed in range(study.base_seed, study.base_seed + study.trials):
             env = ablation_environment(study, setting)
             agents = ablation_agents(study, setting)
             log = run_episode(env, agents, max_steps=None, seed=seed, parallel=study.parallel)
             episodes.append((f"setting_{setting.level}/trial/{seed}", log))
-            ratios_a.append(buy_sell_ratio(log.records, "A"))
-            ratios_b.append(buy_sell_ratio(log.records, "B"))
-        mean_a = sum(ratios_a) / len(ratios_a)
-        mean_b = sum(ratios_b) / len(ratios_b)
-        previous = rows[-1] if rows else None
-        rows.append(
-            AblationRow(
-                setting=setting.level,
-                stock_a=mean_a,
-                stock_b=mean_b,
-                delta_a=None if previous is None else mean_a - previous.stock_a,
-                delta_b=None if previous is None else mean_b - previous.stock_b,
-            )
-        )
-    return AblationTable(rows=rows, episodes=episodes)
+    return ablation_table(episodes)
 
 
-def ablation_harness(config: ExperimentConfig) -> HarnessResult:
+def ablation_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> HarnessResult:
     """The cumulative tariff ablation over ``ablation.settings`` on the ``environment`` market."""
     section = config.ablation
     if config.environment["kind"] != "market":
         raise ConfigError("ablation runs on a market environment", field="environment.kind")
-    with _within("ablation.settings"):
-        settings = [AblationSetting(level) for level in section.settings or ()]
-    backend = make(BACKENDS, config.backend)
-    study = TariffStudy(
-        base_config=build_environment(config.environment, config.seed).config,
-        headline=section.headline,
-        research_summary=section.summary,
-        news_feed=section.news,
-        backend_factory=lambda aid: backend,
-        agents=config.agents,
-        trials=config.trials,
-        base_seed=config.seed,
-        parallel=config.parallel,
-    )
-    table = run_tariff_ablation(study, settings)
+    if episodes is None:
+        with _within("ablation.settings"):
+            settings = [AblationSetting(level) for level in section.settings or ()]
+            if len(set(settings)) < len(settings):  # the table groups episodes by level
+                raise ConfigError("each level may be listed once")
+        backend = make(BACKENDS, config.backend)
+        study = TariffStudy(
+            base_config=_market(config.environment),
+            headline=section.headline,
+            research_summary=section.summary,
+            news_feed=section.news,
+            backend_factory=lambda aid: backend,
+            agents=config.agents,
+            trials=config.trials,
+            base_seed=config.seed,
+            parallel=config.parallel,
+        )
+        episodes = Episodes(run_tariff_ablation(study, settings).episodes)
+    table = ablation_table(episodes.logs)
     ratios = {f"setting_{row.setting}": f"A={row.stock_a:.4f} B={row.stock_b:.4f}" for row in table.rows}
-    return HarnessResult("tariff ablation: mean buy/sell ratios", table.episodes, table.to_csv(), ratios)
+    return HarnessResult("tariff ablation: mean buy/sell ratios", episodes, table.to_csv(), ratios)
+
+
+HARNESSES: dict[str, Callable[[ExperimentConfig, Episodes | None], HarnessResult]] = {
+    "run": run_harness,
+    "trials": trials_harness,
+    "transfer": transfer_harness,
+    "multiworld": multiworld_harness,
+    "ablation": ablation_harness,
+}

@@ -9,6 +9,7 @@ from cogsim.envs.auction import (
     PriorityReport,
     RoundState,
     Sale,
+    auction_metrics,
     resolve_round,
     settle_sale,
 )
@@ -208,6 +209,18 @@ def test_seeded_auctions_hold_invariants():
                 assert record.info["price"] == seq[-1]
         for seq in standing.values():
             assert all(b > a for a, b in zip(seq, seq[1:]))
+
+
+def test_metrics_from_records_match_the_bidders_state():
+    for seed in range(25):
+        env = AuctionEnv(make_items(3, start=50.3), bidder_ids=[0, 1, 2], budget=500.7)
+        log = run_episode(env, dict.fromkeys(range(3), seeded_random_policy(seed)), max_steps=10_000, seed=seed)
+        metrics = auction_metrics(log.records, [0, 1, 2], 500.7)
+        for aid, bidder in env.bidders.items():
+            assert metrics[f"profit_{aid}"] == bidder.profit
+            assert metrics[f"spend_{aid}"] == 500.7 - bidder.budget
+            assert metrics[f"items_won_{aid}"] == len(bidder.items_won)
+        assert metrics["items_sold"] == sum(len(b.items_won) for b in env.bidders.values())
 
 
 def test_priority_report_rows():

@@ -14,7 +14,7 @@ from cogsim.envs.auction import AuctionItem
 from cogsim.envs.market import NewsItem
 from cogsim.envs.questionnaire import Item
 from cogsim.errors import ConfigError
-from cogsim.protocol import EpisodeLog
+from cogsim.protocol import read_episodes
 from cogsim.runners import (
     BACKENDS,
     ENVIRONMENTS,
@@ -29,6 +29,7 @@ from cogsim.runners import (
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
+AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0}]
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -192,11 +193,18 @@ def test_trials_flag_overrides(tmp_path):
 
 
 def test_score_recomputes_metrics_from_events(tmp_path):
+    # a metrics.csv the manifest vouches for, as a bundle from other code would
+    # hold, is rewritten from the events
     out = tmp_path / "out"
     config = write_config(tmp_path, minimal_market_config(out))
     main(["run", "--config", str(config)])
     original_metrics = (out / "metrics.csv").read_bytes()
     (out / "metrics.csv").write_bytes(b"tampered\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    for entry in manifest["files"]:
+        if entry["name"] == "metrics.csv":
+            entry["sha256"] = hashlib.sha256(b"tampered\n").hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
     assert main(["score", "--config", str(config)]) == 0
     assert (out / "metrics.csv").read_bytes() == original_metrics
 
@@ -205,27 +213,165 @@ def bundle_bytes(out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
-def test_score_refuses_multi_episode_bundle(tmp_path, capsys):
-    out = tmp_path / "out"
-    body = minimal_market_config(out, trials=2)
-    config = write_config(tmp_path, body)
-    assert main(["trials", "--config", str(config)]) == 0
+def assert_score_reproduces(out, config, *flags):
+    """``score`` on the bundle in ``out`` exits 0 and rewrites events.jsonl,
+    metrics.csv and summary.txt with their bytes; the manifest keeps its command."""
     before = bundle_bytes(out)
-    assert main(["score", "--config", str(config)]) == 1
-    assert "exactly one episode" in capsys.readouterr().err
-    assert bundle_bytes(out) == before
+    assert main(["score", "--config", str(config), "--out", str(out), *flags]) == 0
+    for name in ("events.jsonl", "metrics.csv", "summary.txt"):
+        assert (out / name).read_bytes() == before[name], name
+    manifest, old = (json.loads(m) for m in ((out / "manifest.json").read_bytes(), before["manifest.json"]))
+    for key in ("command", "episodes", "failures", "seed", "config_sha256", "files"):
+        assert manifest[key] == old[key], key
 
 
-def test_score_refuses_kind_without_records_only_metrics(tmp_path, capsys):
+def test_score_rederives_trials_with_a_failed_trial(tmp_path):
+    # trial seeds come from the episode tags, not from --seed or --trials
     out = tmp_path / "out"
-    body = minimal_market_config(out)
-    body["environment"] = {"kind": "economy", "agents": 2, "months": 2}
-    body["backend"]["default_content"] = json.dumps({"work_propensity": 0.5, "consumption_propensity": 0.5})
+    body = minimal_market_config(out, trials=3, environment={"kind": "economy", "agents": 2, "months": 2})
+    body["backend"] = {
+        "kind": "scripted",
+        # a household of seed 5 answers with a wrong field, and so does the parse pass over that answer
+        "rules": [{"contains": needle, "content": json.dumps({"work": 1})} for needle in ("skill 1.86", '{"work": 1}')],
+        "default_content": json.dumps({"work_propensity": 0.7, "consumption_propensity": 0.4}),
+    }
+    config = write_config(tmp_path, body)
+    assert main(["trials", "--config", str(config), "--seed", "4"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["episodes"] == ["trial/4", "trial/6"]
+    error = manifest["failures"]["trial/5"]
+    assert error.startswith("ParseFailure: ")
+    summary = (out / "summary.txt").read_text()
+    assert summary.startswith("trials: 3 runs of economy\n  seeds: 4..6\n  failures: 1\n")
+    assert summary.endswith(f"failed trials:\n  seed 5: {error}\n")
+    assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 2 + 2
+    assert_score_reproduces(out, config, "--trials", "1")
+
+
+def test_trials_that_all_fail_exit_two_and_write_no_bundle(tmp_path, capsys):
+    out = tmp_path / "out"
+    body = minimal_market_config(out, trials=3, environment={"kind": "economy", "agents": 2, "months": 2})
+    body["backend"]["default_content"] = json.dumps({"work": 1, "consume": 0})
+    assert main(["trials", "--config", str(write_config(tmp_path, body))]) == 2
+    err = capsys.readouterr().err
+    assert "no trial succeeded" in err
+    assert all(f"seed {seed}: ParseFailure" in err for seed in (0, 1, 2))
+    assert not (out / "manifest.json").exists()
+
+
+RUN_OF_EACH_KIND = {
+    "market": (
+        {"kind": "market", "agents": 3, "days": 2},
+        [{"contains": "style aggressive", "content": json.dumps({"orders": [{"symbol": "A", "side": "sell", "limit_price": 29.0, "quantity": 2}]})}],
+        {"orders": [{"symbol": "A", "side": "buy", "limit_price": 31.5, "quantity": 1}]},
+    ),
+    "economy": (
+        {"kind": "economy", "agents": 3, "months": 14, "annual_tax_rates": [0.2, 0.05], "interest_rate": 0.07},
+        [{"contains": "(last month: employed)", "content": json.dumps({"work_propensity": 0.2, "consumption_propensity": 0.9})}],
+        {"work_propensity": 0.9, "consumption_propensity": 0.1},
+    ),
+    "social": (
+        {"kind": "social", "agents": 4, "seed_post": "hello"},
+        [{"contains": "user 2", "content": json.dumps({"kind": "create_comment", "content": "hi", "target_post": 1})}],
+        {"kind": "like_post", "target_post": 1},
+    ),
+    "auction": (
+        {"kind": "auction", "agents": 3, "budget": 30, "items": [*AUCTION_ITEMS, {**AUCTION_ITEMS[0], "name": "vase"}]},
+        [{"contains": "(round 1)", "content": json.dumps({"bid": 11.5})}],
+        {"bid": None},
+    ),
+    "questionnaire": (
+        {"kind": "questionnaire", "agents": 2, "items": "tests/data/bias_bank.jsonl"},
+        [{"contains": "percentage", "content": json.dumps({"answer": 40})}],
+        {"answer": 5},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENVIRONMENTS))
+def test_score_rederives_a_run_of_each_kind(kind, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    environment, rules, default = RUN_OF_EACH_KIND[kind]
+    body = {
+        "environment": environment,
+        "backend": {"kind": "scripted", "rules": rules, "default_content": json.dumps(default)},
+        "max_steps": 6 if kind == "social" else None,
+        "out": str(tmp_path / "out"),
+    }
     config = write_config(tmp_path, body)
     assert main(["run", "--config", str(config)]) == 0
+    assert_score_reproduces(tmp_path / "out", config)
+
+
+RATE = st.floats(0.0, 0.3)
+PROPENSITIES = st.fixed_dictionaries({"work_propensity": st.floats(0.0, 1.0), "consumption_propensity": st.floats(0.0, 1.0)})
+PRICE = st.floats(0.5, 40.0) | st.integers(1, 40)
+
+
+@st.composite
+def economy_run(draw):
+    """An economy section, and scripted propensities that change with employment."""
+    environment = {
+        "kind": "economy",
+        "agents": draw(st.integers(1, 4)),
+        "months": draw(st.integers(0, 30)),
+        "interest_rate": draw(RATE),
+        "tax_rate": draw(RATE),
+        "annual_tax_rates": draw(st.none() | st.lists(RATE, max_size=3)),
+    }
+    return environment, [{"contains": "(last month: employed)", "content": json.dumps(draw(PROPENSITIES))}], draw(PROPENSITIES)
+
+
+@st.composite
+def auction_run(draw):
+    """An auction section, and scripted bids in the first two rounds of each item."""
+    items = []
+    for i in range(draw(st.integers(1, 3))):
+        true_value = draw(PRICE)
+        estimate = true_value + draw(st.floats(0.0, 10.0))
+        items.append({"name": f"lot{i}", "starting_price": draw(PRICE), "true_value": true_value, "estimated_value": estimate})
+    rules = [{"contains": f"(round {n})", "content": json.dumps({"bid": draw(PRICE)})} for n in (1, 2)]
+    budget = draw(st.floats(1.0, 100.0) | st.integers(1, 100))
+    return {"kind": "auction", "agents": draw(st.integers(2, 3)), "budget": budget, "items": items}, rules, {"bid": None}
+
+
+@pytest.mark.parametrize("runs", [economy_run(), auction_run()], ids=["economy", "auction"])
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_score_reproduces_random_economy_and_auction_runs(runs, data):
+    environment, rules, default = data.draw(runs)
+    body = {"environment": environment, "backend": {"kind": "scripted", "rules": rules, "default_content": json.dumps(default)}}
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "config.json"
+        config.write_text(json.dumps(body))
+        out = Path(scratch) / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert_score_reproduces(out, config)
+
+
+def test_score_refuses_a_bundle_whose_files_do_not_match_the_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, minimal_market_config(out, environment={"kind": "market", "agents": 3, "days": 2}))
+    main(["run", "--config", str(config)])
+    events = (out / "events.jsonl").read_text()
+    (out / "events.jsonl").write_text(events.replace('"volume":0', '"volume":7', 1))
     before = bundle_bytes(out)
+    assert before["events.jsonl"].decode() != events
     assert main(["score", "--config", str(config)]) == 1
-    assert "environment.kind" in capsys.readouterr().err
+    assert "events.jsonl does not match its sha256" in capsys.readouterr().err
+    assert bundle_bytes(out) == before
+    (out / "events.jsonl").unlink()
+    assert main(["score", "--config", str(config)]) == 1
+    assert "events.jsonl does not match its sha256" in capsys.readouterr().err
+
+
+def test_score_refuses_another_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--config", str(write_config(tmp_path, minimal_market_config(out), name="two.json"))])
+    before = bundle_bytes(out)
+    other = write_config(tmp_path, minimal_market_config(out, environment={"kind": "market", "agents": 3, "days": 3}))
+    assert main(["score", "--config", str(other)]) == 1
+    assert "config_sha256 differs" in capsys.readouterr().err
     assert bundle_bytes(out) == before
 
 
@@ -276,7 +422,6 @@ def test_transfer_from_social_needs_source_steps(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
-AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0}]
 QUESTION = {"item_id": "q1", "subscale": "s", "text": "How sure are you?"}
 SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
 
@@ -431,6 +576,16 @@ def test_ablation_level_outside_one_to_four_exits_one(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_ablation_repeated_level_exits_one(tmp_path, capsys):
+    # the table groups episodes by level, so a repeated level would merge two rows
+    out = tmp_path / "out"
+    ablation = {"headline": "h", "summary": "s", "news": [], "settings": [1, 2, 1]}
+    config = write_config(tmp_path, minimal_market_config(out, ablation=ablation))
+    assert main(["ablation", "--config", str(config)]) == 1
+    assert "ablation.settings: each level may be listed once" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command", ["trials", "ablation"])
 def test_zero_trials_flag_exits_one(command, tmp_path, capsys):
     out = tmp_path / "out"
@@ -580,18 +735,10 @@ def run_shipped(name, command, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name,command", SHIPPED_RUNS)
-def test_every_shipped_bundle_is_scored_or_refused(name, command, tmp_path, monkeypatch, capsys):
+def test_every_shipped_bundle_is_scored_or_refused(name, command, tmp_path, monkeypatch):
     out = run_shipped(name, command, tmp_path, monkeypatch)
-    before = bundle_bytes(out)
-    code = main(["score", "--config", str(CONFIGS / name), "--out", str(out)])
-    if name == "market_small.json":
-        assert code == 0
-        for file in ("events.jsonl", "metrics.csv"):
-            assert (out / file).read_bytes() == before[file]
-    else:
-        assert code == 1
-        assert "config error" in capsys.readouterr().err
-        assert bundle_bytes(out) == before
+    assert json.loads((out / "manifest.json").read_text())["command"] == command
+    assert_score_reproduces(out, CONFIGS / name)
 
 
 @pytest.mark.parametrize("name,command", SHIPPED_RUNS)
@@ -603,20 +750,22 @@ def test_shipped_manifests_list_their_episodes(name, command, tmp_path, monkeypa
     assert "".join(blocks) == (out / "events.jsonl").read_text()
     assert len(blocks) == len(tags)
     for block in blocks:
-        assert EpisodeLog.from_jsonl(block).to_jsonl() == block
+        (log,) = read_episodes(block)
+        assert log.to_jsonl() == block
 
 
 def test_score_refuses_bundle_whose_manifest_lists_no_episodes(tmp_path, capsys):
     out = tmp_path / "out"
     config = write_config(tmp_path, minimal_market_config(out))
-    assert main(["run", "--config", str(config)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    del manifest["episodes"]
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    before = bundle_bytes(out)
-    assert main(["score", "--config", str(config)]) == 1
-    assert "exactly one episode" in capsys.readouterr().err
-    assert bundle_bytes(out) == before
+    for key in ("episodes", "command"):  # a manifest written before it recorded them
+        assert main(["run", "--config", str(config)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest[key]
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        before = bundle_bytes(out)
+        assert main(["score", "--config", str(config)]) == 1
+        assert "names no command and episodes to score" in capsys.readouterr().err
+        assert bundle_bytes(out) == before
 
 
 def schema_keys(schema, internal=()):

@@ -12,8 +12,11 @@ from cogsim.envs.economy import (
     HouseholdState,
     PolicyState,
     compute_indicators,
+    indicators_csv,
+    month_closes,
     monthly_step,
     phillips_okun_report,
+    policy_rates,
 )
 from cogsim.protocol import ActionEnvelope, run_episode
 from cogsim.seeds import child_rng
@@ -169,22 +172,23 @@ def test_env_runs_full_horizon():
     env = EconomyEnv(EconomyConfig(n_households=5, months=24))
     log = run_episode(env, {aid: propensity_policy(1.0, 0.3) for aid in range(5)}, max_steps=1000, seed=0)
     assert log.steps_executed == 24
-    assert len(env.indicators) == 24
+    assert len(month_closes(log.records)) == 24
 
 
 def test_env_deterministic_series():
     def run():
         env = EconomyEnv(EconomyConfig(n_households=8, months=36, seed=3))
-        run_episode(env, {aid: seeded_policy(3) for aid in range(8)}, max_steps=1000, seed=3)
-        return env.indicators_csv()
+        log = run_episode(env, {aid: seeded_policy(3) for aid in range(8)}, max_steps=1000, seed=3)
+        return indicators_csv(env.config, log.records)
 
     assert run() == run()
 
 
 def test_bounds_hold_over_long_run():
     env = EconomyEnv(EconomyConfig(n_households=10, months=120, seed=1))
-    run_episode(env, {aid: seeded_policy(1) for aid in range(10)}, max_steps=1000, seed=1)
-    for ind, rate in zip(env.indicators, env.rate_history):
+    log = run_episode(env, {aid: seeded_policy(1) for aid in range(10)}, max_steps=1000, seed=1)
+    indicators = month_closes(log.records)
+    for ind, (rate, _) in zip(indicators, policy_rates(env.config, indicators)):
         assert 0.0 <= ind.unemployment <= 1.0
         assert 0.0 <= rate <= 0.2
         assert ind.price_level > 0.0
@@ -193,16 +197,17 @@ def test_bounds_hold_over_long_run():
 def test_out_of_bounds_propensities_clamped():
     env = EconomyEnv(EconomyConfig(n_households=1, months=1))
     log = run_episode(env, {0: propensity_policy(2.0, -0.5)}, max_steps=10, seed=0)
-    assert env.indicators[0].unemployment == 0.0  # clamped to 1.0 -> works
+    assert month_closes(log.records)[0].unemployment == 0.0  # clamped to 1.0 -> works
 
 
 def test_annual_tax_revision_hook():
     env = EconomyEnv(EconomyConfig(n_households=2, months=25, annual_tax_rates=[0.1, 0.2, 0.3]))
-    run_episode(env, {aid: propensity_policy(1.0, 0.1) for aid in range(2)}, max_steps=1000, seed=0)
-    assert env.tax_history[0] == 0.1
-    assert env.tax_history[11] == 0.1
-    assert env.tax_history[12] == 0.2
-    assert env.tax_history[24] == 0.3
+    log = run_episode(env, {aid: propensity_policy(1.0, 0.1) for aid in range(2)}, max_steps=1000, seed=0)
+    taxes = [tax for _, tax in policy_rates(env.config, month_closes(log.records))]
+    assert taxes[0] == 0.1
+    assert taxes[11] == 0.1
+    assert taxes[12] == 0.2
+    assert taxes[24] == 0.3
 
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -236,18 +241,43 @@ def test_env_money_ledger_identity_property(months, seed):
     assert env.done()
 
 
+RATE = st.floats(0.0, 0.3)
+
+
+@PROPERTY
+@given(
+    st.lists(st.lists(st.tuples(PROPENSITY, PROPENSITY), min_size=2, max_size=2), max_size=30),
+    RATE, RATE, st.none() | st.lists(RATE, max_size=3),
+)
+def test_policy_rates_follow_the_live_policy(months, interest_rate, tax_rate, annual_tax_rates):
+    """The rates derived from the month_close records are the ones the environment set, bit for bit."""
+    config = EconomyConfig(
+        n_households=2, months=len(months), interest_rate=interest_rate, tax_rate=tax_rate, annual_tax_rates=annual_tax_rates
+    )
+    env = EconomyEnv(config)
+    env.reset()
+    live = []
+    for propensities in months:
+        env.step({
+            aid: ActionEnvelope(aid, env.state.month, {"work_propensity": wp, "consumption_propensity": cp})
+            for aid, (wp, cp) in enumerate(propensities)
+        })
+        live.append((env.state.policy.interest_rate, env.state.policy.tax_rate))
+    assert policy_rates(config, month_closes(env.events.snapshot())) == live
+
+
 def test_indicator_csv_shape():
     env = EconomyEnv(EconomyConfig(n_households=2, months=3))
-    run_episode(env, {aid: propensity_policy(1.0, 0.2) for aid in range(2)}, max_steps=10, seed=0)
-    lines = env.indicators_csv().strip().splitlines()
+    log = run_episode(env, {aid: propensity_policy(1.0, 0.2) for aid in range(2)}, max_steps=10, seed=0)
+    lines = indicators_csv(env.config, log.records).strip().splitlines()
     assert lines[0] == "month,unemployment,price_level,inflation,gdp,gdp_growth,interest_rate,tax_rate"
     assert len(lines) == 4
 
 
 def test_phillips_okun_report_runs():
     env = EconomyEnv(EconomyConfig(n_households=10, months=48, seed=2))
-    run_episode(env, {aid: seeded_policy(2) for aid in range(10)}, max_steps=1000, seed=2)
-    report = phillips_okun_report(env.indicators)
+    log = run_episode(env, {aid: seeded_policy(2) for aid in range(10)}, max_steps=1000, seed=2)
+    report = phillips_okun_report(month_closes(log.records))
     assert "Phillips curve" in report
     assert "Okun's law" in report
     assert "slope=" in report

@@ -20,6 +20,7 @@ from cogsim.envs.market import (
     buy_sell_ratio,
     clear_session,
     fetch_news_tool,
+    market_metrics,
     price_change_rate,
     session_metrics_csv,
     settle,
@@ -464,7 +465,8 @@ def test_all_holding_keeps_prices_constant():
     env = MarketEnv(MarketConfig(n_agents=4, days=3))
     log = run_episode(env, {aid: hold_policy for aid in range(4)}, max_steps=100, seed=0)
     for sym in ("A", "B"):
-        assert len(set(env.stocks[sym].price_history)) == 1
+        prices = {r.info["price"] for r in log.records if r.action == "clear" and r.info["symbol"] == sym}
+        assert prices == {env.config.initial_prices[sym]}
 
 
 def test_sell_of_unowned_stock_rejected_and_logged():
@@ -552,6 +554,20 @@ def test_rejected_loan_outside_session_one():
     out = env.step({0: ActionEnvelope(agent_id=0, time=1, body={"orders": [], "loan_request": 50.0})})
     rejects = [r for r in env.events.snapshot() if r.action == "reject_loan"]
     assert len(rejects) == 1
+
+
+@pytest.mark.parametrize("days", [0, 2])
+def test_market_metrics_match_the_live_prices(days):
+    config = MarketConfig(n_agents=4, days=days, initial_prices={"A": 31.7, "B": 44})
+    env = MarketEnv(config)
+    log = run_episode(env, {aid: make_trading_policy(5) for aid in range(4)}, max_steps=100, seed=5)
+    metrics = market_metrics(config.initial_prices, log.records)
+    for sym in ("A", "B"):
+        assert metrics[f"price_{sym}"] == env.stocks[sym].price
+        assert metrics[f"price_change_{sym}"] == price_change_rate([config.initial_prices[sym], env.stocks[sym].price])
+    clears = [r.info for r in log.records if r.action == "clear"]
+    assert metrics["volume"] == float(sum(c["volume"] for c in clears))
+    assert (metrics["volume"] > 0) == (days > 0)
 
 
 def test_session_metrics_csv_shape():

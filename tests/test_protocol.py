@@ -8,11 +8,11 @@ from cogsim.errors import AgentMissing, SchemaViolation, UnknownRecipient
 from cogsim.protocol import (
     ActionEnvelope,
     Environment,
-    EpisodeLog,
     EventRecord,
     Message,
     Observation,
     csv_table,
+    read_episodes,
     route_messages,
     run_episode,
 )
@@ -214,11 +214,14 @@ def test_episode_log_jsonl_roundtrip():
     env = ScriptedEnv(n_agents=2, steps=3)
     log = run_episode(env, {0: scripted_policy, 1: scripted_policy}, max_steps=10, seed=5)
     text = log.to_jsonl()
-    back = EpisodeLog.from_jsonl(text)
+    (back,) = read_episodes(text)
     assert back.records == log.records
     assert back.total_rewards == log.total_rewards
     assert back.seed == log.seed
     assert back.steps_executed == log.steps_executed
+    assert [episode.to_jsonl() for episode in read_episodes(text * 3)] == [text] * 3
+    with pytest.raises(ValueError):
+        read_episodes(text + text.splitlines(keepends=True)[0])
 
 
 def test_csv_table_cells_are_str_with_none_empty():

@@ -11,6 +11,7 @@ from cogsim.envs.questionnaire import (
     ResponseSheet,
     ScaleSpec,
     score,
+    score_answers,
     shuffle_items,
 )
 from cogsim.errors import IncompleteSheet
@@ -194,15 +195,23 @@ def test_env_administers_every_item_once():
     log = run_episode(env, {0: fixed_answer_policy(4), 1: fixed_answer_policy(7)}, max_steps=100, seed=4)
     assert log.steps_executed == len(items)
     for aid in (0, 1):
-        assert set(env.responses[aid]) == {i.item_id for i in items}
+        answered = [r.info["item_id"] for r in log.records if r.action == "answer" and r.user_id == aid]
+        assert sorted(answered) == sorted(i.item_id for i in items)
 
 
 def test_env_scoring_and_offscale_snap():
     items = [likert_item("a"), likert_item("b")]
     env = QuestionnaireEnv(items, seed=0, agent_ids=[0])
-    run_episode(env, {0: fixed_answer_policy(99)}, max_steps=10, seed=0)
-    report = env.score_report(0)
+    log = run_episode(env, {0: fixed_answer_policy(99)}, max_steps=10, seed=0)
+    report = score_answers(items, log.records)[0]
     assert report.subscale_raw["s"] == 7.0  # snapped to scale max
+
+
+def test_an_unfinished_sheet_has_no_score():
+    items = [likert_item("a"), likert_item("b")]
+    env = QuestionnaireEnv(items, seed=0, agent_ids=[0, 1])
+    log = run_episode(env, {0: fixed_answer_policy(3), 1: fixed_answer_policy(5)}, max_steps=1, seed=0)
+    assert score_answers(items, log.records) == {}
 
 
 def test_env_respects_seeded_order():

@@ -493,6 +493,7 @@ def test_environment_observation_contract(kind):
         return ActionEnvelope(agent_id=obs.agent_id, time=obs.time, body=dict(body))
 
     agents = dict.fromkeys(env.agent_ids, policy)
+    assert env.name == kind  # a multiworld title names its worlds by kind, its records by env.name
     assert env.agent_ids == sorted(env.agent_ids)
     observations = env.reset()
     for _ in range(12):

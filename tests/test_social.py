@@ -21,6 +21,7 @@ from cogsim.envs.social import (
     build_feed,
     replay_events,
     seed_influencer,
+    social_metrics,
     star_profiles,
 )
 from cogsim.errors import UnknownPost
@@ -298,6 +299,11 @@ def test_replay_rebuilds_tables_from_random_actions(steps, seeded):
     for bodies in steps:
         env.step({aid: ActionEnvelope(aid, env.t, body) for aid, body in enumerate(bodies)})
     assert replay_events(env.events.snapshot(), env.profiles) == env.state
+    assert social_metrics(env.events.snapshot()) == {
+        "posts": float(len(env.state.posts)),
+        "comments": float(len(env.state.comments)),
+        "likes": float(sum(len(post.likes) for post in env.state.posts.values())),
+    }
 
 
 def reference_render_feed(self, aid):
