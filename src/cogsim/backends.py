@@ -443,7 +443,7 @@ def parse_structured(
     direct = _try_parse_json_object(raw_text)
     if direct is not None and not validate_action(direct, schema):
         return direct
-    prompt = PARSE_PROMPT.format(text=raw_text, schema=canonical_json(schema.json_schema()))
+    prompt = PARSE_PROMPT.format(text=raw_text, schema=schema.json_text)
     violations: list[str] = ["not valid JSON"]
     for attempt in range(max_retries + 1):
         content = prompt

@@ -5,12 +5,15 @@ Every subcommand but ``score`` is a harness in
 :data:`~cogsim.runners.HARNESSES`, and :func:`write_bundle` writes every
 bundle: events.jsonl (each tagged episode's log in order), metrics.csv,
 summary.txt, and a manifest.json written last that inventories the other
-files with content hashes and records the command, the episode tags and
-each failed tag's error. Reruns of the same config and seed with a scripted
-backend reproduce events.jsonl and metrics.csv byte for byte. ``score``
-checks a bundle against its manifest and its config, then hands its
-episodes to the command's harness, which re-derives metrics.csv and
-summary.txt from them alone.
+files with content hashes, records the command, the episode tags and each
+failed tag's error, and seals those fields with ``fields_sha256``. Reruns
+of the same config and seed with a scripted backend reproduce events.jsonl
+and metrics.csv byte for byte. ``score`` checks a bundle against its
+manifest and its config, then hands its episodes to the command's harness,
+which re-derives metrics.csv and summary.txt from them alone.
+
+Only bundle I/O loads with this module; the harness layer loads when a
+command runs, so a library run that writes its own bundle never loads it.
 
 Exit codes: 0 success, 1 config error or a bundle ``score`` refuses, 2
 runtime failure.
@@ -24,16 +27,21 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .errors import ConfigError, SimulationError
 from .protocol import read_episodes
-from .runners import HARNESSES, Episodes, ExperimentConfig, HarnessResult, parse
+from .schema import canonical_json
+
+if TYPE_CHECKING:
+    from .runners import Episodes, ExperimentConfig, HarnessResult, Manifest
 
 
 def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
     """Parse a JSON experiment config, with ``overrides`` over its top-level keys, in one :func:`parse`."""
+    from .runners import ExperimentConfig, parse
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -48,6 +56,11 @@ def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> Ex
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def fields_sha256(manifest: dict[str, Any]) -> str:
+    """The sha256 of the canonical JSON of every manifest field but ``fields_sha256``."""
+    return _sha256(canonical_json({k: v for k, v in manifest.items() if k != "fields_sha256"}).encode("utf-8"))
 
 
 class BundleWriter:
@@ -67,7 +80,8 @@ class BundleWriter:
         self.files[name] = _sha256(data)
 
     def finalize(self, **fields: Any) -> None:
-        """Write manifest.json: provenance and each written file's hash, then ``fields``."""
+        """Write manifest.json: provenance and each written file's hash, then
+        ``fields``, sealed by the :func:`fields_sha256` of them all."""
         manifest = {
             "config_sha256": self.config_hash,
             "code_version": __version__,
@@ -77,6 +91,7 @@ class BundleWriter:
             "files": [{"name": name, "sha256": digest} for name, digest in sorted(self.files.items())],
             **fields,
         }
+        manifest["fields_sha256"] = fields_sha256(manifest)
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -91,33 +106,49 @@ def write_bundle(bundle: BundleWriter, command: str, result: HarnessResult) -> N
     bundle.finalize(command=command, episodes=[tag for tag, _ in episodes.logs], failures=episodes.failures)
 
 
-def read_bundle(out: Path, config_bytes: bytes) -> tuple[dict[str, Any], Episodes]:
+def read_bundle(out: Path, config_bytes: bytes) -> tuple[Manifest, Episodes]:
     """The manifest of the bundle in ``out`` and its tagged episodes, or a
-    :class:`ConfigError` if a file does not match its hash, the bundle was
-    written from another config, or the manifest names no command and episodes."""
+    :class:`ConfigError` if the manifest is not a
+    :class:`~cogsim.runners.Manifest` naming a command, its fields do not
+    match its ``fields_sha256``, a file does not match its hash, or the
+    bundle was written from another config."""
+    from .runners import HARNESSES, Episodes, Manifest, parse
+
     path = out / "manifest.json"
     if not path.exists():
         raise ConfigError(f"no manifest.json to score in {out}")
-    manifest = json.loads(path.read_text())
-    for entry in manifest.get("files", []):
-        file = out / entry["name"]
-        if not file.is_file() or _sha256(file.read_bytes()) != entry["sha256"]:
-            raise ConfigError(f"{file} does not match its sha256 in {path}")
-    if manifest.get("config_sha256") != _sha256(config_bytes):
-        raise ConfigError(f"{path} was written from another config (config_sha256 differs)")
-    if manifest.get("command") not in HARNESSES or "episodes" not in manifest:
+    try:
+        raw = json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} is not a JSON object")
+    if "command" not in raw or "episodes" not in raw:
         raise ConfigError(f"{path} names no command and episodes to score")
-    logs = zip(manifest["episodes"], read_episodes((out / "events.jsonl").read_text()), strict=True)
-    return manifest, Episodes(list(logs), manifest.get("failures", {}))
-
-
-COMMANDS = (*HARNESSES, "score")
+    try:
+        manifest = parse(Manifest, raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path} is malformed: {exc}") from None
+    if manifest.command not in HARNESSES:
+        raise ConfigError(f"{path} names an unknown command {manifest.command!r}")
+    if manifest.fields_sha256 != fields_sha256(raw):
+        raise ConfigError(f"{path} does not match its fields_sha256")
+    for entry in manifest.files:
+        file = out / entry.name
+        if not file.is_file() or _sha256(file.read_bytes()) != entry.sha256:
+            raise ConfigError(f"{file} does not match its sha256 in {path}")
+    if manifest.config_sha256 != _sha256(config_bytes):
+        raise ConfigError(f"{path} was written from another config (config_sha256 differs)")
+    logs = zip(manifest.episodes, read_episodes((out / "events.jsonl").read_text()), strict=True)
+    return manifest, Episodes(list(logs), manifest.failures)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .runners import HARNESSES
+
     parser = argparse.ArgumentParser(prog="cogsim", description="Multi-agent simulation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in (*HARNESSES, "score"):
         cmd = sub.add_parser(name, help=f"{name} experiment")
         cmd.add_argument("--config", required=True, help="JSON experiment config")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed (default 0)")
@@ -127,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .runners import HARNESSES
+
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -140,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         command, seed, episodes = args.command, config.seed, None
         if command == "score":
             manifest, episodes = read_bundle(Path(config.out), config_bytes)
-            command, seed = manifest["command"], manifest["seed"]
+            command, seed = manifest.command, manifest.seed
         if getattr(config, command, 0) is None:  # transfer, multiworld and ablation read their own section
             raise ConfigError(f"the {command} command needs this section", field=command)
         bundle = BundleWriter(Path(config.out), config_bytes, seed)

@@ -21,7 +21,6 @@ interest credited plus gross production income minus spending.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
@@ -30,8 +29,6 @@ from ..protocol import ActionEnvelope, Environment, EventRecord, Observation, cs
 from ..errors import ConfigError, DegenerateX
 from ..schema import ResponseSchema
 from ..stats import fit_line
-
-logger = logging.getLogger(__name__)
 
 PRICE_KAPPA = 0.2
 PRICE_EPSILON = 1.0
@@ -74,11 +71,14 @@ class HouseholdAction:
 
 
 def clamp_action(raw: Mapping[str, float], agent: int) -> HouseholdAction:
-    """Clamp propensities into [0, 1], warning when inputs were out of bounds."""
+    """Clamp propensities into [0, 1], warning when inputs were out of bounds;
+    ``logging`` loads with the first warning."""
     wp = float(raw.get("work_propensity", 0.0))
     cp = float(raw.get("consumption_propensity", 0.0))
     if not (0.0 <= wp <= 1.0) or not (0.0 <= cp <= 1.0):
-        logger.warning("agent %d propensities out of bounds (%.3f, %.3f); clamping", agent, wp, cp)
+        import logging
+
+        logging.getLogger(__name__).warning("agent %d propensities out of bounds (%.3f, %.3f); clamping", agent, wp, cp)
     return HouseholdAction(
         work_propensity=min(1.0, max(0.0, wp)),
         consumption_propensity=min(1.0, max(0.0, cp)),

@@ -14,13 +14,15 @@ from __future__ import annotations
 import json
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import InitVar, dataclass, field
-from typing import Any, Callable, ContextManager, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Mapping
 
 from .errors import AgentMissing, SchemaViolation, UnknownRecipient
 from .schema import ResponseSchema, canonical_json, validate_action
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 AgentId = int
 TimeStep = int
@@ -340,8 +342,13 @@ def step_world(
 
 
 def policy_pool(agents: Mapping[AgentId, Any], parallel: bool) -> ContextManager[Executor | None]:
-    """The thread pool a run's ``step_world`` calls fan out to, or no pool unless ``parallel``."""
-    return ThreadPoolExecutor(max_workers=min(len(agents), 16) or 1) if parallel else nullcontext()
+    """The thread pool a run's ``step_world`` calls fan out to, or no pool unless
+    ``parallel``; a serial run never imports the pool."""
+    if not parallel:
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=min(len(agents), 16) or 1)
 
 
 def run_episode(

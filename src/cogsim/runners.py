@@ -411,6 +411,31 @@ class Episodes:
     failures: dict[str, str] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class FileEntry:
+    """One ``files`` entry of a manifest: a bundle file and its sha256."""
+
+    name: str
+    sha256: str
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """The manifest.json of a bundle that ``score`` can re-derive: what
+    ``cli.write_bundle`` writes, checked by :func:`parse`."""
+
+    config_sha256: str
+    code_version: str
+    seed: int
+    started_at: str
+    finished_at: str
+    files: list[FileEntry]
+    command: str
+    episodes: list[str]
+    failures: dict[str, str]
+    fields_sha256: str
+
+
 @dataclass
 class HarnessResult:
     """A harness's episodes; its metrics table; and its summary: ``title``, one

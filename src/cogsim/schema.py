@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 _TYPE_CHECKS = {
@@ -53,7 +54,11 @@ class ResponseSchema:
         return ResponseSchema(fields=fields)
 
     def hint_text(self) -> str:
-        """Human/LLM-readable one-line-per-field description."""
+        """Human/LLM-readable one-line-per-field description, built once per schema."""
+        return self._hint
+
+    @cached_property
+    def _hint(self) -> str:
         lines = []
         for name, spec in self.fields.items():
             req = "required" if spec.required else "optional"
@@ -70,6 +75,12 @@ class ResponseSchema:
             "required": required,
             "additionalProperties": False,
         }
+
+    @cached_property
+    def json_text(self) -> str:
+        """:func:`canonical_json` of :meth:`json_schema`, built once per schema;
+        the structured-parse prompt embeds it."""
+        return canonical_json(self.json_schema())
 
 
 def validate_action(body: Any, schema: ResponseSchema) -> list[str]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cogsim.cli import COMMANDS, load_config, main
+from cogsim.cli import load_config, main
 from cogsim.envs.auction import AuctionItem
 from cogsim.envs.market import NewsItem
 from cogsim.envs.questionnaire import Item
@@ -18,6 +18,7 @@ from cogsim.protocol import read_episodes
 from cogsim.runners import (
     BACKENDS,
     ENVIRONMENTS,
+    HARNESSES,
     MEMORIES,
     AblationConfig,
     AgentsConfig,
@@ -29,6 +30,7 @@ from cogsim.runners import (
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
+COMMANDS = (*HARNESSES, "score")
 AUCTION_ITEMS = [{"name": "lamp", "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0}]
 
 
@@ -204,9 +206,16 @@ def test_score_recomputes_metrics_from_events(tmp_path):
     for entry in manifest["files"]:
         if entry["name"] == "metrics.csv":
             entry["sha256"] = hashlib.sha256(b"tampered\n").hexdigest()
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    (out / "manifest.json").write_text(json.dumps(reseal(manifest)))
     assert main(["score", "--config", str(config)]) == 0
     assert (out / "metrics.csv").read_bytes() == original_metrics
+
+
+def reseal(manifest):
+    """``manifest`` with ``fields_sha256`` recomputed over its other fields, as its writer would."""
+    fields = {key: value for key, value in manifest.items() if key != "fields_sha256"}
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    return {**fields, "fields_sha256": digest}
 
 
 def bundle_bytes(out):
@@ -766,6 +775,58 @@ def test_score_refuses_bundle_whose_manifest_lists_no_episodes(tmp_path, capsys)
         assert main(["score", "--config", str(config)]) == 1
         assert "names no command and episodes to score" in capsys.readouterr().err
         assert bundle_bytes(out) == before
+
+
+def drop_seed(manifest):
+    del manifest["seed"]
+    return json.dumps(manifest)
+
+
+def drop_a_file_name(manifest):
+    del manifest["files"][0]["name"]
+    return json.dumps(manifest)
+
+
+MALFORMED_MANIFESTS = {
+    "no seed": drop_seed,
+    "file entry without name": drop_a_file_name,
+    "a JSON list": lambda manifest: json.dumps([manifest]),
+    "not JSON": lambda manifest: json.dumps(manifest)[:-1],
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
+def test_score_refuses_a_malformed_manifest(edit, tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, minimal_market_config(out))
+    assert main(["run", "--config", str(config)]) == 0
+    (out / "manifest.json").write_text(edit(json.loads((out / "manifest.json").read_text())))
+    before = bundle_bytes(out)
+    assert main(["score", "--config", str(config)]) == 1
+    assert f"config error ({config}): {out / 'manifest.json'} is " in capsys.readouterr().err
+    assert bundle_bytes(out) == before
+
+
+def test_score_refuses_a_manifest_whose_fields_were_edited(tmp_path, capsys):
+    out = tmp_path / "out"
+    body = minimal_market_config(out, trials=3, environment={"kind": "economy", "agents": 2, "months": 2})
+    body["backend"]["default_content"] = json.dumps({"work_propensity": 0.7, "consumption_propensity": 0.4})
+    config = write_config(tmp_path, body)
+    assert main(["trials", "--config", str(config)]) == 0
+    sealed = json.loads((out / "manifest.json").read_text())
+    assert sealed == reseal(sealed)
+    edits = [{"failures": {"trial/5": "nothing went wrong"}}, {"seed": 7}]
+    for edit in edits:
+        (out / "manifest.json").write_text(json.dumps({**sealed, **edit}, indent=2) + "\n")
+        before = bundle_bytes(out)
+        assert main(["score", "--config", str(config)]) == 1
+        assert "manifest.json does not match its fields_sha256" in capsys.readouterr().err
+        assert bundle_bytes(out) == before
+    # a manifest written before manifests were sealed lacks the field
+    del sealed["fields_sha256"]
+    (out / "manifest.json").write_text(json.dumps(sealed, indent=2) + "\n")
+    assert main(["score", "--config", str(config)]) == 1
+    assert 'missing key "fields_sha256"' in capsys.readouterr().err
 
 
 def schema_keys(schema, internal=()):

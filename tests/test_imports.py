@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every
 module-level UPPER_CASE constant is named somewhere besides its definition,
 every per-layer family of the benchmark's tracer still measures a cogsim
-function, and a run on a local backend never loads the HTTP client.
+function, a run on a local backend never loads the HTTP client, and a
+library run that writes its own bundle loads only the layers it uses.
 
 ``__init__.py`` is exempt from the import check: it imports names to
 re-export them.
@@ -112,11 +113,43 @@ print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
 """
 
 
-def test_local_run_never_imports_the_http_client(tmp_path):
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports cogsim from this tree."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    config, out = ROOT / "configs" / "market_small.json", tmp_path / "out"
-    done = subprocess.run(
-        [sys.executable, "-c", STARTUP, str(config), str(out)], env=env, capture_output=True, text=True, timeout=60
-    )
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_local_run_never_imports_the_http_client(tmp_path):
+    done = run_fresh(STARTUP, ROOT / "configs" / "market_small.json", tmp_path / "out")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]", f"a scripted run loaded the HTTP client: {done.stdout}"
+
+
+LIBRARY_RUN = """
+import json, sys
+from pathlib import Path
+import cogsim, cogsim.cli
+from cogsim import Agent, CompletionResult, ScriptedBackend, run_episode
+from cogsim.envs.economy import EconomyConfig, EconomyEnv
+
+env = EconomyEnv(EconomyConfig(n_households=3, months=2))
+answer = CompletionResult(content=json.dumps({"work_propensity": 0.6, "consumption_propensity": 0.4}))
+agents = {aid: Agent(aid, backend=ScriptedBackend(default=answer), world_tag=env.name) for aid in env.agent_ids}
+log = run_episode(env, agents, max_steps=None)
+bundle = cogsim.cli.BundleWriter(Path(sys.argv[1]), b"{}", log.seed)
+bundle.write("events.jsonl", log.to_jsonl())
+bundle.finalize()
+print(log.steps_executed)
+print(sorted(name for name in sys.argv[2:] if name in sys.modules))
+"""
+
+UNUSED_BY_A_LIBRARY_RUN = ("cogsim.runners", "cogsim.envs.auction", "cogsim.envs.questionnaire", "concurrent.futures", "logging")
+
+
+def test_library_run_loads_only_the_layers_it_uses(tmp_path):
+    done = run_fresh(LIBRARY_RUN, tmp_path / "out", *UNUSED_BY_A_LIBRARY_RUN)
+    assert done.returncode == 0, done.stderr
+    steps, loaded = done.stdout.splitlines()[-2:]
+    assert steps == "2"
+    assert loaded == "[]", f"a serial scripted run loaded layers it never uses: {loaded}"
+    assert (tmp_path / "out" / "manifest.json").is_file()

@@ -1,9 +1,9 @@
+import concurrent.futures
 import itertools
 import random
 
 import pytest
 
-from cogsim import protocol
 from cogsim.errors import AgentMissing, SchemaViolation, UnknownRecipient
 from cogsim.protocol import (
     ActionEnvelope,
@@ -191,12 +191,12 @@ def test_parallel_policy_fanout_matches_sequential():
 def test_parallel_episode_opens_one_pool(monkeypatch):
     opened = []
 
-    class CountingPool(protocol.ThreadPoolExecutor):
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(protocol, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     env = ScriptedEnv(n_agents=4, steps=5)
     log = run_episode(env, {aid: scripted_policy for aid in range(4)}, max_steps=10, seed=9, parallel=True)
     assert log.steps_executed == 5

@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cogsim import Agent, CompletionResult, ScriptedBackend, run_episode
+from cogsim.envs.economy import ACTION_SCHEMA, EconomyConfig, EconomyEnv
 from cogsim.schema import FieldSpec, ResponseSchema, canonical_json, validate_action
 
 
@@ -76,6 +79,36 @@ def test_hint_text_mentions_every_field():
     hint = schema.hint_text()
     assert "bid" in hint and "note" in hint
     assert "required" in hint and "optional" in hint
+
+
+def test_scripted_economy_episode_builds_each_schema_text_once(monkeypatch):
+    # every agent-step's prompt embeds the hint, and every free-text answer's
+    # parse prompt the schema's JSON text; each is built once for the one schema
+    built = Counter()
+    for name in ("_hint", "json_text"):
+        prop = vars(ResponseSchema)[name]
+        monkeypatch.setattr(prop, "func", lambda schema, name=name, build=prop.func: built.update([name]) or build(schema))
+        monkeypatch.delitem(vars(ACTION_SCHEMA), name, raising=False)
+    prompts = []
+
+    def answer(text):
+        prompts.append(text)
+        if "Based on the text provided below" in text:
+            return CompletionResult(content=json.dumps({"work_propensity": 0.6, "consumption_propensity": 0.4}))
+        return CompletionResult(content="I would work a lot and spend less than half.")
+
+    env = EconomyEnv(EconomyConfig(n_households=3, months=3))
+    agents = {aid: Agent(aid, backend=ScriptedBackend(default=answer), world_tag=env.name) for aid in env.agent_ids}
+    assert run_episode(env, agents, max_steps=None).steps_executed == 3
+    assert built == {"_hint": 1, "json_text": 1}
+    hint = "- work_propensity (number, required)\n- consumption_propensity (number, required)"
+    schema_text = (
+        '{"additionalProperties":false,"properties":{"consumption_propensity":{"type":"number"},'
+        '"work_propensity":{"type":"number"}},"required":["work_propensity","consumption_propensity"],"type":"object"}'
+    )
+    assert len(prompts) == 18
+    assert sum(hint in text for text in prompts) == 9
+    assert sum(f"```\n{schema_text}\n```" in text for text in prompts) == 9
 
 
 JSON_VALUES = st.recursive(
