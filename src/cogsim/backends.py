@@ -202,6 +202,78 @@ class RecordingBackend(CompletionBackend):
         return ReplayBackend(self.transcript)
 
 
+def _readable(sock: Any) -> bool:
+    """Whether ``sock`` has something to read now; ``poll``, where there is one,
+    takes descriptors of any number, ``select`` only those below 1024."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class _ConnectionPool:
+    """Keep-alive ``http.client`` connections to one endpoint.
+
+    A request borrows an idle connection, or opens one, and returns it once
+    the whole answer is read, unless the answer closes it; the backend's
+    ``in_flight_limit`` bounds how many are open at once. An idle socket
+    that is readable was dropped by the server (EOF, or bytes nobody asked
+    for), so it is closed and skipped, as urllib3 does, and the request
+    never reaches a connection the server has already closed.
+    """
+
+    def __init__(self, endpoint: str, timeout: float):
+        import http.client
+        from urllib.parse import urlsplit
+
+        parts = urlsplit(endpoint)
+        if parts.scheme == "https":
+            import ssl
+
+            context = ssl.create_default_context()
+            self._connect = lambda: http.client.HTTPSConnection(
+                parts.hostname, parts.port, timeout=timeout, context=context
+            )
+        elif parts.scheme == "http":
+            self._connect = lambda: http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+        else:
+            raise ConfigError(f"must be an http or https URL, got {endpoint!r}", field="endpoint")
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._idle: list[Any] = []
+        self._lock = threading.Lock()
+
+    def _borrow(self) -> Any:
+        with self._lock:
+            while self._idle:
+                conn = self._idle.pop()
+                if not _readable(conn.sock):
+                    return conn
+                conn.close()
+        return self._connect()
+
+    def post(self, data: bytes, headers: dict[str, str]) -> tuple[int, Any, bytes]:
+        """Send ``data`` in one request and return the answer's status, headers
+        and body; raises ``OSError`` (``TimeoutError`` on a timeout) or
+        ``http.client.HTTPException`` when the exchange fails."""
+        conn = self._borrow()
+        try:
+            conn.request("POST", self._target, body=data, headers=headers)
+            answer = conn.getresponse()
+            response = answer.status, answer.headers, answer.read()
+        except BaseException:
+            conn.close()
+            raise
+        if answer.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return response
+
+
 class RemoteBackend(CompletionBackend):
     """Chat-completions-compatible HTTP backend.
 
@@ -212,8 +284,13 @@ class RemoteBackend(CompletionBackend):
     429's ``Retry-After`` delta-seconds say (RFC 9110 section 10.2.3). Other
     4xx responses are fatal. At most ``in_flight_limit`` requests are open.
 
-    ``requests`` is imported when the first remote backend is built, so a
-    run on a local backend never loads an HTTP client.
+    Requests go over keep-alive ``http.client`` connections (``https``
+    endpoints with the default verifying SSL context), imported when the
+    first remote backend is built, so a run on a local backend never loads
+    an HTTP client. ``session`` replaces that transport with any object that
+    has the shape of ``requests.Session.post(url, json=, headers=,
+    timeout=)`` and raises ``OSError`` when the transport fails, a
+    ``TimeoutError`` when it times out.
     """
 
     def __init__(
@@ -224,20 +301,20 @@ class RemoteBackend(CompletionBackend):
         timeout: float = 30.0,
         rng: random.Random | None = None,
         sleeper: Callable[[float], None] = time.sleep,
-        session: Any = None,  # a requests.Session; None opens one
+        session: Any = None,
     ):
-        import requests
-
         if in_flight_limit < 1:
             raise ConfigError("must be >= 1", field="in_flight_limit")
         self.endpoint = endpoint
         self.auth_env = auth_env
+        self.in_flight_limit = in_flight_limit
         self.timeout = timeout
         self._semaphore = threading.BoundedSemaphore(in_flight_limit)
         self._rng = rng or random.Random(0)
         self._rng_lock = threading.Lock()
         self._sleeper = sleeper
-        self._session = session or requests.Session()
+        self._session = session
+        self._pool = None if session is not None else _ConnectionPool(endpoint, timeout)
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -289,10 +366,19 @@ class RemoteBackend(CompletionBackend):
             jitter = self._rng.uniform(0.5, 1.5)
         return 0.1 * (2**attempt) * jitter
 
+    def _post(self, body: dict[str, Any], data: bytes) -> tuple[int, Any, bytes]:
+        """One attempt: the answer's status, headers (with a case-insensitive
+        ``get``) and body."""
+        if self._pool is not None:
+            return self._pool.post(data, self._headers())
+        response = self._session.post(self.endpoint, json=body, headers=self._headers(), timeout=self.timeout)
+        return response.status_code, response.headers, response.content
+
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        import requests  # already loaded by __init__
+        import http.client  # already loaded by __init__ or by the injected session
 
         body = self._body(request)
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
         last_error: Exception | None = None
         timed_out = False
         for attempt in range(request.max_retries + 1):
@@ -301,26 +387,25 @@ class RemoteBackend(CompletionBackend):
             retry_after: float | None = None  # set by a 429 for the next attempt's wait
             try:
                 with self._semaphore:
-                    response = self._session.post(
-                        self.endpoint, json=body, headers=self._headers(), timeout=self.timeout
-                    )
-            except requests.Timeout as exc:
+                    status, headers, content = self._post(body, data)
+            except TimeoutError as exc:
                 last_error, timed_out = exc, True
                 continue
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error, timed_out = exc, False
                 continue
-            if response.status_code == 429:
-                header = response.headers.get("Retry-After", "").strip()
+            if status == 429:
+                header = headers.get("Retry-After", "").strip()
                 retry_after = float(header) if header.isascii() and header.isdigit() else None
                 last_error, timed_out = RuntimeError("rate limited (429)"), False
                 continue
-            if response.status_code >= 500:
-                last_error, timed_out = RuntimeError(f"server error {response.status_code}"), False
+            if status >= 500:
+                last_error, timed_out = RuntimeError(f"server error {status}"), False
                 continue
-            if response.status_code >= 400:
-                raise RemoteExhausted(f"remote rejected request: {response.status_code} {response.text[:200]}")
-            return self._parse_response(response.json())
+            if status >= 400:
+                text = content[:200].decode("utf-8", "replace")
+                raise RemoteExhausted(f"remote rejected request: {status} {text}")
+            return self._parse_response(json.loads(content))
         if timed_out:
             raise RemoteTimeout(f"remote timed out after {request.max_retries + 1} attempts") from last_error
         raise RemoteExhausted(f"remote failed after {request.max_retries + 1} attempts: {last_error}")

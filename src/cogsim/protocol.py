@@ -343,12 +343,20 @@ def step_world(
 
 def policy_pool(agents: Mapping[AgentId, Any], parallel: bool) -> ContextManager[Executor | None]:
     """The thread pool a run's ``step_world`` calls fan out to, or no pool unless
-    ``parallel``; a serial run never imports the pool."""
+    ``parallel``; a serial run never imports the pool.
+
+    One worker per agent, up to 16, or up to the largest ``in_flight_limit``
+    of the agents' backends where that is larger, so that every request a
+    backend allows can be open at once. A limit below 16 does not shrink the
+    pool: a worker sleeping out a retry's backoff must not hold up the rest.
+    """
     if not parallel:
         return nullcontext()
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=min(len(agents), 16) or 1)
+    backends = (getattr(agent, "backend", None) for agent in agents.values())
+    limit = max((getattr(backend, "in_flight_limit", 0) for backend in backends), default=0)
+    return ThreadPoolExecutor(max_workers=min(len(agents), max(16, limit)) or 1)
 
 
 def run_episode(

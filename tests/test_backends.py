@@ -1,5 +1,8 @@
 import hashlib
+import http.client
 import json
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,7 +23,7 @@ from cogsim.backends import (
     run_tool_loop,
 )
 from cogsim.cli import main
-from cogsim.errors import ParseFailure, RemoteExhausted, ReplayMiss
+from cogsim.errors import ParseFailure, RemoteExhausted, RemoteTimeout, ReplayMiss
 from cogsim.protocol import ToolSpec
 from cogsim.schema import ResponseSchema
 
@@ -509,6 +512,135 @@ def test_remote_in_flight_limit(stub_server):
     assert len(handler.seen_bodies) == 8
 
 
+class ClosingServer(ThreadingHTTPServer):
+    """Answers the first request as HTTP/1.1 without ``Connection: close``, so
+    the client keeps the connection, then closes it anyway; later answers say
+    ``Connection: close``, so that the client keeps no socket open."""
+
+    def __init__(self):
+        class Handler(StubHandler):
+            protocol_version = "HTTP/1.1"
+            seen_bodies = []
+            lock = threading.Lock()
+
+            def end_headers(self):
+                if len(self.seen_bodies) > 1:
+                    self.send_header("Connection", "close")
+                super().end_headers()
+
+            def do_POST(self):
+                super().do_POST()
+                self.close_connection = True
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        self.handler = Handler
+        self.closed = threading.Semaphore(0)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
+def test_remote_reconnects_for_free_when_the_server_dropped_a_kept_connection():
+    server = ClosingServer()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        waits = []
+        backend = RemoteBackend(f"http://127.0.0.1:{server.server_address[1]}/v1", sleeper=waits.append)
+        assert backend.complete(simple_request("first")).content == "stub says hi"
+        assert server.closed.acquire(timeout=5)
+        assert backend.complete(simple_request("second")).content == "stub says hi"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert waits == []
+    assert [body["messages"][0]["content"] for body, _ in server.handler.seen_bodies] == ["first", "second"]
+
+
+def test_remote_threads_share_kept_connections_without_handing_one_out_twice():
+    class Handler(StubHandler):
+        protocol_version = "HTTP/1.1"
+        seen_bodies = []
+        lock = threading.Lock()
+        connections = 0
+
+        def setup(self):
+            super().setup()
+            with self.lock:
+                type(self).connections += 1
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    waits = []
+    backend = RemoteBackend(f"http://127.0.0.1:{server.server_address[1]}/v1", in_flight_limit=3, sleeper=waits.append)
+
+    def ask(worker):
+        for i in range(25):
+            assert backend.complete(simple_request(f"w{worker} q{i}")).content == "stub says hi"
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=ask, args=(w,)) for w in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not any(worker.is_alive() for worker in workers)
+    assert waits == []
+    assert len(Handler.seen_bodies) == 8 * 25
+    assert Handler.connections <= 3
+
+
+def test_remote_connection_refused_spends_every_attempt():
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]  # closed again before the backend connects
+    waits = []
+    backend = RemoteBackend(f"http://127.0.0.1:{port}/v1", sleeper=waits.append)
+    with pytest.raises(RemoteExhausted, match="after 3 attempts") as failure:
+        backend.complete(simple_request("q", max_retries=2))
+    assert "refused" in str(failure.value).lower()
+    assert len(waits) == 2
+    assert 0.1 <= waits[0] <= 0.3 and 0.2 <= waits[1] <= 0.6
+
+
+class FailingSession:
+    """A ``requests.Session`` stand-in whose every post fails with ``error``."""
+
+    def __init__(self, error):
+        self.error, self.posts = error, 0
+
+    def post(self, url, json, headers, timeout):
+        self.posts += 1
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error,raised",
+    [
+        (TimeoutError("read timed out"), RemoteTimeout),
+        (ConnectionResetError("reset by peer"), RemoteExhausted),
+        (http.client.IncompleteRead(b""), RemoteExhausted),
+    ],
+    ids=["timeout", "os-error", "http-exception"],
+)
+def test_remote_injected_session_failures_are_retried_then_raised(error, raised):
+    session = FailingSession(error)
+    backend = RemoteBackend("http://127.0.0.1:9/v1", sleeper=lambda s: None, session=session)
+    with pytest.raises(raised):
+        backend.complete(simple_request("q", max_retries=2))
+    assert session.posts == 3
+
+
 MARKET = {"kind": "market", "agents": 4, "days": 1}
 ORDERS = [
     {"symbol": symbol, "side": side, "limit_price": price, "quantity": 1}
@@ -548,3 +680,17 @@ def test_remote_harnesses_fan_out_from_the_cli(command, section, stub_server, tm
     path.write_text(json.dumps(config))
     assert main([command, "--config", str(path)]) == 0
     assert handler.max_concurrent >= 2
+
+
+def test_remote_in_flight_limit_above_16_opens_that_many_requests(stub_server, tmp_path):
+    url, handler = stub_server
+    handler.delay, handler.content = 0.2, trader_or_respondent
+    config = {
+        "environment": {**MARKET, "agents": 32},
+        "backend": {"kind": "remote", "endpoint": url, "in_flight_limit": 32},
+        "out": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 0
+    assert handler.max_concurrent > 16

@@ -464,6 +464,7 @@ SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
         ({"agents": {"memory": {"kind": "buffer", "capacity": 3, "window": 5}}}, "agents.memory.window"),
         ({"agents": {"role_tag": "trader"}}, "agents.role_tag"),
         ({"backend": {"kind": "remote"}}, "backend.endpoint"),
+        ({"backend": {"kind": "remote", "endpoint": "ftp://127.0.0.1:9/v1"}}, "backend.endpoint"),
         ({"backend": {"kind": "replay"}}, "backend.transcript_path"),
         ({"backend": {"kind": "replay", "transcript_path": "no/such/transcript.jsonl"}}, "backend.transcript_path"),
         ({"backend": {"kind": "scripted", "endpoint": "http://127.0.0.1:9/v1"}}, "backend.endpoint"),
@@ -528,7 +529,8 @@ SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
         "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
         "questionnaire-item-without-scale", "questionnaire-one-point-scale", "transfer-source", "multiworld-env",
         "agents-list", "ablation-int", "transfer-list", "multiworld-string", "runner", "memory-kind", "memory-missing-capacity",
-        "memory-window-on-buffer", "role-tag", "remote-missing-endpoint", "replay-missing-transcript-path",
+        "memory-window-on-buffer", "role-tag", "remote-missing-endpoint", "remote-endpoint-not-http",
+        "replay-missing-transcript-path",
         "replay-missing-transcript-file", "endpoint-on-scripted", "backend-kind", "trials-bool", "seed-bool",
         "max-steps-bool", "directives-string", "directives-non-string", "memory-string", "multiworld-environments-int",
         "rule-without-contains", "rule-without-content", "default-content-int", "events-by-day", "start-date",

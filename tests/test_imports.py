@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every
 module-level UPPER_CASE constant is named somewhere besides its definition,
 every per-layer family of the benchmark's tracer still measures a cogsim
-function, a run on a local backend never loads the HTTP client, and a
-library run that writes its own bundle loads only the layers it uses.
+function, a run on a local backend never loads the HTTP client, a remote
+run never loads ``requests``, and a library run that writes its own bundle
+loads only the layers it uses.
 
 ``__init__.py`` is exempt from the import check: it imports names to
 re-export them.
@@ -109,7 +110,7 @@ STARTUP = """
 import sys
 import cogsim, cogsim.cli
 assert cogsim.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
+print(sorted(name for name in ("requests", "urllib3", "http.client") if name in sys.modules))
 """
 
 
@@ -123,6 +124,37 @@ def test_local_run_never_imports_the_http_client(tmp_path):
     done = run_fresh(STARTUP, ROOT / "configs" / "market_small.json", tmp_path / "out")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]", f"a scripted run loaded the HTTP client: {done.stdout}"
+
+
+REMOTE_RUN = """
+import sys, threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from cogsim import ChatTurn, CompletionRequest, RemoteBackend
+
+class Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        data = b'{"choices": [{"message": {"content": "hi"}}]}'
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+backend = RemoteBackend(f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions")
+print(backend.complete(CompletionRequest(turns=[ChatTurn(role="user", content="q")])).content)
+server.shutdown()
+print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
+"""
+
+
+def test_remote_run_never_imports_requests():
+    done = run_fresh(REMOTE_RUN)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["hi", "[]"], f"a remote run loaded requests: {done.stdout}"
 
 
 LIBRARY_RUN = """
