@@ -118,6 +118,9 @@ class CompletionBackend:
     def complete(self, request: CompletionRequest) -> CompletionResult:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the backend keeps open between requests; the base keeps nothing."""
+
 
 RulePredicate = Callable[[str], bool]
 RuleResult = CompletionResult | Callable[[str], CompletionResult]
@@ -273,6 +276,13 @@ class _ConnectionPool:
                 self._idle.append(conn)
         return response
 
+    def close(self) -> None:
+        """Close every idle connection; borrowed ones close or come back as usual."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
 
 class RemoteBackend(CompletionBackend):
     """Chat-completions-compatible HTTP backend.
@@ -315,6 +325,11 @@ class RemoteBackend(CompletionBackend):
         self._sleeper = sleeper
         self._session = session
         self._pool = None if session is not None else _ConnectionPool(endpoint, timeout)
+
+    def close(self) -> None:
+        """Close the idle keep-alive connections; an injected ``session`` is its owner's to close."""
+        if self._pool is not None:
+            self._pool.close()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}

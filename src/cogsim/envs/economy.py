@@ -22,6 +22,7 @@ interest credited plus gross production income minus spending.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from ..seeds import child_rng
@@ -208,6 +209,25 @@ class EconomyConfig:
         return rates[min(month // 12, len(rates) - 1)] if rates else self.tax_rate
 
 
+EMPLOYED = " (last month: employed).\n"
+NOT_EMPLOYED = " (last month: not employed).\n"
+
+
+def _head(month: int) -> str:
+    return f"Month {month}. You are a household with skill "
+
+
+def _traits(skill: float, monthly_wage: float) -> str:
+    return f"{skill:.2f}, monthly wage {monthly_wage:.2f} per skill unit, wealth "
+
+
+def _tail(price_level: float, tax_rate: float, interest_rate: float) -> str:
+    return (
+        f"Price level {price_level:.2f}, tax rate {tax_rate:.2%}, annual interest rate {interest_rate:.2%}.\n"
+        "Decide how much to work and consume this month."
+    )
+
+
 class EconomyEnv(Environment):
     """One environment step per month; shared goods market, per-agent ledgers."""
 
@@ -236,21 +256,24 @@ class EconomyEnv(Environment):
             policy=PolicyState(tax_rate=cfg.tax_rate, interest_rate=cfg.interest_rate),
             price_level=cfg.initial_price,
         )
+        self._head, self._traits, self._tail = (lru_cache(maxsize=None)(part) for part in (_head, _traits, _tail))
 
     def done(self) -> bool:
         return self.state.month >= self.config.months
 
-    def _context_for(self, aid: int) -> str:
-        hh = self.state.households[aid]
-        policy = self.state.policy
-        status = "employed" if hh.employed_this_month else "not employed"
+    def _context_for(self, aid: int) -> tuple[str, str, str, str, str]:
+        """Five parts: the month head, the household's traits, its wealth, its
+        status and the month tail. Only the wealth is new for each household
+        each month; the other parts are shared, cached by the values they render."""
+        state = self.state
+        hh = state.households[aid]
+        policy = state.policy
         return (
-            f"Month {self.state.month + 1}. You are a household with skill {hh.skill:.2f}, "
-            f"monthly wage {hh.monthly_wage:.2f} per skill unit, wealth {hh.wealth:.2f} "
-            f"(last month: {status}).\n"
-            f"Price level {self.state.price_level:.2f}, tax rate {policy.tax_rate:.2%}, "
-            f"annual interest rate {policy.interest_rate:.2%}.\n"
-            f"Decide how much to work and consume this month."
+            self._head(state.month + 1),
+            self._traits(hh.skill, hh.monthly_wage),
+            f"{hh.wealth:.2f}",
+            EMPLOYED if hh.employed_this_month else NOT_EMPLOYED,
+            self._tail(state.price_level, policy.tax_rate, policy.interest_rate),
         )
 
     def _now(self) -> int:

@@ -7,7 +7,10 @@ between environments, tagged per entry with the world it came from.
 An entry's content is :data:`~cogsim.protocol.Text`: a plain str, or the
 parts of an observation as the environment gave them. Parts are held by
 reference, so the followers of one social feed archive that step's feed
-string once between them, not once each. Everything that reads content
+string once between them, not once each. An economy observation is five
+parts: the month's lines are shared by every household and a household's
+traits across months, so each archive holds only its own wealth figures.
+Everything that reads content
 joins the parts (``content``, ``render``, ``to_jsonl``, equality), so
 prompts and archives are byte-equal to those of a store fed the joined text;
 token budgets are sized from the summed part lengths without joining.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import ConfigError
 from .protocol import Text, join_text
@@ -60,13 +63,27 @@ class MemoryEntry:
         return hash(self._key())
 
     def render(self) -> str:
-        prefix = f"[{self.world_tag} t={self.time} {self.role}] "
-        parts = self.parts
-        return prefix + parts if isinstance(parts, str) else "".join((prefix, *parts))
+        return _render_lines((self,))
 
 
 # an InitVar leaves the name free for this read-only view
 MemoryEntry.content = property(lambda entry: join_text(entry.parts), doc="The content as one str.")
+
+
+def _render_lines(entries: Iterable[MemoryEntry]) -> str:
+    """One line per entry, ``[world_tag t=time role] content``, joined by
+    newlines in a single join over every entry's prefix and parts."""
+    text: list[str] = []
+    for entry in entries:
+        text.append(f"\n[{entry.world_tag} t={entry.time} {entry.role}] ")
+        parts = entry.parts
+        if isinstance(parts, str):
+            text.append(parts)
+        else:
+            text += parts
+    if text:
+        text[0] = text[0][1:]  # no newline before the first line
+    return "".join(text)
 
 
 class MemoryStore:
@@ -86,7 +103,7 @@ class MemoryStore:
         return []
 
     def render(self) -> str:
-        return "\n".join(entry.render() for entry in self.visible())
+        return _render_lines(self.visible())
 
     def to_jsonl(self) -> str:
         """Versioned archive: a header line, then one entry per line."""

@@ -4,6 +4,8 @@ ablation. Each CLI subcommand but ``score`` is a harness in :data:`HARNESSES`:
 ``<name>_harness(config, episodes=None)`` runs its tagged :class:`Episodes`
 unless ``score`` gives it a bundle's, then measures them into a
 :class:`HarnessResult` from the config and their event records alone.
+Every backend a harness builds with :func:`build_backend` is closed once
+its episodes end.
 
 Every harness is deterministic given its config: trial i always runs with
 seed base+i, transfer arms share the same phase-2 seed so memory content is
@@ -18,6 +20,7 @@ import inspect
 import json
 from collections import Counter, abc
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -365,6 +368,16 @@ def make(table: Mapping[str, Kind], spec: Mapping[str, Any]) -> Any:
     return table[spec["kind"]].schema(**{key: value for key, value in spec.items() if key != "kind"})
 
 
+_opened_backends: ContextVar[list[CompletionBackend]] = ContextVar("opened_backends")
+
+
+def build_backend(config: ExperimentConfig) -> CompletionBackend:
+    """The backend ``config.backend`` names; a harness in :data:`HARNESSES` closes it once its episodes end."""
+    backend = make(BACKENDS, config.backend)
+    _opened_backends.get([]).append(backend)
+    return backend
+
+
 def check_step_limit(spec: Mapping[str, Any], max_steps: int | None, field: str = "max_steps") -> None:
     """Raise :class:`ConfigError` naming ``field`` if ``spec``'s environment would run forever."""
     if max_steps is None and not ENVIRONMENTS[spec["kind"]].ends:
@@ -397,7 +410,7 @@ def build_agents(roster: AgentsConfig, backend: CompletionBackend, n_agents: int
 
 def build_setup(config: ExperimentConfig, seed: int) -> tuple[Environment, dict[int, Agent]]:
     env = build_environment(config.environment, seed)
-    backend = make(BACKENDS, config.backend)
+    backend = build_backend(config)
     agents = build_agents(config.agents, backend, config.environment["agents"], world_tag=env.name)
     return env, agents
 
@@ -646,7 +659,7 @@ def transfer_harness(config: ExperimentConfig, episodes: Episodes | None = None)
     if episodes is None:
         source_steps = config.max_steps if section.source_steps is None else section.source_steps
         check_step_limit(section.source, source_steps, "transfer.source_steps")
-        backend = make(BACKENDS, config.backend)
+        backend = build_backend(config)
         plan = TransferPlan(
             source_env_factory=lambda seed: build_environment(section.source, seed),
             agent_ids=list(range(section.source["agents"])),
@@ -717,7 +730,7 @@ def multiworld_harness(config: ExperimentConfig, episodes: Episodes | None = Non
         with _within("multiworld"):
             schedule = MultiWorldSchedule(environments=envs, cycles=section.cycles)
         n = max(spec["agents"] for spec in section.environments)
-        agents = build_agents(config.agents, make(BACKENDS, config.backend), n, world_tag=envs[0].name)
+        agents = build_agents(config.agents, build_backend(config), n, world_tag=envs[0].name)
         episodes = Episodes([("multiworld", run_multiworld(schedule, agents, seed=config.seed, parallel=config.parallel))])
     ((_, log),) = episodes.logs
     counts = Counter(record.info.get("world", "?") for record in log.records)
@@ -862,7 +875,7 @@ def ablation_harness(config: ExperimentConfig, episodes: Episodes | None = None)
             settings = [AblationSetting(level) for level in section.settings or ()]
             if len(set(settings)) < len(settings):  # the table groups episodes by level
                 raise ConfigError("each level may be listed once")
-        backend = make(BACKENDS, config.backend)
+        backend = build_backend(config)
         study = TariffStudy(
             base_config=_market(config.environment),
             headline=section.headline,
@@ -880,10 +893,28 @@ def ablation_harness(config: ExperimentConfig, episodes: Episodes | None = None)
     return HarnessResult("tariff ablation: mean buy/sell ratios", episodes, table.to_csv(), ratios)
 
 
-HARNESSES: dict[str, Callable[[ExperimentConfig, Episodes | None], HarnessResult]] = {
-    "run": run_harness,
-    "trials": trials_harness,
-    "transfer": transfer_harness,
-    "multiworld": multiworld_harness,
-    "ablation": ablation_harness,
+Harness = Callable[[ExperimentConfig, Episodes | None], HarnessResult]
+
+
+def _closing_backends(harness: Harness) -> Harness:
+    """``harness``, closing every backend it builds once its episodes end."""
+
+    def run(config: ExperimentConfig, episodes: Episodes | None = None) -> HarnessResult:
+        token = _opened_backends.set([])
+        try:
+            return harness(config, episodes)
+        finally:
+            for backend in _opened_backends.get():
+                backend.close()
+            _opened_backends.reset(token)
+
+    return run
+
+
+HARNESSES: dict[str, Harness] = {
+    "run": _closing_backends(run_harness),
+    "trials": _closing_backends(trials_harness),
+    "transfer": _closing_backends(transfer_harness),
+    "multiworld": _closing_backends(multiworld_harness),
+    "ablation": _closing_backends(ablation_harness),
 }

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import http.client
 import json
@@ -5,6 +6,7 @@ import socket
 import sys
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -592,6 +594,7 @@ def test_remote_threads_share_kept_connections_without_handing_one_out_twice():
             worker.join(timeout=30)
     finally:
         sys.setswitchinterval(interval)
+        backend.close()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
@@ -656,7 +659,7 @@ def trader_or_respondent(body):
     return json.dumps({"answer": 4} if "- answer (" in prompt else {"orders": ORDERS})
 
 
-@pytest.mark.parametrize(
+HARNESS_SECTIONS = pytest.mark.parametrize(
     "command,section",
     [
         ("run", {}),
@@ -667,6 +670,9 @@ def trader_or_respondent(body):
     ],
     ids=["run", "trials", "transfer", "multiworld", "ablation"],
 )
+
+
+@HARNESS_SECTIONS
 def test_remote_harnesses_fan_out_from_the_cli(command, section, stub_server, tmp_path):
     url, handler = stub_server
     handler.delay, handler.content = 0.05, trader_or_respondent
@@ -694,3 +700,38 @@ def test_remote_in_flight_limit_above_16_opens_that_many_requests(stub_server, t
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path)]) == 0
     assert handler.max_concurrent > 16
+
+
+@HARNESS_SECTIONS
+def test_remote_harnesses_close_their_kept_connections(command, section, tmp_path, monkeypatch):
+    class Handler(StubHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive: the pool keeps each connection
+        seen_bodies = []
+        lock = threading.Lock()
+        content = staticmethod(trader_or_respondent)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    config = {
+        "environment": MARKET,
+        "backend": {"kind": "remote", "endpoint": f"http://127.0.0.1:{server.server_address[1]}/v1", "in_flight_limit": 4},
+        "out": str(tmp_path / "out"),
+        **section,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert main([command, "--config", str(path)]) == 0
+            gc.collect()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert Handler.seen_bodies
+    assert [str(hook.exc_value) for hook in unraisable] == []

@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 from dataclasses import dataclass
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from cogsim.backends import ChatTurn, CompletionRequest, CompletionResult, ScriptedBackend, ToolCallRequest
 from cogsim.cognition import Agent, PersonaConfig, agent_step, compose_prompt
+from cogsim.envs.economy import EconomyConfig, EconomyEnv
 from cogsim.errors import ContractViolation
 from cogsim.memory import ENTRY_ROLES, MEMORY_VARIANTS, BufferMemory, MemoryEntry, MemoryStore, NullMemory
-from cogsim.protocol import Message, Observation, ToolSpec
+from cogsim.protocol import Message, Observation, ToolSpec, run_episode
 from cogsim.schema import ResponseSchema
 
 
@@ -191,6 +193,31 @@ def test_agent_step_holds_no_more_than_two_prompt_copies():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * len(shared)
+
+
+def run_economy(n, months):
+    answer = CompletionResult(content=json.dumps({"work_propensity": 0.8, "consumption_propensity": 0.4}))
+    backend = ScriptedBackend(default=answer)
+    agents = {aid: Agent(aid, memory=BufferMemory(capacity=4), backend=backend, world_tag="economy") for aid in range(n)}
+    run_episode(EconomyEnv(EconomyConfig(n_households=n, months=months)), agents, max_steps=months, seed=0)
+    return [agent.memory for agent in agents.values()]
+
+
+def test_economy_archive_holds_only_each_households_own_figures():
+    # the month's lines and a household's traits are shared parts, so a
+    # household-month archives its wealth figure, a 5-part tuple, its action
+    # and two entries: about 400 bytes, where a whole string each was 530
+    n, months = 20, 24
+    run_economy(2, 2)  # lazy imports and first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        stores = run_economy(n, months)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(store.entries) for store in stores) == 2 * n * months
+    assert held / (n * months) < 460
 
 
 # --- agent step ---------------------------------------------------------------

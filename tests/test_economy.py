@@ -18,7 +18,7 @@ from cogsim.envs.economy import (
     phillips_okun_report,
     policy_rates,
 )
-from cogsim.protocol import ActionEnvelope, run_episode
+from cogsim.protocol import ActionEnvelope, join_text, run_episode
 from cogsim.seeds import child_rng
 
 
@@ -281,3 +281,84 @@ def test_phillips_okun_report_runs():
     assert "Phillips curve" in report
     assert "Okun's law" in report
     assert "slope=" in report
+
+
+# --- observation parts --------------------------------------------------------------
+
+
+def reference_context(state, aid):
+    """The whole observation string as one f-string: the oracle for the parts."""
+    hh = state.households[aid]
+    policy = state.policy
+    status = "employed" if hh.employed_this_month else "not employed"
+    return (
+        f"Month {state.month + 1}. You are a household with skill {hh.skill:.2f}, "
+        f"monthly wage {hh.monthly_wage:.2f} per skill unit, wealth {hh.wealth:.2f} "
+        f"(last month: {status}).\n"
+        f"Price level {state.price_level:.2f}, tax rate {policy.tax_rate:.2%}, "
+        f"annual interest rate {policy.interest_rate:.2%}.\n"
+        f"Decide how much to work and consume this month."
+    )
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+WEALTH = st.floats(-1e9, -0.001, **FINITE) | st.just(0.0) | st.floats(1e6, 1e12, **FINITE) | st.floats(-1e4, 1e4, **FINITE)
+POLICY_RATE = st.sampled_from([0.0, 0.2]) | st.floats(0.0, 0.2)
+HOUSEHOLD = st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0), WEALTH, st.booleans())
+POLICY = st.tuples(st.integers(0, 1000), st.floats(1e-9, 1e7, **FINITE), POLICY_RATE, POLICY_RATE)
+
+
+@PROPERTY
+@given(st.lists(HOUSEHOLD, min_size=1, max_size=4), st.lists(st.tuples(POLICY, st.lists(WEALTH, min_size=4, max_size=4)), min_size=1, max_size=4))
+def test_context_parts_join_to_the_reference_string(households, states):
+    """Whatever the households and policy, and however they change between
+    calls on one environment, the parts join to today's f-string, also once
+    the episode is done."""
+    env = EconomyEnv(EconomyConfig(n_households=len(households), months=3))
+    for aid, (skill, wage, wealth, employed) in enumerate(households):
+        hh = env.state.households[aid]
+        hh.skill, hh.monthly_wage, hh.wealth, hh.employed_this_month = skill, wage, wealth, employed
+    for (month, price, tax, rate), wealths in states:
+        env.state.month, env.state.price_level = month, price
+        env.state.policy.tax_rate, env.state.policy.interest_rate = tax, rate
+        for aid, wealth in zip(env.agent_ids, wealths):
+            env.state.households[aid].wealth = wealth
+        for aid in env.agent_ids:
+            parts = env._context_for(aid)
+            assert len(parts) == 5 and all(isinstance(part, str) for part in parts)
+            assert join_text(parts) == reference_context(env.state, aid)
+            assert join_text(env._final_context(aid)) == reference_context(env.state, aid)
+    env.state.month = env.config.months  # done: the observations carry the final context
+    final = env._observations()
+    assert all(final[aid].context_text == reference_context(env.state, aid) for aid in env.agent_ids)
+
+
+def test_month_lines_shared_by_households_and_traits_across_months():
+    env = EconomyEnv(EconomyConfig(n_households=6, months=4, seed=2))
+    observations = env.reset()
+    traits = {aid: observations[aid].context_parts[1] for aid in env.agent_ids}
+    for month in range(4):
+        parts = [observations[aid].context_parts for aid in env.agent_ids]
+        assert all(p[0] is parts[0][0] and p[4] is parts[0][4] for p in parts)  # head and tail
+        assert all(p[1] is traits[aid] for aid, p in zip(env.agent_ids, parts))
+        assert all(obs.context_text == reference_context(env.state, aid) for aid, obs in observations.items())
+        observations = env.step({
+            aid: ActionEnvelope(aid, month, {"work_propensity": 1.0 if aid % 2 else 0.0, "consumption_propensity": 0.3})
+            for aid in env.agent_ids
+        })
+    assert env.done()
+
+
+def test_edited_state_shows_in_the_next_observation():
+    env = EconomyEnv(EconomyConfig(n_households=3, months=5, tax_rate=0.1))
+    env.reset()
+    env.step({aid: ActionEnvelope(aid, 0, {"work_propensity": 1.0, "consumption_propensity": 0.3}) for aid in env.agent_ids})
+    before = env._observations()
+    env.state.policy.tax_rate = 0.37
+    env.state.households[1].skill = 1.5
+    after = env._observations()
+    assert "tax rate 10.00%" in before[0].context_text
+    assert all("tax rate 37.00%" in obs.context_text for obs in after.values())
+    assert "skill 1.50," in after[1].context_text
+    assert all(obs.context_text == reference_context(env.state, aid) for aid, obs in after.items())
+    assert after[0].context_parts[4] is not before[0].context_parts[4]

@@ -207,6 +207,23 @@ def test_entries_in_parts_read_as_their_joined_text(variant, data, rows):
     assert restored.to_jsonl() == archive
 
 
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    variant=st.sampled_from(sorted(MEMORY_VARIANTS)),
+    data=st.data(),
+    rows=st.lists(st.tuples(st.integers(-5, 10**6), st.text(max_size=8), st.sampled_from(ENTRY_ROLES), TEXTS), max_size=16),
+)
+def test_render_joins_each_visible_entry_line(variant, data, rows):
+    """One join over every prefix and part reads as the entries' own lines."""
+    cls = MEMORY_VARIANTS[variant]
+    store = cls(**{name: data.draw(st.integers(0, 20), label=name) for name in cls.params})
+    for time, tag, role, text in rows:
+        store.record(MemoryEntry(time=time, world_tag=tag, role=role, content=text))
+    visible = store.visible()
+    assert store.render() == "\n".join(e.render() for e in visible)
+    assert store.render() == "\n".join(f"[{e.world_tag} t={e.time} {e.role}] {join_text(e.parts)}" for e in visible)
+
+
 def test_entry_has_no_instance_dict():
     # slotted entries keep per-entry memory small; stores archive every entry
     assert not hasattr(entry(0), "__dict__")
