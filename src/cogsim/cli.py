@@ -63,6 +63,9 @@ def fields_sha256(manifest: dict[str, Any]) -> str:
     return _sha256(canonical_json({k: v for k, v in manifest.items() if k != "fields_sha256"}).encode("utf-8"))
 
 
+WRITE_SLICE = 1 << 16  # characters of text encoded, written and hashed at a time
+
+
 class BundleWriter:
     """Collects bundle files and writes the manifest last."""
 
@@ -75,9 +78,20 @@ class BundleWriter:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def write(self, name: str, text: str) -> None:
-        data = text.encode("utf-8")
-        (self.out_dir / name).write_bytes(data)
-        self.files[name] = _sha256(data)
+        """Write ``text`` as UTF-8 and hash it, a 64 KiB slice at a time, so the
+        file's bytes are never held next to the text; a text that cannot be
+        encoded leaves no file."""
+        path, digest = self.out_dir / name, hashlib.sha256()
+        try:
+            with path.open("wb") as file:
+                for start in range(0, len(text), WRITE_SLICE):
+                    data = text[start:start + WRITE_SLICE].encode("utf-8")
+                    file.write(data)
+                    digest.update(data)
+        except UnicodeEncodeError:
+            path.unlink(missing_ok=True)
+            raise
+        self.files[name] = digest.hexdigest()
 
     def finalize(self, **fields: Any) -> None:
         """Write manifest.json: provenance and each written file's hash, then

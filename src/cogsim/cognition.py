@@ -122,7 +122,7 @@ def agent_step(
                 time=obs.time,
                 world_tag=world_tag,
                 role="tool_result",
-                content=f"{call.name}: {result_text}",
+                content=(f"{call.name}: ", result_text),
             )
         )
     body = parse_structured(final_text, obs.response_schema, backend, max_retries=max_parse_retries)

@@ -22,6 +22,7 @@ import datetime as dt
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, Mapping
 
 from ..errors import ConfigError, LoanRefused, UndefinedRatio
@@ -342,12 +343,12 @@ def buy_sell_ratio(records: list[EventRecord], symbol: str) -> float:
     buys: dict[int, int] = defaultdict(int)
     sells: dict[int, int] = defaultdict(int)
     days = set()
-    for record in records:
-        if record.action != "submit_order" or record.info.get("symbol") != symbol:
+    for info in (record.info for record in records if record.action == "submit_order"):
+        if info.get("symbol") != symbol:
             continue
-        day = record.info["day"]
+        day = info["day"]
         days.add(day)
-        if record.info["side"] == "buy":
+        if info["side"] == "buy":
             buys[day] += 1
         else:
             sells[day] += 1
@@ -366,7 +367,8 @@ CLEAR_COLUMNS = ("day", "session", "symbol", "price", "volume", "n_buys", "n_sel
 
 def session_metrics_csv(records: list[EventRecord]) -> str:
     """Per-session market metrics: the ``clear`` events' info, one row each."""
-    rows = ([record.info[column] for column in CLEAR_COLUMNS] for record in records if record.action == "clear")
+    clears = (record.info for record in records if record.action == "clear")
+    rows = ([info[column] for column in CLEAR_COLUMNS] for info in clears)
     return csv_table(CLEAR_COLUMNS, rows)
 
 
@@ -375,11 +377,10 @@ def market_metrics(initial_prices: Mapping[str, float], records: list[EventRecor
     change since ``initial_prices``, then the ``clear`` records' totals."""
     prices = dict(initial_prices)
     totals = dict.fromkeys(("volume", "n_buys", "n_sells"), 0)
-    for record in records:
-        if record.action == "clear":
-            prices[record.info["symbol"]] = record.info["price"]
-            for name in totals:
-                totals[name] += record.info[name]
+    for info in (record.info for record in records if record.action == "clear"):
+        prices[info["symbol"]] = info["price"]
+        for name in totals:
+            totals[name] += info[name]
     out: dict[str, float] = {}
     for sym in SYMBOLS:
         out[f"price_{sym}"] = prices[sym]
@@ -388,6 +389,22 @@ def market_metrics(initial_prices: Mapping[str, float], records: list[EventRecor
 
 
 # --- environment ----------------------------------------------------------------
+
+
+def _session_head(day: int, date: dt.date, session: int, sessions: int, stocks: tuple[tuple[str, float, str], ...]) -> str:
+    lines = [f"Day {day} ({date.isoformat()}), session {session} of {sessions}.\n"]
+    lines += (f"Stock {sym} price {price:.2f}. {profile}\n" for sym, price, profile in stocks)
+    return "".join(lines)
+
+
+def _notice_tail(notice: str | None) -> str:
+    return f"\nToday's notice: {notice}" if notice else ""
+
+
+def _forum_text(posts: tuple[ForumPost, ...]) -> str:
+    if not posts:
+        return "no forum posts from the previous day"
+    return "\n".join(f"agent {p.agent} (day {p.day}): {p.text}" for p in posts)
 
 
 @dataclass
@@ -452,6 +469,9 @@ class MarketEnv(Environment):
         }
         self.forum: list[ForumPost] = []
         self._next_order_id = 1
+        self._head, self._notice, self._forum_text = (
+            lru_cache(maxsize=None)(part) for part in (_session_head, _notice_tail, _forum_text)
+        )
 
     @property
     def current_date(self) -> dt.date:
@@ -463,11 +483,9 @@ class MarketEnv(Environment):
     # -- tools -----------------------------------------------------------
 
     def _read_forum(self) -> str:
+        """The previous day's posts, built once for every reader that day."""
         previous_day = self.clock.day - 1
-        posts = [p for p in self.forum if p.day == previous_day]
-        if not posts:
-            return "no forum posts from the previous day"
-        return "\n".join(f"agent {p.agent} (day {p.day}): {p.text}" for p in posts)
+        return self._forum_text(tuple(p for p in self.forum if p.day == previous_day))
 
     def _tools(self) -> list[ToolSpec]:
         tools = [
@@ -491,25 +509,21 @@ class MarketEnv(Environment):
 
     # -- observations -------------------------------------------------------
 
-    def _context_for(self, aid: int) -> str:
-        cfg = self.config
+    def _context_for(self, aid: int) -> tuple[str, str, str]:
+        """Three parts: the session head (the day, the date, the session and the
+        stock lines), the trader's account line and the notice tail. Only the
+        account line is new for each trader; the head and the tail are shared,
+        cached by the values they render."""
+        cfg, clock = self.config, self.clock
+        stocks = tuple((sym, self.stocks[sym].price, self.stocks[sym].profile_text) for sym in SYMBOLS)
         account = self.accounts[aid]
-        lines = [
-            f"Day {self.clock.day} ({self.current_date.isoformat()}), "
-            f"session {self.clock.session} of {cfg.sessions_per_day}."
-        ]
-        for sym in SYMBOLS:
-            stock = self.stocks[sym]
-            lines.append(f"Stock {sym} price {stock.price:.2f}. {stock.profile_text}")
         holdings = ", ".join(f"{sym}={account.holdings.get(sym, 0)}" for sym in SYMBOLS)
-        lines.append(
+        return (
+            self._head(clock.day, self.current_date, clock.session, cfg.sessions_per_day, stocks),
             f"Your account: cash {account.cash:.2f}, holdings {holdings}, "
-            f"loan {account.loan_principal:.2f}, style {account.style}."
+            f"loan {account.loan_principal:.2f}, style {account.style}.",
+            self._notice(cfg.events_by_day.get(clock.day)),
         )
-        notice = cfg.events_by_day.get(self.clock.day)
-        if notice:
-            lines.append(f"Today's notice: {notice}")
-        return "\n".join(lines)
 
     # -- transition --------------------------------------------------------------
 

@@ -209,8 +209,9 @@ def score_answers(items: Sequence[Item], records: Iterable[EventRecord]) -> dict
     for record in records:
         if record.action == "answer":
             sheet = sheets.setdefault(record.user_id, ResponseSheet({}, []))
-            sheet.responses[record.info["item_id"]] = record.info["value"]
-            sheet.order.append(record.info["item_id"])
+            info = record.info
+            sheet.responses[info["item_id"]] = info["value"]
+            sheet.order.append(info["item_id"])
     reports = {}
     for aid in sorted(sheets):
         try:

@@ -198,7 +198,7 @@ def replay_events(records: Iterable[EventRecord], profiles: Mapping[int, UserPro
         else:
             continue
         rebuilt = apply_social_action(action, state, agent=record.user_id, time=record.current_time)
-        if rebuilt.info != record.info:
+        if rebuilt.line != record.line:
             raise AssertionError(f"replay diverged at {record}")
     return state
 
@@ -207,7 +207,7 @@ def seed_influencer(state: SocialState, content: str, influencer: int, events=No
     """Inject the opening post at t=0, before any agent acts."""
     record = apply_social_action(SocialAction(kind="create_post", content=content), state, influencer, time=0)
     if events is not None:
-        events.append(record.user_id, record.current_time, record.action, record.info)
+        events.add(record)
     return record.info["post_id"]
 
 
@@ -319,9 +319,10 @@ class SocialEnv(Environment):
             except UnknownPost as exc:
                 self.events.append(aid, self.t, "reject_action", {"reason": str(exc)})
                 continue
-            self.events.append(record.user_id, record.current_time, record.action, record.info)
+            self.events.add(record)
             if record.action == "create_comment":
-                author = self.state.posts[record.info["post_id"]].author
+                info = record.info
+                author = self.state.posts[info["post_id"]].author
                 if author != aid:
                     outbox.append(
                         Message(
@@ -330,8 +331,8 @@ class SocialEnv(Environment):
                             dst_agent_id=author,
                             payload={
                                 "kind": "comment",
-                                "post_id": record.info["post_id"],
-                                "comment_id": record.info["comment_id"],
+                                "post_id": info["post_id"],
+                                "comment_id": info["comment_id"],
                                 "text": action.content,
                             },
                         )

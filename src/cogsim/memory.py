@@ -10,6 +10,8 @@ reference, so the followers of one social feed archive that step's feed
 string once between them, not once each. An economy observation is five
 parts: the month's lines are shared by every household and a household's
 traits across months, so each archive holds only its own wealth figures.
+A tool result is two parts, ``"name: "`` and the result text, so every
+trader who reads one day's market forum archives the same string.
 Everything that reads content
 joins the parts (``content``, ``render``, ``to_jsonl``, equality), so
 prompts and archives are byte-equal to those of a store fed the joined text;

@@ -126,21 +126,38 @@ class ActionEnvelope:
     body: dict[str, Any]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class EventRecord:
-    """One append-only simulation log line; its fields are the line's keys.
+    """One append-only simulation log line, kept as that line: the canonical
+    JSON of its four keys, encoded once when the record is made.
 
-    Slotted, so ``to_json`` reads the fields by name: ``vars()`` would attach
-    a dict to every record an episode keeps.
+    ``info`` decodes the line on each read into a fresh dict, so a change to
+    that dict is not kept, and a run's metrics read exactly the values that
+    ``score`` reads back from ``events.jsonl``. Records are equal when their
+    lines are.
     """
 
     user_id: AgentId
     current_time: TimeStep
     action: str
-    info: dict[str, Any] = field(default_factory=dict)
+    line: str
+
+    def __init__(self, user_id: AgentId, current_time: TimeStep, action: str, info: dict[str, Any] | None = None):
+        init = object.__setattr__  # frozen: each field is set once, here
+        init(self, "user_id", user_id)
+        init(self, "current_time", current_time)
+        init(self, "action", action)
+        init(self, "line", canonical_json({"user_id": user_id, "current_time": current_time, "action": action, "info": info or {}}))
+
+    @property
+    def info(self) -> dict[str, Any]:
+        return json.loads(self.line)["info"]
 
     def to_json(self) -> str:
-        return canonical_json({name: getattr(self, name) for name in self.__slots__})
+        return self.line
+
+    def __eq__(self, other: object) -> bool:
+        return self.line == other.line if isinstance(other, EventRecord) else NotImplemented
 
 
 class EventLog:
@@ -155,7 +172,15 @@ class EventLog:
         self._lock = threading.Lock()
 
     def append(self, user_id: AgentId, current_time: TimeStep, action: str, info: dict[str, Any] | None = None) -> EventRecord:
-        record = EventRecord(user_id=user_id, current_time=current_time, action=action, info=dict(info or {}))
+        """Log a new record; encoding ``info`` snapshots it, so a later change to it is not kept.
+        It does not go through :meth:`add`, so a traced run opens one span per event."""
+        record = EventRecord(user_id, current_time, action, info)
+        with self._lock:
+            self._records.append(record)
+        return record
+
+    def add(self, record: EventRecord) -> EventRecord:
+        """Log a record built elsewhere, as it is."""
         with self._lock:
             self._records.append(record)
         return record
@@ -246,7 +271,7 @@ class EpisodeLog:
 
     def to_jsonl(self) -> str:
         """Newline-delimited JSON: one line per record plus a trailing summary."""
-        lines = [record.to_json() for record in self.records]
+        lines = [record.line for record in self.records]
         summary = {
             "summary": {
                 "seed": self.seed,

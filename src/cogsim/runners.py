@@ -718,7 +718,10 @@ def run_multiworld(
                 steps += 1
                 fresh = env.events.snapshot(marks[id(env)])
                 marks[id(env)] += len(fresh)
-                records.extend(replace(record, info={**record.info, "world": env.name}) for record in fresh)
+                records.extend(
+                    EventRecord(record.user_id, record.current_time, record.action, {**record.info, "world": env.name})
+                    for record in fresh
+                )
     return EpisodeLog(records=records, total_rewards=dict.fromkeys(agents, 0.0), seed=seed, steps_executed=steps)
 
 

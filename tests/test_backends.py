@@ -357,6 +357,9 @@ class StubHandler(BaseHTTPRequestHandler):
         with cls.lock:
             cls.concurrent += 1
             cls.max_concurrent = max(cls.max_concurrent, cls.concurrent)
+        # a request stops counting before its answer is sent: once the client
+        # has read the answer and released its slot, the next request may
+        # arrive before this handler returns
         try:
             length = int(self.headers["Content-Length"])
             body = json.loads(self.rfile.read(length))
@@ -368,26 +371,26 @@ class StubHandler(BaseHTTPRequestHandler):
             content = cls.content(body) if callable(cls.content) else cls.content
             if cls.delay:
                 time.sleep(cls.delay)
-            if should_fail:
-                self.send_response(cls.fail_status)
-                for name, value in cls.fail_headers.items():
-                    self.send_header(name, value)
-                self.end_headers()
-                return
-            payload = {
-                "choices": [
-                    {"message": {"content": content, "tool_calls": None}}
-                ]
-            }
-            data = json.dumps(payload).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
         finally:
             with cls.lock:
                 cls.concurrent -= 1
+        if should_fail:
+            self.send_response(cls.fail_status)
+            for name, value in cls.fail_headers.items():
+                self.send_header(name, value)
+            self.end_headers()
+            return
+        payload = {
+            "choices": [
+                {"message": {"content": content, "tool_calls": None}}
+            ]
+        }
+        data = json.dumps(payload).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
 
     def log_message(self, *args):
         pass

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cogsim.cli import load_config, main
+from cogsim.cli import WRITE_SLICE, BundleWriter, load_config, main
 from cogsim.envs.auction import AuctionItem
 from cogsim.envs.market import NewsItem
 from cogsim.envs.questionnaire import Item
@@ -162,6 +162,31 @@ def test_manifest_inventories_every_file_with_matching_hash(tmp_path):
     assert set(listed) == on_disk
     for name, digest in listed.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a" * (2 * WRITE_SLICE + 5),
+        "x" * (WRITE_SLICE - 1) + "\U0001f600\u00e9" + "\u20ac" * WRITE_SLICE + "\U0001d11e",
+        "\u00fc" * WRITE_SLICE + "\U0001f600",
+        "",
+    ],
+    ids=["ascii", "astral-on-boundary", "exact-slices", "empty"],
+)
+def test_bundle_writer_streams_utf8_across_slices(text, tmp_path):
+    bundle = BundleWriter(tmp_path, b"{}", 0)
+    bundle.write("text.txt", text)
+    data = (tmp_path / "text.txt").read_bytes()
+    assert data == text.encode("utf-8")
+    assert bundle.files["text.txt"] == hashlib.sha256(data).hexdigest()
+
+
+def test_bundle_writer_leaves_no_file_for_a_lone_surrogate(tmp_path):
+    bundle = BundleWriter(tmp_path, b"{}", 0)
+    with pytest.raises(UnicodeEncodeError):
+        bundle.write("bad.txt", "a" * (WRITE_SLICE + 10) + "\ud800b")
+    assert not (tmp_path / "bad.txt").exists() and "bad.txt" not in bundle.files
 
 
 def test_rerun_byte_identical_events_and_metrics(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cogsim.backends import ChatTurn, CompletionRequest, CompletionResult, ScriptedBackend, ToolCallRequest
 from cogsim.cognition import Agent, PersonaConfig, agent_step, compose_prompt
 from cogsim.envs.economy import EconomyConfig, EconomyEnv
+from cogsim.envs.market import MarketConfig, MarketEnv
 from cogsim.errors import ContractViolation
 from cogsim.memory import ENTRY_ROLES, MEMORY_VARIANTS, BufferMemory, MemoryEntry, MemoryStore, NullMemory
 from cogsim.protocol import Message, Observation, ToolSpec, run_episode
@@ -218,6 +219,32 @@ def test_economy_archive_holds_only_each_households_own_figures():
         tracemalloc.stop()
     assert sum(len(store.entries) for store in stores) == 2 * n * months
     assert held / (n * months) < 460
+
+
+def run_market(n, days):
+    orders = [
+        {"symbol": symbol, "side": side, "limit_price": price + offset, "quantity": 2}
+        for symbol, price in (("A", 30.0), ("B", 45.0))
+        for side, offset in (("buy", 0.5), ("sell", -0.5))
+    ]
+    backend = json_backend({"orders": orders})
+    agents = {aid: Agent(aid, memory=NullMemory(), backend=backend, world_tag="market") for aid in range(n)}
+    return run_episode(MarketEnv(MarketConfig(n_agents=n, days=days)), agents, max_steps=None, seed=0)
+
+
+def test_market_event_log_holds_each_record_as_its_line():
+    # a record is its canonical JSON line, about 290 bytes with the object
+    # that holds it, where a record with its own info dict was 424
+    run_market(2, 1)  # lazy imports and first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        log = run_market(50, 2)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert {"submit_order", "trade", "clear"} <= {record.action for record in log.records}
+    assert held / len(log.records) < 340
 
 
 # --- agent step ---------------------------------------------------------------

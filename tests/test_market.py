@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogsim.envs.market import (
+    SYMBOLS,
+    ForumPost,
     MarketClock,
     MarketConfig,
     MarketEnv,
@@ -587,6 +589,103 @@ def test_daily_notice_appears_in_context():
     for _ in range(3):  # move through day 1
         obs = env.step({0: ActionEnvelope(agent_id=0, time=env.t, body={"orders": []})})
     assert "earnings reports due" in obs[0].context_text
+
+
+# --- observation parts ----------------------------------------------------------
+
+
+def reference_context(env, aid):
+    """One trader's context as a single text, line by line: the oracle its parts must join to."""
+    cfg, clock, account = env.config, env.clock, env.accounts[aid]
+    lines = [f"Day {clock.day} ({env.current_date.isoformat()}), session {clock.session} of {cfg.sessions_per_day}."]
+    for sym in SYMBOLS:
+        lines.append(f"Stock {sym} price {env.stocks[sym].price:.2f}. {env.stocks[sym].profile_text}")
+    holdings = ", ".join(f"{sym}={account.holdings.get(sym, 0)}" for sym in SYMBOLS)
+    lines.append(
+        f"Your account: cash {account.cash:.2f}, holdings {holdings}, "
+        f"loan {account.loan_principal:.2f}, style {account.style}."
+    )
+    notice = cfg.events_by_day.get(clock.day)
+    if notice:
+        lines.append(f"Today's notice: {notice}")
+    return "\n".join(lines)
+
+
+MONEY = st.floats(0.005, 1e9, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prices=st.tuples(MONEY, MONEY),
+    cash=st.floats(-1e6, 1e12),
+    holdings=st.tuples(st.integers(-5, 10**7), st.integers(0, 10**7)),
+    loan=st.floats(0, 1e9),
+    notice=st.none() | st.text(max_size=30),
+    clock=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+)
+def test_context_parts_join_to_the_reference_text(prices, cash, holdings, loan, notice, clock):
+    env = MarketEnv(MarketConfig(n_agents=3, days=3, events_by_day={} if notice is None else {clock[0]: notice}))
+    env.clock = MarketClock(*clock)
+    for sym, price in zip(SYMBOLS, prices):
+        env.stocks[sym].record_price(price)
+    account = env.accounts[1]
+    account.cash, account.loan_principal, account.holdings = cash, loan, dict(zip(SYMBOLS, holdings))
+    for aid in env.agent_ids:
+        assert "".join(env._context_for(aid)) == reference_context(env, aid)
+
+
+def post_only(env):
+    return {aid: ActionEnvelope(agent_id=aid, time=env.t, body={"orders": [], "forum_post": f"{aid} at t={env.t}"}) for aid in env.agent_ids}
+
+
+def test_one_session_shares_its_head_and_one_day_shares_its_forum_read():
+    env = MarketEnv(MarketConfig(n_agents=4, days=3, events_by_day={1: "tariffs announced"}))
+    observations = env.reset()
+    heads, _, tails = zip(*(obs.context_parts for obs in observations.values()))
+    assert all(head is heads[0] for head in heads) and all(tail is tails[0] for tail in tails)
+    assert tails[0] == "\nToday's notice: tariffs announced"
+    for _ in range(3):
+        observations = env.step(post_only(env))
+    read_forum = observations[0].tools[0].handler
+    first = read_forum()
+    assert "0 at t=2" in first
+    reads = [obs.tools[0].handler() for obs in observations.values()]
+    observations = env.step(post_only(env))  # today's posts do not show, so the read is unchanged
+    reads += [obs.tools[0].handler() for obs in observations.values()]
+    assert all(read is first for read in reads)
+
+
+def test_a_price_edit_and_a_forum_post_show_in_the_next_observation():
+    env = MarketEnv(MarketConfig(n_agents=2, days=2))
+    env.reset()
+    for _ in range(3):
+        observations = env.step(post_only(env))
+    before = observations[0].context_text
+    env.stocks["A"].record_price(12.34)
+    env.forum.append(ForumPost(agent=1, day=1, text="a late word"))
+    observations = env._observations()
+    assert "Stock A price 12.34." in observations[0].context_text != before
+    assert observations[0].context_text == reference_context(env, 0)
+    assert observations[1].tools[0].handler().endswith("agent 1 (day 1): a late word")
+
+
+def test_traders_reading_one_days_forum_archive_one_string():
+    from cogsim.backends import CompletionResult, ToolCallRequest
+    from cogsim.cognition import Agent
+    from cogsim.memory import BufferMemory
+
+    class ForumReader:
+        def complete(self, request):
+            if request.turns[-1].role == "tool":
+                return CompletionResult(content='{"orders": [], "forum_post": "still here"}')
+            return CompletionResult(tool_calls=(ToolCallRequest(id="1", name="read_forum", arguments_text="{}"),))
+
+    agents = {aid: Agent(aid, memory=BufferMemory(capacity=50), backend=ForumReader()) for aid in range(3)}
+    run_episode(MarketEnv(MarketConfig(n_agents=3, days=2)), agents, max_steps=None)
+    reads = [entry.parts for agent in agents.values() for entry in agent.memory.entries if entry.role == "tool_result"]
+    day_two = [parts for parts in reads if "still here" in parts[1]]
+    assert len(day_two) == 3 * 3 and all(parts[1] is day_two[0][1] for parts in day_two)
+    assert day_two[0][0] == "read_forum: "
 
 
 def test_market_determinism_byte_identical():

@@ -1,13 +1,19 @@
 import concurrent.futures
+import copy
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogsim.errors import AgentMissing, SchemaViolation, UnknownRecipient
 from cogsim.protocol import (
     ActionEnvelope,
     Environment,
+    EpisodeLog,
+    EventLog,
     EventRecord,
     Message,
     Observation,
@@ -16,7 +22,7 @@ from cogsim.protocol import (
     route_messages,
     run_episode,
 )
-from cogsim.schema import ResponseSchema
+from cogsim.schema import ResponseSchema, canonical_json
 
 
 def brute_force_delivery(outbox, population):
@@ -236,6 +242,60 @@ def test_jsonl_field_names_exact():
     assert '"current_time":3' in line
     assert '"action":"create_post"' in line
     assert '"info":' in line
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-0.0, 1e300, -1e300, 5e-324])
+    | st.floats(allow_nan=False)
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12
+)
+INFOS = st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(INFOS, st.integers(-1, 10**6), st.integers(0, 10**6), st.text(min_size=1, max_size=12))
+def test_event_record_is_its_canonical_line(info, user_id, current_time, action):
+    record = EventRecord(user_id, current_time, action, info)
+    as_dict = {"user_id": user_id, "current_time": current_time, "action": action, "info": info}
+    assert record.to_json() == canonical_json(as_dict)
+    decoded = json.loads(canonical_json(info))
+    assert record.info == decoded
+    record.info["added"] = 1  # a fresh dict each read: the change is not kept
+    assert record.info == decoded
+
+    log = EpisodeLog([record, EventRecord(user_id, current_time, action)], {user_id: 0.0}, seed=3, steps_executed=1)
+    (back,) = read_episodes(log.to_jsonl())
+    assert back.records == log.records
+    assert [r.line for r in back.records] == [r.line for r in log.records]
+
+    events, given_info = EventLog(), copy.deepcopy(info)
+    appended = events.append(user_id, current_time, action, given_info)
+    empty_in_place(given_info)
+    given_info["added"] = 1
+    assert appended == record and events.snapshot() == [record]
+
+
+def empty_in_place(value):
+    """Empty every list and dict nested in ``value``, then ``value`` itself."""
+    if isinstance(value, (dict, list)):
+        for inner in list(value.values() if isinstance(value, dict) else value):
+            empty_in_place(inner)
+        value.clear()
+
+
+def test_event_record_is_frozen_and_equal_by_line():
+    record = EventRecord(1, 2, "trade", {"price": 30.0, "quantity": 1})
+    with pytest.raises(AttributeError):
+        record.line = "{}"
+    assert record == EventRecord(1, 2, "trade", {"quantity": 1, "price": 30.0})
+    assert record != EventRecord(1, 2, "trade", {"price": 30.5, "quantity": 1})
+    assert EventRecord(1, 2, "noop").info == {}
 
 
 def test_observation_isolation_from_other_agents_memory():
