@@ -146,8 +146,8 @@ class Agent:
         if backend is None:
             raise ValueError("agent requires a completion backend")
         self.agent_id = agent_id
-        self.config = config or PersonaConfig()
-        self.memory = memory or NullMemory()
+        self.config = PersonaConfig() if config is None else config
+        self.memory = NullMemory() if memory is None else memory
         self.backend = backend
         self.world_tag = world_tag
         self.max_tool_rounds = max_tool_rounds

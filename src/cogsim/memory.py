@@ -12,17 +12,29 @@ parts: the month's lines are shared by every household and a household's
 traits across months, so each archive holds only its own wealth figures.
 A tool result is two parts, ``"name: "`` and the result text, so every
 trader who reads one day's market forum archives the same string.
-Everything that reads content
-joins the parts (``content``, ``render``, ``to_jsonl``, equality), so
-prompts and archives are byte-equal to those of a store fed the joined text;
-token budgets are sized from the summed part lengths without joining.
+
+A store keeps its archive as columns, not as one :class:`MemoryEntry` per
+line: per entry a 64-bit time, a one-byte code into the store's small table
+of kinds (a ``world_tag``, a role, and whether the content is a str or a
+tuple), the end offset of its parts and its token estimate, with the parts
+themselves in one flat list (a str is one part, a tuple adds each of its
+parts). ``record`` splits an entry into the columns; ``entries`` and
+``visible()`` build entries from them on each read, as snapshots.
+``render``, the windows and ``to_jsonl`` read the columns directly. A store
+has one writer: ``record`` appends to several columns and is not atomic.
+
+Everything that reads content joins the parts (``content``, ``render``,
+``to_jsonl``, equality), so prompts and archives are byte-equal to those of
+a store fed the joined text; token budgets are sized from the summed part
+lengths without joining.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import InitVar, dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .errors import ConfigError
 from .protocol import Text, join_text
@@ -65,27 +77,11 @@ class MemoryEntry:
         return hash(self._key())
 
     def render(self) -> str:
-        return _render_lines((self,))
+        return f"[{self.world_tag} t={self.time} {self.role}] {self.content}"
 
 
 # an InitVar leaves the name free for this read-only view
 MemoryEntry.content = property(lambda entry: join_text(entry.parts), doc="The content as one str.")
-
-
-def _render_lines(entries: Iterable[MemoryEntry]) -> str:
-    """One line per entry, ``[world_tag t=time role] content``, joined by
-    newlines in a single join over every entry's prefix and parts."""
-    text: list[str] = []
-    for entry in entries:
-        text.append(f"\n[{entry.world_tag} t={entry.time} {entry.role}] ")
-        parts = entry.parts
-        if isinstance(parts, str):
-            text.append(parts)
-        else:
-            text += parts
-    if text:
-        text[0] = text[0][1:]  # no newline before the first line
-    return "".join(text)
 
 
 class MemoryStore:
@@ -95,35 +91,85 @@ class MemoryStore:
     params: tuple[str, ...] = ()  # constructor arguments, archived in the header
 
     def __init__(self):
-        self.entries: list[MemoryEntry] = []
+        self._times = array("q")
+        self._codes = array("B")
+        self._offsets = array("I", [0])  # entry i's parts are _parts[_offsets[i]:_offsets[i + 1]]
+        self._tokens = array("I")
+        self._parts: list[str] = []
+        self._kinds: list[tuple[str, str, bool]] = []  # code -> (world_tag, role, content is a tuple)
+        self._kind_codes: dict[tuple[str, str, bool], int] = {}
 
     def record(self, entry: MemoryEntry) -> None:
-        self.entries.append(entry)
+        """Append ``entry`` to the columns; one writer per store."""
+        parts = entry.parts
+        is_tuple = not isinstance(parts, str)
+        chars = sum(map(len, parts)) if is_tuple else len(parts)
+        key = (entry.world_tag, entry.role, is_tuple)
+        code = self._kind_codes.get(key)
+        if code is None:
+            code = self._add_kind(key)
+        # nothing is appended before the time, the one value a column can refuse
+        self._times.append(entry.time)
+        self._codes.append(code)
+        if is_tuple:
+            self._parts += parts
+        else:
+            self._parts.append(parts)
+        self._offsets.append(len(self._parts))
+        self._tokens.append((chars + 3) // 4)  # estimate_tokens(parts)
+
+    def _add_kind(self, key: tuple[str, str, bool]) -> int:
+        code = len(self._kinds)
+        if code == 256:  # past one byte: widen the code column once
+            self._codes = array("I", self._codes)
+        self._kinds.append(key)
+        self._kind_codes[key] = code
+        return code
+
+    def _entry(self, i: int) -> MemoryEntry:
+        world_tag, role, is_tuple = self._kinds[self._codes[i]]
+        start, end = self._offsets[i], self._offsets[i + 1]
+        parts = tuple(self._parts[start:end]) if is_tuple else self._parts[start]
+        return MemoryEntry(time=self._times[i], world_tag=world_tag, role=role, content=parts)
+
+    @property
+    def entries(self) -> list[MemoryEntry]:
+        """The whole archive, oldest first, as a fresh list on each read."""
+        return [self._entry(i) for i in range(len(self._times))]
+
+    def _window(self) -> range:
+        """Indices of the entries the rendering policy keeps, oldest first."""
+        return range(0)
 
     def visible(self) -> list[MemoryEntry]:
         """Entries that survive the store's rendering policy, oldest first."""
-        return []
+        return [self._entry(i) for i in self._window()]
 
     def render(self) -> str:
-        return _render_lines(self.visible())
+        """One line per visible entry, ``[world_tag t=time role] content``,
+        joined by newlines in a single join over every prefix and part."""
+        window = self._window()
+        if not window:
+            return ""
+        kinds, codes, times, offsets = self._kinds, self._codes, self._times, self._offsets
+        first = offsets[window.start]
+        text = self._parts[first:offsets[window.stop]]
+        for i in reversed(window):  # from the last line back, so each offset still holds
+            world_tag, role, _ = kinds[codes[i]]
+            text.insert(offsets[i] - first, f"\n[{world_tag} t={times[i]} {role}] ")
+        text[0] = text[0][1:]  # no newline before the first line
+        return "".join(text)
 
     def to_jsonl(self) -> str:
         """Versioned archive: a header line, then one entry per line."""
         header = {"version": 1, "variant": self.variant}
         header.update({name: getattr(self, name) for name in self.params})
         lines = [json.dumps(header, sort_keys=True)]
-        for entry in self.entries:
-            lines.append(
-                json.dumps(
-                    {
-                        "time": entry.time,
-                        "world_tag": entry.world_tag,
-                        "role": entry.role,
-                        "content": entry.content,
-                    },
-                    sort_keys=True,
-                )
-            )
+        offsets = self._offsets
+        for i, (time, code) in enumerate(zip(self._times, self._codes)):
+            world_tag, role, _ = self._kinds[code]
+            content = "".join(self._parts[offsets[i]:offsets[i + 1]])
+            lines.append(json.dumps({"time": time, "world_tag": world_tag, "role": role, "content": content}, sort_keys=True))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -165,10 +211,9 @@ class BufferMemory(MemoryStore):
             raise ConfigError("must be >= 0", field="capacity")
         self.capacity = capacity
 
-    def visible(self) -> list[MemoryEntry]:
-        if self.capacity == 0:
-            return []
-        return self.entries[-self.capacity:]
+    def _window(self) -> range:
+        end = len(self._times)
+        return range(max(0, end - self.capacity), end)
 
 
 class ChatHistoryMemory(MemoryStore):
@@ -191,19 +236,16 @@ class ChatHistoryMemory(MemoryStore):
         self.window = window
         self.token_limit = token_limit
 
-    def visible(self) -> list[MemoryEntry]:
-        survivors: list[MemoryEntry] = []
-        tokens = 0
-        for entry in reversed(self.entries):
-            if len(survivors) >= self.window:
+    def _window(self) -> range:
+        end = len(self._times)
+        start, oldest, tokens = end, max(0, end - self.window), 0
+        while start > oldest:
+            cost = self._tokens[start - 1]
+            if start < end and tokens + cost > self.token_limit:
                 break
-            cost = estimate_tokens(entry.parts)
-            if survivors and tokens + cost > self.token_limit:
-                break
-            survivors.append(entry)
+            start -= 1
             tokens += cost
-        survivors.reverse()
-        return survivors
+        return range(start, end)
 
 
 MEMORY_VARIANTS: dict[str, type[MemoryStore]] = {

@@ -149,6 +149,19 @@ class EventRecord:
         init(self, "action", action)
         init(self, "line", canonical_json({"user_id": user_id, "current_time": current_time, "action": action, "info": info or {}}))
 
+    @classmethod
+    def from_line(cls, line: str, obj: dict[str, Any]) -> "EventRecord":
+        """The record read back as ``line``, which decodes to ``obj``.
+
+        The line is kept as read, not re-encoded: it must be one that a
+        record wrote, as in an ``events.jsonl`` whose hash has been checked.
+        """
+        record = cls.__new__(cls)
+        for name in ("user_id", "current_time", "action"):
+            object.__setattr__(record, name, obj[name])
+        object.__setattr__(record, "line", line)
+        return record
+
     @property
     def info(self) -> dict[str, Any]:
         return json.loads(self.line)["info"]
@@ -284,13 +297,17 @@ class EpisodeLog:
 
 
 def read_episodes(text: str) -> list[EpisodeLog]:
-    """The episodes of concatenated :meth:`EpisodeLog.to_jsonl` texts, each ended by its summary line."""
+    """The episodes of concatenated :meth:`EpisodeLog.to_jsonl` texts, each ended by its summary line.
+
+    Each record keeps the line it was read from, so ``text`` must be as
+    written (``read_bundle`` checks the file's sha256 first).
+    """
     logs: list[EpisodeLog] = []
     records: list[EventRecord] = []
     for line in filter(str.strip, text.splitlines()):
         obj = json.loads(line)
         if "summary" not in obj:
-            records.append(EventRecord(**obj))
+            records.append(EventRecord.from_line(line, obj))
             continue
         summary = obj["summary"]
         rewards = {int(k): v for k, v in summary["total_rewards"].items()}

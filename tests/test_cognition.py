@@ -206,8 +206,9 @@ def run_economy(n, months):
 
 def test_economy_archive_holds_only_each_households_own_figures():
     # the month's lines and a household's traits are shared parts, so a
-    # household-month archives its wealth figure, a 5-part tuple, its action
-    # and two entries: about 400 bytes, where a whole string each was 530
+    # household-month archives its wealth figure, its action, six part
+    # slots and two entries' column cells: about 300 bytes at this size,
+    # where a whole string each was 530
     n, months = 20, 24
     run_economy(2, 2)  # lazy imports and first-call caches stay out of the count
     tracemalloc.start()
@@ -219,6 +220,23 @@ def test_economy_archive_holds_only_each_households_own_figures():
         tracemalloc.stop()
     assert sum(len(store.entries) for store in stores) == 2 * n * months
     assert held / (n * months) < 460
+
+
+def test_economy_archive_is_columns_not_entry_objects():
+    # per household-month: the wealth string and the action line, six part
+    # slots and 17 bytes of columns per entry; one MemoryEntry per line and
+    # a tuple per observation held about 390
+    n, months = 50, 48
+    run_economy(2, 2)  # lazy imports and first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        stores = run_economy(n, months)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(store.entries) for store in stores) == 2 * n * months
+    assert held / (n * months) < 300
 
 
 def run_market(n, days):
@@ -362,6 +380,22 @@ def test_world_tag_stamped_on_entries():
     agent.step(make_obs(time=1))
     tags = [e.world_tag for e in agent.memory.entries]
     assert tags == ["market", "market", "social", "social"]
+
+
+def test_agent_keeps_the_store_and_config_it_is_given_even_when_they_read_false():
+    class SizedMemory(BufferMemory):
+        def __len__(self):
+            return 0  # an empty store is falsy
+
+    class BlankPersona(PersonaConfig):
+        def __bool__(self):
+            return False
+
+    store, cfg = SizedMemory(capacity=2), BlankPersona(persona_text="p")
+    agent = Agent(agent_id=0, config=cfg, memory=store, backend=json_backend({"move": "x"}))
+    assert agent.memory is store and agent.config is cfg
+    agent.step(make_obs())
+    assert [e.role for e in store.entries] == ["observation", "own_action"]
 
 
 def test_archive_survives_transfer_roundtrip():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,8 +226,94 @@ def test_render_joins_each_visible_entry_line(variant, data, rows):
     assert store.render() == "\n".join(f"[{e.world_tag} t={e.time} {e.role}] {join_text(e.parts)}" for e in visible)
 
 
+TIMES = st.integers(-(2**63), 2**63 - 1)
+TAGS = st.one_of(st.sampled_from(["market", "social", "economy", ""]), st.text(max_size=4))
+SHAPES = st.one_of(
+    st.sampled_from(["", (), ("a",)]),
+    st.text(max_size=20),
+    st.lists(st.text(max_size=8), min_size=1, max_size=5).map(tuple),
+)
+
+
+def reference_window(store, reference):
+    """The entries each policy shows, from the reference list alone."""
+    if isinstance(store, BufferMemory):
+        return reference[-store.capacity:] if store.capacity else []
+    if isinstance(store, ChatHistoryMemory):
+        return greedy_packing_oracle(reference, store.window, store.token_limit)
+    return []
+
+
+def reference_archive(store, reference):
+    header = {"version": 1, "variant": store.variant, **{name: getattr(store, name) for name in store.params}}
+    lines = [json.dumps(header, sort_keys=True)]
+    for e in reference:
+        lines.append(json.dumps({"time": e.time, "world_tag": e.world_tag, "role": e.role, "content": e.content}, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def exactly(entries):
+    """Each entry's fields with its parts' type, which equality ignores."""
+    return [(e.time, e.world_tag, e.role, type(e.parts), e.parts) for e in entries]
+
+
+@pytest.mark.parametrize("variant", sorted(MEMORY_VARIANTS))
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data(), rows=st.lists(st.tuples(TIMES, TAGS, st.sampled_from(ENTRY_ROLES), SHAPES), max_size=16))
+def test_column_archive_agrees_with_a_reference_list(variant, data, rows):
+    cls = MEMORY_VARIANTS[variant]
+    store = cls(**{name: data.draw(st.integers(0, 40), label=name) for name in cls.params})
+    reference = []
+    for time, tag, role, parts in rows:
+        item = MemoryEntry(time=time, world_tag=tag, role=role, content=parts)
+        store.record(item)
+        reference.append(item)
+        window = reference_window(store, reference)
+        assert exactly(store.visible()) == exactly(window)
+        assert store.render() == "\n".join(f"[{e.world_tag} t={e.time} {e.role}] {join_text(e.parts)}" for e in window)
+    assert exactly(store.entries) == exactly(reference)
+    assert store.to_jsonl() == reference_archive(store, reference)
+    store.entries.clear()  # a snapshot: the store keeps its archive
+    assert exactly(store.entries) == exactly(reference)
+    with pytest.raises(AttributeError):
+        store.entries = []
+
+
+def test_archive_keeps_past_256_kinds():
+    store = BufferMemory(capacity=2)
+    reference = [MemoryEntry(time=i, world_tag=f"w{i}", role="note", content=("x", str(i))) for i in range(300)]
+    for item in reference:
+        store.record(item)
+    assert exactly(store.entries) == exactly(reference)
+    assert store.render() == "[w298 t=298 note] x298\n[w299 t=299 note] x299"
+
+
+def test_a_refused_entry_leaves_the_archive_as_it_was():
+    store = ChatHistoryMemory(window=5, token_limit=100)
+    store.record(entry(1))
+    for bad in (entry(2**63), MemoryEntry(time=2, world_tag="w", role="note", content=(1, 2))):
+        with pytest.raises((OverflowError, TypeError)):
+            store.record(bad)
+    store.record(entry(3))
+    assert exactly(store.entries) == exactly([entry(1), entry(3)])
+    assert store.render() == "[w t=1 note] entry 1\n[w t=3 note] entry 3"
+
+
+def test_render_builds_no_entry(monkeypatch):
+    store = BufferMemory(capacity=3)
+    for i in range(10_000):
+        store.record(entry(i, content=("entry ", str(i)) if i % 2 else f"entry {i}"))
+    built = []
+    post_init = MemoryEntry.__post_init__
+    monkeypatch.setattr(MemoryEntry, "__post_init__", lambda self, content: built.append(post_init(self, content)))
+    text = store.render()
+    assert built == []
+    assert text == "\n".join(f"[w t={i} note] entry {i}" for i in range(9997, 10_000))
+    assert len(store.visible()) == len(built) == 3  # the hook does see entries built
+
+
 def test_entry_has_no_instance_dict():
-    # slotted entries keep per-entry memory small; stores archive every entry
+    # slotted entries keep the snapshots that entries and visible() build small
     assert not hasattr(entry(0), "__dict__")
     assert MemoryEntry(time=0, world_tag="w", role="note", content=("a", "b")).content == "ab"
 

@@ -230,6 +230,22 @@ def test_episode_log_jsonl_roundtrip():
         read_episodes(text + text.splitlines(keepends=True)[0])
 
 
+def test_read_episodes_keeps_each_line_without_re_encoding(monkeypatch):
+    env = ScriptedEnv(n_agents=3, steps=4)
+    log = run_episode(env, {a: scripted_policy for a in range(3)}, max_steps=10, seed=2)
+    text = log.to_jsonl()
+    encodes = []
+    monkeypatch.setattr("cogsim.protocol.canonical_json", lambda obj: encodes.append(obj))
+    (back,) = read_episodes(text)
+    assert encodes == []
+    assert back.records == log.records
+    assert [(r.user_id, r.current_time, r.action, r.info) for r in back.records] == [
+        (r.user_id, r.current_time, r.action, r.info) for r in log.records
+    ]
+    monkeypatch.undo()
+    assert back.to_jsonl() == text
+
+
 def test_csv_table_cells_are_str_with_none_empty():
     assert csv_table(("a", "b", "c"), [(1, None, "x"), (2.5, True, "")]) == "a,b,c\n1,,x\n2.5,True,\n"
     assert csv_table(("a",), []) == "a\n"
