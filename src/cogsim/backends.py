@@ -201,9 +201,6 @@ class RecordingBackend(CompletionBackend):
             self.transcript[key] = result
         return result
 
-    def to_replay(self) -> ReplayBackend:
-        return ReplayBackend(self.transcript)
-
 
 def _readable(sock: Any) -> bool:
     """Whether ``sock`` has something to read now; ``poll``, where there is one,

@@ -1,6 +1,6 @@
 """Open ascending-price auction environment: sequential items, round-based
 bidding, budget enforcement, profit accounting, and per-round priority
-scores kept on the environment's ``report``.
+scores logged as ``priorities`` records.
 
 One environment step is one bidding round. A round with at least one valid
 bid raises the standing bid (ties to the lowest agent id) and re-invites
@@ -58,16 +58,6 @@ class Sale:
     item_index: int
     winner: int | None  # None = unsold
     price: float | None
-
-
-@dataclass
-class PriorityReport:
-    """Self-reported priority scores: one row per (round, agent, remaining item)."""
-
-    rows: list[tuple[int, int, str, float]] = field(default_factory=list)
-
-    def add(self, round_no: int, agent: int, item: str, score: float) -> None:
-        self.rows.append((round_no, agent, item, score))
 
 
 def resolve_round(
@@ -152,8 +142,6 @@ class AuctionEnv(Environment):
             for aid in self.agent_ids
         }
         self.round_state = RoundState(item_index=0)
-        self.report = PriorityReport()
-        self.global_round = 0
         self.t = 0
 
     def done(self) -> bool:
@@ -198,7 +186,6 @@ class AuctionEnv(Environment):
         if self.done():
             raise RuntimeError("step called on a finished episode")
         item = self.items[self.round_state.item_index]
-        self.global_round += 1
 
         bids: dict[int, float | None] = {}
         for aid in sorted(actions):
@@ -217,13 +204,18 @@ class AuctionEnv(Environment):
         return self._observations()
 
     def _capture_priorities(self, aid: int, priorities: Any) -> None:
+        """Log the agent's scores for items still on offer, each clamped to [0, 100],
+        as one ``priorities`` record, unless it gives none."""
         if not isinstance(priorities, dict):
             return
         remaining = {i.name for i in self._remaining_items()}
+        scores = {}
         for item_name in sorted(priorities):
             score = priorities[item_name]
             if item_name in remaining and isinstance(score, (int, float)) and not isinstance(score, bool):
-                self.report.add(self.global_round, aid, item_name, max(0.0, min(100.0, float(score))))
+                scores[item_name] = max(0.0, min(100.0, float(score)))
+        if scores:
+            self.events.append(aid, self.t, "priorities", scores)
 
     def _validated_bid(self, aid: int, bid: Any) -> float | None:
         if bid is None:

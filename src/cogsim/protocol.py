@@ -166,9 +166,6 @@ class EventRecord:
     def info(self) -> dict[str, Any]:
         return json.loads(self.line)["info"]
 
-    def to_json(self) -> str:
-        return self.line
-
     def __eq__(self, other: object) -> bool:
         return self.line == other.line if isinstance(other, EventRecord) else NotImplemented
 

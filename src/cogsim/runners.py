@@ -4,8 +4,8 @@ ablation. Each CLI subcommand but ``score`` is a harness in :data:`HARNESSES`:
 ``<name>_harness(config, episodes=None)`` runs its tagged :class:`Episodes`
 unless ``score`` gives it a bundle's, then measures them into a
 :class:`HarnessResult` from the config and their event records alone.
-Every backend a harness builds with :func:`build_backend` is closed once
-its episodes end.
+A harness that runs builds one backend for all its episodes and closes it
+once they end.
 
 Every harness is deterministic given its config: trial i always runs with
 seed base+i, transfer arms share the same phase-2 seed so memory content is
@@ -19,8 +19,7 @@ import datetime as dt
 import inspect
 import json
 from collections import Counter, abc
-from contextlib import contextmanager
-from contextvars import ContextVar
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -368,16 +367,6 @@ def make(table: Mapping[str, Kind], spec: Mapping[str, Any]) -> Any:
     return table[spec["kind"]].schema(**{key: value for key, value in spec.items() if key != "kind"})
 
 
-_opened_backends: ContextVar[list[CompletionBackend]] = ContextVar("opened_backends")
-
-
-def build_backend(config: ExperimentConfig) -> CompletionBackend:
-    """The backend ``config.backend`` names; a harness in :data:`HARNESSES` closes it once its episodes end."""
-    backend = make(BACKENDS, config.backend)
-    _opened_backends.get([]).append(backend)
-    return backend
-
-
 def check_step_limit(spec: Mapping[str, Any], max_steps: int | None, field: str = "max_steps") -> None:
     """Raise :class:`ConfigError` naming ``field`` if ``spec``'s environment would run forever."""
     if max_steps is None and not ENVIRONMENTS[spec["kind"]].ends:
@@ -408,9 +397,8 @@ def build_agents(roster: AgentsConfig, backend: CompletionBackend, n_agents: int
     return {aid: build_agent(roster, backend, aid, world_tag) for aid in range(n_agents)}
 
 
-def build_setup(config: ExperimentConfig, seed: int) -> tuple[Environment, dict[int, Agent]]:
+def build_setup(config: ExperimentConfig, backend: CompletionBackend, seed: int) -> tuple[Environment, dict[int, Agent]]:
     env = build_environment(config.environment, seed)
-    backend = build_backend(config)
     agents = build_agents(config.agents, backend, config.environment["agents"], world_tag=env.name)
     return env, agents
 
@@ -466,8 +454,9 @@ def run_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> H
     section = config.environment
     if episodes is None:
         check_step_limit(section, config.max_steps)
-        env, agents = build_setup(config, config.seed)
-        log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed, parallel=config.parallel)
+        with closing(make(BACKENDS, config.backend)) as backend:
+            env, agents = build_setup(config, backend, config.seed)
+            log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed, parallel=config.parallel)
         episodes = Episodes([("run", log)])
     ((_, log),) = episodes.logs
     kind = ENVIRONMENTS[section["kind"]]
@@ -481,76 +470,43 @@ def run_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> H
 # --- repeated trials ----------------------------------------------------------------
 
 
-@dataclass
-class TrialsResult:
-    """Each ``trial/<seed>`` episode's metrics by the kind of ``section``, and each failed seed's error."""
-
-    section: Mapping[str, Any]
-    episodes: Episodes
-    rows: list[tuple[int, dict[str, float]]] = field(init=False)
-    failures: list[tuple[int, str]] = field(init=False)
-
-    def __post_init__(self):
-        kind = ENVIRONMENTS[self.section["kind"]]
-        logs, failures = self.episodes.logs, self.episodes.failures.items()
-        self.rows = [(int(tag.removeprefix("trial/")), kind.metrics(self.section, log.records)) for tag, log in logs]
-        self.failures = [(int(tag.removeprefix("trial/")), error) for tag, error in failures]
-
-    def metric_names(self) -> list[str]:
-        names: set[str] = set()
-        for _, metrics in self.rows:
-            names.update(metrics)
-        return sorted(names)
-
-    def summary(self) -> tuple[dict[str, float], dict[str, float]]:
-        """Per-metric mean and population standard deviation over trials."""
-        means: dict[str, float] = {}
-        stds: dict[str, float] = {}
-        for name in self.metric_names():
-            values = [m[name] for _, m in self.rows if name in m]
-            means[name], stds[name] = mean_and_pstdev(values)
-        return means, stds
-
-    def to_csv(self) -> str:
-        names = self.metric_names()
-        means, stds = self.summary()
-        rows = [[seed, *(metrics.get(n) for n in names)] for seed, metrics in self.rows]
-        rows += [["mean", *(means[n] for n in names)], ["stddev", *(stds[n] for n in names)]]
-        return csv_table(["seed", *names], rows)
-
-
-def run_trials(config: ExperimentConfig) -> TrialsResult:
-    """Run ``config.trials`` independent episodes with seeds base, base+1, ...
+def trials_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> HarnessResult:
+    """``config.trials`` episodes at seeds base, base+1, ..., tagged ``trial/<seed>``:
+    each one's metrics, each metric's mean and population stddev, and each failed seed's error.
 
     A failing trial is recorded under ``failures`` and the rest proceed; if
     none succeeds, a :class:`SimulationError` names each seed's error.
     """
-    check_step_limit(config.environment, config.max_steps)
-    episodes = Episodes([])
-    for seed in range(config.seed, config.seed + config.trials):
-        try:
-            env, agents = build_setup(config, seed)
-            log = run_episode(env, agents, max_steps=config.max_steps, seed=seed, parallel=config.parallel)
-            episodes.logs.append((f"trial/{seed}", log))
-        except Exception as exc:  # a broken trial must not sink the study
-            episodes.failures[f"trial/{seed}"] = f"{type(exc).__name__}: {exc}"
-    result = TrialsResult(config.environment, episodes)
-    if not result.rows:
-        raise SimulationError("no trial succeeded: " + "; ".join(f"seed {seed}: {error}" for seed, error in result.failures))
-    return result
-
-
-def trials_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> HarnessResult:
-    """The trials table, each metric's mean and stddev, and each failed seed's error."""
-    result = run_trials(config) if episodes is None else TrialsResult(config.environment, episodes)
-    means, stds = result.summary()
-    seeds = sorted(seed for seed, _ in result.rows + result.failures)
-    summary = {"seeds": f"{seeds[0]}..{seeds[-1]}", "failures": len(result.failures)}
-    summary.update({f"mean_{k}": v for k, v in means.items()})
-    summary.update({f"stddev_{k}": v for k, v in stds.items()})
-    title = f"trials: {len(seeds)} runs of {config.environment['kind']}"
-    failed = "".join(f"  seed {seed}: {error}\n" for seed, error in result.failures)
-    return HarnessResult(title, result.episodes, result.to_csv(), summary, failed and f"failed trials:\n{failed}")
+    section = config.environment
+    if episodes is None:
+        check_step_limit(section, config.max_steps)
+        episodes = Episodes([])
+        with closing(make(BACKENDS, config.backend)) as backend:
+            for seed in range(config.seed, config.seed + config.trials):
+                try:
+                    env, agents = build_setup(config, backend, seed)
+                    log = run_episode(env, agents, max_steps=config.max_steps, seed=seed, parallel=config.parallel)
+                    episodes.logs.append((f"trial/{seed}", log))
+                except Exception as exc:  # a broken trial must not sink the study
+                    episodes.failures[f"trial/{seed}"] = f"{type(exc).__name__}: {exc}"
+    kind = ENVIRONMENTS[section["kind"]]
+    rows = [(int(tag.removeprefix("trial/")), kind.metrics(section, log.records)) for tag, log in episodes.logs]
+    failures = [(int(tag.removeprefix("trial/")), error) for tag, error in episodes.failures.items()]
+    if not rows:
+        raise SimulationError("no trial succeeded: " + "; ".join(f"seed {seed}: {error}" for seed, error in failures))
+    names = sorted({name for _, metrics in rows for name in metrics})
+    means, stds = {}, {}
+    for name in names:
+        means[name], stds[name] = mean_and_pstdev([metrics[name] for _, metrics in rows if name in metrics])
+    table = [[seed, *(metrics.get(name) for name in names)] for seed, metrics in rows]
+    table += [["mean", *means.values()], ["stddev", *stds.values()]]
+    seeds = sorted(seed for seed, _ in rows + failures)
+    summary = {"seeds": f"{seeds[0]}..{seeds[-1]}", "failures": len(failures)}
+    summary.update({f"mean_{name}": value for name, value in means.items()})
+    summary.update({f"stddev_{name}": value for name, value in stds.items()})
+    title = f"trials: {len(seeds)} runs of {section['kind']}"
+    failed = "".join(f"  seed {seed}: {error}\n" for seed, error in failures)
+    return HarnessResult(title, episodes, csv_table(["seed", *names], table), summary, failed and f"failed trials:\n{failed}")
 
 
 # --- memory transfer ------------------------------------------------------------------
@@ -583,14 +539,7 @@ class TransferResult:
     diffs_by_pair: dict[str, float]
     per_agent: dict[int, dict[str, float]]
     t_tests: dict[str, tuple[float, float, int] | None]
-    source_archives: dict[int, str] = field(default_factory=dict)
-    carry_bias: dict[int, dict[str, float]] = field(default_factory=dict)
-    fresh_bias: dict[int, dict[str, float]] = field(default_factory=dict)
     episodes: list[tuple[str, EpisodeLog]] = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        rows = ([pair, diff, *(self.t_tests.get(pair) or (None,) * 3)] for pair, diff in sorted(self.diffs_by_pair.items()))
-        return csv_table(("pair", "diff", "t", "p", "df"), rows)
 
 
 def compare_arms(items: Sequence[Item], agent_ids: Sequence[int], carry: list[EventRecord], fresh: list[EventRecord]) -> TransferResult:
@@ -619,8 +568,6 @@ def compare_arms(items: Sequence[Item], agent_ids: Sequence[int], carry: list[Ev
         diffs_by_pair=diffs_by_pair,
         per_agent=per_agent,
         t_tests=t_tests,
-        carry_bias=carry_scores,
-        fresh_bias=fresh_scores,
     )
 
 
@@ -650,7 +597,7 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
     fresh = administer(restore=False)
     result = compare_arms(instrument.items, plan.agent_ids, carry.records, fresh.records)
     episodes = [("source", phase1), ("carry", carry), ("fresh", fresh)]
-    return replace(result, source_archives=archives, episodes=episodes)
+    return replace(result, episodes=episodes)
 
 
 def transfer_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> HarnessResult:
@@ -659,23 +606,24 @@ def transfer_harness(config: ExperimentConfig, episodes: Episodes | None = None)
     if episodes is None:
         source_steps = config.max_steps if section.source_steps is None else section.source_steps
         check_step_limit(section.source, source_steps, "transfer.source_steps")
-        backend = build_backend(config)
-        plan = TransferPlan(
-            source_env_factory=lambda seed: build_environment(section.source, seed),
-            agent_ids=list(range(section.source["agents"])),
-            agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, "transfer", memory),
-            memory_factory=lambda: make(MEMORIES, config.agents.memory or {"kind": "buffer", "capacity": 100}),
-            source_steps=source_steps,
-            carry_memory=section.carry_memory,
-            seed=config.seed,
-            phase2_seed=config.seed if section.phase2_seed is None else section.phase2_seed,
-            parallel=config.parallel,
-        )
-        episodes = Episodes(run_memory_transfer(plan, InstrumentSpec(items=section.items)).episodes)
+        with closing(make(BACKENDS, config.backend)) as backend:
+            plan = TransferPlan(
+                source_env_factory=lambda seed: build_environment(section.source, seed),
+                agent_ids=list(range(section.source["agents"])),
+                agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, "transfer", memory),
+                memory_factory=lambda: make(MEMORIES, config.agents.memory or {"kind": "buffer", "capacity": 100}),
+                source_steps=source_steps,
+                carry_memory=section.carry_memory,
+                seed=config.seed,
+                phase2_seed=config.seed if section.phase2_seed is None else section.phase2_seed,
+                parallel=config.parallel,
+            )
+            episodes = Episodes(run_memory_transfer(plan, InstrumentSpec(items=section.items)).episodes)
     logs = dict(episodes.logs)
     result = compare_arms(section.items, range(section.source["agents"]), logs["carry"].records, logs["fresh"].records)
+    rows = ([pair, diff, *(result.t_tests.get(pair) or (None,) * 3)] for pair, diff in sorted(result.diffs_by_pair.items()))
     title = "memory transfer: carry minus fresh bias per pair"
-    return HarnessResult(title, episodes, result.to_csv(), result.diffs_by_pair)
+    return HarnessResult(title, episodes, csv_table(("pair", "diff", "t", "p", "df"), rows), result.diffs_by_pair)
 
 
 # --- multi-world -----------------------------------------------------------------------
@@ -733,8 +681,10 @@ def multiworld_harness(config: ExperimentConfig, episodes: Episodes | None = Non
         with _within("multiworld"):
             schedule = MultiWorldSchedule(environments=envs, cycles=section.cycles)
         n = max(spec["agents"] for spec in section.environments)
-        agents = build_agents(config.agents, build_backend(config), n, world_tag=envs[0].name)
-        episodes = Episodes([("multiworld", run_multiworld(schedule, agents, seed=config.seed, parallel=config.parallel))])
+        with closing(make(BACKENDS, config.backend)) as backend:
+            agents = build_agents(config.agents, backend, n, world_tag=envs[0].name)
+            log = run_multiworld(schedule, agents, seed=config.seed, parallel=config.parallel)
+        episodes = Episodes([("multiworld", log)])
     ((_, log),) = episodes.logs
     counts = Counter(record.info.get("world", "?") for record in log.records)
     return HarnessResult(  # each kind's environment is named after it
@@ -758,18 +708,6 @@ class AblationSetting:
     def __post_init__(self):
         if not 1 <= self.level <= 4:
             raise ConfigError("ablation level must be 1..4")
-
-    @property
-    def headline_config(self) -> bool:
-        return self.level >= 2
-
-    @property
-    def research_memory(self) -> bool:
-        return self.level >= 3
-
-    @property
-    def news_tool(self) -> bool:
-        return self.level >= 4
 
 
 def default_settings() -> list[AblationSetting]:
@@ -803,9 +741,9 @@ def ablation_agents(study: TariffStudy, setting: AblationSetting) -> dict[int, A
     agents = {}
     for aid in range(study.base_config.n_agents):
         agent = build_agent(roster, study.backend_factory(aid), aid, "market")
-        if setting.headline_config:
+        if setting.level >= 2:
             agent.config.extra_directives.append(study.headline)
-        if setting.research_memory:
+        if setting.level >= 3:
             agent.memory.record(MemoryEntry(time=0, world_tag="market", role="note", content=study.research_summary))
         agents[aid] = agent
     return agents
@@ -814,8 +752,8 @@ def ablation_agents(study: TariffStudy, setting: AblationSetting) -> dict[int, A
 def ablation_environment(study: TariffStudy, setting: AblationSetting) -> MarketEnv:
     cfg = replace(
         study.base_config,
-        enable_news_tool=setting.news_tool,
-        news_feed=list(study.news_feed) if setting.news_tool else [],
+        enable_news_tool=setting.level >= 4,
+        news_feed=list(study.news_feed) if setting.level >= 4 else [],
     )
     return MarketEnv(cfg)
 
@@ -878,46 +816,28 @@ def ablation_harness(config: ExperimentConfig, episodes: Episodes | None = None)
             settings = [AblationSetting(level) for level in section.settings or ()]
             if len(set(settings)) < len(settings):  # the table groups episodes by level
                 raise ConfigError("each level may be listed once")
-        backend = build_backend(config)
-        study = TariffStudy(
-            base_config=_market(config.environment),
-            headline=section.headline,
-            research_summary=section.summary,
-            news_feed=section.news,
-            backend_factory=lambda aid: backend,
-            agents=config.agents,
-            trials=config.trials,
-            base_seed=config.seed,
-            parallel=config.parallel,
-        )
-        episodes = Episodes(run_tariff_ablation(study, settings).episodes)
+        with closing(make(BACKENDS, config.backend)) as backend:
+            study = TariffStudy(
+                base_config=_market(config.environment),
+                headline=section.headline,
+                research_summary=section.summary,
+                news_feed=section.news,
+                backend_factory=lambda aid: backend,
+                agents=config.agents,
+                trials=config.trials,
+                base_seed=config.seed,
+                parallel=config.parallel,
+            )
+            episodes = Episodes(run_tariff_ablation(study, settings).episodes)
     table = ablation_table(episodes.logs)
     ratios = {f"setting_{row.setting}": f"A={row.stock_a:.4f} B={row.stock_b:.4f}" for row in table.rows}
     return HarnessResult("tariff ablation: mean buy/sell ratios", episodes, table.to_csv(), ratios)
 
 
-Harness = Callable[[ExperimentConfig, Episodes | None], HarnessResult]
-
-
-def _closing_backends(harness: Harness) -> Harness:
-    """``harness``, closing every backend it builds once its episodes end."""
-
-    def run(config: ExperimentConfig, episodes: Episodes | None = None) -> HarnessResult:
-        token = _opened_backends.set([])
-        try:
-            return harness(config, episodes)
-        finally:
-            for backend in _opened_backends.get():
-                backend.close()
-            _opened_backends.reset(token)
-
-    return run
-
-
-HARNESSES: dict[str, Harness] = {
-    "run": _closing_backends(run_harness),
-    "trials": _closing_backends(trials_harness),
-    "transfer": _closing_backends(transfer_harness),
-    "multiworld": _closing_backends(multiworld_harness),
-    "ablation": _closing_backends(ablation_harness),
+HARNESSES: dict[str, Callable[[ExperimentConfig, Episodes | None], HarnessResult]] = {
+    "run": run_harness,
+    "trials": trials_harness,
+    "transfer": transfer_harness,
+    "multiworld": multiworld_harness,
+    "ablation": ablation_harness,
 }

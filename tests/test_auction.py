@@ -6,7 +6,6 @@ from cogsim.envs.auction import (
     AuctionEnv,
     AuctionItem,
     BidderState,
-    PriorityReport,
     RoundState,
     Sale,
     auction_metrics,
@@ -227,15 +226,15 @@ def test_priority_report_rows():
     items = make_items(2)
     policy = seeded_random_policy(5)
     env = AuctionEnv(items, bidder_ids=[0, 1, 2], budget=500.0)
-    run_episode(env, {0: policy, 1: policy, 2: policy}, max_steps=10_000)
-    report = env.report
-    assert report.rows, "priorities should be captured"
-    rounds = {row[0] for row in report.rows}
-    for round_no in rounds:
-        agents_in_round = {row[1] for row in report.rows if row[0] == round_no}
-        assert agents_in_round <= {0, 1, 2}
-    for _, _, _, score in report.rows:
-        assert 0.0 <= score <= 100.0
+    log = run_episode(env, {0: policy, 1: policy, 2: policy}, max_steps=10_000)
+    reports = [record for record in log.records if record.action == "priorities"]
+    # every bidder scores the remaining items in every round, in one record
+    assert sorted((r.current_time, r.user_id) for r in reports) == [
+        (t, aid) for t in range(log.steps_executed) for aid in (0, 1, 2)
+    ]
+    for record in reports:
+        assert record.info and set(record.info) <= {item.name for item in items}
+        assert all(0.0 <= score <= 100.0 for score in record.info.values())
 
 
 def test_invalid_bids_rejected_and_treated_as_pass():

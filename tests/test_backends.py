@@ -116,7 +116,7 @@ def test_replay_transcript_jsonl_roundtrip():
     request = simple_request("q")
     recording = RecordingBackend(ScriptedBackend(default=CompletionResult(content="a")))
     recording.complete(request)
-    replay = recording.to_replay()
+    replay = ReplayBackend(recording.transcript)
     text = replay.to_jsonl()
     restored = ReplayBackend.from_jsonl(text)
     assert restored.complete(simple_request("q")).content == "a"
@@ -705,14 +705,17 @@ def test_remote_in_flight_limit_above_16_opens_that_many_requests(stub_server, t
     assert handler.max_concurrent > 16
 
 
-@HARNESS_SECTIONS
-def test_remote_harnesses_close_their_kept_connections(command, section, tmp_path, monkeypatch):
+def run_on_a_keep_alive_stub(command, section, content, tmp_path, monkeypatch):
+    """``command``'s exit code on a remote backend whose stub keeps each
+    connection open and answers ``content``, with a ``ResourceWarning`` as an
+    error; also the stub's handler and every error raised where none could be."""
+
     class Handler(StubHandler):
         protocol_version = "HTTP/1.1"  # keep-alive: the pool keeps each connection
         seen_bodies = []
         lock = threading.Lock()
-        content = staticmethod(trader_or_respondent)
 
+    Handler.content = staticmethod(content)
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     server.daemon_threads = True
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -730,11 +733,29 @@ def test_remote_harnesses_close_their_kept_connections(command, section, tmp_pat
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
-            assert main([command, "--config", str(path)]) == 0
+            code = main([command, "--config", str(path)])
             gc.collect()
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
-    assert Handler.seen_bodies
-    assert [str(hook.exc_value) for hook in unraisable] == []
+    return code, Handler, [str(hook.exc_value) for hook in unraisable]
+
+
+@HARNESS_SECTIONS
+def test_remote_harnesses_close_their_kept_connections(command, section, tmp_path, monkeypatch):
+    code, handler, unraisable = run_on_a_keep_alive_stub(command, section, trader_or_respondent, tmp_path, monkeypatch)
+    assert code == 0
+    assert handler.seen_bodies
+    assert unraisable == []
+
+
+def test_a_failed_remote_run_still_closes_its_kept_connections(tmp_path, monkeypatch, capsys):
+    def off_schema(body):
+        return json.dumps({"orders": "none"})  # and so is every answer to a parse retry
+
+    code, handler, unraisable = run_on_a_keep_alive_stub("run", {}, off_schema, tmp_path, monkeypatch)
+    assert code == 2
+    assert "ParseFailure" in capsys.readouterr().err
+    assert handler.seen_bodies
+    assert unraisable == []

@@ -337,6 +337,26 @@ def test_score_rederives_a_run_of_each_kind(kind, tmp_path, monkeypatch):
     assert_score_reproduces(tmp_path / "out", config)
 
 
+def test_auction_run_records_each_bidders_clamped_priorities(tmp_path):
+    out = tmp_path / "out"
+    answer = {"bid": None, "priorities": {"lamp": 80, "vase": 140, "gone": 5}}
+    body = {
+        "environment": {"kind": "auction", "items": [*AUCTION_ITEMS, {**AUCTION_ITEMS[0], "name": "vase"}]},
+        "backend": {"kind": "scripted", "default_content": json.dumps(answer)},
+        "out": str(out),
+    }
+    assert main(["run", "--config", str(write_config(tmp_path, body))]) == 0
+    events = (out / "events.jsonl").read_text()
+    records = [json.loads(line) for line in events.splitlines()]
+    logged = [(r["current_time"], r["user_id"], r["info"]) for r in records if r.get("action") == "priorities"]
+    # every bidder passes, so the lamp closes unsold after round 1 and the vase after the next
+    assert logged == [(0, aid, {"lamp": 80.0, "vase": 100.0}) for aid in range(3)] + [
+        (1, aid, {"vase": 100.0}) for aid in range(3)
+    ]
+    assert '"lamp":80.0' in events and '"vase":100.0' in events
+    assert "gone" not in events
+
+
 RATE = st.floats(0.0, 0.3)
 PROPENSITIES = st.fixed_dictionaries({"work_propensity": st.floats(0.0, 1.0), "consumption_propensity": st.floats(0.0, 1.0)})
 PRICE = st.floats(0.5, 40.0) | st.integers(1, 40)

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, every
 module-level UPPER_CASE constant is named somewhere besides its definition,
+every public function and class has a caller besides the module tests,
 every per-layer family of the benchmark's tracer still measures a cogsim
 function, a run on a local backend never loads the HTTP client, a remote
 run never loads ``requests``, and a library run that writes its own bundle
@@ -16,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -185,3 +187,34 @@ def test_library_run_loads_only_the_layers_it_uses(tmp_path):
     assert steps == "2"
     assert loaded == "[]", f"a serial scripted run loaded layers it never uses: {loaded}"
     assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+def public_definitions(tree: ast.Module) -> list[ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef]:
+    """The ``def`` and ``class`` statements at module or class level whose name does not start with ``_``."""
+    found, bodies = [], [tree.body]
+    while bodies:
+        for node in bodies.pop():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found.append(node)
+            if isinstance(node, ast.ClassDef):
+                bodies.append(node.body)
+    return found
+
+
+def test_every_public_name_has_a_caller_besides_tests():
+    """Each public name of the package occurs, outside its own definition, in
+    the package (re-exports in ``__init__.py`` aside), the benchmark or the
+    acceptance suite: a name that only module tests call is dead code."""
+    words = re.compile(r"\w+")  # an identifier matches as a whole word exactly where it is one of these
+    lines = {path: path.read_text(encoding="utf-8").splitlines(keepends=True) for path in MODULES}
+    callers = [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    uses = Counter()
+    for text in [*("".join(text) for text in lines.values()), *(path.read_text(encoding="utf-8") for path in callers)]:
+        uses.update(words.findall(text))
+    unused = []
+    for path, text in lines.items():
+        for node in public_definitions(ast.parse("".join(text))):
+            own = words.findall("".join(text[node.lineno - 1:node.end_lineno]))
+            if uses[node.name] <= own.count(node.name):
+                unused.append(f"{path.relative_to(PACKAGE)}:{node.lineno}:{node.name}")
+    assert not unused, f"public names that only module tests use: {unused}"

@@ -253,7 +253,7 @@ def test_csv_table_cells_are_str_with_none_empty():
 
 def test_jsonl_field_names_exact():
     record = EventRecord(user_id=14, current_time=3, action="create_post", info={"post_id": 16})
-    line = record.to_json()
+    line = record.line
     assert '"user_id":14' in line
     assert '"current_time":3' in line
     assert '"action":"create_post"' in line
@@ -279,7 +279,7 @@ INFOS = st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5)
 def test_event_record_is_its_canonical_line(info, user_id, current_time, action):
     record = EventRecord(user_id, current_time, action, info)
     as_dict = {"user_id": user_id, "current_time": current_time, "action": action, "info": info}
-    assert record.to_json() == canonical_json(as_dict)
+    assert record.line == canonical_json(as_dict)
     decoded = json.loads(canonical_json(info))
     assert record.info == decoded
     record.info["added"] = 1  # a fresh dict each read: the change is not kept

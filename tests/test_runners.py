@@ -9,12 +9,13 @@ from cogsim import runners
 from cogsim.backends import CompletionResult, ScriptedBackend
 from cogsim.cognition import Agent, PersonaConfig, compose_prompt
 from cogsim.envs.market import MarketConfig, MarketEnv, NewsItem
-from cogsim.envs.questionnaire import Item, ScaleSpec
+from cogsim.envs.questionnaire import Item, ScaleSpec, score_answers
 from cogsim.envs.social import SocialEnv, star_profiles
 from cogsim.errors import SchemaViolation
 from cogsim.memory import BufferMemory
 from cogsim.protocol import ActionEnvelope, step_world
 from cogsim.runners import (
+    BACKENDS,
     AblationSetting,
     AgentsConfig,
     ExperimentConfig,
@@ -27,15 +28,16 @@ from cogsim.runners import (
     build_environment,
     build_setup,
     default_settings,
+    make,
     parse,
     run_memory_transfer,
     run_multiworld,
     run_tariff_ablation,
-    run_trials,
+    trials_harness,
 )
 
 
-# --- run_trials ------------------------------------------------------------------
+# --- trials ----------------------------------------------------------------------
 
 
 def market_trials_config(trials=5, agents=4, days=1):
@@ -49,21 +51,29 @@ def market_trials_config(trials=5, agents=4, days=1):
     return parse(ExperimentConfig, raw)
 
 
+def trials_table(result):
+    """The per-seed metric rows of a trials result's ``metrics_csv``, then its mean and stddev rows."""
+    header, *lines = [line.split(",") for line in result.metrics_csv.splitlines()]
+    values = [{name: float(cell) for name, cell in zip(header[1:], line[1:])} for line in lines]
+    rows = [(int(line[0]), metrics) for line, metrics in zip(lines[:-2], values)]
+    assert [line[0] for line in lines[-2:]] == ["mean", "stddev"]
+    return rows, values[-2], values[-1]
+
+
 def test_deterministic_trials_identical_rows_zero_stddev():
-    result = run_trials(market_trials_config(trials=5))
-    assert len(result.rows) == 5
-    assert [seed for seed, _ in result.rows] == [0, 1, 2, 3, 4]
-    first = result.rows[0][1]
-    assert all(metrics == first for _, metrics in result.rows)
-    means, stds = result.summary()
+    result = trials_harness(market_trials_config(trials=5))
+    rows, means, stds = trials_table(result)
+    assert [tag for tag, _ in result.episodes.logs] == [f"trial/{seed}" for seed in range(5)]
+    assert [seed for seed, _ in rows] == [0, 1, 2, 3, 4]
+    first = rows[0][1]
+    assert all(metrics == first for _, metrics in rows)
     assert all(s == 0.0 for s in stds.values())
     assert means == first
 
 
 def test_single_trial_summary_equals_row():
-    result = run_trials(market_trials_config(trials=1))
-    means, stds = result.summary()
-    assert means == result.rows[0][1]
+    rows, means, stds = trials_table(trials_harness(market_trials_config(trials=1)))
+    assert means == rows[0][1]
     assert all(s == 0.0 for s in stds.values())
 
 
@@ -78,37 +88,36 @@ def test_seed_sensitive_trials_mean_is_hand_average():
         "seed": 10,
     }
     config = parse(ExperimentConfig, raw)
-    result = run_trials(config)
-    assert len({json.dumps(m, sort_keys=True) for _, m in result.rows}) == 3  # seeds differ
-    means, _ = result.summary()
-    for name in result.metric_names():
-        values = [m[name] for _, m in result.rows]
+    rows, means, _ = trials_table(trials_harness(config))
+    assert len({json.dumps(m, sort_keys=True) for _, m in rows}) == 3  # seeds differ
+    for name in means:
+        values = [m[name] for _, m in rows]
         assert means[name] == pytest.approx(sum(values) / len(values))
 
 
 def test_failed_trial_recorded_others_proceed(monkeypatch):
     calls = {"n": 0}
 
-    def setup(config, seed):
+    def setup(config, backend, seed):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("boom")
         env = MarketEnv(MarketConfig(n_agents=2, days=1))
-        backend = ScriptedBackend(default=CompletionResult(content=json.dumps({"orders": []})))
         agents = {aid: Agent(agent_id=aid, backend=backend) for aid in range(2)}
         return env, agents
 
     monkeypatch.setattr(runners, "build_setup", setup)
     config = market_trials_config(trials=3)
-    result = run_trials(config)
-    assert len(result.rows) == 2
-    assert len(result.failures) == 1
-    assert "boom" in result.failures[0][1]
+    result = trials_harness(config)
+    assert [tag for tag, _ in result.episodes.logs] == ["trial/0", "trial/2"]
+    assert list(result.episodes.failures) == ["trial/1"]
+    assert "boom" in result.episodes.failures["trial/1"]
+    assert [seed for seed, _ in trials_table(result)[0]] == [0, 2]
 
 
 def test_trials_csv_layout():
-    result = run_trials(market_trials_config(trials=2))
-    lines = result.to_csv().strip().splitlines()
+    result = trials_harness(market_trials_config(trials=2))
+    lines = result.metrics_csv.strip().splitlines()
     assert lines[0].startswith("seed,")
     assert lines[-2].startswith("mean,")
     assert lines[-1].startswith("stddev,")
@@ -193,21 +202,31 @@ def test_one_point_shift_closed_form():
 
 
 def test_archives_tagged_with_source_world():
-    result = run_memory_transfer(make_transfer_plan(carry=True), InstrumentSpec(items=transfer_items()))
-    for archive in result.source_archives.values():
-        lines = [json.loads(line) for line in archive.strip().splitlines()[1:]]
+    stores = []
+
+    def memory():
+        stores.append(BufferMemory(capacity=100))
+        return stores[-1]
+
+    plan = replace(make_transfer_plan(carry=True), memory_factory=memory)
+    run_memory_transfer(plan, InstrumentSpec(items=transfer_items()))
+    for store in stores[: len(plan.agent_ids)]:  # phase 1 builds one store per agent before the arms
+        lines = [json.loads(line) for line in store.to_jsonl().strip().splitlines()[1:]]
         assert lines, "phase 1 must record memories"
         assert all(entry["world_tag"] == "market" for entry in lines)
 
 
 def test_transfer_symmetry_negates_diffs():
-    result = run_memory_transfer(make_transfer_plan(carry=True), InstrumentSpec(items=transfer_items()))
+    items = transfer_items()
+    result = run_memory_transfer(make_transfer_plan(carry=True), InstrumentSpec(items=items))
+    logs = dict(result.episodes)
+    carry, fresh = (score_answers(items, logs[arm].records) for arm in ("carry", "fresh"))
     # reported diffs are exactly carry minus fresh, so swapping the arm
     # labels negates every difference with no drift
     for aid, diffs in result.per_agent.items():
         for pair, diff in diffs.items():
-            assert diff == result.carry_bias[aid][pair] - result.fresh_bias[aid][pair]
-            swapped = result.fresh_bias[aid][pair] - result.carry_bias[aid][pair]
+            assert diff == carry[aid].bias_by_pair[pair] - fresh[aid].bias_by_pair[pair]
+            swapped = fresh[aid].bias_by_pair[pair] - carry[aid].bias_by_pair[pair]
             assert swapped == -diff
 
 
@@ -412,17 +431,11 @@ def test_ablation_agents_take_the_whole_agents_section():
 
 
 def test_ablation_flags_cumulative_definition():
-    flags = [
-        (s.headline_config, s.research_memory, s.news_tool) for s in default_settings()
-    ]
-    assert flags == [
-        (False, False, False),
-        (True, False, False),
-        (True, True, False),
-        (True, True, True),
-    ]
-    with pytest.raises(ValueError):
-        AblationSetting(level=5)
+    # what each level adds is checked on the prompts by test_ablation_prompts_are_cumulative
+    assert [s.level for s in default_settings()] == [1, 2, 3, 4]
+    for level in (0, 5):
+        with pytest.raises(ValueError):
+            AblationSetting(level=level)
 
 
 def test_table_csv_has_four_rows_with_delta_columns():
@@ -453,7 +466,7 @@ def test_build_environment_social_seeds_post_from_influencer():
 
 def test_build_setup_full_stack_runs():
     config = market_trials_config(trials=1, agents=3, days=1)
-    env, agents = build_setup(config, seed=0)
+    env, agents = build_setup(config, make(BACKENDS, config.backend), seed=0)
     assert len(agents) == 3
     from cogsim.protocol import run_episode
 
