@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import threading
@@ -417,23 +418,45 @@ class RemoteBackend(CompletionBackend):
             if status >= 400:
                 text = content[:200].decode("utf-8", "replace")
                 raise RemoteExhausted(f"remote rejected request: {status} {text}")
-            return self._parse_response(json.loads(content))
+            return self._parse_response(content)
         if timed_out:
             raise RemoteTimeout(f"remote timed out after {request.max_retries + 1} attempts") from last_error
         raise RemoteExhausted(f"remote failed after {request.max_retries + 1} attempts: {last_error}")
 
     @staticmethod
-    def _parse_response(payload: dict[str, Any]) -> CompletionResult:
-        message = payload["choices"][0]["message"]
-        calls = tuple(
-            ToolCallRequest(
-                id=c["id"],
-                name=c["function"]["name"],
-                arguments_text=c["function"]["arguments"],
+    def _parse_response(content: bytes) -> CompletionResult:
+        """The answer a 2xx body carries; a body that is not one raises
+        :class:`RemoteExhausted` quoting its first 200 bytes."""
+        try:
+            message = json.loads(content)["choices"][0]["message"]
+            answer = message.get("content") or ""
+            if not isinstance(answer, str):
+                raise TypeError("message content is not a string")
+            calls = tuple(
+                ToolCallRequest(
+                    id=c["id"],
+                    name=c["function"]["name"],
+                    arguments_text=c["function"]["arguments"],
+                )
+                for c in message.get("tool_calls") or []
             )
-            for c in message.get("tool_calls") or []
-        )
-        return CompletionResult(content=message.get("content") or "", tool_calls=calls)
+            return CompletionResult(content=answer, tool_calls=calls)
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            text = content[:200].decode("utf-8", "replace")
+            raise RemoteExhausted(f"remote sent a malformed answer: {text}") from exc
+
+
+def _finite_number(token: str) -> float:
+    """A JSON number token of model text as a float; ``NaN``, ``Infinity`` and
+    a number past the float range (``1e999``) raise ``ValueError``, since no
+    event line could hold them as JSON."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
+_decode_model_json = json.JSONDecoder(parse_float=_finite_number, parse_constant=_finite_number).decode
 
 
 def run_tool_loop(
@@ -480,7 +503,7 @@ def _execute_tool(
         trace.append((call, text))
         return text
     try:
-        args = json.loads(call.arguments_text) if call.arguments_text.strip() else {}
+        args = _decode_model_json(call.arguments_text) if call.arguments_text.strip() else {}
         if not isinstance(args, dict):
             raise ValueError("tool arguments must be a JSON object")
         violations = validate_action(args, tool.parameter_schema)
@@ -514,8 +537,8 @@ def _try_parse_json_object(text: str) -> dict[str, Any] | None:
         if len(lines) >= 2 and lines[-1].strip().startswith("```"):
             candidate = "\n".join(lines[1:-1]).strip()
     try:
-        obj = json.loads(candidate)
-    except (json.JSONDecodeError, ValueError):
+        obj = _decode_model_json(candidate)
+    except ValueError:
         return None
     return obj if isinstance(obj, dict) else None
 

@@ -39,11 +39,9 @@ class AuctionItem:
 
 @dataclass
 class BidderState:
-    agent: int
     budget: float
     items_won: list[str] = field(default_factory=list)
     profit: float = 0.0
-    objective: str = "profit_first"  # profit_first | item_first
 
 
 @dataclass
@@ -122,7 +120,6 @@ class AuctionEnv(Environment):
         bidder_ids: list[int],
         budget: float = DEFAULT_BUDGET,
         min_increment: float = MIN_INCREMENT,
-        objectives: Mapping[int, str] | None = None,
     ):
         super().__init__()
         if len(bidder_ids) < 2:
@@ -133,14 +130,10 @@ class AuctionEnv(Environment):
         self.agent_ids = sorted(bidder_ids)
         self.initial_budget = budget
         self.min_increment = min_increment
-        self.objectives = dict(objectives or {})
         self._setup()
 
     def _setup(self):
-        self.bidders = {
-            aid: BidderState(agent=aid, budget=self.initial_budget, objective=self.objectives.get(aid, "profit_first"))
-            for aid in self.agent_ids
-        }
+        self.bidders = {aid: BidderState(budget=self.initial_budget) for aid in self.agent_ids}
         self.round_state = RoundState(item_index=0)
         self.t = 0
 
@@ -164,7 +157,7 @@ class AuctionEnv(Environment):
             f"starting price {item.starting_price:.2f}, estimated value {item.estimated_value:.2f}, {standing}.\n"
             f"Minimum valid bid: {self._floor():.2f}.\n"
             f"Your budget {state.budget:.2f}, profit so far {state.profit:.2f}, "
-            f"items won: {state.items_won or 'none'}. Objective: {state.objective}.\n"
+            f"items won: {state.items_won or 'none'}. Objective: profit_first.\n"
             f"Remaining items: {remaining}.\n"
             f"Bid null to pass; include priorities as a map of remaining item name to a 0-100 score."
         )

@@ -41,7 +41,6 @@ WORK_THRESHOLD = 0.5
 
 @dataclass
 class HouseholdState:
-    agent: int
     skill: float
     wealth: float
     monthly_wage: float
@@ -107,16 +106,9 @@ def monthly_step(
     state.month += 1
     prev_price = state.price_level
 
-    total_income = 0.0
     total_tax = 0.0
     total_spending = 0.0
-    total_interest = 0.0
     supply = 0.0
-    employed = 0
-
-    net_incomes: dict[int, float] = {}
-    spendings: dict[int, float] = {}
-    interests: dict[int, float] = {}
     for aid in sorted(households):
         hh = households[aid]
         action = actions[aid]
@@ -126,16 +118,10 @@ def monthly_step(
         net = income - tax
         spending = action.consumption_propensity * (hh.wealth + net)
         interest = hh.wealth * state.policy.interest_rate / 12.0
-
-        net_incomes[aid] = net
-        spendings[aid] = spending
-        interests[aid] = interest
-        total_income += income
+        hh.wealth = hh.wealth + net - spending + interest
         total_tax += tax
         total_spending += spending
-        total_interest += interest
         if hh.employed_this_month:
-            employed += 1
             supply += hh.skill
 
     state.policy.government_revenue += total_tax
@@ -144,11 +130,7 @@ def monthly_step(
     new_price = prev_price * (1.0 + PRICE_KAPPA * (demand - supply) / max(supply, PRICE_EPSILON))
     state.price_level = max(new_price, 1e-9)
 
-    for aid in sorted(households):
-        hh = households[aid]
-        hh.wealth = hh.wealth + net_incomes[aid] - spendings[aid] + interests[aid]
-
-    indicators = compute_indicators(state, state.month)
+    indicators = compute_indicators(state)
     state.gdp_history.append(indicators.gdp)
     state.price_history.append(state.price_level)
     state.policy.interest_rate = next_interest_rate(state.policy.interest_rate, indicators.inflation)
@@ -161,10 +143,8 @@ def next_interest_rate(rate: float, inflation: float) -> float:
     return min(RATE_MAX, max(RATE_MIN, rate + RATE_GAIN * (annualized - INFLATION_TARGET)))
 
 
-def compute_indicators(state: EconomyState, month: int) -> MacroIndicators:
-    """Unemployment, price level, inflation, nominal GDP, and GDP growth."""
-    if month < 1:
-        raise ValueError("month must be >= 1")
+def compute_indicators(state: EconomyState) -> MacroIndicators:
+    """Unemployment, price level, inflation, nominal GDP, and GDP growth in ``state.month``."""
     households = state.households
     total = len(households)
     employed = sum(1 for hh in households.values() if hh.employed_this_month)
@@ -175,7 +155,7 @@ def compute_indicators(state: EconomyState, month: int) -> MacroIndicators:
     prev_gdp = state.gdp_history[-1] if state.gdp_history else None
     gdp_growth = 0.0 if not prev_gdp else gdp / prev_gdp - 1.0
     return MacroIndicators(
-        month=month,
+        month=state.month,
         unemployment=unemployment,
         price_level=state.price_level,
         inflation=inflation,
@@ -246,7 +226,6 @@ class EconomyEnv(Environment):
         for aid in self.agent_ids:
             rng = child_rng(cfg.seed, "economy", aid)
             households[aid] = HouseholdState(
-                agent=aid,
                 skill=round(0.5 + rng.random() * 1.5, 4),
                 wealth=round(100.0 + rng.random() * 900.0, 2),
                 monthly_wage=round(1.0 + rng.random() * 4.0, 2),

@@ -35,6 +35,9 @@ STYLES = ("conservative", "aggressive", "balanced", "growth")
 # user_id stamped on environment-originated log records (session clears)
 ENV_ACTOR = -1
 
+# the calendar date of day 1
+START_DATE = dt.date(2025, 4, 1)
+
 DEFAULT_PROFILES = {
     "A": "Established chemical company with a 10-year listing history; revenue has "
     "been slipping but operations are stable under a new, proactive CEO.",
@@ -58,7 +61,6 @@ class MarketClock:
 
 @dataclass
 class StockState:
-    symbol: str
     price: float
     profile_text: str = ""
 
@@ -70,7 +72,6 @@ class StockState:
 
 @dataclass
 class TraderAccount:
-    agent: int
     cash: float
     holdings: dict[str, int]
     loan_principal: float = 0.0
@@ -397,10 +398,6 @@ def _session_head(day: int, date: dt.date, session: int, sessions: int, stocks: 
     return "".join(lines)
 
 
-def _notice_tail(notice: str | None) -> str:
-    return f"\nToday's notice: {notice}" if notice else ""
-
-
 def _forum_text(posts: tuple[ForumPost, ...]) -> str:
     if not posts:
         return "no forum posts from the previous day"
@@ -417,11 +414,9 @@ class MarketConfig:
     initial_holdings: dict[str, int] = field(default_factory=lambda: {"A": 100, "B": 100})
     interest_rate: float = field(default=0.01, metadata={"min": 0})  # per day, on loan principal
     loan_to_value: float = field(default=0.5, metadata={"min": 0})
-    start_date: dt.date = dt.date(2025, 4, 1)
     profiles: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PROFILES))
     enable_news_tool: bool = False
     news_feed: list[NewsItem] = field(default_factory=list)
-    events_by_day: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("initial_prices", "initial_holdings"):
@@ -455,12 +450,11 @@ class MarketEnv(Environment):
         self.clock = MarketClock(1, 1)
         self.t = 0
         self.stocks = {
-            sym: StockState(sym, cfg.initial_prices[sym], cfg.profiles.get(sym, ""))
+            sym: StockState(cfg.initial_prices[sym], cfg.profiles.get(sym, ""))
             for sym in SYMBOLS
         }
         self.accounts = {
             aid: TraderAccount(
-                agent=aid,
                 cash=cfg.initial_cash,
                 holdings=dict(cfg.initial_holdings),
                 style=STYLES[aid % len(STYLES)],
@@ -469,13 +463,13 @@ class MarketEnv(Environment):
         }
         self.forum: list[ForumPost] = []
         self._next_order_id = 1
-        self._head, self._notice, self._forum_text = (
-            lru_cache(maxsize=None)(part) for part in (_session_head, _notice_tail, _forum_text)
+        self._head, self._forum_text = (
+            lru_cache(maxsize=None)(part) for part in (_session_head, _forum_text)
         )
 
     @property
     def current_date(self) -> dt.date:
-        return self.config.start_date + dt.timedelta(days=self.clock.day - 1)
+        return START_DATE + dt.timedelta(days=self.clock.day - 1)
 
     def done(self) -> bool:
         return self.clock.day > self.config.days
@@ -509,11 +503,10 @@ class MarketEnv(Environment):
 
     # -- observations -------------------------------------------------------
 
-    def _context_for(self, aid: int) -> tuple[str, str, str]:
-        """Three parts: the session head (the day, the date, the session and the
-        stock lines), the trader's account line and the notice tail. Only the
-        account line is new for each trader; the head and the tail are shared,
-        cached by the values they render."""
+    def _context_for(self, aid: int) -> tuple[str, str]:
+        """Two parts: the session head (the day, the date, the session and the
+        stock lines) and the trader's account line. Only the account line is
+        new for each trader; the head is shared, cached by the values it renders."""
         cfg, clock = self.config, self.clock
         stocks = tuple((sym, self.stocks[sym].price, self.stocks[sym].profile_text) for sym in SYMBOLS)
         account = self.accounts[aid]
@@ -522,7 +515,6 @@ class MarketEnv(Environment):
             self._head(clock.day, self.current_date, clock.session, cfg.sessions_per_day, stocks),
             f"Your account: cash {account.cash:.2f}, holdings {holdings}, "
             f"loan {account.loan_principal:.2f}, style {account.style}.",
-            self._notice(cfg.events_by_day.get(clock.day)),
         )
 
     # -- transition --------------------------------------------------------------

@@ -48,9 +48,6 @@ class ScaleSpec:
             return 1.0
         return 100.0 / (self.points - 1)
 
-    def values(self) -> list[int]:
-        return [round(self.minimum + i * self.step) for i in range(self.points)]
-
     def normalize(self, value: float) -> float:
         return (value - self.minimum) / (self.maximum - self.minimum)
 
@@ -106,7 +103,6 @@ class ResponseSheet:
 
 @dataclass(frozen=True)
 class ScoreReport:
-    subscale_raw: dict[str, float]
     subscale_normalized: dict[str, float]
     bias_by_pair: dict[str, float]
 
@@ -122,17 +118,15 @@ def shuffle_items(items: Sequence[Item], seed: int) -> list[Item]:
 
 
 def score(sheet: ResponseSheet, items: Sequence[Item]) -> ScoreReport:
-    """Subscale means (raw and normalized) plus per-pair bias scores."""
+    """Normalized subscale means plus per-pair bias scores."""
     missing = [item.item_id for item in items if item.item_id not in sheet.responses]
     if missing:
         raise IncompleteSheet(f"missing responses for {missing}")
-    raw_by_subscale: dict[str, list[float]] = {}
     norm_by_subscale: dict[str, list[float]] = {}
     norm_by_pair: dict[str, dict[str, list[float]]] = {}
     for item in items:
         value = sheet.responses[item.item_id]
         normalized = item.scale.normalize(value)
-        raw_by_subscale.setdefault(item.subscale, []).append(float(value))
         norm_by_subscale.setdefault(item.subscale, []).append(normalized)
         if item.pair_id and item.variant in ("control", "treatment"):
             norm_by_pair.setdefault(item.pair_id, {}).setdefault(item.variant, []).append(normalized)
@@ -143,7 +137,6 @@ def score(sheet: ResponseSheet, items: Sequence[Item]) -> ScoreReport:
             mean_c = sum(sides["control"]) / len(sides["control"])
             bias[pair_id] = mean_t - mean_c
     return ScoreReport(
-        subscale_raw={k: sum(v) / len(v) for k, v in raw_by_subscale.items()},
         subscale_normalized={k: sum(v) / len(v) for k, v in norm_by_subscale.items()},
         bias_by_pair=bias,
     )

@@ -32,7 +32,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from ..errors import ConfigError, UnknownPost
-from ..protocol import ActionEnvelope, Environment, EventRecord, Message, Observation, route_messages
+from ..protocol import ActionEnvelope, Environment, EventLog, EventRecord, Message, Observation, route_messages
 from ..schema import ResponseSchema
 
 ACTION_KINDS = ("create_post", "create_comment", "like_post", "do_nothing")
@@ -100,8 +100,8 @@ def build_feed(
     user: int,
     profiles: Mapping[int, UserProfile],
     state: SocialState,
+    now: int,
     cap: int = 10,
-    now: int | None = None,
 ) -> list[tuple[Post, list[Comment]]]:
     """Recency feed: followed users' posts, plus own posts that have replies.
 
@@ -120,14 +120,14 @@ def build_feed(
             found = memo[post_id] = [
                 state.comments[cid]
                 for cid in state.comments_by_post.get(post_id, ())
-                if now is None or state.comments[cid].time <= now
+                if state.comments[cid].time <= now
             ]
         return found
 
     def newest_first(author: int, replied_only: bool) -> Iterator[Post]:
         for pid in reversed(state.posts_by_author.get(author, ())):
             post = state.posts[pid]
-            if (now is None or post.time <= now) and (not replied_only or visible_comments(pid)):
+            if post.time <= now and (not replied_only or visible_comments(pid)):
                 yield post
 
     lists = [newest_first(author, False) for author in profiles[user].follows]
@@ -203,24 +203,22 @@ def replay_events(records: Iterable[EventRecord], profiles: Mapping[int, UserPro
     return state
 
 
-def seed_influencer(state: SocialState, content: str, influencer: int, events=None) -> int:
-    """Inject the opening post at t=0, before any agent acts."""
+def seed_influencer(state: SocialState, content: str, influencer: int, events: EventLog) -> int:
+    """Inject the opening post at t=0, before any agent acts, and log it to ``events``."""
     record = apply_social_action(SocialAction(kind="create_post", content=content), state, influencer, time=0)
-    if events is not None:
-        events.add(record)
+    events.add(record)
     return record.info["post_id"]
 
 
 ACTION_SCHEMA = ResponseSchema.of(kind="string", content="string?", target_post="integer?")
 
 
-def star_profiles(n_agents: int, influencer: int = 0, bios: Mapping[int, str] | None = None) -> dict[int, UserProfile]:
+def star_profiles(n_agents: int, influencer: int = 0) -> dict[int, UserProfile]:
     """Everyone follows the influencer; the influencer follows nobody."""
-    bios = bios or {}
     return {
         aid: UserProfile(
             agent=aid,
-            bio=bios.get(aid, f"user {aid}"),
+            bio=f"user {aid}",
             follows=set() if aid == influencer else {influencer},
         )
         for aid in range(n_agents)

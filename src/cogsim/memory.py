@@ -103,7 +103,7 @@ class MemoryStore:
         """Append ``entry`` to the columns; one writer per store."""
         parts = entry.parts
         is_tuple = not isinstance(parts, str)
-        chars = sum(map(len, parts)) if is_tuple else len(parts)
+        tokens = estimate_tokens(parts)
         key = (entry.world_tag, entry.role, is_tuple)
         code = self._kind_codes.get(key)
         if code is None:
@@ -116,7 +116,7 @@ class MemoryStore:
         else:
             self._parts.append(parts)
         self._offsets.append(len(self._parts))
-        self._tokens.append((chars + 3) // 4)  # estimate_tokens(parts)
+        self._tokens.append(tokens)
 
     def _add_kind(self, key: tuple[str, str, bool]) -> int:
         code = len(self._kinds)

@@ -116,8 +116,7 @@ ENVIRONMENTS: dict[str, EnvironmentKind] = {
     "market": EnvironmentKind(
         MarketConfig,
         build=lambda section, seed: MarketEnv(_market(section)),
-        # start_date and events_by_day are not config keys
-        internal=("n_agents", "start_date", "events_by_day"),
+        internal=("n_agents",),
         agents=50,
         metrics=lambda section, records: market_metrics(_market(section).initial_prices, records),
         table=lambda section, records: session_metrics_csv(records),
@@ -142,8 +141,7 @@ ENVIRONMENTS: dict[str, EnvironmentKind] = {
     "auction": EnvironmentKind(
         AuctionEnv,
         build=lambda section, seed: AuctionEnv(bidder_ids=list(range(section["agents"])), **_params(section)),
-        # JSON cannot carry objectives' integer agent ids
-        internal=("bidder_ids", "objectives"),
+        internal=("bidder_ids",),
         agents=3,
         metrics=lambda section, records: auction_metrics(records, range(section["agents"]), section.get("budget", DEFAULT_BUDGET)),
     ),
@@ -537,7 +535,6 @@ class InstrumentSpec:
 @dataclass
 class TransferResult:
     diffs_by_pair: dict[str, float]
-    per_agent: dict[int, dict[str, float]]
     t_tests: dict[str, tuple[float, float, int] | None]
     episodes: list[tuple[str, EpisodeLog]] = field(default_factory=list)
 
@@ -547,28 +544,23 @@ def compare_arms(items: Sequence[Item], agent_ids: Sequence[int], carry: list[Ev
     carry_reports, fresh_reports = score_answers(items, carry), score_answers(items, fresh)
     carry_scores = {aid: carry_reports[aid].bias_by_pair for aid in agent_ids}
     fresh_scores = {aid: fresh_reports[aid].bias_by_pair for aid in agent_ids}
-    per_agent: dict[int, dict[str, float]] = {}
-    for aid in agent_ids:
-        per_agent[aid] = {
-            pair: carry_scores[aid][pair] - fresh_scores[aid][pair] for pair in carry_scores[aid]
-        }
-    pairs = sorted({pair for diffs in per_agent.values() for pair in diffs})
+    diffs = {
+        aid: {pair: carry_scores[aid][pair] - fresh_scores[aid][pair] for pair in carry_scores[aid]}
+        for aid in agent_ids
+    }
+    pairs = sorted({pair for agent_diffs in diffs.values() for pair in agent_diffs})
     diffs_by_pair = {
-        pair: sum(per_agent[aid][pair] for aid in agent_ids) / len(agent_ids)
+        pair: sum(diffs[aid][pair] for aid in agent_ids) / len(agent_ids)
         for pair in pairs
     }
     t_tests: dict[str, tuple[float, float, int] | None] = {}
     for pair in pairs:
-        samples = [per_agent[aid][pair] for aid in agent_ids]
+        samples = [diffs[aid][pair] for aid in agent_ids]
         try:
             t_tests[pair] = paired_t_test(samples)
         except (TooFewSamples, ZeroVariance):
             t_tests[pair] = None
-    return TransferResult(
-        diffs_by_pair=diffs_by_pair,
-        per_agent=per_agent,
-        t_tests=t_tests,
-    )
+    return TransferResult(diffs_by_pair=diffs_by_pair, t_tests=t_tests)
 
 
 def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> TransferResult:

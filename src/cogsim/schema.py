@@ -9,6 +9,7 @@ the cause, not raised, so callers can feed them back into retry prompts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
@@ -21,6 +22,14 @@ _TYPE_CHECKS = {
     "array": lambda v: isinstance(v, list),
     "object": lambda v: isinstance(v, dict),
 }
+
+
+def _fits_a_float(value: int | float) -> bool:
+    """Whether ``value`` is a finite float or an int that converts to one."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,8 @@ def validate_action(body: Any, schema: ResponseSchema) -> list[str]:
             violations.append(
                 f'type mismatch "{name}": expected {spec.type}, got {type(value).__name__}'
             )
+        elif spec.type in ("integer", "number") and not _fits_a_float(value):
+            violations.append(f'out of range "{name}": {spec.type} does not fit a finite float')
     for name in body:
         if name not in schema.fields:
             violations.append(f'unknown field "{name}"')

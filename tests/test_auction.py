@@ -59,7 +59,7 @@ def test_tie_goes_to_lowest_agent_id():
 
 
 def test_winners_curse_negative_profit():
-    bidders = {1: BidderState(agent=1, budget=20_000.0)}
+    bidders = {1: BidderState(budget=20_000.0)}
     settle_sale(Sale(item_index=0, winner=1, price=600.0), bidders, item(true=550.0))
     assert bidders[1].profit == pytest.approx(-50.0)
     assert bidders[1].budget == pytest.approx(19_400.0)
@@ -67,13 +67,13 @@ def test_winners_curse_negative_profit():
 
 
 def test_pay_true_value_leaves_profit_flat():
-    bidders = {1: BidderState(agent=1, budget=1_000.0)}
+    bidders = {1: BidderState(budget=1_000.0)}
     settle_sale(Sale(item_index=0, winner=1, price=550.0), bidders, item(true=550.0))
     assert bidders[1].profit == 0.0
 
 
 def test_two_wins_stack_spend():
-    bidders = {1: BidderState(agent=1, budget=1_000.0)}
+    bidders = {1: BidderState(budget=1_000.0)}
     settle_sale(Sale(item_index=0, winner=1, price=300.0), bidders, item(name="a", true=550.0))
     settle_sale(Sale(item_index=1, winner=1, price=200.0), bidders, item(name="b", true=550.0))
     assert bidders[1].budget == pytest.approx(500.0)

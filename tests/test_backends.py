@@ -220,6 +220,14 @@ def test_bad_tool_arguments_become_error_text():
     assert trace[0][1].startswith("error:")
 
 
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e999"])
+def test_a_non_finite_tool_argument_becomes_error_text(number):
+    tool = make_tool("t", lambda n: str(n), n="number")
+    backend = CountingBackend([tool_call("t", f'{{"n": {number}}}'), CompletionResult(content="end")])
+    _, trace = run_tool_loop(backend, [ChatTurn(role="user", content="q")], tools=[tool])
+    assert trace[0][1] == f"error: {number} is not a finite number"
+
+
 def test_tool_turns_reference_prior_calls():
     captured = []
 
@@ -380,12 +388,10 @@ class StubHandler(BaseHTTPRequestHandler):
                 self.send_header(name, value)
             self.end_headers()
             return
-        payload = {
-            "choices": [
-                {"message": {"content": content, "tool_calls": None}}
-            ]
-        }
-        data = json.dumps(payload).encode()
+        if isinstance(content, bytes):  # a whole answer body, sent as it is
+            data = content
+        else:
+            data = json.dumps({"choices": [{"message": {"content": content, "tool_calls": None}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -757,5 +763,24 @@ def test_a_failed_remote_run_still_closes_its_kept_connections(tmp_path, monkeyp
     code, handler, unraisable = run_on_a_keep_alive_stub("run", {}, off_schema, tmp_path, monkeypatch)
     assert code == 2
     assert "ParseFailure" in capsys.readouterr().err
+    assert handler.seen_bodies
+    assert unraisable == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"{}",
+        b'{"choices": []}',
+        b"not json",
+        b"[1]",
+        b'{"choices":[{"message":{"content":null}}]}',
+        b'{"choices":[{"message":{"content":5}}]}',
+    ],
+)
+def test_a_malformed_remote_answer_ends_the_run_with_exit_2(body, tmp_path, monkeypatch, capsys):
+    code, handler, unraisable = run_on_a_keep_alive_stub("run", {}, lambda request: body, tmp_path, monkeypatch)
+    assert code == 2
+    assert "runtime failure: RemoteExhausted" in capsys.readouterr().err
     assert handler.seen_bodies
     assert unraisable == []

@@ -24,7 +24,7 @@ from cogsim.seeds import child_rng
 
 def make_state(n=2, wage=1.0, skill=1.0, wealth=0.0, tax=0.1, rate=0.0, price=100.0):
     households = {
-        aid: HouseholdState(agent=aid, skill=skill, wealth=wealth, monthly_wage=wage)
+        aid: HouseholdState(skill=skill, wealth=wealth, monthly_wage=wage)
         for aid in range(n)
     }
     return EconomyState(
@@ -120,24 +120,25 @@ def test_unemployment_fraction():
     state = make_state(n=4)
     monthly_step({0: act(1.0, 0.0), 1: act(0.0, 0.0), 2: act(0.0, 0.0), 3: act(0.0, 0.0)}, state)
     assert state.households[0].employed_this_month
-    ind = compute_indicators(state, 1)
+    ind = compute_indicators(state)
     assert ind.unemployment == 0.75
 
 
 def test_inflation_definition():
     state = make_state(n=1)
-    state.price_history = [100.0]
+    state.month, state.price_history = 2, [100.0]
     state.price_level = 102.0
-    ind = compute_indicators(state, 2)
+    ind = compute_indicators(state)
+    assert ind.month == 2
     assert ind.inflation == pytest.approx(0.02)
 
 
 def test_gdp_growth_definition():
     state = make_state(n=1, skill=1.0)
     state.households[0].employed_this_month = True
-    state.gdp_history = [100.0]
+    state.month, state.gdp_history = 2, [100.0]
     state.price_level = 110.0
-    ind = compute_indicators(state, 2)
+    ind = compute_indicators(state)
     assert ind.gdp == pytest.approx(110.0)
     assert ind.gdp_growth == pytest.approx(0.10)
 

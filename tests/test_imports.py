@@ -13,10 +13,12 @@ re-export them.
 import ast
 import importlib.util
 import inspect
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -201,20 +203,36 @@ def public_definitions(tree: ast.Module) -> list[ast.FunctionDef | ast.AsyncFunc
     return found
 
 
+def code_words(text: str) -> list[tuple[int, str]]:
+    """The line and word of every code token of ``text``: each name, and each
+    word of a string literal that is not a docstring (so a tracer anchor such as
+    ``"envs.social.build_feed"`` counts). Comments and docstrings give none."""
+    docstrings = {
+        (node.lineno, node.col_offset)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+    }
+    found = []
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.NAME or (token.type == tokenize.STRING and token.start not in docstrings):
+            found += ((token.start[0], word) for word in re.findall(r"\w+", token.string))
+    return found
+
+
 def test_every_public_name_has_a_caller_besides_tests():
-    """Each public name of the package occurs, outside its own definition, in
-    the package (re-exports in ``__init__.py`` aside), the benchmark or the
-    acceptance suite: a name that only module tests call is dead code."""
-    words = re.compile(r"\w+")  # an identifier matches as a whole word exactly where it is one of these
-    lines = {path: path.read_text(encoding="utf-8").splitlines(keepends=True) for path in MODULES}
+    """Each public name of the package occurs as code, outside its own
+    definition, in the package (re-exports in ``__init__.py`` aside), the
+    benchmark or the acceptance suite: a name that only module tests call, or
+    that only comments and docstrings name, is dead code."""
+    texts = {path: path.read_text(encoding="utf-8") for path in MODULES}
+    words = {path: code_words(text) for path, text in texts.items()}
     callers = [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
-    uses = Counter()
-    for text in [*("".join(text) for text in lines.values()), *(path.read_text(encoding="utf-8") for path in callers)]:
-        uses.update(words.findall(text))
+    uses = Counter(word for found in words.values() for _, word in found)
+    uses.update(word for path in callers for _, word in code_words(path.read_text(encoding="utf-8")))
     unused = []
-    for path, text in lines.items():
-        for node in public_definitions(ast.parse("".join(text))):
-            own = words.findall("".join(text[node.lineno - 1:node.end_lineno]))
-            if uses[node.name] <= own.count(node.name):
+    for path, text in texts.items():
+        for node in public_definitions(ast.parse(text)):
+            own = sum(word == node.name and node.lineno <= line <= node.end_lineno for line, word in words[path])
+            if uses[node.name] <= own:
                 unused.append(f"{path.relative_to(PACKAGE)}:{node.lineno}:{node.name}")
     assert not unused, f"public names that only module tests use: {unused}"

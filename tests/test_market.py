@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 import math
 import random
 from collections import defaultdict, deque
@@ -242,7 +243,7 @@ def test_residual_quantities_reported():
 
 def make_accounts(n, cash=10_000.0, shares=50):
     return {
-        aid: TraderAccount(agent=aid, cash=cash, holdings={"A": shares, "B": shares})
+        aid: TraderAccount(cash=cash, holdings={"A": shares, "B": shares})
         for aid in range(n)
     }
 
@@ -338,13 +339,13 @@ def test_clearing_has_no_self_trades_and_settle_conserves(book):
 
 
 def test_interest_accrues_daily():
-    accounts = {0: TraderAccount(agent=0, cash=0.0, holdings={}, loan_principal=100.0)}
+    accounts = {0: TraderAccount(cash=0.0, holdings={}, loan_principal=100.0)}
     accrue_and_lend(accounts, 0.01)
     assert accounts[0].loan_principal == pytest.approx(101.0)
 
 
 def test_zero_rate_keeps_principal():
-    accounts = {0: TraderAccount(agent=0, cash=0.0, holdings={}, loan_principal=123.0)}
+    accounts = {0: TraderAccount(cash=0.0, holdings={}, loan_principal=123.0)}
     for _ in range(10):
         accrue_and_lend(accounts, 0.0)
     assert accounts[0].loan_principal == 123.0
@@ -353,7 +354,7 @@ def test_zero_rate_keeps_principal():
 def test_loan_cap_closed_form():
     # portfolio value 1000 (cash only), LTV 0.5, existing principal 400 -> max new loan 100
     def account():
-        return {0: TraderAccount(agent=0, cash=1000.0, holdings={}, loan_principal=400.0)}
+        return {0: TraderAccount(cash=1000.0, holdings={}, loan_principal=400.0)}
 
     accounts = account()
     _grant_loan(accounts, 0, 100.0, 0.5, {"A": 1.0, "B": 1.0})
@@ -582,13 +583,36 @@ def test_session_metrics_csv_shape():
     assert len(lines) == 1 + 2 * 3 * 2
 
 
-def test_daily_notice_appears_in_context():
-    env = MarketEnv(MarketConfig(n_agents=1, days=2, events_by_day={2: "earnings reports due"}))
-    obs = env.reset()
-    assert "earnings reports due" not in obs[0].context_text
-    for _ in range(3):  # move through day 1
-        obs = env.step({0: ActionEnvelope(agent_id=0, time=env.t, body={"orders": []})})
-    assert "earnings reports due" in obs[0].context_text
+
+def strict_json(line):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("price", ["NaN", "Infinity", "1e999", "1" + "0" * 400], ids=["nan", "inf", "1e999", "10**400"])
+def test_a_limit_price_past_the_float_range_never_reaches_the_book(price):
+    from cogsim.backends import CompletionResult, ScriptedBackend
+    from cogsim.cognition import Agent
+
+    sell = f'{{"orders": [{{"symbol": "A", "side": "sell", "limit_price": {price}, "quantity": 1}}]}}'
+    buy = '{"orders": [{"symbol": "A", "side": "buy", "limit_price": 30, "quantity": 1}]}'
+    backend = ScriptedBackend(
+        [
+            (lambda text: "output JSON" in text, CompletionResult(content='{"orders": []}')),  # the parse pass
+            (lambda text: "style conservative" in text, CompletionResult(content=sell)),  # agent 0
+        ],
+        default=CompletionResult(content=buy),
+    )
+    agents = {aid: Agent(aid, backend=backend) for aid in range(2)}
+    log = run_episode(MarketEnv(MarketConfig(n_agents=2, days=1)), agents, max_steps=1)
+    records = [strict_json(record.line) for record in log.records]
+    submitted = [r["info"]["limit_price"] for r in records if r["action"] == "submit_order"]
+    assert submitted == [30.0]
+    rejected = [r["info"]["reason"] for r in records if r["action"] == "reject_order"]
+    # the model text refuses NaN and infinities outright; an integer too big for a float is a schema violation
+    assert rejected == (['out of range "limit_price": number does not fit a finite float'] if price.isdigit() else [])
 
 
 # --- observation parts ----------------------------------------------------------
@@ -605,9 +629,6 @@ def reference_context(env, aid):
         f"Your account: cash {account.cash:.2f}, holdings {holdings}, "
         f"loan {account.loan_principal:.2f}, style {account.style}."
     )
-    notice = cfg.events_by_day.get(clock.day)
-    if notice:
-        lines.append(f"Today's notice: {notice}")
     return "\n".join(lines)
 
 
@@ -620,11 +641,10 @@ MONEY = st.floats(0.005, 1e9, allow_nan=False, allow_infinity=False)
     cash=st.floats(-1e6, 1e12),
     holdings=st.tuples(st.integers(-5, 10**7), st.integers(0, 10**7)),
     loan=st.floats(0, 1e9),
-    notice=st.none() | st.text(max_size=30),
     clock=st.tuples(st.integers(1, 3), st.integers(1, 3)),
 )
-def test_context_parts_join_to_the_reference_text(prices, cash, holdings, loan, notice, clock):
-    env = MarketEnv(MarketConfig(n_agents=3, days=3, events_by_day={} if notice is None else {clock[0]: notice}))
+def test_context_parts_join_to_the_reference_text(prices, cash, holdings, loan, clock):
+    env = MarketEnv(MarketConfig(n_agents=3, days=3))
     env.clock = MarketClock(*clock)
     for sym, price in zip(SYMBOLS, prices):
         env.stocks[sym].record_price(price)
@@ -639,11 +659,10 @@ def post_only(env):
 
 
 def test_one_session_shares_its_head_and_one_day_shares_its_forum_read():
-    env = MarketEnv(MarketConfig(n_agents=4, days=3, events_by_day={1: "tariffs announced"}))
+    env = MarketEnv(MarketConfig(n_agents=4, days=3))
     observations = env.reset()
-    heads, _, tails = zip(*(obs.context_parts for obs in observations.values()))
-    assert all(head is heads[0] for head in heads) and all(tail is tails[0] for tail in tails)
-    assert tails[0] == "\nToday's notice: tariffs announced"
+    heads, _ = zip(*(obs.context_parts for obs in observations.values()))
+    assert all(head is heads[0] for head in heads)
     for _ in range(3):
         observations = env.step(post_only(env))
     read_forum = observations[0].tools[0].handler

@@ -44,13 +44,17 @@ def make_pair(pair_id, points=7):
 
 def test_likert_scale_range():
     scale = ScaleSpec(kind="likert", points=7)
-    assert scale.values() == [1, 2, 3, 4, 5, 6, 7]
+    grid = [1, 2, 3, 4, 5, 6, 7]
+    assert [scale.snap(value) for value in grid] == grid
+    assert (scale.snap(0), scale.snap(7.4), scale.snap(99)) == (1, 7, 7)
     assert scale.normalize(4) == pytest.approx(0.5)
 
 
 def test_percentage_scale_range():
     scale = ScaleSpec(kind="percentage", points=11)
-    assert scale.values() == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+    grid = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+    assert [scale.snap(value) for value in grid] == grid
+    assert (scale.snap(-5), scale.snap(104)) == (0, 100)
     assert scale.normalize(50) == pytest.approx(0.5)
 
 
@@ -97,7 +101,6 @@ def test_midpoint_everywhere_gives_half():
     items = [likert_item("a", subscale="x"), likert_item("b", subscale="y")]
     report = score(sheet_for(items, 4), items)
     assert report.subscale_normalized == {"x": 0.5, "y": 0.5}
-    assert report.subscale_raw == {"x": 4.0, "y": 4.0}
 
 
 def test_bias_hand_normalization():
@@ -204,7 +207,7 @@ def test_env_scoring_and_offscale_snap():
     env = QuestionnaireEnv(items, seed=0, agent_ids=[0])
     log = run_episode(env, {0: fixed_answer_policy(99)}, max_steps=10, seed=0)
     report = score_answers(items, log.records)[0]
-    assert report.subscale_raw["s"] == 7.0  # snapped to scale max
+    assert report.subscale_normalized["s"] == 1.0  # snapped to scale max
 
 
 def test_an_unfinished_sheet_has_no_score():

@@ -27,6 +27,7 @@ from cogsim.runners import (
     ablation_environment,
     build_environment,
     build_setup,
+    compare_arms,
     default_settings,
     make,
     parse,
@@ -187,10 +188,12 @@ def make_transfer_plan(carry=True, agent_ids=(0, 1)):
 
 
 def test_identical_arms_give_exactly_zero():
-    result = run_memory_transfer(make_transfer_plan(carry=False), InstrumentSpec(items=transfer_items()))
+    items = transfer_items()
+    result = run_memory_transfer(make_transfer_plan(carry=False), InstrumentSpec(items=items))
     assert result.diffs_by_pair == {"alpha": 0.0, "beta": 0.0}
-    for diffs in result.per_agent.values():
-        assert all(d == 0.0 for d in diffs.values())
+    logs = dict(result.episodes)
+    carry, fresh = (score_answers(items, logs[arm].records) for arm in ("carry", "fresh"))
+    assert all(carry[aid].bias_by_pair == fresh[aid].bias_by_pair for aid in carry)
 
 
 def test_one_point_shift_closed_form():
@@ -217,17 +220,17 @@ def test_archives_tagged_with_source_world():
 
 
 def test_transfer_symmetry_negates_diffs():
-    items = transfer_items()
-    result = run_memory_transfer(make_transfer_plan(carry=True), InstrumentSpec(items=items))
+    items, plan = transfer_items(), make_transfer_plan(carry=True)
+    result = run_memory_transfer(plan, InstrumentSpec(items=items))
     logs = dict(result.episodes)
     carry, fresh = (score_answers(items, logs[arm].records) for arm in ("carry", "fresh"))
-    # reported diffs are exactly carry minus fresh, so swapping the arm
-    # labels negates every difference with no drift
-    for aid, diffs in result.per_agent.items():
-        for pair, diff in diffs.items():
-            assert diff == carry[aid].bias_by_pair[pair] - fresh[aid].bias_by_pair[pair]
-            swapped = fresh[aid].bias_by_pair[pair] - carry[aid].bias_by_pair[pair]
-            assert swapped == -diff
+    # reported diffs are exactly the agents' mean of carry minus fresh, so
+    # swapping the arm labels negates every difference with no drift
+    for pair, diff in result.diffs_by_pair.items():
+        agents = [carry[aid].bias_by_pair[pair] - fresh[aid].bias_by_pair[pair] for aid in plan.agent_ids]
+        assert diff == sum(agents) / len(agents)
+    swapped = compare_arms(items, plan.agent_ids, logs["fresh"].records, logs["carry"].records)
+    assert swapped.diffs_by_pair == {pair: -diff for pair, diff in result.diffs_by_pair.items()}
 
 
 def test_transfer_t_test_zero_variance_reported_none():

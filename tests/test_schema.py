@@ -27,6 +27,17 @@ def test_type_mismatch():
     assert 'type mismatch "bid"' in violations[0]
 
 
+def test_a_number_past_the_float_range_is_out_of_range():
+    schema = ResponseSchema.of(quantity="integer", price="number")
+    assert validate_action({"quantity": 10**400, "price": -(10**400)}, schema) == [
+        'out of range "quantity": integer does not fit a finite float',
+        'out of range "price": number does not fit a finite float',
+    ]
+    assert validate_action({"quantity": 10**308, "price": float("nan")}, schema) == [
+        'out of range "price": number does not fit a finite float'
+    ]
+
+
 def test_unknown_field_rejected_strict():
     schema = ResponseSchema.of(bid="integer")
     violations = validate_action({"bid": 1, "note": "x"}, schema)

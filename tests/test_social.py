@@ -26,7 +26,7 @@ from cogsim.envs.social import (
 )
 from cogsim.errors import UnknownPost
 from cogsim.memory import ChatHistoryMemory
-from cogsim.protocol import ActionEnvelope, run_episode
+from cogsim.protocol import ActionEnvelope, EventLog, run_episode
 from cogsim.seeds import child_rng
 
 
@@ -105,12 +105,12 @@ def feed_oracle(user, profiles, state, cap, now):
     rows = []
     for pid in sorted(state.posts):
         post = state.posts[pid]
-        if now is not None and post.time > now:
+        if post.time > now:
             continue
         comments = [
             state.comments[cid]
             for cid in sorted(state.comments)
-            if state.comments[cid].post_id == pid and (now is None or state.comments[cid].time <= now)
+            if state.comments[cid].post_id == pid and state.comments[cid].time <= now
         ]
         visible = post.author in profiles[user].follows or (post.author == user and comments)
         if visible:
@@ -121,23 +121,23 @@ def feed_oracle(user, profiles, state, cap, now):
 
 def test_empty_feed_for_loner():
     state = simple_state()
-    assert build_feed(0, state.profiles, state, cap=10) == []
+    assert build_feed(0, state.profiles, state, cap=10, now=0) == []
 
 
 def test_feed_recency_order_and_cap():
     state = simple_state(follows={0: [1]})
     for t in (1, 2, 3):
         apply_social_action(SocialAction(kind="create_post", content=f"t{t}"), state, agent=1, time=t)
-    feed = build_feed(0, state.profiles, state, cap=2)
+    feed = build_feed(0, state.profiles, state, cap=2, now=3)
     assert [p.time for p, _ in feed] == [3, 2]
 
 
 def test_own_post_with_reply_appears():
     state = simple_state(follows={1: [0]})
     apply_social_action(SocialAction(kind="create_post", content="mine"), state, agent=0, time=0)
-    assert build_feed(0, state.profiles, state, cap=10) == []
+    assert build_feed(0, state.profiles, state, cap=10, now=0) == []
     apply_social_action(SocialAction(kind="create_comment", content="re", target_post=1), state, agent=1, time=1)
-    feed = build_feed(0, state.profiles, state, cap=10)
+    feed = build_feed(0, state.profiles, state, cap=10, now=1)
     assert len(feed) == 1
     assert feed[0][0].post_id == 1
     assert [c.comment_id for c in feed[0][1]] == [1]
@@ -182,7 +182,7 @@ FEED_EVENTS = st.lists(
     st.lists(st.sets(st.integers(0, 5)), min_size=6, max_size=6),
     FEED_EVENTS,
     st.integers(0, 12),
-    st.one_of(st.none(), st.integers(-1, 30)),
+    st.integers(-1, 30),
 )
 def test_feed_equals_oracle_on_random_streams(n, follow_sets, events, cap, now):
     follows = {aid: sorted(follow_sets[aid] - {aid} & set(range(n))) for aid in range(n)}
@@ -217,16 +217,18 @@ def test_feed_never_leaks_future():
 
 def test_seed_influencer_post():
     state = simple_state()
-    pid = seed_influencer(state, "report: amazon plans to open its first physical store in new york URL", influencer=0)
+    events = EventLog()
+    pid = seed_influencer(state, "report: amazon plans to open its first physical store in new york URL", influencer=0, events=events)
     assert pid == 1
+    assert [(record.action, record.info["post_id"]) for record in events.snapshot()] == [("create_post", 1)]
     assert state.posts[1].author == 0
     assert state.posts[1].time == 0
 
 
 def test_two_seeds_get_dense_ids():
     state = simple_state()
-    assert seed_influencer(state, "one", influencer=0) == 1
-    assert seed_influencer(state, "two", influencer=0) == 2
+    assert seed_influencer(state, "one", influencer=0, events=EventLog()) == 1
+    assert seed_influencer(state, "two", influencer=0, events=EventLog()) == 2
 
 
 def test_star_profiles_follower_count():
