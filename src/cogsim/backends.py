@@ -42,20 +42,27 @@ def _call_from_json(obj: dict[str, str]) -> ToolCallRequest:
     return ToolCallRequest(id=obj["id"], name=obj["name"], arguments_text=obj["arguments"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ChatTurn:
     """One turn of a chat transcript; role=tool turns answer a prior request."""
 
     role: str  # system | user | assistant | tool
     content: str
-    tool_calls: tuple[ToolCallRequest, ...] = ()
-    tool_call_id: str | None = None
+    tool_calls: tuple[ToolCallRequest, ...]
+    tool_call_id: str | None
 
-    def __post_init__(self):
-        if self.role not in ("system", "user", "assistant", "tool"):
-            raise ValueError(f"unknown turn role {self.role!r}")
-        if self.role == "tool" and not self.tool_call_id:
+    def __init__(
+        self, role: str, content: str, tool_calls: tuple[ToolCallRequest, ...] = (), tool_call_id: str | None = None
+    ):
+        if role not in ("system", "user", "assistant", "tool"):
+            raise ValueError(f"unknown turn role {role!r}")
+        if role == "tool" and not tool_call_id:
             raise ValueError("tool turns require tool_call_id")
+        init = object.__setattr__  # frozen: each field is set once, here
+        init(self, "role", role)
+        init(self, "content", content)
+        init(self, "tool_calls", tool_calls)
+        init(self, "tool_call_id", tool_call_id)
 
 
 @dataclass
@@ -81,14 +88,17 @@ class CompletionRequest:
         return "".join(parts[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CompletionResult:
-    content: str = ""
-    tool_calls: tuple[ToolCallRequest, ...] = ()
+    content: str
+    tool_calls: tuple[ToolCallRequest, ...]
 
-    def __post_init__(self):
-        if not self.content and not self.tool_calls:
+    def __init__(self, content: str = "", tool_calls: tuple[ToolCallRequest, ...] = ()):
+        if not content and not tool_calls:
             raise ValueError("completion result must carry content or tool calls")
+        init = object.__setattr__  # frozen: each field is set once, here
+        init(self, "content", content)
+        init(self, "tool_calls", tool_calls)
 
 
 def request_fingerprint(request: CompletionRequest) -> str:
@@ -176,14 +186,22 @@ class ReplayBackend(CompletionBackend):
 
     @staticmethod
     def from_jsonl(text: str) -> "ReplayBackend":
+        """The backend a :meth:`to_jsonl` text records; a line that is not a
+        recorded result raises ``ValueError`` naming the line's number."""
         transcript = {}
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            result = obj["result"]
-            calls = tuple(_call_from_json(c) for c in result.get("tool_calls", []))
-            transcript[obj["fingerprint"]] = CompletionResult(content=result.get("content", ""), tool_calls=calls)
+            try:
+                obj = json.loads(line)
+                result = obj["result"]
+                content = result.get("content", "")
+                if not isinstance(content, str):
+                    raise TypeError(f"content is {type(content).__name__}, not a string")
+                calls = tuple(_call_from_json(c) for c in result.get("tool_calls", []))
+                transcript[obj["fingerprint"]] = CompletionResult(content=content, tool_calls=calls)
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise ValueError(f"line {number}: not a recorded result ({type(exc).__name__}: {exc})") from exc
         return ReplayBackend(transcript)
 
 
@@ -456,7 +474,7 @@ def _finite_number(token: str) -> float:
     return value
 
 
-_decode_model_json = json.JSONDecoder(parse_float=_finite_number, parse_constant=_finite_number).decode
+_model_json = json.JSONDecoder(parse_float=_finite_number, parse_constant=_finite_number)
 
 
 def run_tool_loop(
@@ -476,13 +494,16 @@ def run_tool_loop(
     Returns (final_text, trace) where trace lists each executed tool call
     with its result text.
     """
-    by_name = {tool.name: tool for tool in tools}
-    history = list(turns)
+    by_name: dict[str, ToolSpec] | None = None  # built, with a history of its own, at the first tool call
+    history = turns
     trace: list[tuple[ToolCallRequest, str]] = []
     for _ in range(max_rounds):
         result = backend.complete(CompletionRequest(turns=history, tools=tools))
         if not result.tool_calls:
             return result.content, trace
+        if by_name is None:
+            by_name = {tool.name: tool for tool in tools}
+            history = list(turns)
         history.append(ChatTurn(role="assistant", content=result.content, tool_calls=result.tool_calls))
         for call in result.tool_calls:
             history.append(
@@ -503,7 +524,7 @@ def _execute_tool(
         trace.append((call, text))
         return text
     try:
-        args = _decode_model_json(call.arguments_text) if call.arguments_text.strip() else {}
+        args = _model_json.decode(call.arguments_text) if call.arguments_text.strip() else {}
         if not isinstance(args, dict):
             raise ValueError("tool arguments must be a JSON object")
         violations = validate_action(args, tool.parameter_schema)
@@ -536,11 +557,13 @@ def _try_parse_json_object(text: str) -> dict[str, Any] | None:
         lines = candidate.splitlines()
         if len(lines) >= 2 and lines[-1].strip().startswith("```"):
             candidate = "\n".join(lines[1:-1]).strip()
-    try:
-        obj = _decode_model_json(candidate)
+    if not candidate.startswith("{"):  # free text stops here, not in a decode error: an object starts with a brace
+        return None
+    try:  # decode without its whitespace scans, which stripped text does not need
+        obj, end = _model_json.raw_decode(candidate)
     except ValueError:
         return None
-    return obj if isinstance(obj, dict) else None
+    return obj if end == len(candidate) else None
 
 
 def parse_structured(
@@ -570,7 +593,7 @@ def parse_structured(
         if attempt > 0:
             content = prompt + "\n\nThe previous output was invalid:\n" + "\n".join(violations)
         result = backend.complete(
-            CompletionRequest(turns=[ChatTurn(role="user", content=content)], response_schema=schema)
+            CompletionRequest(turns=[ChatTurn("user", content)], response_schema=schema)
         )
         payload = _try_parse_json_object(result.content)
         if payload is None:

@@ -12,7 +12,7 @@ follower), and the user turn is built from them in one join.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .backends import ChatTurn, CompletionBackend, parse_structured, run_tool_loop
 from .errors import ContractViolation
@@ -34,7 +34,7 @@ class PersonaConfig:
         return "\n".join(parts)
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class PromptBundle:
     """The four prompt sections, always in this order.
 
@@ -46,36 +46,32 @@ class PromptBundle:
 
     system_text: str
     memory_text: str
-    observation_text: InitVar[Text]
+    observation_parts: tuple[str, ...]
     schema_hint: str
-    observation_parts: tuple[str, ...] = field(init=False)
 
-    def __post_init__(self, observation_text: Text):
+    def __init__(self, system_text: str, memory_text: str, observation_text: Text, schema_hint: str):
+        self.system_text = system_text
+        self.memory_text = memory_text
         self.observation_parts = (observation_text,) if isinstance(observation_text, str) else observation_text
+        self.schema_hint = schema_hint
+
+    @property
+    def observation_text(self) -> str:
+        """The observation as one str."""
+        return join_text(self.observation_parts)
 
     def as_turns(self) -> list[ChatTurn]:
-        user: list[str] = []
-        if self.memory_text:
-            user += ("Your memory:\n", self.memory_text, "\n\n")
+        user = ["Your memory:\n", self.memory_text, "\n\n"] if self.memory_text else []
         user += self.observation_parts
         if self.schema_hint:
             user += ("\n\nRespond with a JSON object with fields:\n", self.schema_hint)
-        turns = []
-        if self.system_text:
-            turns.append(ChatTurn(role="system", content=self.system_text))
-        turns.append(ChatTurn(role="user", content="".join(user)))
-        return turns
+        turn = ChatTurn("user", "".join(user))
+        return [ChatTurn("system", self.system_text), turn] if self.system_text else [turn]
 
     def full_text(self) -> str:
         sections = ((self.system_text,), (self.memory_text,), self.observation_parts, (self.schema_hint,))
         text = [part for section in sections if any(section) for part in ("\n\n", *section)]
         return "".join(text[1:])
-
-
-# an InitVar leaves the name free for this read-only view
-PromptBundle.observation_text = property(
-    lambda bundle: join_text(bundle.observation_parts), doc="The observation as one str."
-)
 
 
 def compose_prompt(obs: Observation, cfg: PersonaConfig, mem: MemoryStore) -> PromptBundle:
@@ -84,16 +80,12 @@ def compose_prompt(obs: Observation, cfg: PersonaConfig, mem: MemoryStore) -> Pr
     The observation stays in parts: the context's, then the inbox lines.
     """
     observation = obs.context_parts
-    inbox = "\n".join(msg.render() for msg in obs.inbox)
-    if inbox:
+    if obs.inbox:
+        inbox = "\n".join(msg.render() for msg in obs.inbox)
         context = (observation,) if isinstance(observation, str) else observation
         observation = (*context, "\n", inbox) if any(context) else inbox
-    return PromptBundle(
-        system_text=cfg.render(),
-        memory_text=mem.render(),
-        observation_text=observation,
-        schema_hint=obs.response_schema.hint_text() if obs.response_schema else "",
-    )
+    schema_hint = obs.response_schema.hint_text() if obs.response_schema else ""
+    return PromptBundle(cfg.render(), mem.render(), observation, schema_hint)
 
 
 def agent_step(
@@ -114,7 +106,7 @@ def agent_step(
     if obs.response_schema is None:
         raise ContractViolation("agent_step requires an observation with a response schema")
     bundle = compose_prompt(obs, cfg, mem)
-    mem.record(MemoryEntry(time=obs.time, world_tag=world_tag, role="observation", content=obs.context_parts))
+    mem.record(MemoryEntry(obs.time, world_tag, "observation", obs.context_parts))
     final_text, trace = run_tool_loop(backend, bundle.as_turns(), obs.tools, max_rounds=max_tool_rounds)
     for call, result_text in trace:
         mem.record(
@@ -126,8 +118,8 @@ def agent_step(
             )
         )
     body = parse_structured(final_text, obs.response_schema, backend, max_retries=max_parse_retries)
-    mem.record(MemoryEntry(time=obs.time, world_tag=world_tag, role="own_action", content=canonical_json(body)))
-    return ActionEnvelope(agent_id=obs.agent_id, time=obs.time, body=body)
+    mem.record(MemoryEntry(obs.time, world_tag, "own_action", canonical_json(body)))
+    return ActionEnvelope(obs.agent_id, obs.time, body)
 
 
 class Agent:
@@ -155,11 +147,5 @@ class Agent:
 
     def step(self, obs: Observation) -> ActionEnvelope:
         return agent_step(
-            obs,
-            self.config,
-            self.memory,
-            self.backend,
-            world_tag=self.world_tag,
-            max_tool_rounds=self.max_tool_rounds,
-            max_parse_retries=self.max_parse_retries,
+            obs, self.config, self.memory, self.backend, self.world_tag, self.max_tool_rounds, self.max_parse_retries
         )

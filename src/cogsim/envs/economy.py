@@ -75,14 +75,11 @@ def clamp_action(raw: Mapping[str, float], agent: int) -> HouseholdAction:
     ``logging`` loads with the first warning."""
     wp = float(raw.get("work_propensity", 0.0))
     cp = float(raw.get("consumption_propensity", 0.0))
-    if not (0.0 <= wp <= 1.0) or not (0.0 <= cp <= 1.0):
+    if not 0.0 <= wp <= 1.0 >= cp >= 0.0:
         import logging
 
         logging.getLogger(__name__).warning("agent %d propensities out of bounds (%.3f, %.3f); clamping", agent, wp, cp)
-    return HouseholdAction(
-        work_propensity=min(1.0, max(0.0, wp)),
-        consumption_propensity=min(1.0, max(0.0, cp)),
-    )
+    return HouseholdAction(min(1.0, max(0.0, wp)), min(1.0, max(0.0, cp)))
 
 
 @dataclass

@@ -20,8 +20,15 @@ tuple), the end offset of its parts and its token estimate, with the parts
 themselves in one flat list (a str is one part, a tuple adds each of its
 parts). ``record`` splits an entry into the columns; ``entries`` and
 ``visible()`` build entries from them on each read, as snapshots.
-``render``, the windows and ``to_jsonl`` read the columns directly. A store
-has one writer: ``record`` appends to several columns and is not atomic.
+``render``, the windows and ``to_jsonl`` read the columns directly.
+
+Between renders a store keeps its window's items in one flat list: per
+window entry its ``"\n[tag t=T role] "`` prefix, then references to the
+entry's parts, never a copy of their text. When the window moves forward a
+render drops the leading entries' items and appends the new entries'; any
+other move rebuilds the list. A render is then one join. A store has one
+writer: ``record`` appends to several columns and ``render`` updates the
+kept list, and neither is atomic.
 
 Everything that reads content joins the parts (``content``, ``render``,
 ``to_jsonl``, equality), so prompts and archives are byte-equal to those of
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import ConfigError
@@ -48,7 +55,7 @@ def estimate_tokens(text: Text) -> int:
     return (chars + 3) // 4
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class MemoryEntry:
     """One immutable memory line: when, where, what kind, and the content.
 
@@ -59,13 +66,21 @@ class MemoryEntry:
     time: int
     world_tag: str
     role: str
-    content: InitVar[Text]
-    parts: Text = field(init=False)
+    parts: Text
 
-    def __post_init__(self, content: Text):
-        if self.role not in ENTRY_ROLES:
-            raise ValueError(f"unknown memory role {self.role!r}")
-        object.__setattr__(self, "parts", content)
+    def __init__(self, time: int, world_tag: str, role: str, content: Text):
+        if role not in ENTRY_ROLES:
+            raise ValueError(f"unknown memory role {role!r}")
+        init = object.__setattr__  # frozen: each field is set once, here
+        init(self, "time", time)
+        init(self, "world_tag", world_tag)
+        init(self, "role", role)
+        init(self, "parts", content)
+
+    @property
+    def content(self) -> str:
+        """The content as one str."""
+        return join_text(self.parts)
 
     def _key(self) -> tuple[int, str, str, str]:
         return (self.time, self.world_tag, self.role, self.content)
@@ -78,10 +93,6 @@ class MemoryEntry:
 
     def render(self) -> str:
         return f"[{self.world_tag} t={self.time} {self.role}] {self.content}"
-
-
-# an InitVar leaves the name free for this read-only view
-MemoryEntry.content = property(lambda entry: join_text(entry.parts), doc="The content as one str.")
 
 
 class MemoryStore:
@@ -98,6 +109,8 @@ class MemoryStore:
         self._parts: list[str] = []
         self._kinds: list[tuple[str, str, bool]] = []  # code -> (world_tag, role, content is a tuple)
         self._kind_codes: dict[tuple[str, str, bool], int] = {}
+        self._kept = (0, 0)  # the window render last joined, as (start, stop)
+        self._flat: list[str] = []  # its items: per entry a line prefix, then the entry's parts
 
     def record(self, entry: MemoryEntry) -> None:
         """Append ``entry`` to the columns; one writer per store."""
@@ -147,18 +160,25 @@ class MemoryStore:
 
     def render(self) -> str:
         """One line per visible entry, ``[world_tag t=time role] content``,
-        joined by newlines in a single join over every prefix and part."""
+        joined by newlines in a single join over the kept window's items."""
         window = self._window()
-        if not window:
-            return ""
-        kinds, codes, times, offsets = self._kinds, self._codes, self._times, self._offsets
-        first = offsets[window.start]
-        text = self._parts[first:offsets[window.stop]]
-        for i in reversed(window):  # from the last line back, so each offset still holds
+        start, stop = window.start, window.stop
+        kept_start, kept_stop = self._kept
+        flat, offsets = self._flat, self._offsets
+        if start < kept_start or start > kept_stop or stop < kept_stop:
+            flat.clear()
+            kept_start = kept_stop = start
+        elif start > kept_start:  # forward: drop each leaving entry's prefix and parts
+            del flat[:start - kept_start + offsets[start] - offsets[kept_start]]
+        kinds, codes, times, parts = self._kinds, self._codes, self._times, self._parts
+        for i in range(kept_stop, stop):
             world_tag, role, _ = kinds[codes[i]]
-            text.insert(offsets[i] - first, f"\n[{world_tag} t={times[i]} {role}] ")
-        text[0] = text[0][1:]  # no newline before the first line
-        return "".join(text)
+            flat.append(f"\n[{world_tag} t={times[i]} {role}] ")
+            flat += parts[offsets[i]:offsets[i + 1]]
+        self._kept = (start, stop)
+        if flat and flat[0][0] == "\n":  # no newline before the first line
+            flat[0] = flat[0][1:]
+        return "".join(flat)
 
     def to_jsonl(self) -> str:
         """Versioned archive: a header line, then one entry per line."""

@@ -108,8 +108,7 @@ class Observation:
 
     def __post_init__(self, context_text: Text):
         self.context_parts = context_text
-        names = [tool.name for tool in self.tools]
-        if len(names) != len(set(names)):
+        if len(self.tools) > 1 and len({tool.name for tool in self.tools}) != len(self.tools):
             raise ValueError("tool names must be unique within one observation")
 
 
@@ -263,10 +262,7 @@ class Environment(ABC):
             context, tools, schema = self._context_for, self._tools(), self.schema
         now = self._now()
         return {
-            aid: Observation(
-                agent_id=aid, time=now, context_text=context(aid), inbox=self._inbox(aid), tools=tools, response_schema=schema
-            )
-            for aid in self.agent_ids
+            aid: Observation(aid, now, context(aid), self._inbox(aid), tools, schema) for aid in self.agent_ids
         }
 
 

@@ -69,7 +69,10 @@ def _replay_backend(transcript_path: str) -> CompletionBackend:
     path = Path(transcript_path)
     if not path.is_file():
         raise ConfigError(f"file not found: {path}", field="transcript_path")
-    return ReplayBackend.from_jsonl(path.read_text(encoding="utf-8"))
+    try:
+        return ReplayBackend.from_jsonl(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(str(exc), field="transcript_path") from exc
 
 
 BACKENDS: dict[str, Kind] = {

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
 
-_TYPE_CHECKS = {
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "array": lambda v: isinstance(v, list),
-    "object": lambda v: isinstance(v, dict),
+# each type's Python classes; a bool is an int to isinstance, so the numeric types refuse it apart
+_TYPES = {
+    "integer": int,
+    "number": (int, float),
+    "string": str,
+    "boolean": bool,
+    "array": list,
+    "object": dict,
 }
 
 
@@ -40,7 +41,7 @@ class FieldSpec:
     required: bool = True
 
     def __post_init__(self):
-        if self.type not in _TYPE_CHECKS:
+        if self.type not in _TYPES:
             raise ValueError(f"unknown field type {self.type!r}")
 
 
@@ -86,6 +87,16 @@ class ResponseSchema:
         }
 
     @cached_property
+    def checks(self) -> tuple[tuple[str, bool, type | tuple[type, ...], str, bool], ...]:
+        """Per field, in order, what :func:`validate_action` tests: its name,
+        whether it is required, the classes its type admits, the type, and
+        whether the type is numeric; compiled once per schema."""
+        return tuple(
+            (name, spec.required, _TYPES[spec.type], spec.type, spec.type in ("integer", "number"))
+            for name, spec in self.fields.items()
+        )
+
+    @cached_property
     def json_text(self) -> str:
         """:func:`canonical_json` of :meth:`json_schema`, built once per schema;
         the structured-parse prompt embeds it."""
@@ -97,23 +108,22 @@ def validate_action(body: Any, schema: ResponseSchema) -> list[str]:
     if not isinstance(body, dict):
         return [f"payload: expected object, got {type(body).__name__}"]
     violations = []
-    for name, spec in schema.fields.items():
+    known = 0
+    for name, required, classes, type_, numeric in schema.checks:
         if name not in body:
-            if spec.required:
+            if required:
                 violations.append(f'missing "{name}"')
             continue
+        known += 1
         value = body[name]
-        if value is None and not spec.required:
+        if value is None and not required:
             continue
-        if not _TYPE_CHECKS[spec.type](value):
-            violations.append(
-                f'type mismatch "{name}": expected {spec.type}, got {type(value).__name__}'
-            )
-        elif spec.type in ("integer", "number") and not _fits_a_float(value):
-            violations.append(f'out of range "{name}": {spec.type} does not fit a finite float')
-    for name in body:
-        if name not in schema.fields:
-            violations.append(f'unknown field "{name}"')
+        if not isinstance(value, classes) or numeric and (value is True or value is False):
+            violations.append(f'type mismatch "{name}": expected {type_}, got {type(value).__name__}')
+        elif numeric and not _fits_a_float(value):
+            violations.append(f'out of range "{name}": {type_} does not fit a finite float')
+    if known != len(body):
+        violations += [f'unknown field "{name}"' for name in body if name not in schema.fields]
     return violations
 
 

@@ -595,6 +595,22 @@ def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, c
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ['{"fingerprint": "x"}', '{"fingerprint": "x", "result": 5}', "[1]", "not json", '{"fingerprint": "x", "result": {"content": 5}}'],
+    ids=["no-result", "result-not-an-object", "line-not-an-object", "line-not-json", "content-not-a-string"],
+)
+def test_a_malformed_replay_transcript_exits_one_naming_its_line(line, tmp_path, capsys):
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_text(line + "\n")
+    out = tmp_path / "out"
+    body = minimal_market_config(out, backend={"kind": "replay", "transcript_path": str(transcript)})
+    assert main(["run", "--config", str(write_config(tmp_path, body))]) == 1
+    err = capsys.readouterr().err
+    assert "backend.transcript_path:" in err and "line 1" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_ablation_news_entry_without_headline_exits_one(tmp_path, capsys):
     out = tmp_path / "out"
     ablation = {"headline": "h", "summary": "s", "news": [{"date": "2025-04-02"}]}

@@ -404,3 +404,42 @@ def test_archive_survives_transfer_roundtrip():
         agent.step(make_obs(time=t))
     restored = MemoryStore.from_jsonl(agent.memory.to_jsonl())
     assert restored.entries == agent.memory.entries
+
+
+# --- the traced boundaries of one step ----------------------------------------------
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("tool_calls", [0, 1, 3])
+def test_one_step_goes_through_compose_render_and_record(tool_calls, monkeypatch):
+    """A step composes its prompt once, renders its memory once and records
+    each write through ``MemoryStore.record``: the boundaries a tracer wraps."""
+    import cogsim.cognition as cognition
+
+    counts = dict.fromkeys(("compose_prompt", "render", "record"), 0)
+    count_calls(monkeypatch, cognition, "compose_prompt", counts)
+    count_calls(monkeypatch, MemoryStore, "render", counts)
+    count_calls(monkeypatch, MemoryStore, "record", counts)
+    env = EconomyEnv(EconomyConfig(n_households=2, months=2))
+    obs = env.reset()[0]
+    tool = ToolSpec(name="news", description="", parameter_schema=ResponseSchema.of(), handler=lambda: "calm")
+    calls = tuple(ToolCallRequest(id=str(i), name="news", arguments_text="{}") for i in range(tool_calls))
+    answer = CompletionResult(content=json.dumps({"work_propensity": 0.8, "consumption_propensity": 0.4}))
+    rules = [(lambda text: "tool: calm" not in text, CompletionResult(tool_calls=calls))] if calls else []
+    backend = ScriptedBackend(rules, default=answer)
+    if tool_calls:
+        obs = Observation(obs.agent_id, obs.time, obs.context_parts, tools=[tool], response_schema=obs.response_schema)
+    agent = Agent(0, memory=BufferMemory(capacity=12), backend=backend, world_tag="economy")
+    for _ in range(2):  # the second step renders a window the first one filled
+        counts.update(dict.fromkeys(counts, 0))
+        agent.step(obs)
+        assert counts == {"compose_prompt": 1, "render": 1, "record": 2 + tool_calls}

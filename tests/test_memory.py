@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -304,8 +306,8 @@ def test_render_builds_no_entry(monkeypatch):
     for i in range(10_000):
         store.record(entry(i, content=("entry ", str(i)) if i % 2 else f"entry {i}"))
     built = []
-    post_init = MemoryEntry.__post_init__
-    monkeypatch.setattr(MemoryEntry, "__post_init__", lambda self, content: built.append(post_init(self, content)))
+    init = MemoryEntry.__init__
+    monkeypatch.setattr(MemoryEntry, "__init__", lambda self, *args, **kwargs: built.append(init(self, *args, **kwargs)))
     text = store.render()
     assert built == []
     assert text == "\n".join(f"[w t={i} note] entry {i}" for i in range(9997, 10_000))
@@ -342,3 +344,93 @@ def test_memory_from_spec():
     assert isinstance(buf, BufferMemory) and buf.capacity == 3
     chm = make(MEMORIES, {"kind": "chat_history", "window": 5, "token_limit": 100000})
     assert isinstance(chm, ChatHistoryMemory) and chm.window == 5
+
+
+class DrawnWindow(MemoryStore):
+    """A store whose window the test sets, so a render can see it move back or jump."""
+
+    window = range(0)
+
+    def _window(self) -> range:
+        return self.window
+
+
+def fresh_render(store):
+    return "\n".join(e.render() for e in store.visible())
+
+
+def stores_of_every_kind():
+    """(label, params) per memory kind, with every limit at 0 as well as above it."""
+    kinds = [("null", {}), ("buffer", {"capacity": 0}), ("buffer", {"capacity": 1}), ("buffer", {"capacity": 4})]
+    for window in (0, 1, 3, 8):
+        for token_limit in (0, 2, 12, 60):
+            kinds.append(("chat_history", {"window": window, "token_limit": token_limit}))
+    assert {kind for kind, _ in kinds} == set(MEMORY_VARIANTS)
+    return kinds
+
+
+# a tuple or str of any size, with oversized ones that alone pass any drawn token limit
+KEPT_TEXTS = st.one_of(
+    st.text(max_size=12),
+    st.lists(st.text(max_size=6), max_size=4).map(tuple),
+    st.integers(0, 3).map(lambda n: ("big ", "x" * 300, str(n))),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(stores_of_every_kind()),
+    rounds=st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.sampled_from(["market", "social", ""]), st.sampled_from(ENTRY_ROLES), KEPT_TEXTS), max_size=5),
+            st.booleans(),
+        ),
+        max_size=12,
+    ),
+)
+def test_kept_window_renders_what_a_fresh_render_would(kind, rounds):
+    """Between renders 0-5 records move the window by several entries; some
+    rounds rebuild the store from its archive, which starts its window afresh."""
+    variant, params = kind
+    store = MEMORY_VARIANTS[variant](**params)
+    time = 0
+    for records, restore in rounds:
+        for tag, role, text in records:
+            store.record(MemoryEntry(time=time, world_tag=tag, role=role, content=text))
+            time += 1
+        if restore:
+            store = MemoryStore.from_jsonl(store.to_jsonl())
+        assert store.render() == fresh_render(store)
+        assert store.render() == fresh_render(store)  # a render that moves nothing
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data(), st.lists(TEXTS, min_size=1, max_size=10))
+def test_kept_window_follows_any_move(data, texts):
+    """Forward by any step, back, past the kept range, or empty."""
+    store = DrawnWindow()
+    for time, text in enumerate(texts):
+        store.record(MemoryEntry(time=time, world_tag="w", role="note", content=text))
+    for _ in range(data.draw(st.integers(1, 8), label="renders")):
+        start = data.draw(st.integers(0, len(texts)), label="start")
+        store.window = range(start, data.draw(st.integers(start, len(texts)), label="stop"))
+        assert store.render() == fresh_render(store)
+
+
+def test_kept_window_holds_references_not_copies():
+    """Twenty small windows over one shared 100 KB feed hold well under one
+    copy of it: the kept items are the feed itself plus a prefix per line."""
+    feed = "f" * 100_000
+    BufferMemory(capacity=1).render()  # first-call work stays out of the count
+    tracemalloc.start()
+    try:
+        stores = [BufferMemory(capacity=4) for _ in range(20)]
+        for step in range(10):
+            for store in stores:
+                store.record(MemoryEntry(time=step, world_tag="social", role="observation", content=("header", feed, "footer")))
+                assert len(store.render()) > len(feed)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 200_000

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 from hypothesis import given, settings
@@ -135,3 +136,77 @@ def test_canonical_json_equals_dumps_at_the_same_settings(value):
     # the shared encoder must give the bytes json.dumps gives, non-ASCII,
     # non-finite floats and nested objects with unsorted keys included
     assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+# --- the compiled checks against the field-by-field reference ---------------------
+
+REFERENCE_TYPE_CHECKS = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def reference_fits_a_float(value):
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def reference_validate_action(body, schema):
+    """``validate_action`` as it was before its checks were compiled per schema."""
+    if not isinstance(body, dict):
+        return [f"payload: expected object, got {type(body).__name__}"]
+    violations = []
+    for name, spec in schema.fields.items():
+        if name not in body:
+            if spec.required:
+                violations.append(f'missing "{name}"')
+            continue
+        value = body[name]
+        if value is None and not spec.required:
+            continue
+        if not REFERENCE_TYPE_CHECKS[spec.type](value):
+            violations.append(f'type mismatch "{name}": expected {spec.type}, got {type(value).__name__}')
+        elif spec.type in ("integer", "number") and not reference_fits_a_float(value):
+            violations.append(f'out of range "{name}": {spec.type} does not fit a finite float')
+    for name in body:
+        if name not in schema.fields:
+            violations.append(f'unknown field "{name}"')
+    return violations
+
+
+NAMES = st.sampled_from(["a", "b", "c", "d", "e", "price", "kind"])
+SCHEMAS = st.dictionaries(
+    NAMES, st.tuples(st.sampled_from(sorted(REFERENCE_TYPE_CHECKS)), st.booleans()), max_size=6
+).map(lambda specs: ResponseSchema({name: FieldSpec(type_, required) for name, (type_, required) in specs.items()}))
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+def draw_body(data, schema):
+    """Now and then no object at all; otherwise any of the schema's fields,
+    with unknown keys among them, in any order."""
+    if data.draw(st.integers(0, 9), label="shape") == 0:
+        return data.draw(VALUES, label="body")
+    names = [name for name in schema.fields if data.draw(st.booleans(), label=f"has {name}")]
+    names += data.draw(st.lists(st.sampled_from(["x", "unknown", ""]), unique=True, max_size=3), label="unknown")
+    return {name: data.draw(VALUES, label=name) for name in data.draw(st.permutations(names), label="order")}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(SCHEMAS, st.data())
+def test_compiled_checks_give_the_reference_violations_in_order(schema, data):
+    for _ in range(data.draw(st.integers(1, 6), label="bodies")):  # one schema, several bodies: the compiled checks are reused
+        body = draw_body(data, schema)
+        assert validate_action(body, schema) == reference_validate_action(body, schema)
