@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .backends import ChatTurn, CompletionBackend, parse_structured, run_tool_loop
 from .errors import ContractViolation
 from .memory import MemoryEntry, MemoryStore, NullMemory
-from .protocol import ActionEnvelope, Observation, Text, join_text
+from .protocol import ActionEnvelope, Observation, Text
 from .schema import canonical_json
 
 
@@ -34,31 +34,24 @@ class PersonaConfig:
         return "\n".join(parts)
 
 
-@dataclass(slots=True, init=False)
+@dataclass(slots=True)
 class PromptBundle:
     """The four prompt sections, always in this order.
 
-    ``observation_text`` is given as :data:`~cogsim.protocol.Text` and kept
-    as a tuple of parts in ``observation_parts``; reading
-    ``observation_text`` joins them. ``as_turns`` and ``full_text`` join
+    The observation is kept as :data:`~cogsim.protocol.Text` parts;
+    ``observation_text`` joins them, and ``as_turns`` and ``full_text`` join
     straight from the parts.
     """
 
     system_text: str
     memory_text: str
-    observation_parts: tuple[str, ...]
+    observation_parts: Text
     schema_hint: str
-
-    def __init__(self, system_text: str, memory_text: str, observation_text: Text, schema_hint: str):
-        self.system_text = system_text
-        self.memory_text = memory_text
-        self.observation_parts = (observation_text,) if isinstance(observation_text, str) else observation_text
-        self.schema_hint = schema_hint
 
     @property
     def observation_text(self) -> str:
         """The observation as one str."""
-        return join_text(self.observation_parts)
+        return "".join(self.observation_parts)
 
     def as_turns(self) -> list[ChatTurn]:
         user = ["Your memory:\n", self.memory_text, "\n\n"] if self.memory_text else []
@@ -82,8 +75,7 @@ def compose_prompt(obs: Observation, cfg: PersonaConfig, mem: MemoryStore) -> Pr
     observation = obs.context_parts
     if obs.inbox:
         inbox = "\n".join(msg.render() for msg in obs.inbox)
-        context = (observation,) if isinstance(observation, str) else observation
-        observation = (*context, "\n", inbox) if any(context) else inbox
+        observation = (*observation, "\n", inbox) if any(observation) else (inbox,)
     schema_hint = obs.response_schema.hint_text() if obs.response_schema else ""
     return PromptBundle(cfg.render(), mem.render(), observation, schema_hint)
 
@@ -118,7 +110,7 @@ def agent_step(
             )
         )
     body = parse_structured(final_text, obs.response_schema, backend, max_retries=max_parse_retries)
-    mem.record(MemoryEntry(obs.time, world_tag, "own_action", canonical_json(body)))
+    mem.record(MemoryEntry(obs.time, world_tag, "own_action", (canonical_json(body),)))
     return ActionEnvelope(obs.agent_id, obs.time, body)
 
 

@@ -143,7 +143,7 @@ class AuctionEnv(Environment):
     def _remaining_items(self) -> list[AuctionItem]:
         return self.items[self.round_state.item_index:]
 
-    def _context_for(self, aid: int) -> str:
+    def _context_for(self, aid: int) -> tuple[str]:
         item = self.items[self.round_state.item_index]
         state = self.bidders[aid]
         standing = (
@@ -159,14 +159,14 @@ class AuctionEnv(Environment):
             f"Your budget {state.budget:.2f}, profit so far {state.profit:.2f}, "
             f"items won: {state.items_won or 'none'}. Objective: profit_first.\n"
             f"Remaining items: {remaining}.\n"
-            f"Bid null to pass; include priorities as a map of remaining item name to a 0-100 score."
+            f"Bid null to pass; include priorities as a map of remaining item name to a 0-100 score.",
         )
 
-    def _final_context(self, aid: int) -> str:
+    def _final_context(self, aid: int) -> tuple[str]:
         state = self.bidders[aid]
         return (
             f"Auction over. Final profit {state.profit:.2f}, budget left {state.budget:.2f}, "
-            f"items won: {state.items_won or 'none'}."
+            f"items won: {state.items_won or 'none'}.",
         )
 
     def _floor(self) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import datetime as dt
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Mapping
 
@@ -237,12 +237,12 @@ def _volumes(book: list[Order]) -> list[tuple[float, int]]:
 
 def clear_session(
     book: list[Order], prev_price: float
-) -> tuple[float, list[Trade], list[Order]]:
+) -> tuple[float, list[Trade], dict[int, int]]:
     """Clear one session's order book at a single price.
 
-    Returns (clearing_price, trades, unmatched). With no crossing volume the
-    price stays at ``prev_price`` and everything expires unmatched.
-    Unmatched entries carry their residual quantity.
+    Returns (clearing_price, trades, remaining), where ``remaining`` maps each
+    order id to its unfilled quantity. With no crossing volume the price stays
+    at ``prev_price`` and every order expires unfilled.
     """
     symbols = {o.symbol for o in book}
     if len(symbols) > 1:
@@ -250,7 +250,7 @@ def clear_session(
     volumes = _volumes(book)
     best_volume = max((volume for _, volume in volumes), default=0)
     if best_volume == 0:
-        return prev_price, [], list(book)
+        return prev_price, [], {o.id: o.quantity for o in book}
     best_price = min((p for p, volume in volumes if volume == best_volume), key=lambda p: (abs(p - prev_price), p))
 
     buys, sells = _eligible(book, best_price)
@@ -287,8 +287,7 @@ def clear_session(
             remaining[buy.id] -= qty
             remaining[sell.id] -= qty
             trades.append(Trade(buy.symbol, best_price, qty, buy.agent, sell.agent, buy.id, sell.id))
-    unmatched = [replace(o, quantity=remaining[o.id]) for o in book if remaining[o.id] > 0]
-    return best_price, trades, unmatched
+    return best_price, trades, remaining
 
 
 def settle(trades: list[Trade], accounts: dict[int, TraderAccount]) -> dict[int, TraderAccount]:
@@ -639,7 +638,7 @@ class MarketEnv(Environment):
 
     def _clear_symbol(self, sym: str, book: list[Order]) -> None:
         stock = self.stocks[sym]
-        price, trades, _unmatched = clear_session(book, stock.price)
+        price, trades, _ = clear_session(book, stock.price)
         settle(trades, self.accounts)
         for trade in trades:
             self.events.append(trade.buyer, self.t, "trade", vars(trade))

@@ -167,19 +167,19 @@ class QuestionnaireEnv(Environment):
     def done(self) -> bool:
         return self.index >= len(self.order)
 
-    def _context_for(self, aid: int) -> str:
+    def _context_for(self, aid: int) -> tuple[str]:
         item = self.order[self.index]
         return (
             f"Question {self.index + 1} of {len(self.order)}.\n"
             f"{item.text}\n"
-            f"Answer with a single integer on {item.scale.describe()}."
+            f"Answer with a single integer on {item.scale.describe()}.",
         )
 
     def _now(self) -> int:
         return self.index
 
-    def _final_context(self, aid: int) -> str:
-        return "Questionnaire complete."
+    def _final_context(self, aid: int) -> tuple[str]:
+        return ("Questionnaire complete.",)
 
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:
         if self.done():

@@ -4,8 +4,8 @@ Every store keeps the full append-only archive; capacity, window, and token
 limits only restrict what ``render()`` shows. The archive is what transfers
 between environments, tagged per entry with the world it came from.
 
-An entry's content is :data:`~cogsim.protocol.Text`: a plain str, or the
-parts of an observation as the environment gave them. Parts are held by
+An entry's content is :data:`~cogsim.protocol.Text`: a tuple of parts, such
+as an observation's parts as the environment gave them. Parts are held by
 reference, so the followers of one social feed archive that step's feed
 string once between them, not once each. An economy observation is five
 parts: the month's lines are shared by every household and a household's
@@ -15,12 +15,11 @@ trader who reads one day's market forum archives the same string.
 
 A store keeps its archive as columns, not as one :class:`MemoryEntry` per
 line: per entry a 64-bit time, a one-byte code into the store's small table
-of kinds (a ``world_tag``, a role, and whether the content is a str or a
-tuple), the end offset of its parts and its token estimate, with the parts
-themselves in one flat list (a str is one part, a tuple adds each of its
-parts). ``record`` splits an entry into the columns; ``entries`` and
-``visible()`` build entries from them on each read, as snapshots.
-``render``, the windows and ``to_jsonl`` read the columns directly.
+of kinds (each a ``(world_tag, role)`` pair), the end offset of its parts
+and its token estimate, with the parts themselves in one flat list.
+``record`` splits an entry into the columns; ``entries`` and ``visible()``
+build entries from them on each read, as snapshots. ``render``, the windows
+and ``to_jsonl`` read the columns directly.
 
 Between renders a store keeps its window's items in one flat list: per
 window entry its ``"\n[tag t=T role] "`` prefix, then references to the
@@ -44,15 +43,14 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import ConfigError
-from .protocol import Text, join_text
+from .protocol import Text
 
 ENTRY_ROLES = ("observation", "own_action", "tool_result", "note")
 
 
 def estimate_tokens(text: Text) -> int:
     """Cheap deterministic token estimate: ceil(len/4), over all parts."""
-    chars = len(text) if isinstance(text, str) else sum(map(len, text))
-    return (chars + 3) // 4
+    return (sum(map(len, text)) + 3) // 4
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False)
@@ -60,7 +58,8 @@ class MemoryEntry:
     """One immutable memory line: when, where, what kind, and the content.
 
     ``content`` is kept as given in ``parts`` and reads back as one str;
-    entries are equal when their joined content is.
+    entries are equal when their joined content is. A str given as
+    ``content`` is taken as one part.
     """
 
     time: int
@@ -68,19 +67,19 @@ class MemoryEntry:
     role: str
     parts: Text
 
-    def __init__(self, time: int, world_tag: str, role: str, content: Text):
+    def __init__(self, time: int, world_tag: str, role: str, content: Text | str):
         if role not in ENTRY_ROLES:
             raise ValueError(f"unknown memory role {role!r}")
         init = object.__setattr__  # frozen: each field is set once, here
         init(self, "time", time)
         init(self, "world_tag", world_tag)
         init(self, "role", role)
-        init(self, "parts", content)
+        init(self, "parts", (content,) if isinstance(content, str) else content)
 
     @property
     def content(self) -> str:
         """The content as one str."""
-        return join_text(self.parts)
+        return "".join(self.parts)
 
     def _key(self) -> tuple[int, str, str, str]:
         return (self.time, self.world_tag, self.role, self.content)
@@ -107,31 +106,27 @@ class MemoryStore:
         self._offsets = array("I", [0])  # entry i's parts are _parts[_offsets[i]:_offsets[i + 1]]
         self._tokens = array("I")
         self._parts: list[str] = []
-        self._kinds: list[tuple[str, str, bool]] = []  # code -> (world_tag, role, content is a tuple)
-        self._kind_codes: dict[tuple[str, str, bool], int] = {}
+        self._kinds: list[tuple[str, str]] = []  # code -> (world_tag, role)
+        self._kind_codes: dict[tuple[str, str], int] = {}
         self._kept = (0, 0)  # the window render last joined, as (start, stop)
         self._flat: list[str] = []  # its items: per entry a line prefix, then the entry's parts
 
     def record(self, entry: MemoryEntry) -> None:
         """Append ``entry`` to the columns; one writer per store."""
         parts = entry.parts
-        is_tuple = not isinstance(parts, str)
         tokens = estimate_tokens(parts)
-        key = (entry.world_tag, entry.role, is_tuple)
+        key = (entry.world_tag, entry.role)
         code = self._kind_codes.get(key)
         if code is None:
             code = self._add_kind(key)
         # nothing is appended before the time, the one value a column can refuse
         self._times.append(entry.time)
         self._codes.append(code)
-        if is_tuple:
-            self._parts += parts
-        else:
-            self._parts.append(parts)
+        self._parts += parts
         self._offsets.append(len(self._parts))
         self._tokens.append(tokens)
 
-    def _add_kind(self, key: tuple[str, str, bool]) -> int:
+    def _add_kind(self, key: tuple[str, str]) -> int:
         code = len(self._kinds)
         if code == 256:  # past one byte: widen the code column once
             self._codes = array("I", self._codes)
@@ -140,10 +135,9 @@ class MemoryStore:
         return code
 
     def _entry(self, i: int) -> MemoryEntry:
-        world_tag, role, is_tuple = self._kinds[self._codes[i]]
-        start, end = self._offsets[i], self._offsets[i + 1]
-        parts = tuple(self._parts[start:end]) if is_tuple else self._parts[start]
-        return MemoryEntry(time=self._times[i], world_tag=world_tag, role=role, content=parts)
+        world_tag, role = self._kinds[self._codes[i]]
+        parts = tuple(self._parts[self._offsets[i]:self._offsets[i + 1]])
+        return MemoryEntry(self._times[i], world_tag, role, parts)
 
     @property
     def entries(self) -> list[MemoryEntry]:
@@ -172,7 +166,7 @@ class MemoryStore:
             del flat[:start - kept_start + offsets[start] - offsets[kept_start]]
         kinds, codes, times, parts = self._kinds, self._codes, self._times, self._parts
         for i in range(kept_stop, stop):
-            world_tag, role, _ = kinds[codes[i]]
+            world_tag, role = kinds[codes[i]]
             flat.append(f"\n[{world_tag} t={times[i]} {role}] ")
             flat += parts[offsets[i]:offsets[i + 1]]
         self._kept = (start, stop)
@@ -187,7 +181,7 @@ class MemoryStore:
         lines = [json.dumps(header, sort_keys=True)]
         offsets = self._offsets
         for i, (time, code) in enumerate(zip(self._times, self._codes)):
-            world_tag, role, _ = self._kinds[code]
+            world_tag, role = self._kinds[code]
             content = "".join(self._parts[offsets[i]:offsets[i + 1]])
             lines.append(json.dumps({"time": time, "world_tag": world_tag, "role": role, "content": content}, sort_keys=True))
         return "\n".join(lines) + "\n"
@@ -207,7 +201,7 @@ class MemoryStore:
                     time=obj["time"],
                     world_tag=obj["world_tag"],
                     role=obj["role"],
-                    content=obj["content"],
+                    content=(obj["content"],),
                 )
             )
         return store

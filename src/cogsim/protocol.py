@@ -15,7 +15,7 @@ import json
 import threading
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Mapping
 
 from .errors import AgentMissing, SchemaViolation, UnknownRecipient
@@ -27,15 +27,10 @@ if TYPE_CHECKING:
 AgentId = int
 TimeStep = int
 
-Text = str | tuple[str, ...]
-"""Text given whole, or as a tuple of parts that reads as their concatenation.
-Parts let many holders share one large string, such as a feed every follower
-sees in the same step, by reference."""
-
-
-def join_text(text: Text) -> str:
-    """``text`` as one str; a str is returned as it is."""
-    return text if isinstance(text, str) else "".join(text)
+Text = tuple[str, ...]
+"""Text as a tuple of parts that reads as their concatenation. Parts let many
+holders share one large string, such as a feed every follower sees in the same
+step, by reference."""
 
 
 def csv_table(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
@@ -93,27 +88,25 @@ class Observation:
 
     ``response_schema`` present means an action is expected this step;
     observe-only observations leave it ``None`` and the runner skips the
-    agent's policy. ``context_text`` is given as :data:`Text` and kept as
-    given in ``context_parts``, so memory can archive a shared part by
-    reference; reading ``context_text`` joins the parts.
+    agent's policy. The context is kept as :data:`Text` parts, so memory can
+    archive a shared part by reference; ``context_text`` joins them.
     """
 
     agent_id: AgentId
     time: TimeStep
-    context_text: InitVar[Text]
+    context_parts: Text
     inbox: list[Message] = field(default_factory=list)
     tools: list[ToolSpec] = field(default_factory=list)
     response_schema: ResponseSchema | None = None
-    context_parts: Text = field(init=False)
 
-    def __post_init__(self, context_text: Text):
-        self.context_parts = context_text
+    def __post_init__(self):
         if len(self.tools) > 1 and len({tool.name for tool in self.tools}) != len(self.tools):
             raise ValueError("tool names must be unique within one observation")
 
-
-# an InitVar leaves the name free for this read-only view
-Observation.context_text = property(lambda obs: join_text(obs.context_parts), doc="The context as one str.")
+    @property
+    def context_text(self) -> str:
+        """The context as one str."""
+        return "".join(self.context_parts)
 
 
 @dataclass
@@ -208,8 +201,9 @@ class Environment(ABC):
 
     A subclass supplies ascending ``agent_ids``, its action ``schema``,
     ``_setup`` (build the initial state), ``_context_for`` (one agent's
-    context :data:`Text`), ``step`` and ``done``. It overrides ``_now``,
-    ``_final_context``, ``_tools`` or ``_inbox`` where it differs.
+    context, a :data:`Text` tuple of parts), ``step`` and ``done``. It
+    overrides ``_now``, ``_final_context``, ``_tools`` or ``_inbox`` where it
+    differs.
     """
 
     name: str = "env"

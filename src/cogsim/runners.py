@@ -739,7 +739,7 @@ def ablation_agents(study: TariffStudy, setting: AblationSetting) -> dict[int, A
         if setting.level >= 2:
             agent.config.extra_directives.append(study.headline)
         if setting.level >= 3:
-            agent.memory.record(MemoryEntry(time=0, world_tag="market", role="note", content=study.research_summary))
+            agent.memory.record(MemoryEntry(time=0, world_tag="market", role="note", content=(study.research_summary,)))
         agents[aid] = agent
     return agents
 

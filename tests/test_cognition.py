@@ -21,7 +21,7 @@ def make_obs(**kwargs):
     defaults = dict(
         agent_id=0,
         time=0,
-        context_text="hello",
+        context_parts=("hello",),
         response_schema=ResponseSchema.of(move="string"),
     )
     defaults.update(kwargs)
@@ -64,7 +64,7 @@ def test_section_order_fixed():
     cfg = PersonaConfig(persona_text="PERSONA")
     mem = BufferMemory(capacity=5)
     mem.record(MemoryEntry(time=0, world_tag="w", role="note", content="MEMNOTE"))
-    bundle = compose_prompt(make_obs(context_text="CTX"), cfg, mem)
+    bundle = compose_prompt(make_obs(context_parts=("CTX",)), cfg, mem)
     full = bundle.full_text()
     assert full.index("PERSONA") < full.index("MEMNOTE") < full.index("CTX") < full.index("move")
 
@@ -128,7 +128,7 @@ def oracle_rendered(turns: list[ChatTurn]) -> str:
     return "\n".join(parts)
 
 
-TEXTS = st.one_of(st.text(max_size=30), st.lists(st.text(max_size=12), max_size=4).map(tuple))
+TEXTS = st.one_of(st.tuples(st.text(max_size=30)), st.lists(st.text(max_size=12), max_size=4).map(tuple))
 ENTRY_ROWS = st.lists(st.tuples(st.integers(0, 9), st.text(max_size=6), st.sampled_from(ENTRY_ROLES), TEXTS), max_size=6)
 INBOX = st.lists(
     st.builds(
@@ -165,7 +165,7 @@ def test_prompt_bytes_equal_the_joined_string_oracle(persona, directives, varian
     for time, tag, role, content in rows:
         mem.record(MemoryEntry(time=time, world_tag=tag, role=role, content=content))
     cfg = PersonaConfig(persona_text=persona, extra_directives=directives)
-    obs = Observation(agent_id=0, time=3, context_text=context, inbox=inbox, response_schema=schema)
+    obs = Observation(agent_id=0, time=3, context_parts=context, inbox=inbox, response_schema=schema)
 
     bundle, oracle = compose_prompt(obs, cfg, mem), oracle_compose_prompt(obs, cfg, mem)
     assert (bundle.system_text, bundle.memory_text, bundle.observation_text, bundle.schema_hint) == (
@@ -185,7 +185,7 @@ def test_agent_step_holds_no_more_than_two_prompt_copies():
     # a social-sized shared part, given by reference; the step should hold
     # the user turn and the rendered transcript, not four copies of it
     shared = "x" * 200_000
-    obs = make_obs(context_text=("t=1. header\n", shared, "\nfooter"))
+    obs = make_obs(context_parts=("t=1. header\n", shared, "\nfooter"))
     backend = json_backend({"move": "hold"})
     tracemalloc.start()
     try:

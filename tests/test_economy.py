@@ -18,7 +18,7 @@ from cogsim.envs.economy import (
     phillips_okun_report,
     policy_rates,
 )
-from cogsim.protocol import ActionEnvelope, join_text, run_episode
+from cogsim.protocol import ActionEnvelope, run_episode
 from cogsim.seeds import child_rng
 
 
@@ -327,8 +327,8 @@ def test_context_parts_join_to_the_reference_string(households, states):
         for aid in env.agent_ids:
             parts = env._context_for(aid)
             assert len(parts) == 5 and all(isinstance(part, str) for part in parts)
-            assert join_text(parts) == reference_context(env.state, aid)
-            assert join_text(env._final_context(aid)) == reference_context(env.state, aid)
+            assert "".join(parts) == reference_context(env.state, aid)
+            assert "".join(env._final_context(aid)) == reference_context(env.state, aid)
     env.state.month = env.config.months  # done: the observations carry the final context
     final = env._observations()
     assert all(final[aid].context_text == reference_context(env.state, aid) for aid in env.agent_ids)

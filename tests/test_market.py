@@ -151,17 +151,17 @@ def order(oid, agent, side, price, qty, symbol="A"):
 
 
 def test_empty_book_keeps_prev_price():
-    price, trades, unmatched = clear_session([], 100.0)
+    price, trades, remaining = clear_session([], 100.0)
     assert price == 100.0
-    assert trades == [] and unmatched == []
+    assert trades == [] and remaining == {}
 
 
 def test_simple_cross_clears_at_tie_break_price():
     book = [order(1, 1, "buy", 101, 2), order(2, 2, "sell", 100, 2)]
-    price, trades, unmatched = clear_session(book, 100.0)
+    price, trades, remaining = clear_session(book, 100.0)
     assert price == 100.0
     assert len(trades) == 1 and trades[0].quantity == 2
-    assert unmatched == []
+    assert remaining == {1: 0, 2: 0}
 
 
 def test_spec_example_pairs_best_buy_with_best_sell():
@@ -171,19 +171,19 @@ def test_spec_example_pairs_best_buy_with_best_sell():
         order(3, 3, "sell", 99, 1),
         order(4, 4, "sell", 101, 1),
     ]
-    price, trades, unmatched = clear_session(book, 100.0)
+    price, trades, remaining = clear_session(book, 100.0)
     assert price == 100.0
     assert len(trades) == 1
     assert trades[0].buy_order_id == 1 and trades[0].sell_order_id == 3
-    assert {o.id for o in unmatched} == {2, 4}
+    assert remaining == {1: 0, 2: 1, 3: 0, 4: 1}
 
 
 def test_no_cross_leaves_price_and_book():
     book = [order(1, 1, "buy", 95, 1), order(2, 2, "sell", 105, 1)]
-    price, trades, unmatched = clear_session(book, 100.0)
+    price, trades, remaining = clear_session(book, 100.0)
     assert price == 100.0
     assert trades == []
-    assert len(unmatched) == 2
+    assert remaining == {1: 1, 2: 1}
 
 
 def test_fifo_within_price_level():
@@ -210,10 +210,15 @@ def test_clearing_matches_exhaustive_oracle():
     for _ in range(600):
         book = random_book(rng)
         prev = float(rng.randrange(90, 111))
-        price, trades, _ = clear_session(book, prev)
+        price, trades, remaining = clear_session(book, prev)
         oracle_price, oracle_vol = oracle_clear(book, prev)
         assert price == oracle_price
         assert sum(t.quantity for t in trades) == oracle_vol
+        filled = defaultdict(int)
+        for t in trades:
+            filled[t.buy_order_id] += t.quantity
+            filled[t.sell_order_id] += t.quantity
+        assert remaining == {o.id: o.quantity - filled[o.id] for o in book}
 
 
 def test_self_cross_book_still_achieves_oracle_volume():
@@ -232,10 +237,9 @@ def test_self_cross_book_still_achieves_oracle_volume():
 
 def test_residual_quantities_reported():
     book = [order(1, 1, "buy", 100, 5), order(2, 2, "sell", 100, 2)]
-    _, trades, unmatched = clear_session(book, 100.0)
+    _, trades, remaining = clear_session(book, 100.0)
     assert sum(t.quantity for t in trades) == 2
-    assert len(unmatched) == 1
-    assert unmatched[0].id == 1 and unmatched[0].quantity == 3
+    assert remaining == {1: 3, 2: 0}
 
 
 # --- settle ------------------------------------------------------------------

@@ -16,7 +16,6 @@ from cogsim.memory import (
     NullMemory,
     estimate_tokens,
 )
-from cogsim.protocol import join_text
 from cogsim.runners import MEMORIES, make
 
 
@@ -25,12 +24,13 @@ def entry(i, content=None, world="w"):
 
 
 def test_estimate_tokens_empty():
-    assert estimate_tokens("") == 0
+    assert estimate_tokens(()) == estimate_tokens(("",)) == 0
 
 
 def test_estimate_tokens_definition():
-    assert estimate_tokens("abcd") == 1
-    assert estimate_tokens("abcdefghi") == 3  # ceil(9/4)
+    assert estimate_tokens(("abcd",)) == 1
+    assert estimate_tokens(("abcdefghi",)) == 3  # ceil(9/4)
+    assert estimate_tokens(("abcd", "efghi")) == 3  # over all parts
 
 
 def test_estimate_tokens_monotone():
@@ -38,7 +38,7 @@ def test_estimate_tokens_monotone():
     last = 0
     for ch in "x" * 40:
         text += ch
-        now = estimate_tokens(text)
+        now = estimate_tokens((text,))
         assert now >= last
         last = now
 
@@ -186,7 +186,7 @@ def test_archive_roundtrip_keeps_variant_params_entries_and_render(variant, data
     assert restored.render() == store.render()
 
 
-TEXTS = st.one_of(st.text(max_size=40), st.lists(st.text(max_size=12), max_size=4).map(tuple))
+TEXTS = st.one_of(st.tuples(st.text(max_size=40)), st.lists(st.text(max_size=12), max_size=4).map(tuple))
 
 
 @pytest.mark.parametrize("variant", sorted(MEMORY_VARIANTS))
@@ -201,7 +201,7 @@ def test_entries_in_parts_read_as_their_joined_text(variant, data, rows):
     split, joined = cls(**params), cls(**params)
     for time, tag, role, text in rows:
         split.record(MemoryEntry(time=time, world_tag=tag, role=role, content=text))
-        joined.record(MemoryEntry(time=time, world_tag=tag, role=role, content=join_text(text)))
+        joined.record(MemoryEntry(time=time, world_tag=tag, role=role, content=("".join(text),)))
     assert [(e.time, e.content) for e in split.visible()] == [(e.time, e.content) for e in joined.visible()]
     assert split.render() == joined.render()
     archive = split.to_jsonl()
@@ -225,14 +225,14 @@ def test_render_joins_each_visible_entry_line(variant, data, rows):
         store.record(MemoryEntry(time=time, world_tag=tag, role=role, content=text))
     visible = store.visible()
     assert store.render() == "\n".join(e.render() for e in visible)
-    assert store.render() == "\n".join(f"[{e.world_tag} t={e.time} {e.role}] {join_text(e.parts)}" for e in visible)
+    assert store.render() == "\n".join(f"[{e.world_tag} t={e.time} {e.role}] {''.join(e.parts)}" for e in visible)
 
 
 TIMES = st.integers(-(2**63), 2**63 - 1)
 TAGS = st.one_of(st.sampled_from(["market", "social", "economy", ""]), st.text(max_size=4))
 SHAPES = st.one_of(
-    st.sampled_from(["", (), ("a",)]),
-    st.text(max_size=20),
+    st.sampled_from([("",), (), ("a",)]),
+    st.tuples(st.text(max_size=20)),
     st.lists(st.text(max_size=8), min_size=1, max_size=5).map(tuple),
 )
 
@@ -255,8 +255,8 @@ def reference_archive(store, reference):
 
 
 def exactly(entries):
-    """Each entry's fields with its parts' type, which equality ignores."""
-    return [(e.time, e.world_tag, e.role, type(e.parts), e.parts) for e in entries]
+    """Each entry's fields with its parts as kept; equality compares only their join."""
+    return [(e.time, e.world_tag, e.role, e.parts) for e in entries]
 
 
 @pytest.mark.parametrize("variant", sorted(MEMORY_VARIANTS))
@@ -272,7 +272,7 @@ def test_column_archive_agrees_with_a_reference_list(variant, data, rows):
         reference.append(item)
         window = reference_window(store, reference)
         assert exactly(store.visible()) == exactly(window)
-        assert store.render() == "\n".join(f"[{e.world_tag} t={e.time} {e.role}] {join_text(e.parts)}" for e in window)
+        assert store.render() == "\n".join(f"[{e.world_tag} t={e.time} {e.role}] {''.join(e.parts)}" for e in window)
     assert exactly(store.entries) == exactly(reference)
     assert store.to_jsonl() == reference_archive(store, reference)
     store.entries.clear()  # a snapshot: the store keeps its archive
@@ -318,6 +318,11 @@ def test_entry_has_no_instance_dict():
     # slotted entries keep the snapshots that entries and visible() build small
     assert not hasattr(entry(0), "__dict__")
     assert MemoryEntry(time=0, world_tag="w", role="note", content=("a", "b")).content == "ab"
+
+
+def test_a_str_content_is_taken_as_one_part():
+    assert MemoryEntry(time=0, world_tag="w", role="note", content="x").parts == ("x",)
+    assert MemoryEntry(time=0, world_tag="w", role="note", content="").parts == ("",)
 
 
 def test_transfer_preserves_world_tags_and_order():

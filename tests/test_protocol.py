@@ -122,7 +122,7 @@ class ScriptedEnv(Environment):
             aid: Observation(
                 agent_id=aid,
                 time=self.t,
-                context_text=f"state at t={self.t}",
+                context_parts=(f"state at t={self.t}",),
                 response_schema=schema,
             )
             for aid in range(self.n_agents)
@@ -337,7 +337,7 @@ def test_duplicate_tool_names_rejected():
     t1 = ToolSpec(name="dup", description="", parameter_schema=ResponseSchema.of(), handler=lambda: "")
     t2 = ToolSpec(name="dup", description="", parameter_schema=ResponseSchema.of(), handler=lambda: "")
     with pytest.raises(ValueError):
-        Observation(agent_id=0, time=0, context_text="", tools=[t1, t2])
+        Observation(agent_id=0, time=0, context_parts=(), tools=[t1, t2])
 
 
 def test_observe_only_observation_skips_policy():
@@ -350,8 +350,8 @@ def test_observe_only_observation_skips_policy():
             self.t = 0
             # agent 1 never acts; agent 0 does
             return {
-                0: Observation(agent_id=0, time=0, context_text="", response_schema=ResponseSchema.of(move="string")),
-                1: Observation(agent_id=1, time=0, context_text=""),
+                0: Observation(agent_id=0, time=0, context_parts=(), response_schema=ResponseSchema.of(move="string")),
+                1: Observation(agent_id=1, time=0, context_parts=()),
             }
 
         def step(self, actions):

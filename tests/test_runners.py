@@ -515,9 +515,13 @@ def test_environment_observation_contract(kind):
     for _ in range(12):
         assert list(observations) == env.agent_ids
         assert all(obs.time == clock(env) for obs in observations.values())
+        # every context, the final one too, is a tuple of str parts
+        assert all(type(obs.context_parts) is tuple for obs in observations.values())
+        assert all(type(part) is str for obs in observations.values() for part in obs.context_parts)
         if env.done():
             assert all(obs.response_schema is None and obs.tools == [] for obs in observations.values())
             break
         assert all(obs.response_schema is env.schema is not None for obs in observations.values())
         observations = step_world(env, observations, agents)
     assert env.done() == (kind != "social")
+

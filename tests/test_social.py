@@ -488,7 +488,7 @@ def test_followers_archive_one_shared_feed_per_step():
     sizes = {}
     for agent in agents.values():
         for entry in agent.memory.entries:
-            for part in (entry.parts,) if isinstance(entry.parts, str) else entry.parts:
+            for part in entry.parts:
                 sizes[id(part)] = len(part)
     largest = max(len(entry.content) for entry in observed)
     assert sum(sizes.values()) < 4 * steps * largest
