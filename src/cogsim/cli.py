@@ -188,8 +188,10 @@ def main(argv: list[str] | None = None) -> int:
         if command == "score":
             manifest, episodes = read_bundle(Path(config.out), config_bytes)
             command, seed = manifest.command, manifest.seed
-        if getattr(config, command, 0) is None:  # transfer, multiworld and ablation read their own section
-            raise ConfigError(f"the {command} command needs this section", field=command)
+        # run, trials and ablation read environment; transfer, multiworld and ablation read their own section
+        for section in (command,) if command in ("transfer", "multiworld") else ("environment", command):
+            if getattr(config, section, 0) is None:
+                raise ConfigError(f"the {command} command needs this section", field=section)
         bundle = BundleWriter(Path(config.out), config_bytes, seed)
         write_bundle(bundle, command, HARNESSES[command](config, episodes))
     except ConfigError as exc:

@@ -162,13 +162,6 @@ class AuctionEnv(Environment):
             f"Bid null to pass; include priorities as a map of remaining item name to a 0-100 score.",
         )
 
-    def _final_context(self, aid: int) -> tuple[str]:
-        state = self.bidders[aid]
-        return (
-            f"Auction over. Final profit {state.profit:.2f}, budget left {state.budget:.2f}, "
-            f"items won: {state.items_won or 'none'}.",
-        )
-
     def _floor(self) -> float:
         item = self.items[self.round_state.item_index]
         if self.round_state.standing_bid is None:

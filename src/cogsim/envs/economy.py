@@ -252,7 +252,9 @@ class EconomyEnv(Environment):
             self._tail(state.price_level, policy.tax_rate, policy.interest_rate),
         )
 
-    def _now(self) -> int:
+    @property
+    def t(self) -> int:
+        """The clock: the months closed so far, which :func:`monthly_step` advances."""
         return self.state.month
 
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:

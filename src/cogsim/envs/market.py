@@ -1,19 +1,20 @@
 """Two-stock trading environment: session clock, call-auction clearing,
 accounts with loans and interest, a forum tool, and news injection.
 
-Each environment step is one trading session (three per day). Orders live
-for a single session: agents re-decide every session, the book clears once
-per session at a single price, and unmatched orders expire. Clearing is a
-call auction: among the submitted limit prices, the clearing price is the
-one maximizing matched volume, ties broken toward the previous price and
-then downward. Matched volume is the maximum quantity pairable without any
-agent trading with itself. Agents are paired first: the lowest-id buyer with
-demand left takes the lowest-id other seller with supply left (the next buyer
-takes it when that buyer is the only seller left); then, if one agent x still
-holds both demand and supply, existing pairs z -> y are rerouted into z -> x
-and x -> y, lowest y and then lowest z first. Orders fill those agent
-budgets with priority to higher-priced buys and lower-priced sells, FIFO
-within a price level.
+Each environment step is one trading session (three per day by default), and
+the day and session derive from the session count ``t``. Orders live for a
+single session: agents re-decide every session, the book clears once per
+session at a single price, and unmatched orders expire. Clearing is a call
+auction: among the submitted limit prices, the clearing price is the one
+maximizing matched volume, ties broken toward the previous price and then
+downward. Matched volume is the maximum quantity pairable without any agent
+trading with itself. Agents are paired first: the lowest-id buyer with
+demand left takes the lowest-id other seller with supply left (the next
+buyer takes it when that buyer is the only seller left); then, if one agent
+x still holds both demand and supply, existing pairs z -> y are rerouted
+into z -> x and x -> y, lowest y and then lowest z first. Orders fill those
+agent budgets with priority to higher-priced buys and lower-priced sells,
+FIFO within a price level.
 """
 
 from __future__ import annotations
@@ -44,19 +45,6 @@ DEFAULT_PROFILES = {
     "B": "Tech company listed 3 years ago with high growth potential but questioned "
     "data reliability and past disclosure issues around its IPO.",
 }
-
-
-@dataclass(frozen=True)
-class MarketClock:
-    """Session-major clock: (d,1) -> (d,2) -> (d,3) -> (d+1,1)."""
-
-    day: int = 1
-    session: int = 1
-
-    def advanced(self, sessions_per_day: int = 3) -> "MarketClock":
-        if self.session < sessions_per_day:
-            return MarketClock(day=self.day, session=self.session + 1)
-        return MarketClock(day=self.day + 1, session=1)
 
 
 @dataclass
@@ -446,7 +434,6 @@ class MarketEnv(Environment):
 
     def _setup(self):
         cfg = self.config
-        self.clock = MarketClock(1, 1)
         self.t = 0
         self.stocks = {
             sym: StockState(cfg.initial_prices[sym], cfg.profiles.get(sym, ""))
@@ -467,17 +454,27 @@ class MarketEnv(Environment):
         )
 
     @property
+    def day(self) -> int:
+        """The day of session ``t``, from 1: (d, 1) -> ... -> (d, sessions_per_day) -> (d + 1, 1)."""
+        return self.t // self.config.sessions_per_day + 1
+
+    @property
+    def session(self) -> int:
+        """The session of ``t`` within its day, from 1."""
+        return self.t % self.config.sessions_per_day + 1
+
+    @property
     def current_date(self) -> dt.date:
-        return START_DATE + dt.timedelta(days=self.clock.day - 1)
+        return START_DATE + dt.timedelta(days=self.day - 1)
 
     def done(self) -> bool:
-        return self.clock.day > self.config.days
+        return self.day > self.config.days
 
     # -- tools -----------------------------------------------------------
 
     def _read_forum(self) -> str:
         """The previous day's posts, built once for every reader that day."""
-        previous_day = self.clock.day - 1
+        previous_day = self.day - 1
         return self._forum_text(tuple(p for p in self.forum if p.day == previous_day))
 
     def _tools(self) -> list[ToolSpec]:
@@ -506,12 +503,12 @@ class MarketEnv(Environment):
         """Two parts: the session head (the day, the date, the session and the
         stock lines) and the trader's account line. Only the account line is
         new for each trader; the head is shared, cached by the values it renders."""
-        cfg, clock = self.config, self.clock
+        cfg = self.config
         stocks = tuple((sym, self.stocks[sym].price, self.stocks[sym].profile_text) for sym in SYMBOLS)
         account = self.accounts[aid]
         holdings = ", ".join(f"{sym}={account.holdings.get(sym, 0)}" for sym in SYMBOLS)
         return (
-            self._head(clock.day, self.current_date, clock.session, cfg.sessions_per_day, stocks),
+            self._head(self.day, self.current_date, self.session, cfg.sessions_per_day, stocks),
             f"Your account: cash {account.cash:.2f}, holdings {holdings}, "
             f"loan {account.loan_principal:.2f}, style {account.style}.",
         )
@@ -521,8 +518,7 @@ class MarketEnv(Environment):
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:
         if self.done():
             raise RuntimeError("step called on a finished episode")
-        cfg = self.config
-        day, session = self.clock.day, self.clock.session
+        day, session = self.day, self.session
 
         if session == 1:
             self._daily_loans(actions)
@@ -535,9 +531,9 @@ class MarketEnv(Environment):
                         {"reason": "loans are granted at the first session of the day", "requested": request},
                     )
 
-        books = self._collect_orders(actions)
+        books = self._collect_orders(actions, day, session)
         for sym in SYMBOLS:
-            self._clear_symbol(sym, books[sym])
+            self._clear_symbol(sym, books[sym], day, session)
 
         for aid in sorted(actions):
             post = actions[aid].body.get("forum_post")
@@ -545,7 +541,6 @@ class MarketEnv(Environment):
                 self.forum.append(ForumPost(agent=aid, day=day, text=str(post)))
                 self.events.append(aid, self.t, "forum_post", {"day": day, "text": str(post)})
 
-        self.clock = self.clock.advanced(cfg.sessions_per_day)
         self.t += 1
         return self._observations()
 
@@ -566,7 +561,7 @@ class MarketEnv(Environment):
                 continue
             self.events.append(aid, self.t, "loan", {"amount": amount, "principal": self.accounts[aid].loan_principal})
 
-    def _collect_orders(self, actions: Mapping[int, ActionEnvelope]) -> dict[str, list[Order]]:
+    def _collect_orders(self, actions: Mapping[int, ActionEnvelope], day: int, session: int) -> dict[str, list[Order]]:
         books: dict[str, list[Order]] = {sym: [] for sym in SYMBOLS}
         reserved_cash: dict[int, float] = defaultdict(float)
         reserved_shares: dict[tuple[int, str], int] = defaultdict(int)
@@ -599,8 +594,8 @@ class MarketEnv(Environment):
                         "side": order.side,
                         "limit_price": order.limit_price,
                         "quantity": order.quantity,
-                        "day": self.clock.day,
-                        "session": self.clock.session,
+                        "day": day,
+                        "session": session,
                     },
                 )
         return books
@@ -636,7 +631,7 @@ class MarketEnv(Environment):
                 return "insufficient holdings"
         return None
 
-    def _clear_symbol(self, sym: str, book: list[Order]) -> None:
+    def _clear_symbol(self, sym: str, book: list[Order], day: int, session: int) -> None:
         stock = self.stocks[sym]
         price, trades, _ = clear_session(book, stock.price)
         settle(trades, self.accounts)
@@ -646,8 +641,8 @@ class MarketEnv(Environment):
         self.events.append(
             ENV_ACTOR, self.t, "clear",
             {
-                "day": self.clock.day,
-                "session": self.clock.session,
+                "day": day,
+                "session": session,
                 "symbol": sym,
                 "price": price,
                 "volume": sum(t.quantity for t in trades),

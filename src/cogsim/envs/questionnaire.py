@@ -109,11 +109,8 @@ class ScoreReport:
 
 def shuffle_items(items: Sequence[Item], seed: int) -> list[Item]:
     """Seeded Fisher-Yates permutation of the item list."""
-    rng = child_rng(seed, "questionnaire-order")
     out = list(items)
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        out[i], out[j] = out[j], out[i]
+    child_rng(seed, "questionnaire-order").shuffle(out)
     return out
 
 
@@ -162,36 +159,30 @@ class QuestionnaireEnv(Environment):
 
     def _setup(self):
         self.order = shuffle_items(self.items, self.seed)
-        self.index = 0
+        self.t = 0
 
     def done(self) -> bool:
-        return self.index >= len(self.order)
+        return self.t >= len(self.order)
 
     def _context_for(self, aid: int) -> tuple[str]:
-        item = self.order[self.index]
+        item = self.order[self.t]
         return (
-            f"Question {self.index + 1} of {len(self.order)}.\n"
+            f"Question {self.t + 1} of {len(self.order)}.\n"
             f"{item.text}\n"
             f"Answer with a single integer on {item.scale.describe()}.",
         )
 
-    def _now(self) -> int:
-        return self.index
-
-    def _final_context(self, aid: int) -> tuple[str]:
-        return ("Questionnaire complete.",)
-
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:
         if self.done():
             raise RuntimeError("step called on a finished episode")
-        item = self.order[self.index]
+        item = self.order[self.t]
         for aid in sorted(actions):
             raw = actions[aid].body["answer"]
             snapped = item.scale.snap(float(raw))
             if snapped != raw:
                 logger.warning("agent %d answer %r off-scale for %s; snapped to %d", aid, raw, item.item_id, snapped)
-            self.events.append(aid, self.index, "answer", {"item_id": item.item_id, "value": snapped})
-        self.index += 1
+            self.events.append(aid, self.t, "answer", {"item_id": item.item_id, "value": snapped})
+        self.t += 1
         return self._observations()
 
 

@@ -84,12 +84,14 @@ class ToolSpec:
 
 @dataclass
 class Observation:
-    """Per-agent view of the environment for one step.
+    """Per-agent view of the environment for one step, stamped with the
+    environment's clock ``t``.
 
     ``response_schema`` present means an action is expected this step;
     observe-only observations leave it ``None`` and the runner skips the
-    agent's policy. The context is kept as :data:`Text` parts, so memory can
-    archive a shared part by reference; ``context_text`` joins them.
+    agent's policy, so an environment can ask only some agents to act. The
+    context is kept as :data:`Text` parts, so memory can archive a shared
+    part by reference; ``context_text`` joins them.
     """
 
     agent_id: AgentId
@@ -200,10 +202,11 @@ class Environment(ABC):
     ascending agent id so replays are deterministic.
 
     A subclass supplies ascending ``agent_ids``, its action ``schema``,
-    ``_setup`` (build the initial state), ``_context_for`` (one agent's
-    context, a :data:`Text` tuple of parts), ``step`` and ``done``. It
-    overrides ``_now``, ``_final_context``, ``_tools`` or ``_inbox`` where it
-    differs.
+    ``_setup`` (build the initial state and set the clock ``t``),
+    ``_context_for`` (one agent's context, a :data:`Text` tuple of parts),
+    ``step`` and ``done``. It overrides ``_tools`` or ``_inbox`` where it
+    differs. ``t`` is the only clock: every observation is stamped with it.
+    A finished environment emits no observations.
     """
 
     name: str = "env"
@@ -233,14 +236,6 @@ class Environment(ABC):
     def _context_for(self, aid: AgentId) -> Text:
         raise NotImplementedError
 
-    def _now(self) -> TimeStep:
-        """The time stamped on observations."""
-        return self.t
-
-    def _final_context(self, aid: AgentId) -> Text:
-        """``aid``'s context once ``done()`` holds."""
-        return self._context_for(aid)
-
     def _tools(self) -> list[ToolSpec]:
         return []
 
@@ -248,16 +243,11 @@ class Environment(ABC):
         return []
 
     def _observations(self) -> dict[AgentId, Observation]:
-        """One observation per agent; once ``done()`` holds, the final context
-        with no schema and no tools."""
+        """One observation per agent, stamped ``t``; none once ``done()`` holds."""
         if self.done():
-            context, tools, schema = self._final_context, [], None
-        else:
-            context, tools, schema = self._context_for, self._tools(), self.schema
-        now = self._now()
-        return {
-            aid: Observation(aid, now, context(aid), self._inbox(aid), tools, schema) for aid in self.agent_ids
-        }
+            return {}
+        t, tools, schema = self.t, self._tools(), self.schema
+        return {aid: Observation(aid, t, self._context_for(aid), self._inbox(aid), tools, schema) for aid in self.agent_ids}
 
 
 @dataclass

@@ -211,7 +211,7 @@ class AblationConfig:
 class ExperimentConfig:
     """The config schema: its fields are the allowed top-level keys and its defaults the only defaults."""
 
-    environment: dict[str, Any] = field(metadata={"kinds": ENVIRONMENTS})
+    environment: dict[str, Any] | None = field(default=None, metadata={"kinds": ENVIRONMENTS})
     agents: AgentsConfig = field(default_factory=AgentsConfig)
     backend: dict[str, Any] = field(
         default_factory=lambda: {"kind": "scripted"}, metadata={"kinds": BACKENDS, "kind": "scripted"}

@@ -14,7 +14,7 @@ from cogsim.envs.auction import AuctionItem
 from cogsim.envs.market import NewsItem
 from cogsim.envs.questionnaire import Item
 from cogsim.errors import ConfigError
-from cogsim.protocol import read_episodes
+from cogsim.protocol import Environment, read_episodes
 from cogsim.runners import (
     BACKENDS,
     ENVIRONMENTS,
@@ -80,10 +80,13 @@ def test_unknown_section_key_names_dotted_path(tmp_path):
     assert err.value.field == "agents.oops"
 
 
-def test_missing_environment_rejected(tmp_path):
-    path = write_config(tmp_path, {"seed": 3})
-    with pytest.raises(ConfigError):
-        load_config(path)
+def test_missing_environment_rejected(tmp_path, capsys):
+    ablation = {"headline": "h", "summary": "s", "news": []}
+    path = write_config(tmp_path, {"seed": 3, "ablation": ablation, "out": str(tmp_path / "out")})
+    for command in ("run", "trials", "ablation"):  # transfer and multiworld do not read the section
+        assert main([command, "--config", str(path)]) == 1
+        assert "environment" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_json_is_config_error(tmp_path):
@@ -779,6 +782,16 @@ def test_readme_flags_match_parser(capsys):
         assert main([name, "--help"]) == 0
         offered = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
         assert offered == promised, name
+
+
+def test_readme_environment_hooks_match_the_contract():
+    """The backticked ``_hooks`` of the README's ``cogsim.protocol`` bullet are
+    the private methods ``Environment`` defines, but the observation builder."""
+    readme = (ROOT / "README.md").read_text()
+    bullet = readme[readme.index("- **`cogsim.protocol`**"):].split("\n- **", 1)[0]
+    promised = set(re.findall(r"`(_[a-z_]+)", bullet))
+    own = {name for name, value in vars(Environment).items() if inspect.isfunction(value) and name.startswith("_") and not name.startswith("__")}
+    assert promised == own - {"_observations"}
 
 
 SHIPPED_RUNS = next(m for m in test_shipped_configs_run_clean.pytestmark if m.name == "parametrize").args[1]

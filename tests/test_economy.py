@@ -313,8 +313,7 @@ POLICY = st.tuples(st.integers(0, 1000), st.floats(1e-9, 1e7, **FINITE), POLICY_
 @given(st.lists(HOUSEHOLD, min_size=1, max_size=4), st.lists(st.tuples(POLICY, st.lists(WEALTH, min_size=4, max_size=4)), min_size=1, max_size=4))
 def test_context_parts_join_to_the_reference_string(households, states):
     """Whatever the households and policy, and however they change between
-    calls on one environment, the parts join to today's f-string, also once
-    the episode is done."""
+    calls on one environment, the parts join to today's f-string."""
     env = EconomyEnv(EconomyConfig(n_households=len(households), months=3))
     for aid, (skill, wage, wealth, employed) in enumerate(households):
         hh = env.state.households[aid]
@@ -328,10 +327,8 @@ def test_context_parts_join_to_the_reference_string(households, states):
             parts = env._context_for(aid)
             assert len(parts) == 5 and all(isinstance(part, str) for part in parts)
             assert "".join(parts) == reference_context(env.state, aid)
-            assert "".join(env._final_context(aid)) == reference_context(env.state, aid)
-    env.state.month = env.config.months  # done: the observations carry the final context
-    final = env._observations()
-    assert all(final[aid].context_text == reference_context(env.state, aid) for aid in env.agent_ids)
+    env.state.month = env.config.months  # done: a finished economy emits no observations
+    assert env._observations() == {}
 
 
 def test_month_lines_shared_by_households_and_traits_across_months():

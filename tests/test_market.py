@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cogsim.envs.market import (
     SYMBOLS,
     ForumPost,
-    MarketClock,
     MarketConfig,
     MarketEnv,
     NewsItem,
@@ -451,13 +450,20 @@ def hold_policy(obs):
     return ActionEnvelope(agent_id=obs.agent_id, time=obs.time, body={"orders": []})
 
 
-def test_clock_advances_session_major():
-    clock = MarketClock(1, 1)
-    seen = [clock]
-    for _ in range(4):
-        clock = clock.advanced()
-        seen.append(clock)
-    assert [(c.day, c.session) for c in seen] == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+@PROPERTY
+@given(sessions_per_day=st.integers(1, 5), days=st.integers(0, 4))
+def test_clock_advances_session_major(sessions_per_day, days):
+    """Day and session follow ``t`` by the session-major rule, and the episode
+    ends at the first ``t`` past the last day."""
+    env = MarketEnv(MarketConfig(n_agents=1, days=days, sessions_per_day=sessions_per_day))
+    observations, clock = env.reset(), (1, 1)
+    while not env.done():
+        assert (env.day, env.session) == clock and observations[0].time == env.t
+        observations = env.step({0: hold_policy(observations[0])})
+        day, session = clock
+        clock = (day, session + 1) if session < sessions_per_day else (day + 1, 1)
+    assert env.t == days * sessions_per_day and (env.day, env.session) == clock
+    assert observations == {}
 
 
 def test_full_run_has_exactly_days_times_sessions_steps():
@@ -545,7 +551,7 @@ def test_forum_tool_returns_only_previous_day():
     # day 1: three sessions of posts
     for _ in range(3):
         env.step({aid: poster(obs) for aid, obs in env._observations().items()})
-    assert env.clock.day == 2
+    assert env.day == 2
     text = env._read_forum()
     assert "t=0" in text and "t=1" in text and "t=2" in text
     # posts from the current day never appear
@@ -624,8 +630,8 @@ def test_a_limit_price_past_the_float_range_never_reaches_the_book(price):
 
 def reference_context(env, aid):
     """One trader's context as a single text, line by line: the oracle its parts must join to."""
-    cfg, clock, account = env.config, env.clock, env.accounts[aid]
-    lines = [f"Day {clock.day} ({env.current_date.isoformat()}), session {clock.session} of {cfg.sessions_per_day}."]
+    cfg, account = env.config, env.accounts[aid]
+    lines = [f"Day {env.day} ({env.current_date.isoformat()}), session {env.session} of {cfg.sessions_per_day}."]
     for sym in SYMBOLS:
         lines.append(f"Stock {sym} price {env.stocks[sym].price:.2f}. {env.stocks[sym].profile_text}")
     holdings = ", ".join(f"{sym}={account.holdings.get(sym, 0)}" for sym in SYMBOLS)
@@ -645,11 +651,11 @@ MONEY = st.floats(0.005, 1e9, allow_nan=False, allow_infinity=False)
     cash=st.floats(-1e6, 1e12),
     holdings=st.tuples(st.integers(-5, 10**7), st.integers(0, 10**7)),
     loan=st.floats(0, 1e9),
-    clock=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    t=st.integers(0, 8),
 )
-def test_context_parts_join_to_the_reference_text(prices, cash, holdings, loan, clock):
+def test_context_parts_join_to_the_reference_text(prices, cash, holdings, loan, t):
     env = MarketEnv(MarketConfig(n_agents=3, days=3))
-    env.clock = MarketClock(*clock)
+    env.t = t
     for sym, price in zip(SYMBOLS, prices):
         env.stocks[sym].record_price(price)
     account = env.accounts[1]

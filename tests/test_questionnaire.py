@@ -4,6 +4,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogsim.envs.questionnaire import (
     Item,
@@ -17,6 +19,7 @@ from cogsim.envs.questionnaire import (
 from cogsim.errors import IncompleteSheet
 from cogsim.protocol import ActionEnvelope, run_episode
 from cogsim.runners import parse
+from cogsim.seeds import child_rng
 
 DATA = Path(__file__).parent / "data"
 
@@ -88,6 +91,23 @@ def test_shuffle_is_bijection():
     for seed in range(10):
         shuffled = shuffle_items(items, seed)
         assert Counter(i.item_id for i in shuffled) == Counter(i.item_id for i in items)
+
+
+def fisher_yates(items, seed):
+    """A hand-written seeded Fisher-Yates: one ``randrange(i + 1)`` draw per index, top index first."""
+    rng = child_rng(seed, "questionnaire-order")
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32), size=st.integers(0, 40))
+def test_shuffle_makes_the_draws_of_a_hand_written_fisher_yates(seed, size):
+    items = [likert_item(f"i{k}") for k in range(size)]
+    assert shuffle_items(items, seed) == fisher_yates(items, seed)
 
 
 # --- scoring ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from cogsim.envs.questionnaire import Item, ScaleSpec, score_answers
 from cogsim.envs.social import SocialEnv, star_profiles
 from cogsim.errors import SchemaViolation
 from cogsim.memory import BufferMemory
-from cogsim.protocol import ActionEnvelope, step_world
+from cogsim.protocol import ActionEnvelope, run_episode, step_world
 from cogsim.runners import (
     BACKENDS,
     AblationSetting,
@@ -290,7 +290,7 @@ def test_multiworld_env_state_persists_across_cycles():
     social = SocialEnv(star_profiles(2), seed_post="seed")
     run_multiworld(MultiWorldSchedule(environments=[market, social], cycles=4), make_multiworld_agents(2))
     # four market sessions executed without reset: clock moved to day 2, session 2
-    assert (market.clock.day, market.clock.session) == (2, 2)
+    assert (market.day, market.session) == (2, 2)
     assert social.t == 4
 
 
@@ -471,39 +471,39 @@ def test_build_setup_full_stack_runs():
     config = market_trials_config(trials=1, agents=3, days=1)
     env, agents = build_setup(config, make(BACKENDS, config.backend), seed=0)
     assert len(agents) == 3
-    from cogsim.protocol import run_episode
-
     log = run_episode(env, agents, max_steps=10, seed=0)
     assert log.steps_executed == 3
 
 
-# A small spec, a valid action body and the clock stamped on observations, per environment kind.
+# A small spec and a valid action body, per environment kind.
 AUCTION_LOTS = [{"name": n, "starting_price": 10.0, "true_value": 12.0, "estimated_value": 15.0} for n in "ab"]
 CONTRACT_CASES = {
-    "market": ({"kind": "market", "agents": 3, "days": 1}, {"orders": []}, lambda env: env.t),
+    "market": ({"kind": "market", "agents": 3, "days": 1}, {"orders": []}),
     "economy": (
         {"kind": "economy", "agents": 3, "months": 3},
         {"work_propensity": 0.6, "consumption_propensity": 0.3},
-        lambda env: env.state.month,
     ),
     "social": (
         {"kind": "social", "agents": 3, "seed_post": "hello"},
         {"kind": "create_comment", "content": "hi", "target_post": 1},
-        lambda env: env.t,
     ),
-    "auction": ({"kind": "auction", "agents": 2, "items": AUCTION_LOTS}, {"bid": None}, lambda env: env.t),
+    "auction": ({"kind": "auction", "agents": 2, "items": AUCTION_LOTS}, {"bid": None}),
     "questionnaire": (
         {"kind": "questionnaire", "agents": 2, "items": str(Path(__file__).parent / "data" / "bias_bank.jsonl")},
         {"answer": 4},
-        lambda env: env.index,
     ),
 }
+# each kind as above, then the kinds that can be configured to end before their first step
+ZERO_LENGTH = {"market": {"days": 0}, "economy": {"months": 0}, "auction": {"items": []}}
+CONTRACT_RUNS = [(kind, {}) for kind in sorted(runners.ENVIRONMENTS)] + sorted(ZERO_LENGTH.items())
 
 
-@pytest.mark.parametrize("kind", sorted(runners.ENVIRONMENTS))
-def test_environment_observation_contract(kind):
-    spec, body, clock = CONTRACT_CASES[kind]
-    env = build_environment(parse(ExperimentConfig, {"environment": spec}).environment, seed=0)
+@pytest.mark.parametrize(
+    "kind,overrides", CONTRACT_RUNS, ids=[kind + ("-zero-length" if overrides else "") for kind, overrides in CONTRACT_RUNS]
+)
+def test_environment_observation_contract(kind, overrides):
+    spec, body = CONTRACT_CASES[kind]
+    env = build_environment(parse(ExperimentConfig, {"environment": {**spec, **overrides}}).environment, seed=0)
 
     def policy(obs):
         return ActionEnvelope(agent_id=obs.agent_id, time=obs.time, body=dict(body))
@@ -513,15 +513,17 @@ def test_environment_observation_contract(kind):
     assert env.agent_ids == sorted(env.agent_ids)
     observations = env.reset()
     for _ in range(12):
+        if env.done():
+            assert observations == {}  # a finished environment emits nothing
+            break
         assert list(observations) == env.agent_ids
-        assert all(obs.time == clock(env) for obs in observations.values())
-        # every context, the final one too, is a tuple of str parts
+        assert all(obs.time == env.t for obs in observations.values())
+        # every context is a tuple of str parts
         assert all(type(obs.context_parts) is tuple for obs in observations.values())
         assert all(type(part) is str for obs in observations.values() for part in obs.context_parts)
-        if env.done():
-            assert all(obs.response_schema is None and obs.tools == [] for obs in observations.values())
-            break
         assert all(obs.response_schema is env.schema is not None for obs in observations.values())
         observations = step_world(env, observations, agents)
     assert env.done() == (kind != "social")
+    if overrides:
+        assert env.t == 0 and run_episode(env, agents, max_steps=None).steps_executed == 0
 
