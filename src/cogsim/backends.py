@@ -23,6 +23,8 @@ from .errors import ConfigError, ParseFailure, RemoteExhausted, RemoteTimeout, R
 from .protocol import ToolSpec
 from .schema import ResponseSchema, canonical_json, validate_action
 
+REMOTE_ATTEMPTS = 3  # how many times a RemoteBackend sends one request before it gives up
+
 
 @dataclass(frozen=True)
 class ToolCallRequest:
@@ -68,11 +70,8 @@ class ChatTurn:
 @dataclass
 class CompletionRequest:
     turns: list[ChatTurn]
-    model_id: str = "scripted"
-    temperature: float = 0.0
     tools: list[ToolSpec] = field(default_factory=list)
     response_schema: ResponseSchema | None = None
-    max_retries: int = 2
 
     def __post_init__(self):
         if not self.turns:
@@ -102,8 +101,8 @@ class CompletionResult:
 
 
 def request_fingerprint(request: CompletionRequest) -> str:
-    """Stable hash of (turns, tools, schema); model and temperature are
-    excluded, so recorded transcripts survive cosmetic config changes."""
+    """Stable hash of the whole request: turns, tools and schema. Model, temperature
+    and retries are the backend's, so a recorded transcript replays under any of them."""
     payload: dict[str, Any] = {
         "turns": [
             {
@@ -304,11 +303,12 @@ class RemoteBackend(CompletionBackend):
     """Chat-completions-compatible HTTP backend.
 
     Auth comes from the environment variable named by ``auth_env`` (never
-    from config files). Transport errors, 5xx and 429 responses are retried
-    up to ``request.max_retries`` times with exponential backoff (attempt n
-    waits 2^n x 100 ms, jittered from the injected stream), or as long as a
-    429's ``Retry-After`` delta-seconds say (RFC 9110 section 10.2.3). Other
-    4xx responses are fatal. At most ``in_flight_limit`` requests are open.
+    from config files). A request goes out as model ``"scripted"`` at
+    temperature 0.0, up to ``REMOTE_ATTEMPTS`` times: transport errors, 5xx
+    and 429 responses retry after an exponential backoff (attempt n waits
+    2^n x 100 ms, jittered from the injected stream) or a 429's
+    ``Retry-After`` delta-seconds (RFC 9110 section 10.2.3). Other 4xx
+    responses are fatal. At most ``in_flight_limit`` requests are open.
 
     Requests go over keep-alive ``http.client`` connections (``https``
     endpoints with the default verifying SSL context), imported when the
@@ -372,8 +372,8 @@ class RemoteBackend(CompletionBackend):
                 msg["tool_call_id"] = turn.tool_call_id
             messages.append(msg)
         body: dict[str, Any] = {
-            "model": request.model_id,
-            "temperature": request.temperature,
+            "model": "scripted",
+            "temperature": 0.0,
             "messages": messages,
         }
         if request.tools:
@@ -412,7 +412,7 @@ class RemoteBackend(CompletionBackend):
         data = json.dumps(body, allow_nan=False).encode("utf-8")
         last_error: Exception | None = None
         timed_out = False
-        for attempt in range(request.max_retries + 1):
+        for attempt in range(REMOTE_ATTEMPTS):
             if attempt > 0:
                 self._sleeper(self._backoff(attempt) if retry_after is None else retry_after)
             retry_after: float | None = None  # set by a 429 for the next attempt's wait
@@ -438,8 +438,8 @@ class RemoteBackend(CompletionBackend):
                 raise RemoteExhausted(f"remote rejected request: {status} {text}")
             return self._parse_response(content)
         if timed_out:
-            raise RemoteTimeout(f"remote timed out after {request.max_retries + 1} attempts") from last_error
-        raise RemoteExhausted(f"remote failed after {request.max_retries + 1} attempts: {last_error}")
+            raise RemoteTimeout(f"remote timed out after {REMOTE_ATTEMPTS} attempts") from last_error
+        raise RemoteExhausted(f"remote failed after {REMOTE_ATTEMPTS} attempts: {last_error}")
 
     @staticmethod
     def _parse_response(content: bytes) -> CompletionResult:
@@ -577,8 +577,8 @@ def parse_structured(
     Raw text that already parses as a valid JSON object short-circuits the
     backend entirely. Otherwise the text is re-submitted with the
     schema embedded; each invalid round retries with the violation list
-    appended, up to ``max_retries`` extra attempts. These parse retries
-    leave each request's transport retry budget at its default.
+    appended, up to ``max_retries`` extra attempts. Each parse attempt is
+    one request, which the backend may retry on its own transport.
 
     Raises :class:`ParseFailure` (carrying the last violations) when the
     retries are exhausted.

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backends import ChatTurn, CompletionBackend, parse_structured, run_tool_loop
-from .errors import ContractViolation
 from .memory import MemoryEntry, MemoryStore, NullMemory
 from .protocol import ActionEnvelope, Observation, Text
 from .schema import canonical_json
@@ -76,8 +75,7 @@ def compose_prompt(obs: Observation, cfg: PersonaConfig, mem: MemoryStore) -> Pr
     if obs.inbox:
         inbox = "\n".join(msg.render() for msg in obs.inbox)
         observation = (*observation, "\n", inbox) if any(observation) else (inbox,)
-    schema_hint = obs.response_schema.hint_text() if obs.response_schema else ""
-    return PromptBundle(cfg.render(), mem.render(), observation, schema_hint)
+    return PromptBundle(cfg.render(), mem.render(), observation, obs.response_schema.hint_text())
 
 
 def agent_step(
@@ -91,12 +89,10 @@ def agent_step(
 ) -> ActionEnvelope:
     """Run one full decision: prompt, tool loop, structured parse, memory writes.
 
-    Requires an actionable observation (``response_schema`` present). Tool
-    failures surface as error-text results in memory and keep the step
+    The final text is parsed against the observation's ``response_schema``.
+    Tool failures surface as error-text results in memory and keep the step
     alive; parse failures propagate.
     """
-    if obs.response_schema is None:
-        raise ContractViolation("agent_step requires an observation with a response schema")
     bundle = compose_prompt(obs, cfg, mem)
     mem.record(MemoryEntry(obs.time, world_tag, "observation", obs.context_parts))
     final_text, trace = run_tool_loop(backend, bundle.as_turns(), obs.tools, max_rounds=max_tool_rounds)

@@ -199,7 +199,7 @@ class AuctionEnv(Environment):
         for item_name in sorted(priorities):
             score = priorities[item_name]
             if item_name in remaining and isinstance(score, (int, float)) and not isinstance(score, bool):
-                scores[item_name] = max(0.0, min(100.0, float(score)))
+                scores[item_name] = float(max(0.0, min(100.0, score)))  # clamped first: an int may pass the float range
         if scores:
             self.events.append(aid, self.t, "priorities", scores)
 

@@ -622,7 +622,7 @@ class MarketEnv(Environment):
             return "quantity must be positive"
         account = self.accounts[aid]
         if raw["side"] == "buy":
-            needed = raw["limit_price"] * raw["quantity"]
+            needed = float(raw["limit_price"]) * raw["quantity"]  # a float: a cost past its range is inf, and refused
             if reserved_cash[aid] + needed > account.cash + 1e-9:
                 return "insufficient cash"
         else:

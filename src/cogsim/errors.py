@@ -5,12 +5,8 @@ class SimulationError(Exception):
     """Base class for all framework errors."""
 
 
-class ContractViolation(SimulationError):
-    """An operation was invoked outside its stated preconditions."""
-
-
 class AgentMissing(SimulationError):
-    """The environment emitted an actionable observation for an unknown agent."""
+    """The environment emitted an observation for an unknown agent."""
 
 
 class SchemaViolation(SimulationError):

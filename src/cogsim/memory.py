@@ -90,9 +90,6 @@ class MemoryEntry:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def render(self) -> str:
-        return f"[{self.world_tag} t={self.time} {self.role}] {self.content}"
-
 
 class MemoryStore:
     """Base store: archives everything, renders nothing by itself."""

@@ -87,19 +87,19 @@ class Observation:
     """Per-agent view of the environment for one step, stamped with the
     environment's clock ``t``.
 
-    ``response_schema`` present means an action is expected this step;
-    observe-only observations leave it ``None`` and the runner skips the
-    agent's policy, so an environment can ask only some agents to act. The
-    context is kept as :data:`Text` parts, so memory can archive a shared
-    part by reference; ``context_text`` joins them.
+    Every observation asks for an action that ``response_schema`` (the
+    environment's ``schema``) validates. An environment lets an agent sit
+    out a step by emitting no observation for it. The context is kept as
+    :data:`Text` parts, so memory can archive a shared part by reference;
+    ``context_text`` joins them.
     """
 
     agent_id: AgentId
     time: TimeStep
     context_parts: Text
+    response_schema: ResponseSchema
     inbox: list[Message] = field(default_factory=list)
     tools: list[ToolSpec] = field(default_factory=list)
-    response_schema: ResponseSchema | None = None
 
     def __post_init__(self):
         if len(self.tools) > 1 and len({tool.name for tool in self.tools}) != len(self.tools):
@@ -211,7 +211,7 @@ class Environment(ABC):
 
     name: str = "env"
     agent_ids: list[AgentId]
-    schema: ResponseSchema | None = None
+    schema: ResponseSchema
 
     def __init__(self):
         self.events = EventLog()
@@ -247,7 +247,7 @@ class Environment(ABC):
         if self.done():
             return {}
         t, tools, schema = self.t, self._tools(), self.schema
-        return {aid: Observation(aid, t, self._context_for(aid), self._inbox(aid), tools, schema) for aid in self.agent_ids}
+        return {aid: Observation(aid, t, self._context_for(aid), schema, self._inbox(aid), tools) for aid in self.agent_ids}
 
 
 @dataclass
@@ -331,19 +331,15 @@ def step_world(
 ) -> dict[AgentId, Observation]:
     """Advance ``env`` by one step and return its next observations.
 
-    Observations without a response schema are observe-only and skip the
-    policy. Policies run in ascending agent id, or all at once on ``pool``;
-    every body is validated against its schema before the joint action map
-    is applied.
+    Each observed agent's policy runs, in ascending agent id, or all at once
+    on ``pool``; an agent with no observation sits the step out. Every body
+    is validated against its observation's schema before the joint action
+    map is applied.
     """
-    pending: list[tuple[AgentId, Observation]] = []
-    for aid in sorted(observations):
-        obs = observations[aid]
-        if obs.response_schema is None:
-            continue
+    pending = sorted(observations.items())
+    for aid, _ in pending:
         if aid not in agents:
-            raise AgentMissing(f"actionable observation for unknown agent {aid}")
-        pending.append((aid, obs))
+            raise AgentMissing(f"observation for unknown agent {aid}")
 
     if pool is not None and len(pending) > 1:
         futures = [pool.submit(_invoke_policy, agents[aid], obs) for aid, obs in pending]

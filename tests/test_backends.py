@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import http.client
@@ -12,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from cogsim.backends import (
+    REMOTE_ATTEMPTS,
     ChatTurn,
     CompletionRequest,
     CompletionResult,
@@ -86,13 +88,9 @@ def test_replay_hit_and_miss():
         backend.complete(simple_request("perturbed"))
 
 
-def test_fingerprint_ignores_model_and_temperature_by_default():
-    a = request_fingerprint(simple_request("q", model_id="m1", temperature=0.0))
-    b = request_fingerprint(simple_request("q", model_id="m2", temperature=1.0))
-    assert a == b
-
-
 def test_fingerprint_sensitive_to_turns_tools_schema():
+    # a request holds exactly what its fingerprint hashes; model, temperature and retries are the backend's
+    assert [f.name for f in dataclasses.fields(CompletionRequest)] == ["turns", "tools", "response_schema"]
     base = request_fingerprint(simple_request("q"))
     assert request_fingerprint(simple_request("q!")) != base
     tool = ToolSpec(name="t", description="d", parameter_schema=ResponseSchema.of(), handler=lambda: "")
@@ -305,19 +303,6 @@ def test_parse_retry_feedback_appends_violations():
     assert "bid" in seen[1]
 
 
-def test_parse_retries_leave_transport_retries_at_default():
-    seen = []
-
-    class Spy:
-        def complete(self, request):
-            seen.append(request.max_retries)
-            return CompletionResult(content='{"bid": "high"}')
-
-    with pytest.raises(ParseFailure):
-        parse_structured("text", ResponseSchema.of(bid="integer"), Spy(), max_retries=0)
-    assert seen == [CompletionRequest.max_retries]
-
-
 def test_parse_recovers_on_retry():
     backend = CountingBackend(
         [CompletionResult(content="not json"), CompletionResult(content='{"bid": 3}')]
@@ -427,16 +412,16 @@ def test_remote_round_trip(stub_server, monkeypatch):
     tool = ToolSpec(name="t", description="d", parameter_schema=ResponseSchema.of(q="string"), handler=lambda q: q)
     request = CompletionRequest(
         turns=[ChatTurn(role="system", content="sys"), ChatTurn(role="user", content="hi")],
-        model_id="test-model",
-        temperature=0.5,
         tools=[tool],
         response_schema=ResponseSchema.of(a="integer"),
     )
     result = backend.complete(request)
     assert result.content == "stub says hi"
     body, headers = handler.seen_bodies[0]
-    assert body["model"] == "test-model"
-    assert body["temperature"] == 0.5
+    # every request posts the same model and temperature, first, as the backend's own settings
+    assert list(body)[:3] == ["model", "temperature", "messages"]
+    assert body["model"] == "scripted"
+    assert body["temperature"] == 0.0
     assert body["messages"][0] == {"role": "system", "content": "sys"}
     assert body["tools"][0]["type"] == "function"
     assert body["tools"][0]["function"]["name"] == "t"
@@ -449,7 +434,7 @@ def test_remote_retries_on_5xx_then_succeeds(stub_server):
     handler.fail_times = 2
     waits = []
     backend = RemoteBackend(url, sleeper=waits.append)
-    result = backend.complete(simple_request("q", max_retries=3))
+    result = backend.complete(simple_request("q"))
     assert result.content == "stub says hi"
     assert len(handler.seen_bodies) == 3
     assert len(waits) == 2
@@ -492,9 +477,9 @@ def test_remote_exhausts_retries(stub_server):
     url, handler = stub_server
     handler.fail_times = 99
     backend = RemoteBackend(url, sleeper=lambda s: None)
-    with pytest.raises(RemoteExhausted):
-        backend.complete(simple_request("q", max_retries=2))
-    assert len(handler.seen_bodies) == 3
+    with pytest.raises(RemoteExhausted, match="after 3 attempts"):
+        backend.complete(simple_request("q"))
+    assert len(handler.seen_bodies) == REMOTE_ATTEMPTS == 3
 
 
 def test_remote_timeout_raises_dedicated_error(stub_server):
@@ -504,7 +489,7 @@ def test_remote_timeout_raises_dedicated_error(stub_server):
     from cogsim.errors import RemoteTimeout
 
     with pytest.raises(RemoteTimeout):
-        backend.complete(simple_request("q", max_retries=1))
+        backend.complete(simple_request("q"))
 
 
 def test_remote_in_flight_limit(stub_server):
@@ -619,7 +604,7 @@ def test_remote_connection_refused_spends_every_attempt():
     waits = []
     backend = RemoteBackend(f"http://127.0.0.1:{port}/v1", sleeper=waits.append)
     with pytest.raises(RemoteExhausted, match="after 3 attempts") as failure:
-        backend.complete(simple_request("q", max_retries=2))
+        backend.complete(simple_request("q"))
     assert "refused" in str(failure.value).lower()
     assert len(waits) == 2
     assert 0.1 <= waits[0] <= 0.3 and 0.2 <= waits[1] <= 0.6
@@ -649,7 +634,7 @@ def test_remote_injected_session_failures_are_retried_then_raised(error, raised)
     session = FailingSession(error)
     backend = RemoteBackend("http://127.0.0.1:9/v1", sleeper=lambda s: None, session=session)
     with pytest.raises(raised):
-        backend.complete(simple_request("q", max_retries=2))
+        backend.complete(simple_request("q"))
     assert session.posts == 3
 
 

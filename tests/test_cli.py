@@ -360,6 +360,35 @@ def test_auction_run_records_each_bidders_clamped_priorities(tmp_path):
     assert "gone" not in events
 
 
+def test_auction_run_clamps_priority_scores_past_the_float_range(tmp_path):
+    out = tmp_path / "out"
+    answer = {"bid": None, "priorities": {"lamp": 10**400, "vase": -(10**400)}}
+    body = {
+        "environment": {"kind": "auction", "items": [*AUCTION_ITEMS, {**AUCTION_ITEMS[0], "name": "vase"}]},
+        "backend": {"kind": "scripted", "default_content": json.dumps(answer)},
+        "out": str(out),
+    }
+    assert main(["run", "--config", str(write_config(tmp_path, body))]) == 0
+    records = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    logged = [r["info"] for r in records if r.get("action") == "priorities"]
+    assert logged[:3] == [{"lamp": 100.0, "vase": 0.0}] * 3
+
+
+def test_market_run_refuses_a_buy_order_whose_cost_passes_the_float_range(tmp_path):
+    out = tmp_path / "out"
+    order = {"symbol": "A", "side": "buy", "limit_price": 100, "quantity": 10**307}
+    body = {
+        "environment": {"kind": "market", "agents": 2, "days": 1},
+        "backend": {"kind": "scripted", "default_content": json.dumps({"orders": [order]})},
+        "out": str(out),
+    }
+    assert main(["run", "--config", str(write_config(tmp_path, body))]) == 0
+    records = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    reasons = [r["info"]["reason"] for r in records if r.get("action") == "reject_order"]
+    assert reasons == ["insufficient cash"] * 6  # two traders, three sessions
+    assert not any(r.get("action") == "submit_order" for r in records)
+
+
 RATE = st.floats(0.0, 0.3)
 PROPENSITIES = st.fixed_dictionaries({"work_propensity": st.floats(0.0, 1.0), "consumption_propensity": st.floats(0.0, 1.0)})
 PRICE = st.floats(0.5, 40.0) | st.integers(1, 40)

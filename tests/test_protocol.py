@@ -117,7 +117,9 @@ class ScriptedEnv(Environment):
         self.t = 0
 
     def _obs(self):
-        schema = ResponseSchema.of(move="string") if not self.done() else None
+        if self.done():
+            return {}  # a finished environment emits nothing
+        schema = ResponseSchema.of(move="string")
         return {
             aid: Observation(
                 agent_id=aid,
@@ -337,32 +339,36 @@ def test_duplicate_tool_names_rejected():
     t1 = ToolSpec(name="dup", description="", parameter_schema=ResponseSchema.of(), handler=lambda: "")
     t2 = ToolSpec(name="dup", description="", parameter_schema=ResponseSchema.of(), handler=lambda: "")
     with pytest.raises(ValueError):
-        Observation(agent_id=0, time=0, context_parts=(), tools=[t1, t2])
+        Observation(agent_id=0, time=0, context_parts=(), response_schema=ResponseSchema.of(), tools=[t1, t2])
 
 
-def test_observe_only_observation_skips_policy():
-    class ObserveOnlyEnv(Environment):
-        def __init__(self):
-            super().__init__()
+def test_an_agent_without_an_observation_sits_out_the_step():
+    class FirstAgentEnv(Environment):
+        """Two agents, of which only agent 0 is observed, and so asked to act."""
+
+        agent_ids = [0, 1]
+        schema = ResponseSchema.of(move="string")
+
+        def _setup(self):
             self.t = 0
 
-        def reset(self):
-            self.t = 0
-            # agent 1 never acts; agent 0 does
-            return {
-                0: Observation(agent_id=0, time=0, context_parts=(), response_schema=ResponseSchema.of(move="string")),
-                1: Observation(agent_id=1, time=0, context_parts=()),
-            }
+        def _observations(self):
+            return {} if self.done() else {0: Observation(0, self.t, ("your move",), self.schema)}
 
         def step(self, actions):
             assert set(actions) == {0}
+            self.events.append(0, self.t, "move", actions[0].body)
             self.t += 1
-            return {}
+            return self._observations()
 
         def done(self):
-            return self.t >= 1
+            return self.t >= 2
 
-    env = ObserveOnlyEnv()
-    # agent 1 has no policy at all; must not raise
-    log = run_episode(env, {0: scripted_policy}, max_steps=5, seed=0)
-    assert log.steps_executed == 1
+    def must_not_run(obs):
+        raise AssertionError("agent 1 was asked to act without an observation")
+
+    # agent 1's policy never runs, and an agent 1 with no policy at all is not missed
+    for agents in ({0: scripted_policy, 1: must_not_run}, {0: scripted_policy}):
+        log = run_episode(FirstAgentEnv(), agents, max_steps=5, seed=0)
+        assert log.steps_executed == 2
+        assert [(r.user_id, r.current_time, r.info) for r in log.records] == [(0, 0, {"move": "go"}), (0, 1, {"move": "go"})]

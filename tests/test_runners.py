@@ -1,19 +1,23 @@
 import itertools
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cogsim import runners
 from cogsim.backends import CompletionResult, ScriptedBackend
 from cogsim.cognition import Agent, PersonaConfig, compose_prompt
-from cogsim.envs.market import MarketConfig, MarketEnv, NewsItem
+from cogsim.envs.market import ORDER_ITEM_SCHEMA, SYMBOLS, MarketConfig, MarketEnv, NewsItem
 from cogsim.envs.questionnaire import Item, ScaleSpec, score_answers
-from cogsim.envs.social import SocialEnv, star_profiles
-from cogsim.errors import SchemaViolation
+from cogsim.envs.social import ACTION_KINDS, SocialEnv, star_profiles
+from cogsim.errors import SchemaViolation, SimulationError
 from cogsim.memory import BufferMemory
 from cogsim.protocol import ActionEnvelope, run_episode, step_world
+from cogsim.schema import validate_action
 from cogsim.runners import (
     BACKENDS,
     AblationSetting,
@@ -527,3 +531,68 @@ def test_environment_observation_contract(kind, overrides):
     if overrides:
         assert env.t == 0 and run_episode(env, agents, max_steps=None).steps_executed == 0
 
+
+# --- every body a schema admits: each environment refuses it or runs it ------------
+
+FLOAT_MAX = int(sys.float_info.max)
+# integers a numeric field admits, up to the float range and at its edges, and past it, where only nested values go unchecked
+FITTING_INTS = st.integers(-100, 100) | st.sampled_from([-FLOAT_MAX, FLOAT_MAX]) | st.integers(-FLOAT_MAX, FLOAT_MAX)
+HUGE_INTS = st.integers(FLOAT_MAX + 1, 4 * FLOAT_MAX) | st.integers(-4 * FLOAT_MAX, -FLOAT_MAX - 1)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+TEXT = st.text(max_size=6)
+# the words a string field acts on, as often as any other text: market symbols and sides, social action kinds
+FIELD_WORDS = {"symbol": list(SYMBOLS), "side": ["buy", "sell"], "kind": list(ACTION_KINDS)}
+KEYS = st.sampled_from([lot["name"] for lot in AUCTION_LOTS]) | TEXT  # an object's keys: an auction's lots, or any text
+SCALARS = st.none() | st.booleans() | FITTING_INTS | HUGE_INTS | FLOATS | TEXT
+NESTED = SCALARS | st.lists(SCALARS, max_size=3) | st.dictionaries(KEYS, SCALARS, max_size=3)
+
+
+def bodies(schema, item_schema=None):
+    """Bodies that pass ``validate_action`` against ``schema``. An array holds any JSON values,
+    and as often bodies of ``item_schema`` where one is given."""
+    items = NESTED if item_schema is None else st.deferred(lambda: NESTED) | bodies(item_schema)  # deferred: not flattened
+    values = {
+        "integer": FITTING_INTS,
+        "number": FITTING_INTS | FLOATS,
+        "boolean": st.booleans(),
+        "array": st.lists(items, max_size=3),
+        "object": st.dictionaries(KEYS, NESTED, max_size=3),
+    }
+
+    def value(name, type_):
+        if type_ == "string":
+            return st.sampled_from(FIELD_WORDS[name]) | TEXT if name in FIELD_WORDS else TEXT
+        return values[type_]
+
+    return st.fixed_dictionaries(
+        {name: value(name, spec.type) for name, spec in schema.fields.items() if spec.required},
+        optional={name: st.none() | value(name, spec.type) for name, spec in schema.fields.items() if not spec.required},
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(runners.ENVIRONMENTS))
+@settings(
+    derandomize=True, database=None, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_every_body_the_schema_admits_is_refused_or_run(kind, data):
+    """Three steps of bodies that pass the schema raise nothing but a SimulationError."""
+    spec, _ = CONTRACT_CASES[kind]
+    env = build_environment(parse(ExperimentConfig, {"environment": spec}).environment, seed=0)
+    drawn = bodies(env.schema, ORDER_ITEM_SCHEMA)  # a market's orders array holds orders
+
+    def policy(obs):
+        body = data.draw(drawn)
+        assert validate_action(body, obs.response_schema) == []
+        return ActionEnvelope(obs.agent_id, obs.time, body)
+
+    agents = dict.fromkeys(env.agent_ids, policy)
+    observations = env.reset()
+    try:
+        for _ in range(3):
+            if env.done():
+                break
+            observations = step_world(env, observations, agents)
+    except SimulationError:
+        pass
