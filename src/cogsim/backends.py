@@ -132,27 +132,27 @@ class CompletionBackend:
         """Release what the backend keeps open between requests; the base keeps nothing."""
 
 
-RulePredicate = Callable[[str], bool]
-RuleResult = CompletionResult | Callable[[str], CompletionResult]
+ScriptedDefault = CompletionResult | Callable[[str], CompletionResult]
 
 
 class ScriptedBackend(CompletionBackend):
-    """Deterministic rule-table backend: first matching predicate fires.
+    """Deterministic rule-table backend: the first matching predicate's result
+    answers, else ``default``.
 
-    Predicates and callable results receive the rendered transcript text.
+    Predicates and a callable ``default`` receive the rendered transcript text.
     The table is read-only after construction, so one instance can serve
     many agents concurrently.
     """
 
-    def __init__(self, rules: Sequence[tuple[RulePredicate, RuleResult]] = (), default: RuleResult | None = None):
+    def __init__(self, rules: Sequence[tuple[Callable[[str], bool], CompletionResult]] = (), *, default: ScriptedDefault):
         self.rules = list(rules)
-        self.default = default if default is not None else CompletionResult(content="ok")
+        self.default = default
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         text = request.rendered()
         for predicate, result in self.rules:
             if predicate(text):
-                return result(text) if callable(result) else result
+                return result
         default = self.default
         return default(text) if callable(default) else default
 

@@ -16,7 +16,7 @@ Only bundle I/O loads with this module; the harness layer loads when a
 command runs, so a library run that writes its own bundle never loads it.
 
 Exit codes: 0 success, 1 config error or a bundle ``score`` refuses, 2
-runtime failure.
+any other failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError
 from .protocol import read_episodes
 from .schema import canonical_json
 
@@ -197,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error ({args.config}): {exc}", file=sys.stderr)
         return 1
-    except (SimulationError, OSError, ValueError, TypeError) as exc:
+    except Exception as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print(f"wrote bundle: {config.out}")

@@ -12,7 +12,11 @@ Monthly update, in order:
 5. interest on start-of-month wealth at rate/12
 6. wealth' = wealth + net income - spending + interest
 7. the central bank nudges the rate by 0.5 x (annualized inflation - 2%),
-   clamped to [0, 0.2]
+   clamped to [0, 0.2]; the new rate holds from the next month
+
+Each month closes with a ``month_close`` record of its
+:class:`MacroIndicators`, which carry the policy the month ran under: the
+tax rate in force during it and the interest rate set after it.
 
 These closed-form rules keep every run deterministic and the money ledger
 exact: the change in (total wealth + government revenue) each month equals
@@ -26,7 +30,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from ..seeds import child_rng
-from ..protocol import ActionEnvelope, Environment, EventRecord, Observation, csv_table
+from ..protocol import ActionEnvelope, Environment, EventRecord, Observation
 from ..errors import ConfigError, DegenerateX
 from ..schema import ResponseSchema
 from ..stats import fit_line
@@ -62,6 +66,11 @@ class MacroIndicators:
     inflation: float
     gdp: float
     gdp_growth: float
+    interest_rate: float
+    tax_rate: float
+
+
+MONTH_COLUMNS = tuple(f.name for f in fields(MacroIndicators))
 
 
 @dataclass(frozen=True)
@@ -130,18 +139,15 @@ def monthly_step(
     indicators = compute_indicators(state)
     state.gdp_history.append(indicators.gdp)
     state.price_history.append(state.price_level)
-    state.policy.interest_rate = next_interest_rate(state.policy.interest_rate, indicators.inflation)
+    state.policy.interest_rate = indicators.interest_rate
     return indicators
 
 
-def next_interest_rate(rate: float, inflation: float) -> float:
-    """The central bank's rule (step 7) after a month of ``inflation``."""
-    annualized = (1.0 + inflation) ** 12 - 1.0
-    return min(RATE_MAX, max(RATE_MIN, rate + RATE_GAIN * (annualized - INFLATION_TARGET)))
-
-
 def compute_indicators(state: EconomyState) -> MacroIndicators:
-    """Unemployment, price level, inflation, nominal GDP, and GDP growth in ``state.month``."""
+    """Unemployment, price level, inflation, nominal GDP and GDP growth in
+    ``state.month``; the interest rate the central bank's rule (step 7) sets
+    after it, and the tax rate in force in it."""
+    policy = state.policy
     households = state.households
     total = len(households)
     employed = sum(1 for hh in households.values() if hh.employed_this_month)
@@ -151,6 +157,8 @@ def compute_indicators(state: EconomyState) -> MacroIndicators:
     inflation = 0.0 if prev_price is None else state.price_level / prev_price - 1.0
     prev_gdp = state.gdp_history[-1] if state.gdp_history else None
     gdp_growth = 0.0 if not prev_gdp else gdp / prev_gdp - 1.0
+    annualized = (1.0 + inflation) ** 12 - 1.0
+    interest_rate = min(RATE_MAX, max(RATE_MIN, policy.interest_rate + RATE_GAIN * (annualized - INFLATION_TARGET)))
     return MacroIndicators(
         month=state.month,
         unemployment=unemployment,
@@ -158,6 +166,8 @@ def compute_indicators(state: EconomyState) -> MacroIndicators:
         inflation=inflation,
         gdp=gdp,
         gdp_growth=gdp_growth,
+        interest_rate=interest_rate,
+        tax_rate=policy.tax_rate,
     )
 
 
@@ -271,23 +281,6 @@ class EconomyEnv(Environment):
 def month_closes(records: Iterable[EventRecord]) -> list[MacroIndicators]:
     """Each month's indicators, from its ``month_close`` record."""
     return [MacroIndicators(**record.info) for record in records if record.action == "month_close"]
-
-
-def policy_rates(config: EconomyConfig, indicators: list[MacroIndicators]) -> list[tuple[float, float]]:
-    """Each month's interest rate set after it and tax rate in force in it, by :class:`EconomyEnv`'s rules."""
-    rate, rates = config.interest_rate, []
-    for month in indicators:
-        rate = next_interest_rate(rate, month.inflation)
-        rates.append((rate, config.tax_rate_in(month.month - 1)))
-    return rates
-
-
-def indicators_csv(config: EconomyConfig, records: Iterable[EventRecord]) -> str:
-    """One row per month: its :class:`MacroIndicators`, then its :func:`policy_rates`."""
-    indicators = month_closes(records)
-    header = [f.name for f in fields(MacroIndicators)] + ["interest_rate", "tax_rate"]
-    months = zip(indicators, policy_rates(config, indicators))
-    return csv_table(header, ([*vars(month).values(), rate, tax] for month, (rate, tax) in months))
 
 
 def economy_metrics(records: Iterable[EventRecord]) -> dict[str, float]:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Any, Mapping
 
 from ..errors import ConfigError, LoanRefused, UndefinedRatio
-from ..protocol import ActionEnvelope, Environment, EventRecord, Observation, ToolSpec, csv_table
+from ..protocol import ActionEnvelope, Environment, EventRecord, Observation, ToolSpec
 from ..schema import ResponseSchema, validate_action
 
 SYMBOLS = ("A", "B")
@@ -351,13 +351,6 @@ def buy_sell_ratio(records: list[EventRecord], symbol: str) -> float:
 
 
 CLEAR_COLUMNS = ("day", "session", "symbol", "price", "volume", "n_buys", "n_sells")
-
-
-def session_metrics_csv(records: list[EventRecord]) -> str:
-    """Per-session market metrics: the ``clear`` events' info, one row each."""
-    clears = (record.info for record in records if record.action == "clear")
-    rows = ([info[column] for column in CLEAR_COLUMNS] for info in clears)
-    return csv_table(CLEAR_COLUMNS, rows)
 
 
 def market_metrics(initial_prices: Mapping[str, float], records: list[EventRecord]) -> dict[str, float]:

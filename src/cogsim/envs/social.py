@@ -136,8 +136,8 @@ def build_feed(
     return [(post, visible_comments(post.post_id)) for post in islice(merged, cap)]
 
 
-def apply_social_action(action: SocialAction, state: SocialState, agent: int, time: int) -> EventRecord:
-    """Mutate the post/comment/like tables and return the matching log record.
+def apply_social_action(action: SocialAction, state: SocialState, agent: int, time: int, events: EventLog) -> EventRecord:
+    """Mutate the post/comment/like tables, and append the matching record to ``events`` and return it.
 
     Raises :class:`UnknownPost` (state untouched) when the target is absent,
     and ``ValueError`` for a post older than the newest one, which would break
@@ -151,10 +151,7 @@ def apply_social_action(action: SocialAction, state: SocialState, agent: int, ti
         state.posts[post.post_id] = post
         state.posts_by_author.setdefault(agent, []).append(post.post_id)
         state.next_post_id += 1
-        return EventRecord(
-            user_id=agent, current_time=time, action="create_post",
-            info={"content": action.content, "post_id": post.post_id},
-        )
+        return events.append(agent, time, "create_post", {"content": action.content, "post_id": post.post_id})
     if action.kind == "create_comment":
         if action.target_post not in state.posts:
             raise UnknownPost(f"post {action.target_post} does not exist")
@@ -169,23 +166,19 @@ def apply_social_action(action: SocialAction, state: SocialState, agent: int, ti
         state.comments_by_post.setdefault(action.target_post, []).append(comment.comment_id)
         state.next_comment_id += 1
         # post_id is carried alongside the Text-box fields so the stream replays
-        return EventRecord(
-            user_id=agent, current_time=time, action="create_comment",
-            info={"content": action.content, "comment_id": comment.comment_id, "post_id": action.target_post},
-        )
+        info = {"content": action.content, "comment_id": comment.comment_id, "post_id": action.target_post}
+        return events.append(agent, time, "create_comment", info)
     if action.kind == "like_post":
         if action.target_post not in state.posts:
             raise UnknownPost(f"post {action.target_post} does not exist")
         state.posts[action.target_post].likes.add(agent)
-        return EventRecord(
-            user_id=agent, current_time=time, action="like_post", info={"post_id": action.target_post}
-        )
-    return EventRecord(user_id=agent, current_time=time, action="do_nothing", info={})
+        return events.append(agent, time, "like_post", {"post_id": action.target_post})
+    return events.append(agent, time, "do_nothing")
 
 
 def replay_events(records: Iterable[EventRecord], profiles: Mapping[int, UserProfile]) -> SocialState:
     """Rebuild the full social state from an event stream."""
-    state = SocialState(profiles=dict(profiles))
+    state, events = SocialState(profiles=dict(profiles)), EventLog()
     for record in records:
         if record.action == "create_post":
             action = SocialAction(kind="create_post", content=record.info["content"])
@@ -197,7 +190,7 @@ def replay_events(records: Iterable[EventRecord], profiles: Mapping[int, UserPro
             action = SocialAction(kind="like_post", target_post=record.info["post_id"])
         else:
             continue
-        rebuilt = apply_social_action(action, state, agent=record.user_id, time=record.current_time)
+        rebuilt = apply_social_action(action, state, record.user_id, record.current_time, events)
         if rebuilt.line != record.line:
             raise AssertionError(f"replay diverged at {record}")
     return state
@@ -205,9 +198,7 @@ def replay_events(records: Iterable[EventRecord], profiles: Mapping[int, UserPro
 
 def seed_influencer(state: SocialState, content: str, influencer: int, events: EventLog) -> int:
     """Inject the opening post at t=0, before any agent acts, and log it to ``events``."""
-    record = apply_social_action(SocialAction(kind="create_post", content=content), state, influencer, time=0)
-    events.add(record)
-    return record.info["post_id"]
+    return apply_social_action(SocialAction(kind="create_post", content=content), state, influencer, 0, events).info["post_id"]
 
 
 ACTION_SCHEMA = ResponseSchema.of(kind="string", content="string?", target_post="integer?")
@@ -313,11 +304,10 @@ class SocialEnv(Environment):
                 self.events.append(aid, self.t, "reject_action", {"reason": str(exc)})
                 continue
             try:
-                record = apply_social_action(action, self.state, agent=aid, time=self.t)
+                record = apply_social_action(action, self.state, aid, self.t, self.events)
             except UnknownPost as exc:
                 self.events.append(aid, self.t, "reject_action", {"reason": str(exc)})
                 continue
-            self.events.add(record)
             if record.action == "create_comment":
                 info = record.info
                 author = self.state.posts[info["post_id"]].author

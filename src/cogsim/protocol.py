@@ -16,7 +16,7 @@ import threading
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Mapping, Sequence
 
 from .errors import AgentMissing, SchemaViolation, UnknownRecipient
 from .schema import ResponseSchema, canonical_json, validate_action
@@ -39,6 +39,12 @@ def csv_table(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
     lines = [",".join(header)]
     lines += (",".join("" if value is None else str(value) for value in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def record_table(records: Iterable[EventRecord], action: str, columns: Sequence[str]) -> str:
+    """A :func:`csv_table` of one row per record of ``action``: its info's ``columns``, in order."""
+    infos = (record.info for record in records if record.action == action)
+    return csv_table(columns, ([info[column] for column in columns] for info in infos))
 
 
 @dataclass(frozen=True)
@@ -176,15 +182,8 @@ class EventLog:
         self._lock = threading.Lock()
 
     def append(self, user_id: AgentId, current_time: TimeStep, action: str, info: dict[str, Any] | None = None) -> EventRecord:
-        """Log a new record; encoding ``info`` snapshots it, so a later change to it is not kept.
-        It does not go through :meth:`add`, so a traced run opens one span per event."""
+        """Log a new record; encoding ``info`` snapshots it, so a later change to it is not kept."""
         record = EventRecord(user_id, current_time, action, info)
-        with self._lock:
-            self._records.append(record)
-        return record
-
-    def add(self, record: EventRecord) -> EventRecord:
-        """Log a record built elsewhere, as it is."""
         with self._lock:
             self._records.append(record)
         return record

@@ -28,13 +28,13 @@ from typing import Any, Callable, Collection, Iterator, Mapping, Sequence, Union
 from .backends import CompletionBackend, CompletionResult, RemoteBackend, ReplayBackend, ScriptedBackend
 from .cognition import Agent, PersonaConfig
 from .envs.auction import DEFAULT_BUDGET, AuctionEnv, auction_metrics
-from .envs.economy import EconomyConfig, EconomyEnv, economy_metrics, indicators_csv, month_closes, phillips_okun_report
-from .envs.market import MarketConfig, MarketEnv, NewsItem, buy_sell_ratio, check_news_feed, market_metrics, session_metrics_csv
+from .envs.economy import MONTH_COLUMNS, EconomyConfig, EconomyEnv, economy_metrics, month_closes, phillips_okun_report
+from .envs.market import CLEAR_COLUMNS, MarketConfig, MarketEnv, NewsItem, buy_sell_ratio, check_news_feed, market_metrics
 from .envs.questionnaire import Item, QuestionnaireEnv, check_item_bank, questionnaire_metrics, score_answers
 from .envs.social import SocialEnv, social_metrics, star_profiles
 from .errors import ConfigError, SimulationError, TooFewSamples, ZeroVariance
 from .memory import MEMORY_VARIANTS, MemoryEntry, MemoryStore
-from .protocol import Environment, EpisodeLog, EventRecord, csv_table, policy_pool, run_episode, step_world
+from .protocol import Environment, EpisodeLog, EventRecord, csv_table, policy_pool, record_table, run_episode, step_world
 from .stats import mean_and_pstdev, paired_t_test
 
 
@@ -111,10 +111,6 @@ def _market(section: Mapping[str, Any]) -> MarketConfig:
     return MarketConfig(n_agents=section["agents"], **_params(section))
 
 
-def _economy(section: Mapping[str, Any], seed: int = 0) -> EconomyConfig:
-    return EconomyConfig(n_households=section["agents"], seed=seed, **_params(section))
-
-
 ENVIRONMENTS: dict[str, EnvironmentKind] = {
     "market": EnvironmentKind(
         MarketConfig,
@@ -122,15 +118,15 @@ ENVIRONMENTS: dict[str, EnvironmentKind] = {
         internal=("n_agents",),
         agents=50,
         metrics=lambda section, records: market_metrics(_market(section).initial_prices, records),
-        table=lambda section, records: session_metrics_csv(records),
+        table=lambda section, records: record_table(records, "clear", CLEAR_COLUMNS),
     ),
     "economy": EnvironmentKind(
         EconomyConfig,
-        build=lambda section, seed: EconomyEnv(_economy(section, seed)),
+        build=lambda section, seed: EconomyEnv(EconomyConfig(n_households=section["agents"], seed=seed, **_params(section))),
         internal=("n_households", "seed"),
         agents=100,
         metrics=lambda section, records: economy_metrics(records),
-        table=lambda section, records: indicators_csv(_economy(section), records),
+        table=lambda section, records: record_table(records, "month_close", MONTH_COLUMNS),
         report=lambda section, records: phillips_okun_report(month_closes(records)),
     ),
     "social": EnvironmentKind(

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cogsim.cli import WRITE_SLICE, BundleWriter, load_config, main
+from cogsim.cli import WRITE_SLICE, BundleWriter, fields_sha256, load_config, main
 from cogsim.envs.auction import AuctionItem
-from cogsim.envs.market import NewsItem
+from cogsim.envs.market import MarketEnv, NewsItem
 from cogsim.envs.questionnaire import Item
 from cogsim.errors import ConfigError
 from cogsim.protocol import Environment, read_episodes
@@ -136,6 +136,18 @@ def test_runtime_failure_exits_two(tmp_path, capsys):
     config = write_config(tmp_path, body)
     assert main(["run", "--config", str(config)]) == 2
     assert "failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [KeyError, ZeroDivisionError])
+def test_an_exception_of_any_class_exits_two_and_writes_no_events(error, tmp_path, monkeypatch, capsys):
+    def step(self, actions):
+        raise error("boom")
+
+    monkeypatch.setattr(MarketEnv, "step", step)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, minimal_market_config(out)))]) == 2
+    assert f"runtime failure: {error.__name__}" in capsys.readouterr().err
+    assert not (out / "events.jsonl").exists()
 
 
 def test_default_seed_recorded_in_manifest(tmp_path):
@@ -458,6 +470,34 @@ def test_score_refuses_another_config(tmp_path, capsys):
     other = write_config(tmp_path, minimal_market_config(out, environment={"kind": "market", "agents": 3, "days": 3}))
     assert main(["score", "--config", str(other)]) == 1
     assert "config_sha256 differs" in capsys.readouterr().err
+    assert bundle_bytes(out) == before
+
+
+def test_score_refuses_an_economy_bundle_whose_months_carry_no_policy(tmp_path, capsys):
+    # a bundle written before month_close records carried the rates they ran under
+    out = tmp_path / "out"
+    body = minimal_market_config(out, environment={"kind": "economy", "agents": 2, "months": 3})
+    body["backend"]["default_content"] = json.dumps({"work_propensity": 0.9, "consumption_propensity": 0.2})
+    config = write_config(tmp_path, body)
+    assert main(["run", "--config", str(config)]) == 0
+    lines = []
+    for line in (out / "events.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        if record.get("action") == "month_close":
+            del record["info"]["interest_rate"], record["info"]["tax_rate"]
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    events = "".join(lines).encode()
+    (out / "events.jsonl").write_bytes(events)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for entry in manifest["files"]:
+        if entry["name"] == "events.jsonl":
+            entry["sha256"] = hashlib.sha256(events).hexdigest()
+    manifest["fields_sha256"] = fields_sha256(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    before = bundle_bytes(out)
+    assert b"interest_rate" not in before["events.jsonl"] and before["events.jsonl"].count(b"month_close") == 3
+    assert main(["score", "--config", str(config)]) == 2
+    assert "runtime failure" in capsys.readouterr().err
     assert bundle_bytes(out) == before
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogsim.envs.economy import (
+    MONTH_COLUMNS,
     EconomyConfig,
     EconomyEnv,
     EconomyState,
@@ -12,13 +13,11 @@ from cogsim.envs.economy import (
     HouseholdState,
     PolicyState,
     compute_indicators,
-    indicators_csv,
     month_closes,
     monthly_step,
     phillips_okun_report,
-    policy_rates,
 )
-from cogsim.protocol import ActionEnvelope, run_episode
+from cogsim.protocol import ActionEnvelope, record_table, run_episode
 from cogsim.seeds import child_rng
 
 
@@ -180,7 +179,7 @@ def test_env_deterministic_series():
     def run():
         env = EconomyEnv(EconomyConfig(n_households=8, months=36, seed=3))
         log = run_episode(env, {aid: seeded_policy(3) for aid in range(8)}, max_steps=1000, seed=3)
-        return indicators_csv(env.config, log.records)
+        return record_table(log.records, "month_close", MONTH_COLUMNS)
 
     assert run() == run()
 
@@ -188,10 +187,9 @@ def test_env_deterministic_series():
 def test_bounds_hold_over_long_run():
     env = EconomyEnv(EconomyConfig(n_households=10, months=120, seed=1))
     log = run_episode(env, {aid: seeded_policy(1) for aid in range(10)}, max_steps=1000, seed=1)
-    indicators = month_closes(log.records)
-    for ind, (rate, _) in zip(indicators, policy_rates(env.config, indicators)):
+    for ind in month_closes(log.records):
         assert 0.0 <= ind.unemployment <= 1.0
-        assert 0.0 <= rate <= 0.2
+        assert 0.0 <= ind.interest_rate <= 0.2
         assert ind.price_level > 0.0
 
 
@@ -204,7 +202,7 @@ def test_out_of_bounds_propensities_clamped():
 def test_annual_tax_revision_hook():
     env = EconomyEnv(EconomyConfig(n_households=2, months=25, annual_tax_rates=[0.1, 0.2, 0.3]))
     log = run_episode(env, {aid: propensity_policy(1.0, 0.1) for aid in range(2)}, max_steps=1000, seed=0)
-    taxes = [tax for _, tax in policy_rates(env.config, month_closes(log.records))]
+    taxes = [month.tax_rate for month in month_closes(log.records)]
     assert taxes[0] == 0.1
     assert taxes[11] == 0.1
     assert taxes[12] == 0.2
@@ -251,26 +249,25 @@ RATE = st.floats(0.0, 0.3)
     RATE, RATE, st.none() | st.lists(RATE, max_size=3),
 )
 def test_policy_rates_follow_the_live_policy(months, interest_rate, tax_rate, annual_tax_rates):
-    """The rates derived from the month_close records are the ones the environment set, bit for bit."""
+    """Each month_close record's interest_rate and tax_rate are the environment's policy after that step, bit for bit."""
     config = EconomyConfig(
         n_households=2, months=len(months), interest_rate=interest_rate, tax_rate=tax_rate, annual_tax_rates=annual_tax_rates
     )
     env = EconomyEnv(config)
     env.reset()
-    live = []
     for propensities in months:
         env.step({
             aid: ActionEnvelope(aid, env.state.month, {"work_propensity": wp, "consumption_propensity": cp})
             for aid, (wp, cp) in enumerate(propensities)
         })
-        live.append((env.state.policy.interest_rate, env.state.policy.tax_rate))
-    assert policy_rates(config, month_closes(env.events.snapshot())) == live
+        info = env.events.snapshot()[-1].info
+        assert (info["interest_rate"], info["tax_rate"]) == (env.state.policy.interest_rate, env.state.policy.tax_rate)
 
 
 def test_indicator_csv_shape():
     env = EconomyEnv(EconomyConfig(n_households=2, months=3))
     log = run_episode(env, {aid: propensity_policy(1.0, 0.2) for aid in range(2)}, max_steps=10, seed=0)
-    lines = indicators_csv(env.config, log.records).strip().splitlines()
+    lines = record_table(log.records, "month_close", MONTH_COLUMNS).strip().splitlines()
     assert lines[0] == "month,unemployment,price_level,inflation,gdp,gdp_growth,interest_rate,tax_rate"
     assert len(lines) == 4
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogsim.envs.market import (
+    CLEAR_COLUMNS,
     SYMBOLS,
     ForumPost,
     MarketConfig,
@@ -24,11 +25,10 @@ from cogsim.envs.market import (
     fetch_news_tool,
     market_metrics,
     price_change_rate,
-    session_metrics_csv,
     settle,
 )
 from cogsim.errors import LoanRefused, UndefinedRatio
-from cogsim.protocol import ActionEnvelope, run_episode
+from cogsim.protocol import ActionEnvelope, record_table, run_episode
 from cogsim.runners import parse
 
 
@@ -586,7 +586,7 @@ def test_market_metrics_match_the_live_prices(days):
 def test_session_metrics_csv_shape():
     env = MarketEnv(MarketConfig(n_agents=4, days=2))
     log = run_episode(env, {aid: make_trading_policy(3) for aid in range(4)}, max_steps=100, seed=3)
-    csv_text = session_metrics_csv(log.records)
+    csv_text = record_table(log.records, "clear", CLEAR_COLUMNS)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "day,session,symbol,price,volume,n_buys,n_sells"
     # 2 days x 3 sessions x 2 symbols rows

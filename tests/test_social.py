@@ -42,17 +42,18 @@ def simple_state(n=3, follows=None):
 
 
 def test_first_post_gets_id_one():
-    state = simple_state()
-    record = apply_social_action(SocialAction(kind="create_post", content="hi"), state, agent=0, time=0)
+    state, events = simple_state(), EventLog()
+    record = apply_social_action(SocialAction(kind="create_post", content="hi"), state, agent=0, time=0, events=events)
     assert record.info == {"content": "hi", "post_id": 1}
+    assert events.snapshot() == [record]
     assert state.posts[1].author == 0
 
 
 def test_comment_recorded_under_post():
     state = simple_state()
-    apply_social_action(SocialAction(kind="create_post", content="p"), state, agent=0, time=0)
+    apply_social_action(SocialAction(kind="create_post", content="p"), state, agent=0, time=0, events=EventLog())
     record = apply_social_action(
-        SocialAction(kind="create_comment", content="c", target_post=1), state, agent=1, time=1
+        SocialAction(kind="create_comment", content="c", target_post=1), state, agent=1, time=1, events=EventLog()
     )
     assert record.info["comment_id"] == 1
     assert record.info["post_id"] == 1
@@ -60,27 +61,27 @@ def test_comment_recorded_under_post():
 
 
 def test_like_missing_post_raises_and_leaves_state():
-    state = simple_state()
+    state, events = simple_state(), EventLog()
     with pytest.raises(UnknownPost):
-        apply_social_action(SocialAction(kind="like_post", target_post=99), state, agent=0, time=0)
-    assert not state.posts and not state.comments
+        apply_social_action(SocialAction(kind="like_post", target_post=99), state, agent=0, time=0, events=events)
+    assert not state.posts and not state.comments and not events.snapshot()
 
 
 def test_like_idempotent():
     state = simple_state()
-    apply_social_action(SocialAction(kind="create_post", content="p"), state, agent=0, time=0)
+    apply_social_action(SocialAction(kind="create_post", content="p"), state, agent=0, time=0, events=EventLog())
     for _ in range(2):
-        apply_social_action(SocialAction(kind="like_post", target_post=1), state, agent=1, time=1)
+        apply_social_action(SocialAction(kind="like_post", target_post=1), state, agent=1, time=1, events=EventLog())
     assert state.posts[1].likes == {1}
 
 
 def test_post_older_than_newest_post_rejected():
     state = simple_state()
-    apply_social_action(SocialAction(kind="create_post", content="now"), state, agent=1, time=5)
+    apply_social_action(SocialAction(kind="create_post", content="now"), state, agent=1, time=5, events=EventLog())
     with pytest.raises(ValueError):
-        apply_social_action(SocialAction(kind="create_post", content="past"), state, agent=2, time=3)
+        apply_social_action(SocialAction(kind="create_post", content="past"), state, agent=2, time=3, events=EventLog())
     assert list(state.posts) == [1]
-    apply_social_action(SocialAction(kind="create_post", content="same time"), state, agent=2, time=5)
+    apply_social_action(SocialAction(kind="create_post", content="same time"), state, agent=2, time=5, events=EventLog())
 
 
 def test_action_shape_validation():
@@ -127,16 +128,16 @@ def test_empty_feed_for_loner():
 def test_feed_recency_order_and_cap():
     state = simple_state(follows={0: [1]})
     for t in (1, 2, 3):
-        apply_social_action(SocialAction(kind="create_post", content=f"t{t}"), state, agent=1, time=t)
+        apply_social_action(SocialAction(kind="create_post", content=f"t{t}"), state, agent=1, time=t, events=EventLog())
     feed = build_feed(0, state.profiles, state, cap=2, now=3)
     assert [p.time for p, _ in feed] == [3, 2]
 
 
 def test_own_post_with_reply_appears():
     state = simple_state(follows={1: [0]})
-    apply_social_action(SocialAction(kind="create_post", content="mine"), state, agent=0, time=0)
+    apply_social_action(SocialAction(kind="create_post", content="mine"), state, agent=0, time=0, events=EventLog())
     assert build_feed(0, state.profiles, state, cap=10, now=0) == []
-    apply_social_action(SocialAction(kind="create_comment", content="re", target_post=1), state, agent=1, time=1)
+    apply_social_action(SocialAction(kind="create_comment", content="re", target_post=1), state, agent=1, time=1, events=EventLog())
     feed = build_feed(0, state.profiles, state, cap=10, now=1)
     assert len(feed) == 1
     assert feed[0][0].post_id == 1
@@ -153,11 +154,11 @@ def test_feed_matches_brute_force_oracle():
             for aid in range(n):
                 roll = rng.random()
                 if roll < 0.4:
-                    apply_social_action(SocialAction(kind="create_post", content=f"{aid}@{t}"), state, aid, t)
+                    apply_social_action(SocialAction(kind="create_post", content=f"{aid}@{t}"), state, aid, t, EventLog())
                 elif roll < 0.6 and state.posts:
                     target = rng.choice(sorted(state.posts))
                     apply_social_action(
-                        SocialAction(kind="create_comment", content="c", target_post=target), state, aid, t
+                        SocialAction(kind="create_comment", content="c", target_post=target), state, aid, t, EventLog()
                     )
         for user in range(n):
             cap = rng.randrange(0, 12)
@@ -196,7 +197,7 @@ def test_feed_equals_oracle_on_random_streams(n, follow_sets, events, cap, now):
             action = SocialAction(kind=kind, content="c", target_post=target % len(state.posts) + 1)
         else:
             continue
-        apply_social_action(action, state, agent % n, time)
+        apply_social_action(action, state, agent % n, time, EventLog())
     for user in range(n):
         got = build_feed(user, state.profiles, state, cap=cap, now=now)
         want = feed_oracle(user, state.profiles, state, cap, now)
@@ -207,7 +208,7 @@ def test_feed_equals_oracle_on_random_streams(n, follow_sets, events, cap, now):
 
 def test_feed_never_leaks_future():
     state = simple_state(follows={0: [1]})
-    apply_social_action(SocialAction(kind="create_post", content="later"), state, agent=1, time=5)
+    apply_social_action(SocialAction(kind="create_post", content="later"), state, agent=1, time=5, events=EventLog())
     assert build_feed(0, state.profiles, state, cap=10, now=4) == []
     assert len(build_feed(0, state.profiles, state, cap=10, now=5)) == 1
 
