@@ -443,8 +443,8 @@ class RemoteBackend(CompletionBackend):
 
     @staticmethod
     def _parse_response(content: bytes) -> CompletionResult:
-        """The answer a 2xx body carries; a body that is not one raises
-        :class:`RemoteExhausted` quoting its first 200 bytes."""
+        """The answer a 2xx body carries; a body that is not one (a malformed tool
+        call included) raises :class:`RemoteExhausted` quoting its first 200 bytes."""
         try:
             message = json.loads(content)["choices"][0]["message"]
             answer = message.get("content") or ""
@@ -458,8 +458,10 @@ class RemoteBackend(CompletionBackend):
                 )
                 for c in message.get("tool_calls") or []
             )
+            if any(not isinstance(part, str) or not c.id for c in calls for part in (c.id, c.name, c.arguments_text)):
+                raise TypeError("a tool call's id, name or arguments is not a str, or its id is empty")
             return CompletionResult(content=answer, tool_calls=calls)
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
             text = content[:200].decode("utf-8", "replace")
             raise RemoteExhausted(f"remote sent a malformed answer: {text}") from exc
 

@@ -15,6 +15,12 @@ x still holds both demand and supply, existing pairs z -> y are rerouted
 into z -> x and x -> y, lowest y and then lowest z first. Orders fill those
 agent budgets with priority to higher-priced buys and lower-priced sells,
 FIFO within a price level.
+
+The ``info`` of each ``submit_order`` and ``trade`` event is formatted from its
+order's or trade's fields, whose types the market fixes (int ids, times and
+quantities, finite float prices, validated str symbol and side), and logged
+through ``EventLog.append_encoded``; ``tests/test_market.py`` pins each line to
+the ``canonical_json`` of its record.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Mapping
+from json.encoder import encode_basestring_ascii as quote
+from typing import Any, Mapping, NamedTuple
 
 from ..errors import ConfigError, LoanRefused, UndefinedRatio
 from ..protocol import ActionEnvelope, Environment, EventRecord, Observation, ToolSpec
@@ -69,8 +76,7 @@ class TraderAccount:
         return self.cash + sum(self.holdings.get(sym, 0) * prices[sym] for sym in prices)
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(NamedTuple):
     id: int
     agent: int
     symbol: str
@@ -79,8 +85,7 @@ class Order:
     quantity: int
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     symbol: str
     price: float
     quantity: int
@@ -88,6 +93,24 @@ class Trade:
     seller: int
     buy_order_id: int
     sell_order_id: int
+
+
+def _order_info(order: Order, day: int, session: int) -> str:
+    """The ``canonical_json`` of ``order``'s ``submit_order`` info, formatted from its fields."""
+    oid, _, symbol, side, price, quantity = order
+    return (
+        f'{{"day":{day},"limit_price":{price!r},"order_id":{oid},"quantity":{quantity},'
+        f'"session":{session},"side":{quote(side)},"symbol":{quote(symbol)}}}'
+    )
+
+
+def _trade_info(trade: Trade) -> str:
+    """The ``canonical_json`` of ``trade``'s ``trade`` info, formatted from its fields."""
+    symbol, price, quantity, buyer, seller, buy_id, sell_id = trade
+    return (
+        f'{{"buy_order_id":{buy_id},"buyer":{buyer},"price":{price!r},"quantity":{quantity},'
+        f'"sell_order_id":{sell_id},"seller":{seller},"symbol":{quote(symbol)}}}'
+    )
 
 
 @dataclass(frozen=True)
@@ -566,12 +589,7 @@ class MarketEnv(Environment):
                     self.events.append(aid, self.t, "reject_order", {"reason": reason, "order": raw})
                     continue
                 order = Order(
-                    id=self._next_order_id,
-                    agent=aid,
-                    symbol=raw["symbol"],
-                    side=raw["side"],
-                    limit_price=float(raw["limit_price"]),
-                    quantity=int(raw["quantity"]),
+                    self._next_order_id, aid, raw["symbol"], raw["side"], float(raw["limit_price"]), int(raw["quantity"])
                 )
                 self._next_order_id += 1
                 if order.side == "buy":
@@ -579,18 +597,7 @@ class MarketEnv(Environment):
                 else:
                     reserved_shares[(aid, order.symbol)] += order.quantity
                 books[order.symbol].append(order)
-                self.events.append(
-                    aid, self.t, "submit_order",
-                    {
-                        "order_id": order.id,
-                        "symbol": order.symbol,
-                        "side": order.side,
-                        "limit_price": order.limit_price,
-                        "quantity": order.quantity,
-                        "day": day,
-                        "session": session,
-                    },
-                )
+                self.events.append_encoded(aid, self.t, "submit_order", _order_info(order, day, session))
         return books
 
     def _order_problem(
@@ -629,7 +636,7 @@ class MarketEnv(Environment):
         price, trades, _ = clear_session(book, stock.price)
         settle(trades, self.accounts)
         for trade in trades:
-            self.events.append(trade.buyer, self.t, "trade", vars(trade))
+            self.events.append_encoded(trade.buyer, self.t, "trade", _trade_info(trade))
         stock.record_price(price)
         self.events.append(
             ENV_ACTOR, self.t, "clear",

@@ -309,8 +309,7 @@ class SocialEnv(Environment):
                 self.events.append(aid, self.t, "reject_action", {"reason": str(exc)})
                 continue
             if record.action == "create_comment":
-                info = record.info
-                author = self.state.posts[info["post_id"]].author
+                author = self.state.posts[action.target_post].author
                 if author != aid:
                     outbox.append(
                         Message(
@@ -319,8 +318,8 @@ class SocialEnv(Environment):
                             dst_agent_id=author,
                             payload={
                                 "kind": "comment",
-                                "post_id": info["post_id"],
-                                "comment_id": info["comment_id"],
+                                "post_id": action.target_post,
+                                "comment_id": self.state.comments_by_post[action.target_post][-1],
                                 "text": action.content,
                             },
                         )

@@ -16,6 +16,7 @@ import threading
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Mapping, Sequence
 
 from .errors import AgentMissing, SchemaViolation, UnknownRecipient
@@ -143,11 +144,25 @@ class EventRecord:
     line: str
 
     def __init__(self, user_id: AgentId, current_time: TimeStep, action: str, info: dict[str, Any] | None = None):
+        line = canonical_json({"user_id": user_id, "current_time": current_time, "action": action, "info": info or {}})
+        self._set(user_id, current_time, action, line)
+
+    def _set(self, user_id: AgentId, current_time: TimeStep, action: str, line: str) -> "EventRecord":
         init = object.__setattr__  # frozen: each field is set once, here
         init(self, "user_id", user_id)
         init(self, "current_time", current_time)
         init(self, "action", action)
-        init(self, "line", canonical_json({"user_id": user_id, "current_time": current_time, "action": action, "info": info or {}}))
+        init(self, "line", line)
+        return self
+
+    @classmethod
+    def encoded(cls, user_id: int, current_time: int, action: str, info_json: str) -> "EventRecord":
+        """The record whose ``info`` the caller encoded as ``info_json``, its
+        ``canonical_json``: the four keys are formatted, sorted, around it, which
+        gives the whole dict's bytes while ``user_id`` and ``current_time`` are
+        exactly ``int`` and ``action`` exactly ``str``."""
+        line = f'{{"action":{encode_basestring_ascii(action)},"current_time":{current_time},"info":{info_json},"user_id":{user_id}}}'
+        return cls.__new__(cls)._set(user_id, current_time, action, line)
 
     @classmethod
     def from_line(cls, line: str, obj: dict[str, Any]) -> "EventRecord":
@@ -156,11 +171,7 @@ class EventRecord:
         The line is kept as read, not re-encoded: it must be one that a
         record wrote, as in an ``events.jsonl`` whose hash has been checked.
         """
-        record = cls.__new__(cls)
-        for name in ("user_id", "current_time", "action"):
-            object.__setattr__(record, name, obj[name])
-        object.__setattr__(record, "line", line)
-        return record
+        return cls.__new__(cls)._set(obj["user_id"], obj["current_time"], obj["action"], line)
 
     @property
     def info(self) -> dict[str, Any]:
@@ -183,7 +194,13 @@ class EventLog:
 
     def append(self, user_id: AgentId, current_time: TimeStep, action: str, info: dict[str, Any] | None = None) -> EventRecord:
         """Log a new record; encoding ``info`` snapshots it, so a later change to it is not kept."""
-        record = EventRecord(user_id, current_time, action, info)
+        return self._keep(EventRecord(user_id, current_time, action, info))
+
+    def append_encoded(self, user_id: int, current_time: int, action: str, info_json: str) -> EventRecord:
+        """Log a record whose ``info`` the caller encoded (see :meth:`EventRecord.encoded`)."""
+        return self._keep(EventRecord.encoded(user_id, current_time, action, info_json))
+
+    def _keep(self, record: EventRecord) -> EventRecord:
         with self._lock:
             self._records.append(record)
         return record

@@ -127,6 +127,19 @@ def validate_action(body: Any, schema: ResponseSchema) -> list[str]:
     return violations
 
 
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
-"""Deterministic JSON used for hashing, logs, and replay fingerprints; one
-encoder serves every call, with the bytes of ``json.dumps`` at these settings."""
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+if json.encoder.c_make_encoder is None:
+    canonical_json = _ENCODER.encode  # the same bytes; each call builds a pure-Python encoder
+else:
+    _c_encode = json.encoder.c_make_encoder(
+        None, _ENCODER.default, json.encoder.encode_basestring_ascii, _ENCODER.indent, _ENCODER.key_separator,
+        _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+    )
+
+    def canonical_json(value: Any) -> str:
+        """Deterministic JSON used for hashing, logs, and replay fingerprints, with
+        the bytes of ``json.dumps`` at these settings. The C encoder is built once,
+        with no circular-reference check: it keeps no per-call state, so threads
+        share it, and a circular value raises ``RecursionError``."""
+        return "".join(_c_encode(value, 0))

@@ -11,6 +11,8 @@ import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogsim.backends import (
     REMOTE_ATTEMPTS,
@@ -750,6 +752,110 @@ def test_a_failed_remote_run_still_closes_its_kept_connections(tmp_path, monkeyp
     assert "ParseFailure" in capsys.readouterr().err
     assert handler.seen_bodies
     assert unraisable == []
+
+
+def tool_call_answer(*calls, content=None):
+    return json.dumps({"choices": [{"message": {"content": content, "tool_calls": list(calls)}}]}).encode()
+
+
+MALFORMED_TOOL_CALL_BODIES = [
+    tool_call_answer({"id": "", "type": "function", "function": {"name": "read_forum", "arguments": "{}"}}),
+    tool_call_answer({"id": 7, "type": "function", "function": {"name": "read_forum", "arguments": {"x": 1}}}),
+    tool_call_answer({"id": "c1", "type": "function", "function": {"name": None, "arguments": "{}"}}),
+]
+
+
+@pytest.mark.parametrize("body", MALFORMED_TOOL_CALL_BODIES, ids=["empty-id", "int-id-dict-arguments", "null-name"])
+def test_a_malformed_tool_call_is_refused_quoting_the_body(body, tmp_path, monkeypatch, capsys):
+    with pytest.raises(RemoteExhausted) as caught:
+        RemoteBackend._parse_response(body)
+    assert body[:200].decode() in str(caught.value)
+    code, handler, unraisable = run_on_a_keep_alive_stub("run", {}, lambda request: body, tmp_path, monkeypatch)
+    assert code == 2
+    assert "runtime failure: RemoteExhausted" in capsys.readouterr().err
+    assert unraisable == []
+
+
+def test_a_body_nested_past_the_recursion_limit_is_refused():
+    body = b'{"choices":[{"message":{"content":' + b"[" * 100_000 + b"]" * 100_000 + b"}}]}"
+    with pytest.raises(RemoteExhausted):
+        RemoteBackend._parse_response(body)
+
+
+def test_tool_calls_and_tool_results_go_on_the_wire_in_chat_completions_shape():
+    # the answer's tool call is parsed, run, and sent back: the assistant turn
+    # carries it as tool_calls, and the tool turn answers it by tool_call_id
+    backend = RemoteBackend("http://127.0.0.1:9/v1", sleeper=lambda s: None, session=object())
+    answers = [
+        tool_call_answer({"id": "call-1", "type": "function", "function": {"name": "echo", "arguments": '{"q": "hi"}'}}),
+        tool_call_answer(content="done"),
+    ]
+    bodies = []
+
+    class WireBackend:
+        def complete(self, request):
+            bodies.append(json.loads(json.dumps(backend._body(request), allow_nan=False)))
+            return RemoteBackend._parse_response(answers[len(bodies) - 1])
+
+    echo = ToolSpec(name="echo", description="d", parameter_schema=ResponseSchema.of(q="string"), handler=lambda q: q)
+    text, trace = run_tool_loop(WireBackend(), [ChatTurn(role="user", content="go")], [echo])
+    assert text == "done"
+    assert trace == [(ToolCallRequest(id="call-1", name="echo", arguments_text='{"q": "hi"}'), "hi")]
+    assert bodies[1]["messages"] == [
+        {"role": "user", "content": "go"},
+        {
+            "role": "assistant",
+            "content": "",
+            "tool_calls": [{"id": "call-1", "type": "function", "function": {"name": "echo", "arguments": '{"q": "hi"}'}}],
+        },
+        {"role": "tool", "content": "hi", "tool_call_id": "call-1"},
+    ]
+    assert [tool["function"]["name"] for tool in bodies[1]["tools"]] == ["echo"]
+
+
+WIRE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4,
+)
+FUNCTIONS = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": st.sampled_from(["echo", "", "nope"]) | WIRE_VALUES,
+        "arguments": st.sampled_from(["{}", '{"q": "x"}', '{"q": 1}', "[1]", "{", ""]) | WIRE_VALUES,
+    },
+)
+TOOL_CALLS = st.fixed_dictionaries(
+    {}, optional={"id": st.sampled_from(["c1", ""]) | WIRE_VALUES, "type": WIRE_VALUES, "function": FUNCTIONS | WIRE_VALUES}
+)
+MESSAGES = st.fixed_dictionaries(
+    {},
+    optional={
+        "content": st.sampled_from(["ok", ""]) | WIRE_VALUES,
+        "tool_calls": st.lists(TOOL_CALLS | WIRE_VALUES, max_size=3) | WIRE_VALUES,
+    },
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(MESSAGES)
+def test_every_tool_call_shape_is_refused_or_runs(message):
+    body = json.dumps({"choices": [{"message": message}]}).encode()
+    backend = RemoteBackend("http://127.0.0.1:9/v1", sleeper=lambda s: None, session=object())
+
+    class WireBackend:
+        calls = 0
+
+        def complete(self, request):
+            json.dumps(backend._body(request), allow_nan=False)  # every request the loop makes goes on the wire
+            self.calls += 1
+            return RemoteBackend._parse_response(body) if self.calls == 1 else CompletionResult(content="done")
+
+    echo = ToolSpec(name="echo", description="d", parameter_schema=ResponseSchema.of(q="string"), handler=lambda q: q)
+    try:
+        run_tool_loop(WireBackend(), [ChatTurn(role="user", content="go")], [echo])
+    except RemoteExhausted:
+        pass
 
 
 @pytest.mark.parametrize(

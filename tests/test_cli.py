@@ -27,6 +27,7 @@ from cogsim.runners import (
     ScriptedRule,
     TransferConfig,
 )
+from cogsim.schema import canonical_json
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -906,6 +907,16 @@ def test_shipped_manifests_list_their_episodes(name, command, tmp_path, monkeypa
     for block in blocks:
         (log,) = read_episodes(block)
         assert log.to_jsonl() == block
+
+
+@pytest.mark.parametrize("name,command", SHIPPED_RUNS)
+def test_every_shipped_event_line_is_the_canonical_json_of_its_record(name, command, tmp_path, monkeypatch):
+    # guards the event lines formatted from their shape on every harness's path
+    out = run_shipped(name, command, tmp_path, monkeypatch)
+    lines = (out / "events.jsonl").read_text().splitlines()
+    records = [line for line in lines if not line.startswith('{"summary":')]
+    assert records
+    assert [canonical_json(json.loads(line)) for line in records] == records
 
 
 def test_score_refuses_bundle_whose_manifest_lists_no_episodes(tmp_path, capsys):

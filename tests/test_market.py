@@ -16,9 +16,12 @@ from cogsim.envs.market import (
     MarketEnv,
     NewsItem,
     Order,
+    Trade,
     TraderAccount,
     _grant_loan,
     _max_flow,
+    _order_info,
+    _trade_info,
     accrue_and_lend,
     buy_sell_ratio,
     clear_session,
@@ -28,8 +31,9 @@ from cogsim.envs.market import (
     settle,
 )
 from cogsim.errors import LoanRefused, UndefinedRatio
-from cogsim.protocol import ActionEnvelope, record_table, run_episode
+from cogsim.protocol import ActionEnvelope, EventRecord, record_table, run_episode
 from cogsim.runners import parse
+from cogsim.schema import canonical_json
 
 
 # --- oracle -------------------------------------------------------------------
@@ -724,3 +728,51 @@ def test_market_determinism_byte_identical():
         return run_episode(env, {aid: policy for aid in range(6)}, max_steps=100, seed=11).to_jsonl()
 
     assert run() == run()
+
+
+# --- event lines formatted from the order's and trade's fields ----------------------
+
+EDGE_PRICES = st.sampled_from([5e-324, 1e16, 0.1 + 0.2, 1.7976931348623157e308]) | st.floats(
+    min_value=5e-324, allow_nan=False, allow_infinity=False
+)
+BIG_INTS = st.integers(0, 2**70) | st.sampled_from([2**63, 2**64 + 1])
+
+
+# symbol and side are quoted even though the market validates them: any text stays canonical
+WORDS = st.sampled_from([*SYMBOLS, "buy", "sell", 'A"\\', "é\x01\u2028"]) | st.text()
+
+
+@PROPERTY
+@given(st.lists(BIG_INTS, min_size=7, max_size=7), WORDS, WORDS, EDGE_PRICES)
+def test_order_and_trade_lines_are_the_canonical_json_of_their_records(ints, symbol, side, price):
+    t, day, session, oid, agent, other, quantity = ints
+    info = {
+        "order_id": oid, "symbol": symbol, "side": side, "limit_price": price,
+        "quantity": quantity, "day": day, "session": session,
+    }
+    expected = canonical_json({"user_id": agent, "current_time": t, "action": "submit_order", "info": info})
+    order_info = _order_info(Order(oid, agent, symbol, side, price, quantity), day, session)
+    assert EventRecord.encoded(agent, t, "submit_order", order_info).line == expected
+    info = {
+        "symbol": symbol, "price": price, "quantity": quantity, "buyer": agent,
+        "seller": other, "buy_order_id": oid, "sell_order_id": oid + 1,
+    }
+    expected = canonical_json({"user_id": agent, "current_time": t, "action": "trade", "info": info})
+    trade_info = _trade_info(Trade(symbol, price, quantity, agent, other, oid, oid + 1))
+    assert EventRecord.encoded(agent, t, "trade", trade_info).line == expected
+
+
+@PROPERTY
+@given(EDGE_PRICES, st.integers(1, 2**66))
+def test_a_sessions_every_line_is_the_canonical_json_of_its_record(price, quantity):
+    cfg = MarketConfig(n_agents=2, days=1, sessions_per_day=1, initial_cash=1e300, initial_holdings={"A": 2**66, "B": 1})
+    env = MarketEnv(cfg)
+    env.reset()
+    orders = [{"symbol": "A", "side": side, "limit_price": price, "quantity": quantity} for side in ("buy", "sell")]
+    env.step({aid: ActionEnvelope(aid, 0, {"orders": [order]}) for aid, order in enumerate(orders)})
+    records = env.events.snapshot()
+    as_dicts = [{"user_id": r.user_id, "current_time": r.current_time, "action": r.action, "info": r.info} for r in records]
+    assert [r.line for r in records] == [canonical_json(d) for d in as_dicts]
+    actions = [r.action for r in records]
+    assert actions.count("submit_order") + actions.count("reject_order") == 2
+    assert ("trade" in actions) == (price * quantity <= cfg.initial_cash)

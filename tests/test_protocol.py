@@ -299,6 +299,25 @@ def test_event_record_is_its_canonical_line(info, user_id, current_time, action)
     assert appended == record and events.snapshot() == [record]
 
 
+KEY_VALUES = st.integers() | st.sampled_from([2**63, -(2**64), True, False, 0.0, -0.0, 1.5, float("nan"), float("inf")])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(KEY_VALUES, KEY_VALUES, st.text(), st.none() | INFOS)
+def test_a_record_logged_with_its_info_encoded_is_the_whole_dicts_encoding(user_id, current_time, action, info):
+    # a bool or float id or time is encoded with the whole dict; a record logged
+    # with its info already encoded, as the market logs its orders and trades,
+    # takes exact int ids and times and gives the same bytes
+    record = EventRecord(user_id, current_time, action, info)
+    as_dict = {"user_id": user_id, "current_time": current_time, "action": action, "info": info or {}}
+    assert record.line == canonical_json(as_dict)
+    if type(user_id) is int and type(current_time) is int:
+        events = EventLog()
+        kept = events.append_encoded(user_id, current_time, action, canonical_json(info or {}))
+        assert kept == record and events.snapshot() == [kept]
+        assert (kept.user_id, kept.current_time, kept.action) == (user_id, current_time, action)
+
+
 def empty_in_place(value):
     """Empty every list and dict nested in ``value``, then ``value`` itself."""
     if isinstance(value, (dict, list)):

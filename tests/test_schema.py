@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,19 +129,46 @@ def test_scripted_economy_episode_builds_each_schema_text_once(monkeypatch):
     assert sum(f"```\n{schema_text}\n```" in text for text in prompts) == 9
 
 
+EDGE_NUMBERS = st.sampled_from(
+    [2**63, -(2**63) - 1, 2**64 + 1, 10**30, math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e16]
+)
+EDGE_TEXT = st.text(st.characters() | st.sampled_from("\x00\x1f\x7f\"\\é€𝄞\ud800"))
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | EDGE_NUMBERS | st.text() | EDGE_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text() | EDGE_TEXT, children, max_size=4),
     max_leaves=20,
 )
 
 
-@settings(derandomize=True, database=None, deadline=None)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(JSON_VALUES)
 def test_canonical_json_equals_dumps_at_the_same_settings(value):
-    # the shared encoder must give the bytes json.dumps gives, non-ASCII,
-    # non-finite floats and nested objects with unsorted keys included
+    # the prebuilt encoder must give the bytes json.dumps gives: bools, None,
+    # ints past 2**63, non-finite, negative-zero and subnormal floats,
+    # non-ASCII and control characters, and nested objects with unsorted keys
     assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def test_canonical_json_is_one_shared_encoder_that_refuses_a_circular_value():
+    value = {"b": [1.5, "x"], "a": None}
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert set(pool.map(canonical_json, [value] * 64)) == {'{"a":null,"b":[1.5,"x"]}'}
+    loop: list = []
+    loop.append(loop)
+    with pytest.raises(RecursionError):
+        canonical_json(loop)
+
+
+def test_canonical_json_without_the_c_encoder_gives_the_same_bytes():
+    # with no C encoder, canonical_json falls back to JSONEncoder.encode
+    script = (
+        "import json.encoder; json.encoder.c_make_encoder = None\n"
+        "from cogsim.schema import canonical_json\n"
+        "print(canonical_json.__name__, canonical_json({'b': [float('nan'), -0.0, 2**70], 'a': '\\u00e9\\x01'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True).stdout
+    assert out == 'encode {"a":"\\u00e9\\u0001","b":[NaN,-0.0,1180591620717411303424]}\n'
 
 
 # --- the compiled checks against the field-by-field reference ---------------------

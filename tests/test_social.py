@@ -510,7 +510,7 @@ def test_comments_route_messages_to_post_author():
     inbox = obs[0].inbox
     assert len(inbox) == 1
     assert inbox[0].src_agent_id == 1
-    assert inbox[0].payload["kind"] == "comment"
+    assert inbox[0].payload == {"kind": "comment", "post_id": 1, "comment_id": 1, "text": "hi!"}
     assert obs[1].inbox == [] and obs[2].inbox == []
 
 
