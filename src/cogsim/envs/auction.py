@@ -53,7 +53,6 @@ class RoundState:
 
 @dataclass(frozen=True)
 class Sale:
-    item_index: int
     winner: int | None  # None = unsold
     price: float | None
 
@@ -73,9 +72,9 @@ def resolve_round(
     live = {aid: amount for aid, amount in bids.items() if amount is not None}
     if not live:
         if round_state.standing_bid is None:
-            return Sale(item_index=round_state.item_index, winner=None, price=None)
+            return Sale(winner=None, price=None)
         winner, price = round_state.standing_bid
-        return Sale(item_index=round_state.item_index, winner=winner, price=price)
+        return Sale(winner=winner, price=price)
     best_agent = min(live, key=lambda aid: (-live[aid], aid))
     best_amount = live[best_agent]
     floor = (
@@ -205,9 +204,6 @@ class AuctionEnv(Environment):
 
     def _validated_bid(self, aid: int, bid: Any) -> float | None:
         if bid is None:
-            return None
-        if not isinstance(bid, (int, float)) or isinstance(bid, bool):
-            self.events.append(aid, self.t, "reject_bid", {"reason": "bid must be a number", "bid": str(bid)})
             return None
         amount = float(bid)
         if amount < self._floor():

@@ -114,13 +114,6 @@ def _trade_info(trade: Trade) -> str:
 
 
 @dataclass(frozen=True)
-class ForumPost:
-    agent: int
-    day: int
-    text: str
-
-
-@dataclass(frozen=True)
 class NewsItem:
     date: dt.date
     headline: str
@@ -401,10 +394,8 @@ def _session_head(day: int, date: dt.date, session: int, sessions: int, stocks: 
     return "".join(lines)
 
 
-def _forum_text(posts: tuple[ForumPost, ...]) -> str:
-    if not posts:
-        return "no forum posts from the previous day"
-    return "\n".join(f"agent {p.agent} (day {p.day}): {p.text}" for p in posts)
+def _forum_text(lines: tuple[str, ...]) -> str:
+    return "\n".join(lines) if lines else "no forum posts from the previous day"
 
 
 @dataclass
@@ -463,7 +454,7 @@ class MarketEnv(Environment):
             )
             for aid in self.agent_ids
         }
-        self.forum: list[ForumPost] = []
+        self.forum: dict[int, list[str]] = {}  # day -> that day's post lines, in posting order
         self._next_order_id = 1
         self._head, self._forum_text = (
             lru_cache(maxsize=None)(part) for part in (_session_head, _forum_text)
@@ -490,8 +481,7 @@ class MarketEnv(Environment):
 
     def _read_forum(self) -> str:
         """The previous day's posts, built once for every reader that day."""
-        previous_day = self.day - 1
-        return self._forum_text(tuple(p for p in self.forum if p.day == previous_day))
+        return self._forum_text(tuple(self.forum.get(self.day - 1, ())))
 
     def _tools(self) -> list[ToolSpec]:
         tools = [
@@ -554,7 +544,7 @@ class MarketEnv(Environment):
         for aid in sorted(actions):
             post = actions[aid].body.get("forum_post")
             if post:
-                self.forum.append(ForumPost(agent=aid, day=day, text=str(post)))
+                self.forum.setdefault(day, []).append(f"agent {aid} (day {day}): {post}")
                 self.events.append(aid, self.t, "forum_post", {"day": day, "text": str(post)})
 
         self.t += 1

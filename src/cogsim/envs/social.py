@@ -89,8 +89,6 @@ class SocialState:
     profiles: dict[int, UserProfile]
     posts: dict[int, Post] = field(default_factory=dict)
     comments: dict[int, Comment] = field(default_factory=dict)
-    next_post_id: int = 1
-    next_comment_id: int = 1
     # id-ordered indexes, maintained by apply_social_action
     posts_by_author: dict[int, list[int]] = field(default_factory=dict)
     comments_by_post: dict[int, list[int]] = field(default_factory=dict)
@@ -144,19 +142,18 @@ def apply_social_action(action: SocialAction, state: SocialState, agent: int, ti
     the time order ``build_feed`` relies on.
     """
     if action.kind == "create_post":
-        newest = state.posts.get(state.next_post_id - 1)
+        newest = state.posts.get(len(state.posts))
         if newest is not None and time < newest.time:
             raise ValueError(f"post at t={time} is older than post {newest.post_id} at t={newest.time}")
-        post = Post(post_id=state.next_post_id, author=agent, time=time, content=action.content)
+        post = Post(post_id=len(state.posts) + 1, author=agent, time=time, content=action.content)
         state.posts[post.post_id] = post
         state.posts_by_author.setdefault(agent, []).append(post.post_id)
-        state.next_post_id += 1
         return events.append(agent, time, "create_post", {"content": action.content, "post_id": post.post_id})
     if action.kind == "create_comment":
         if action.target_post not in state.posts:
             raise UnknownPost(f"post {action.target_post} does not exist")
         comment = Comment(
-            comment_id=state.next_comment_id,
+            comment_id=len(state.comments) + 1,
             post_id=action.target_post,
             author=agent,
             time=time,
@@ -164,7 +161,6 @@ def apply_social_action(action: SocialAction, state: SocialState, agent: int, ti
         )
         state.comments[comment.comment_id] = comment
         state.comments_by_post.setdefault(action.target_post, []).append(comment.comment_id)
-        state.next_comment_id += 1
         # post_id is carried alongside the Text-box fields so the stream replays
         info = {"content": action.content, "comment_id": comment.comment_id, "post_id": action.target_post}
         return events.append(agent, time, "create_comment", info)

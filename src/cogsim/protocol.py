@@ -347,15 +347,19 @@ def step_world(
 ) -> dict[AgentId, Observation]:
     """Advance ``env`` by one step and return its next observations.
 
-    Each observed agent's policy runs, in ascending agent id, or all at once
-    on ``pool``; an agent with no observation sits the step out. Every body
-    is validated against its observation's schema before the joint action
-    map is applied.
+    The loop names each observed agent's world first: an agent with a
+    ``world_tag`` gets ``env.name``, so its memory tags what this step
+    records with the world it came from. Then each observed agent's policy
+    runs, in ascending agent id, or all at once on ``pool``; an agent with no
+    observation sits the step out. Every body is validated against its
+    observation's schema before the joint action map is applied.
     """
     pending = sorted(observations.items())
     for aid, _ in pending:
         if aid not in agents:
             raise AgentMissing(f"observation for unknown agent {aid}")
+        if hasattr(agents[aid], "world_tag"):
+            agents[aid].world_tag = env.name
 
     if pool is not None and len(pending) > 1:
         futures = [pool.submit(_invoke_policy, agents[aid], obs) for aid, obs in pending]

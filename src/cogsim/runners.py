@@ -375,28 +375,25 @@ def build_environment(spec: Mapping[str, Any], seed: int) -> Environment:
     return ENVIRONMENTS[spec["kind"]].build(spec, seed)
 
 
-def build_agent(
-    roster: AgentsConfig, backend: CompletionBackend, aid: int, world_tag: str, memory: MemoryStore | None = None
-) -> Agent:
+def build_agent(roster: AgentsConfig, backend: CompletionBackend, aid: int, memory: MemoryStore | None = None) -> Agent:
     """The one place an ``agents`` section becomes an :class:`Agent`; ``memory`` overrides its ``memory``."""
     return Agent(
         agent_id=aid,
         config=PersonaConfig(roster.persona_text or "", list(roster.extra_directives)),
         memory=make(MEMORIES, roster.memory or {"kind": "null"}) if memory is None else memory,
         backend=backend,
-        world_tag=world_tag,
         max_tool_rounds=roster.max_tool_rounds,
         max_parse_retries=roster.max_parse_retries,
     )
 
 
-def build_agents(roster: AgentsConfig, backend: CompletionBackend, n_agents: int, world_tag: str) -> dict[int, Agent]:
-    return {aid: build_agent(roster, backend, aid, world_tag) for aid in range(n_agents)}
+def build_agents(roster: AgentsConfig, backend: CompletionBackend, n_agents: int) -> dict[int, Agent]:
+    return {aid: build_agent(roster, backend, aid) for aid in range(n_agents)}
 
 
 def build_setup(config: ExperimentConfig, backend: CompletionBackend, seed: int) -> tuple[Environment, dict[int, Agent]]:
     env = build_environment(config.environment, seed)
-    agents = build_agents(config.agents, backend, config.environment["agents"], world_tag=env.name)
+    agents = build_agents(config.agents, backend, config.environment["agents"])
     return env, agents
 
 
@@ -567,8 +564,6 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
     arms' are kept, tagged source, carry and fresh."""
     source_env = plan.source_env_factory(plan.seed)
     phase1_agents = {aid: plan.agent_factory(aid, plan.memory_factory()) for aid in plan.agent_ids}
-    for agent in phase1_agents.values():
-        agent.world_tag = source_env.name
     phase1 = run_episode(
         source_env, phase1_agents, max_steps=plan.source_steps, seed=plan.seed, parallel=plan.parallel
     )
@@ -576,12 +571,10 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
 
     def administer(restore: bool) -> EpisodeLog:
         env = QuestionnaireEnv(instrument.items, seed=plan.phase2_seed, agent_ids=plan.agent_ids)
-        agents = {}
-        for aid in plan.agent_ids:
-            memory = MemoryStore.from_jsonl(archives[aid]) if restore else plan.memory_factory()
-            agent = plan.agent_factory(aid, memory)
-            agent.world_tag = env.name
-            agents[aid] = agent
+        agents = {
+            aid: plan.agent_factory(aid, MemoryStore.from_jsonl(archives[aid]) if restore else plan.memory_factory())
+            for aid in plan.agent_ids
+        }
         return run_episode(env, agents, max_steps=len(instrument.items), seed=plan.phase2_seed, parallel=plan.parallel)
 
     carry = administer(restore=plan.carry_memory)
@@ -601,7 +594,7 @@ def transfer_harness(config: ExperimentConfig, episodes: Episodes | None = None)
             plan = TransferPlan(
                 source_env_factory=lambda seed: build_environment(section.source, seed),
                 agent_ids=list(range(section.source["agents"])),
-                agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, "transfer", memory),
+                agent_factory=lambda aid, memory: build_agent(config.agents, backend, aid, memory),
                 memory_factory=lambda: make(MEMORIES, config.agents.memory or {"kind": "buffer", "capacity": 100}),
                 source_steps=source_steps,
                 carry_memory=section.carry_memory,
@@ -650,9 +643,6 @@ def run_multiworld(
             for env in schedule.environments:
                 if env.done():
                     continue
-                for agent in agents.values():
-                    if hasattr(agent, "world_tag"):
-                        agent.world_tag = env.name
                 observations[id(env)] = step_world(env, observations[id(env)], agents, pool)
                 steps += 1
                 fresh = env.events.snapshot(marks[id(env)])
@@ -673,7 +663,7 @@ def multiworld_harness(config: ExperimentConfig, episodes: Episodes | None = Non
             schedule = MultiWorldSchedule(environments=envs, cycles=section.cycles)
         n = max(spec["agents"] for spec in section.environments)
         with closing(make(BACKENDS, config.backend)) as backend:
-            agents = build_agents(config.agents, backend, n, world_tag=envs[0].name)
+            agents = build_agents(config.agents, backend, n)
             log = run_multiworld(schedule, agents, seed=config.seed, parallel=config.parallel)
         episodes = Episodes([("multiworld", log)])
     ((_, log),) = episodes.logs
@@ -731,7 +721,7 @@ def ablation_agents(study: TariffStudy, setting: AblationSetting) -> dict[int, A
     )
     agents = {}
     for aid in range(study.base_config.n_agents):
-        agent = build_agent(roster, study.backend_factory(aid), aid, "market")
+        agent = build_agent(roster, study.backend_factory(aid), aid)
         if setting.level >= 2:
             agent.config.extra_directives.append(study.headline)
         if setting.level >= 3:

@@ -40,13 +40,13 @@ def test_highest_bid_takes_standing():
 def test_all_pass_with_standing_sells():
     rs = RoundState(item_index=0, standing_bid=(2, 600.0))
     out = resolve_round({1: None, 2: None}, rs)
-    assert out == Sale(item_index=0, winner=2, price=600.0)
+    assert out == Sale(winner=2, price=600.0)
 
 
 def test_all_pass_fresh_item_unsold():
     rs = RoundState(item_index=3)
     out = resolve_round({1: None, 2: None}, rs)
-    assert out == Sale(item_index=3, winner=None, price=None)
+    assert out == Sale(winner=None, price=None)
 
 
 def test_tie_goes_to_lowest_agent_id():
@@ -60,7 +60,7 @@ def test_tie_goes_to_lowest_agent_id():
 
 def test_winners_curse_negative_profit():
     bidders = {1: BidderState(budget=20_000.0)}
-    settle_sale(Sale(item_index=0, winner=1, price=600.0), bidders, item(true=550.0))
+    settle_sale(Sale(winner=1, price=600.0), bidders, item(true=550.0))
     assert bidders[1].profit == pytest.approx(-50.0)
     assert bidders[1].budget == pytest.approx(19_400.0)
     assert bidders[1].items_won == ["lamp"]
@@ -68,14 +68,14 @@ def test_winners_curse_negative_profit():
 
 def test_pay_true_value_leaves_profit_flat():
     bidders = {1: BidderState(budget=1_000.0)}
-    settle_sale(Sale(item_index=0, winner=1, price=550.0), bidders, item(true=550.0))
+    settle_sale(Sale(winner=1, price=550.0), bidders, item(true=550.0))
     assert bidders[1].profit == 0.0
 
 
 def test_two_wins_stack_spend():
     bidders = {1: BidderState(budget=1_000.0)}
-    settle_sale(Sale(item_index=0, winner=1, price=300.0), bidders, item(name="a", true=550.0))
-    settle_sale(Sale(item_index=1, winner=1, price=200.0), bidders, item(name="b", true=550.0))
+    settle_sale(Sale(winner=1, price=300.0), bidders, item(name="a", true=550.0))
+    settle_sale(Sale(winner=1, price=200.0), bidders, item(name="b", true=550.0))
     assert bidders[1].budget == pytest.approx(500.0)
     assert bidders[1].items_won == ["a", "b"]
 

@@ -813,6 +813,54 @@ def test_tool_calls_and_tool_results_go_on_the_wire_in_chat_completions_shape():
     assert [tool["function"]["name"] for tool in bodies[1]["tools"]] == ["echo"]
 
 
+def test_a_level_4_market_agent_fetches_news_over_the_wire_then_trades(stub_server):
+    # the model asks for fetch_news, the tool runs, and the next request carries
+    # the call and its result; memory keeps the result and the market the order
+    import datetime as dt
+
+    from cogsim.envs.market import MarketConfig, NewsItem
+    from cogsim.protocol import run_episode
+    from cogsim.runners import AblationSetting, TariffStudy, ablation_agents, ablation_environment
+
+    url, handler = stub_server
+    call = {"id": "call-news", "type": "function", "function": {"name": "fetch_news", "arguments": "{}"}}
+    order = {"symbol": "A", "side": "sell", "limit_price": 29.0, "quantity": 3}
+
+    def answer(body):
+        return json.dumps({"orders": [order]}) if body["messages"][-1]["role"] == "tool" else tool_call_answer(call)
+
+    handler.content = answer
+    backend = RemoteBackend(url, sleeper=lambda s: None)
+    study = TariffStudy(
+        base_config=MarketConfig(n_agents=1, days=1),
+        headline="Tariffs loom.",
+        research_summary="Research summary: tariffs cut prices.",
+        news_feed=[NewsItem(date=dt.date(2025, 4, 1), headline="Stocks tumble on tariffs.")],
+        backend_factory=lambda aid: backend,
+    )
+    setting = AblationSetting(4)
+    env, agents = ablation_environment(study, setting), ablation_agents(study, setting)
+    try:
+        log = run_episode(env, agents, max_steps=1)
+    finally:
+        backend.close()
+    first, second = (body for body, _ in handler.seen_bodies)
+    assert [tool["function"]["name"] for tool in first["tools"]] == ["read_forum", "fetch_news"]
+    assert second["messages"][:-2] == first["messages"]
+    assert second["messages"][-2:] == [
+        {"role": "assistant", "content": "", "tool_calls": [call]},
+        {"role": "tool", "content": "Stocks tumble on tariffs.", "tool_call_id": "call-news"},
+    ]
+    entries = agents[0].memory.entries
+    assert [(entry.world_tag, entry.role) for entry in entries] == [
+        ("market", role) for role in ("note", "observation", "tool_result", "own_action")
+    ]
+    assert "".join(entries[2].parts) == "fetch_news: Stocks tumble on tariffs."
+    (submitted,) = (record for record in log.records if record.action == "submit_order")
+    assert submitted.user_id == 0
+    assert {key: submitted.info[key] for key in order} == order
+
+
 WIRE_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=4), inner, max_size=2),

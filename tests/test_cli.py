@@ -769,8 +769,12 @@ SHIPPED_DIGESTS = {
         "5c4f66bb36f35a49ee7e6eaaa56e5888dc7b4452e677e16320b13c767290ab55",
     ),
     "ablation_tariff.json": (
-        "cf9ec19250d401505315ef7d6c9cebfdb69c980fb02a63f96152c8311aaf15e6",
-        "9857d389ab33c0ba71c98e8797f62c3a8804591200c84a3df82599caa5fa26cd",
+        "bb44b3cfba23a60fefd617077cd9a12bfaa694ce530b7c5eaeeea0e756dc8958",
+        "e0fe2578618c0a72008b3c6ddab4b39d28863548efbbbb04e553dd23fa97e687",
+    ),
+    "trials_economy.json": (
+        "2189d1a0336bf7fb5e6a61d8b0f1e49f4241e3859ae5e19643311b6cc7108888",
+        "61d4a5421331e4f5da5d62bee70d0e64bded9721445b8cdfbbacf4ab3ca72dca",
     ),
 }
 
@@ -783,6 +787,7 @@ SHIPPED_DIGESTS = {
         ("multiworld_market_social.json", "multiworld"),
         ("transfer_market_bias.json", "transfer"),
         ("ablation_tariff.json", "ablation"),
+        ("trials_economy.json", "trials"),
     ],
 )
 def test_shipped_configs_run_clean(name, command, tmp_path, monkeypatch):
@@ -841,6 +846,30 @@ def test_shipped_ablation_config_runs_clean(tmp_path, monkeypatch):
     assert len(lines) == 5
 
 
+def metrics_rows(out):
+    header, *lines = (out / "metrics.csv").read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def test_shipped_ablation_tilts_the_book_toward_selling_level_by_level(tmp_path, monkeypatch):
+    # the headline, then the research note, each lower the buy/sell ratio; the
+    # news tool adds nothing offline, since no scripted rule calls a tool
+    rows = metrics_rows(run_shipped("ablation_tariff.json", "ablation", tmp_path, monkeypatch))
+    assert [row["setting"] for row in rows] == ["1", "2", "3", "4"]
+    for stock in "AB":
+        ratios = [float(row[f"stock_{stock}"]) for row in rows]
+        assert ratios[0] > ratios[1] > ratios[2] >= ratios[3]
+        assert all(ratio < 1 for ratio in ratios[1:])
+        assert all(float(row[f"delta_{stock}"]) < 0 for row in rows[1:3])
+
+
+def test_shipped_economy_trials_spread_across_seeds(tmp_path, monkeypatch):
+    rows = metrics_rows(run_shipped("trials_economy.json", "trials", tmp_path, monkeypatch))
+    assert [row["seed"] for row in rows] == ["0", "1", "2", "mean", "stddev"]
+    (stddev,) = (row for row in rows if row["seed"] == "stddev")
+    assert any(float(value) > 0 for key, value in stddev.items() if key != "seed")
+
+
 # --- README promises ------------------------------------------------------------------
 
 
@@ -871,7 +900,8 @@ SHIPPED_EPISODES = {
     "trials_market.json": [f"trial/{seed}" for seed in range(5)],
     "multiworld_market_social.json": ["multiworld"],
     "transfer_market_bias.json": ["source", "carry", "fresh"],
-    "ablation_tariff.json": [f"setting_{level}/trial/{seed}" for level in (1, 2, 3, 4) for seed in range(5)],
+    "ablation_tariff.json": [f"setting_{level}/trial/0" for level in (1, 2, 3, 4)],
+    "trials_economy.json": [f"trial/{seed}" for seed in range(3)],
 }
 
 

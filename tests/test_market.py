@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cogsim.envs.market import (
     CLEAR_COLUMNS,
     SYMBOLS,
-    ForumPost,
     MarketConfig,
     MarketEnv,
     NewsItem,
@@ -557,7 +556,7 @@ def test_forum_tool_returns_only_previous_day():
         env.step({aid: poster(obs) for aid, obs in env._observations().items()})
     assert env.day == 2
     text = env._read_forum()
-    assert "t=0" in text and "t=1" in text and "t=2" in text
+    assert text == "\n".join(f"agent {aid} (day 1): t={t}" for t in range(3) for aid in (0, 1))
     # posts from the current day never appear
     env.step({aid: poster(obs) for aid, obs in env._observations().items()})
     text = env._read_forum()
@@ -695,7 +694,7 @@ def test_a_price_edit_and_a_forum_post_show_in_the_next_observation():
         observations = env.step(post_only(env))
     before = observations[0].context_text
     env.stocks["A"].record_price(12.34)
-    env.forum.append(ForumPost(agent=1, day=1, text="a late word"))
+    env.forum[1].append("agent 1 (day 1): a late word")
     observations = env._observations()
     assert "Stock A price 12.34." in observations[0].context_text != before
     assert observations[0].context_text == reference_context(env, 0)

@@ -12,10 +12,10 @@ from cogsim import runners
 from cogsim.backends import CompletionResult, ScriptedBackend
 from cogsim.cognition import Agent, PersonaConfig, compose_prompt
 from cogsim.envs.market import ORDER_ITEM_SCHEMA, SYMBOLS, MarketConfig, MarketEnv, NewsItem
-from cogsim.envs.questionnaire import Item, ScaleSpec, score_answers
+from cogsim.envs.questionnaire import Item, QuestionnaireEnv, ScaleSpec, score_answers
 from cogsim.envs.social import ACTION_KINDS, SocialEnv, star_profiles
 from cogsim.errors import SchemaViolation, SimulationError
-from cogsim.memory import BufferMemory
+from cogsim.memory import BufferMemory, MemoryStore
 from cogsim.protocol import ActionEnvelope, run_episode, step_world
 from cogsim.schema import validate_action
 from cogsim.runners import (
@@ -223,6 +223,22 @@ def test_archives_tagged_with_source_world():
         assert all(entry["world_tag"] == "market" for entry in lines)
 
 
+@pytest.mark.parametrize("world", ["market", "questionnaire"])
+def test_run_episode_tags_every_archived_entry_with_its_world(world):
+    # an Agent built with the default tag is named by the loop that steps it
+    if world == "market":
+        env = MarketEnv(MarketConfig(n_agents=2, days=1))
+    else:
+        env = QuestionnaireEnv(transfer_items(), seed=7, agent_ids=[0, 1])
+    agents = {aid: Agent(aid, memory=BufferMemory(capacity=100), backend=transfer_backend()) for aid in (0, 1)}
+    log = run_episode(env, agents, max_steps=None)
+    assert log.steps_executed > 0
+    for agent in agents.values():
+        assert agent.memory.entries
+        assert {entry.world_tag for entry in agent.memory.entries} == {world}
+        assert MemoryStore.from_jsonl(agent.memory.to_jsonl()).render().startswith(f"[{world} t=0 observation]")
+
+
 def test_transfer_symmetry_negates_diffs():
     items, plan = transfer_items(), make_transfer_plan(carry=True)
     result = run_memory_transfer(plan, InstrumentSpec(items=items))
@@ -287,6 +303,16 @@ def test_multiworld_world_tag_sequence():
     log = run_multiworld(MultiWorldSchedule(environments=[market, social], cycles=3), make_multiworld_agents(2))
     sequence = [tag for tag, _ in itertools.groupby(r.info["world"] for r in log.records)]
     assert sequence == ["market", "social"] * 3
+
+
+def test_multiworld_archives_alternate_between_the_worlds():
+    market = MarketEnv(MarketConfig(n_agents=2, days=5))
+    social = SocialEnv(star_profiles(2), seed_post="seed")
+    agents = make_multiworld_agents(2)
+    run_multiworld(MultiWorldSchedule(environments=[market, social], cycles=3), agents)
+    for agent in agents.values():
+        sequence = [tag for tag, _ in itertools.groupby(entry.world_tag for entry in agent.memory.entries)]
+        assert sequence == ["market", "social"] * 3
 
 
 def test_multiworld_env_state_persists_across_cycles():
