@@ -306,7 +306,7 @@ class RemoteBackend(CompletionBackend):
     from config files). A request goes out as model ``"scripted"`` at
     temperature 0.0, up to ``REMOTE_ATTEMPTS`` times: transport errors, 5xx
     and 429 responses retry after an exponential backoff (attempt n waits
-    2^n x 100 ms, jittered from the injected stream) or a 429's
+    2^n x 100 ms, jittered from a fixed ``random.Random(0)`` stream) or a 429's
     ``Retry-After`` delta-seconds (RFC 9110 section 10.2.3). Other 4xx
     responses are fatal. At most ``in_flight_limit`` requests are open.
 
@@ -325,7 +325,6 @@ class RemoteBackend(CompletionBackend):
         auth_env: str | None = None,
         in_flight_limit: int = 4,
         timeout: float = 30.0,
-        rng: random.Random | None = None,
         sleeper: Callable[[float], None] = time.sleep,
         session: Any = None,
     ):
@@ -336,7 +335,7 @@ class RemoteBackend(CompletionBackend):
         self.in_flight_limit = in_flight_limit
         self.timeout = timeout
         self._semaphore = threading.BoundedSemaphore(in_flight_limit)
-        self._rng = rng or random.Random(0)
+        self._rng = random.Random(0)
         self._rng_lock = threading.Lock()
         self._sleeper = sleeper
         self._session = session

@@ -16,11 +16,14 @@ one string. Posts are created at non-decreasing times, so each author's
 posts in id order are also in time order, and ``build_feed`` picks the
 newest ``cap`` posts by a heap merge of those lists walked backwards.
 
-An observation's context is three parts: a per-agent header (clock and
-bio), the shared feed string and a constant footer. Agents' memories keep
-the parts, so a step's feed is held once however many followers archive it;
-the parts are joined wherever text is read, so prompts, archives and
-events are byte-equal to those of one joined string per agent.
+An observation's context is four parts: the step's clock, the intro for
+the agent's bio, the shared feed string and a constant footer. The clock
+and intro are cached by the values they render, so a step's clock is one
+string for every agent and an intro one string across steps. Agents'
+memories keep the parts, so a step's feed is held once however many
+followers archive it and no archive holds a per-agent header; the parts are
+joined wherever text is read, so prompts, archives and events are
+byte-equal to those of one joined string per agent.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
@@ -51,7 +55,7 @@ class UserProfile:
             raise ValueError("no self-follow")
 
 
-@dataclass
+@dataclass(slots=True)
 class Post:
     post_id: int
     author: int
@@ -60,7 +64,7 @@ class Post:
     likes: set[int] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(slots=True)
 class Comment:
     comment_id: int
     post_id: int
@@ -200,6 +204,14 @@ def seed_influencer(state: SocialState, content: str, influencer: int, events: E
 ACTION_SCHEMA = ResponseSchema.of(kind="string", content="string?", target_post="integer?")
 
 
+def _clock(t: int) -> str:
+    return f"t={t}. "
+
+
+def _intro(bio: str) -> str:
+    return f"You are a social media user. Bio: {bio}\n"
+
+
 def star_profiles(n_agents: int, influencer: int = 0) -> dict[int, UserProfile]:
     """Everyone follows the influencer; the influencer follows nobody."""
     return {
@@ -241,6 +253,7 @@ class SocialEnv(Environment):
         self.state = SocialState(profiles=self.profiles)
         self.t = 0
         self._inboxes: dict[int, list[Message]] = {aid: [] for aid in self.profiles}
+        self._clock, self._intro = (lru_cache(maxsize=None)(part) for part in (_clock, _intro))
         self._clear_feed_cache()
         if self.seed_post:
             seed_influencer(self.state, self.seed_post, self.influencer, self.events)
@@ -278,9 +291,8 @@ class SocialEnv(Environment):
             self._follow_feeds[follows] = feed
         return feed
 
-    def _context_for(self, aid: int) -> tuple[str, str, str]:
-        header = f"t={self.t}. You are a social media user. Bio: {self.profiles[aid].bio}\n"
-        return header, self._render_feed(aid), FOOTER
+    def _context_for(self, aid: int) -> tuple[str, str, str, str]:
+        return self._clock(self.t), self._intro(self.profiles[aid].bio), self._render_feed(aid), FOOTER
 
     def _inbox(self, aid: int) -> list[Message]:
         return list(self._inboxes.get(aid, []))

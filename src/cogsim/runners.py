@@ -78,7 +78,7 @@ def _replay_backend(transcript_path: str) -> CompletionBackend:
 BACKENDS: dict[str, Kind] = {
     "scripted": Kind(_scripted_backend),
     "replay": Kind(_replay_backend),
-    "remote": Kind(RemoteBackend, internal=("rng", "sleeper", "session")),
+    "remote": Kind(RemoteBackend, internal=("sleeper", "session")),
 }
 
 MEMORIES: dict[str, Kind] = {name: Kind(cls) for name, cls in MEMORY_VARIANTS.items()}

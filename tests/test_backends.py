@@ -9,6 +9,7 @@ import threading
 import time
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -638,6 +639,24 @@ def test_remote_injected_session_failures_are_retried_then_raised(error, raised)
     with pytest.raises(raised):
         backend.complete(simple_request("q"))
     assert session.posts == 3
+
+
+class AnsweringSession:
+    """A ``requests.Session`` stand-in that answers every post with 200 and ``content``."""
+
+    def __init__(self, content):
+        self.content, self.bodies = content, []
+
+    def post(self, url, json, headers, timeout):
+        self.bodies.append(json)
+        return SimpleNamespace(status_code=200, headers={}, content=self.content)
+
+
+def test_remote_injected_session_answer_is_parsed():
+    session = AnsweringSession(tool_call_answer(content='{"kind": "do_nothing"}'))
+    backend = RemoteBackend("http://127.0.0.1:9/v1", sleeper=lambda s: None, session=session)
+    assert backend.complete(simple_request("q")) == CompletionResult(content='{"kind": "do_nothing"}')
+    assert [body["messages"] for body in session.bodies] == [[{"role": "user", "content": "q"}]]
 
 
 MARKET = {"kind": "market", "agents": 4, "days": 1}

@@ -600,6 +600,7 @@ SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
             "backend.rules[1].content",
         ),
         ({"backend": {"kind": "scripted", "default_content": 5}}, "backend.default_content"),
+        ({"backend": {"kind": "scripted", "default_content": ""}}, "backend.default_content"),
         (
             {"environment": {"kind": "market", "agents": 3, "days": 1, "events_by_day": {"1": "earnings due"}}},
             "environment.events_by_day",
@@ -651,8 +652,8 @@ SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
         "replay-missing-transcript-path",
         "replay-missing-transcript-file", "endpoint-on-scripted", "backend-kind", "trials-bool", "seed-bool",
         "max-steps-bool", "directives-string", "directives-non-string", "memory-string", "multiworld-environments-int",
-        "rule-without-contains", "rule-without-content", "default-content-int", "events-by-day", "start-date",
-        "negative-agents", "zero-agents", "bool-agents", "negative-feed-cap", "transfer-source-zero-agents",
+        "rule-without-contains", "rule-without-content", "default-content-int", "default-content-empty", "events-by-day",
+        "start-date", "negative-agents", "zero-agents", "bool-agents", "negative-feed-cap", "transfer-source-zero-agents",
         "multiworld-negative-feed-cap", "auction-item-without-true-value", "market-prices-missing-a-symbol",
         "carry-memory-string", "negative-parse-retries", "negative-days", "phase2-seed-string", "source-steps-string",
         "tool-rounds-string", "memory-capacity-string", "days-string", "ablation-summary-list", "replay-strict",
@@ -728,6 +729,15 @@ def test_ablation_repeated_level_exits_one(tmp_path, capsys):
     config = write_config(tmp_path, minimal_market_config(out, ablation=ablation))
     assert main(["ablation", "--config", str(config)]) == 1
     assert "ablation.settings: each level may be listed once" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_ablation_on_a_non_market_environment_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    ablation = {"headline": "h", "summary": "s", "news": []}
+    body = minimal_market_config(out, ablation=ablation, environment={"kind": "economy", "agents": 2, "months": 1})
+    assert main(["ablation", "--config", str(write_config(tmp_path, body))]) == 1
+    assert "environment.kind: ablation runs on a market environment" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
@@ -993,6 +1003,28 @@ def test_score_refuses_a_malformed_manifest(edit, tmp_path, capsys):
     assert bundle_bytes(out) == before
 
 
+def name_an_unknown_command(manifest_path):
+    manifest = json.loads(manifest_path.read_text())
+    manifest["command"] = "replay"
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [(lambda path: path.unlink(), "no manifest.json to score in"), (name_an_unknown_command, "names an unknown command 'replay'")],
+    ids=["missing", "unknown-command"],
+)
+def test_score_exits_one_without_a_manifest_naming_a_known_command(edit, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, minimal_market_config(out))
+    assert main(["run", "--config", str(config)]) == 0
+    edit(out / "manifest.json")
+    before = bundle_bytes(out)
+    assert main(["score", "--config", str(config)]) == 1
+    assert message in capsys.readouterr().err
+    assert bundle_bytes(out) == before
+
+
 def test_score_refuses_a_manifest_whose_fields_were_edited(tmp_path, capsys):
     out = tmp_path / "out"
     body = minimal_market_config(out, trials=3, environment={"kind": "economy", "agents": 2, "months": 2})
@@ -1042,6 +1074,13 @@ def test_readme_config_tables_list_each_schemas_keys():
         for name, kind in table.items():
             expected[f"`{name}` {noun}"] = schema_keys(kind.schema, kind.internal)
     assert tables == expected
+
+
+@pytest.mark.parametrize("table", [ENVIRONMENTS, BACKENDS, MEMORIES], ids=["environments", "backends", "memories"])
+def test_every_internal_name_is_a_schema_parameter(table):
+    # the README table check filters names through internal, so a stale one would pass it
+    for name, kind in table.items():
+        assert set(kind.internal) <= set(inspect.signature(kind.schema).parameters), name
 
 
 # --- mutated shipped configs -------------------------------------------------------------

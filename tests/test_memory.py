@@ -159,6 +159,20 @@ def test_serialization_roundtrip_deep_equal(store_factory):
     assert restored.to_jsonl() == text
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("\n  \n", "empty memory archive"),
+        ('{"variant": "vector", "version": 1}\n', "unknown memory kind 'vector'"),
+        ('{"variant": "buffer", "version": 1}\n', 'missing key "capacity" for buffer memory'),
+    ],
+    ids=["empty", "unknown-variant", "missing-parameter"],
+)
+def test_from_jsonl_refuses_an_archive_it_cannot_rebuild(text, message):
+    with pytest.raises(ValueError, match=message):
+        MemoryStore.from_jsonl(text)
+
+
 ENTRIES = st.lists(
     st.builds(
         MemoryEntry,

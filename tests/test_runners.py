@@ -305,6 +305,16 @@ def test_multiworld_world_tag_sequence():
     assert sequence == ["market", "social"] * 3
 
 
+def test_multiworld_skips_a_finished_environment():
+    market = MarketEnv(MarketConfig(n_agents=2, days=1))
+    social = SocialEnv(star_profiles(2), seed_post="seed")
+    log = run_multiworld(MultiWorldSchedule(environments=[market, social], cycles=5), make_multiworld_agents(2))
+    assert market.done() and social.t == 5
+    assert log.steps_executed == 3 + 5
+    sequence = [tag for tag, _ in itertools.groupby(r.info["world"] for r in log.records)]
+    assert sequence == ["market", "social"] * 3  # social's steps 3 to 5 are its last group
+
+
 def test_multiworld_archives_alternate_between_the_worlds():
     market = MarketEnv(MarketConfig(n_agents=2, days=5))
     social = SocialEnv(star_profiles(2), seed_post="seed")

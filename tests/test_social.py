@@ -475,15 +475,26 @@ def test_followers_archive_one_shared_feed_per_step():
     env = SocialEnv(star_profiles(n), seed_post="opening post")
     run_episode(env, agents, max_steps=steps, seed=13)
     assert env.state.comments and any(post.likes for post in env.state.posts.values())
+    assert not hasattr(env.state.posts[1], "__dict__") and not hasattr(env.state.comments[1], "__dict__")
 
     observed = [entry for agent in agents.values() for entry in agent.memory.entries if entry.role == "observation"]
     assert len(observed) == n * steps
     holders: dict[tuple[int, str], list[int]] = {}
-    for entry in observed:
-        _, feed, _ = entry.parts
-        holders.setdefault((entry.time, feed), []).append(id(feed))
+    clocks: dict[int, set[int]] = {}
+    intros: dict[int, set[int]] = {}
+    for aid, agent in agents.items():
+        for entry in agent.memory.entries:
+            if entry.role != "observation":
+                continue
+            clock, intro, feed, _ = entry.parts
+            holders.setdefault((entry.time, feed), []).append(id(feed))
+            clocks.setdefault(entry.time, set()).add(id(clock))
+            intros.setdefault(aid, set()).add(id(intro))
     assert all(len(set(ids)) == 1 for ids in holders.values())
     assert max(len(ids) for ids in holders.values()) >= n - 1
+    # one clock string per step for every agent, one intro per agent for every step
+    assert len(clocks) == steps and all(len(ids) == 1 for ids in clocks.values())
+    assert len(intros) == n and all(len(ids) == 1 for ids in intros.values())
 
     # every archived string counted once, however many entries hold it
     sizes = {}
