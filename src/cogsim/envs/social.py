@@ -10,20 +10,29 @@ plus the viewer's own posts that drew replies), newest first, capped.
 Each feed is built once per step. Every viewer with the same follow set
 and no replied own post sees the same feed, so ``SocialEnv`` builds that
 follow set's feed once per step and serves it to all of them; a viewer with
-a replied post gets a feed built for it alone. Each built feed is rendered
-once per step and keyed by its post ids, so viewers with equal feeds share
-one string. Posts are created at non-decreasing times, so each author's
-posts in id order are also in time order, and ``build_feed`` picks the
-newest ``cap`` posts by a heap merge of those lists walked backwards.
+a replied post gets a feed built for it alone. Posts are created at
+non-decreasing times, so each author's posts in id order are also in time
+order, and ``build_feed`` picks the newest ``cap`` posts by a heap merge of
+those lists walked backwards.
 
-An observation's context is four parts: the step's clock, the intro for
-the agent's bio, the shared feed string and a constant footer. The clock
-and intro are cached by the values they render, so a step's clock is one
-string for every agent and an intro one string across steps. Agents'
-memories keep the parts, so a step's feed is held once however many
-followers archive it and no archive holds a per-agent header; the parts are
-joined wherever text is read, so prompts, archives and events are
-byte-equal to those of one joined string per agent.
+A feed is its header line, then one block per post: the post line and its
+visible comment lines, each line starting with ``"\n"``. ``SocialEnv`` keeps
+each post's block across steps, stamped with its like count and visible
+comment count, and renders it again only when that stamp changes: likes
+only grow, comments are append-only and time-ordered, and a post's other
+fields never change. So equal feeds share every part, and ``reset`` drops
+every block. A post nobody has liked holds the one empty ``frozenset``
+until its first like.
+
+An observation's context is the step's clock, the intro for the agent's
+bio, the feed's header and blocks, and a constant footer. The clock and
+intro are cached by the values they render, so a step's clock is one string
+for every agent and an intro one string across steps. Agents' memories keep
+the parts, so a post's block is held once for as long as it is unchanged,
+however many followers archive it over however many steps, and no archive
+holds a per-agent header; the parts are joined wherever text is read, so
+prompts, archives and events are byte-equal to those of one joined string
+per agent.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ class Post:
     author: int
     time: int
     content: str
-    likes: set[int] = field(default_factory=set)
+    likes: set[int] | frozenset[int] = frozenset()  # a set of its own from the first like
 
 
 @dataclass(slots=True)
@@ -171,7 +180,11 @@ def apply_social_action(action: SocialAction, state: SocialState, agent: int, ti
     if action.kind == "like_post":
         if action.target_post not in state.posts:
             raise UnknownPost(f"post {action.target_post} does not exist")
-        state.posts[action.target_post].likes.add(agent)
+        post = state.posts[action.target_post]
+        if post.likes:
+            post.likes.add(agent)
+        else:
+            post.likes = {agent}
         return events.append(agent, time, "like_post", {"post_id": action.target_post})
     return events.append(agent, time, "do_nothing")
 
@@ -180,16 +193,11 @@ def replay_events(records: Iterable[EventRecord], profiles: Mapping[int, UserPro
     """Rebuild the full social state from an event stream."""
     state, events = SocialState(profiles=dict(profiles)), EventLog()
     for record in records:
-        if record.action == "create_post":
-            action = SocialAction(kind="create_post", content=record.info["content"])
-        elif record.action == "create_comment":
-            action = SocialAction(
-                kind="create_comment", content=record.info["content"], target_post=record.info["post_id"]
-            )
-        elif record.action == "like_post":
-            action = SocialAction(kind="like_post", target_post=record.info["post_id"])
-        else:
+        if record.action not in ("create_post", "create_comment", "like_post"):
             continue
+        info = record.info  # each read decodes the record's whole line
+        target = None if record.action == "create_post" else info["post_id"]
+        action = SocialAction(kind=record.action, content=info.get("content"), target_post=target)
         rebuilt = apply_social_action(action, state, record.user_id, record.current_time, events)
         if rebuilt.line != record.line:
             raise AssertionError(f"replay diverged at {record}")
@@ -254,22 +262,30 @@ class SocialEnv(Environment):
         self.t = 0
         self._inboxes: dict[int, list[Message]] = {aid: [] for aid in self.profiles}
         self._clock, self._intro = (lru_cache(maxsize=None)(part) for part in (_clock, _intro))
-        self._clear_feed_cache()
+        # across steps: each post's block by post id, with the stamp it was
+        # rendered at; a new run's posts reuse the ids, so _setup drops them
+        self._blocks: dict[int, tuple[tuple[int, int], str]] = {}
+        # per step: by follow set, the feed of a viewer with no replied own
+        # post, shared by every such observation of the step
+        self._follow_feeds: dict[frozenset[int], tuple[str, ...]] = {}
         if self.seed_post:
             seed_influencer(self.state, self.seed_post, self.influencer, self.events)
-
-    def _clear_feed_cache(self):
-        # per step: each rendered feed by its post ids, so equal feeds are one
-        # string, and by follow set the feed of a viewer with no replied own
-        # post. Every observation of a step shares them, and each step's
-        # actions change them
-        self._feeds: dict[tuple[int, ...], str] = {}
-        self._follow_feeds: dict[frozenset[int], str] = {}
 
     def done(self) -> bool:
         return False  # runs until the caller's max_steps
 
-    def _render_feed(self, aid: int) -> str:
+    def _block(self, post: Post, comments: list[Comment]) -> str:
+        stamp = (len(post.likes), len(comments))
+        kept = self._blocks.get(post.post_id)
+        if kept is not None and kept[0] == stamp:
+            return kept[1]
+        lines = [f"\n- post {post.post_id} by agent {post.author} at t={post.time} ({stamp[0]} likes): {post.content}"]
+        lines += [f"\n    comment {c.comment_id} by agent {c.author}: {c.content}" for c in comments]
+        block = "".join(lines)
+        self._blocks[post.post_id] = stamp, block
+        return block
+
+    def _render_feed(self, aid: int) -> tuple[str, ...]:
         # every post and comment is at most self.t old, so an own post with
         # comments is one with visible replies, which only aid's feed shows
         state = self.state
@@ -278,27 +294,21 @@ class SocialEnv(Environment):
         if not replied and follows in self._follow_feeds:
             return self._follow_feeds[follows]
         entries = build_feed(aid, self.profiles, state, cap=self.feed_cap, now=self.t)
-        key = tuple(post.post_id for post, _ in entries)
-        feed = self._feeds.get(key)
-        if feed is None:
-            lines = ["Your feed (newest first):" if entries else "Your feed is empty."]
-            for post, comments in entries:
-                likes = len(post.likes)
-                lines.append(f"- post {post.post_id} by agent {post.author} at t={post.time} ({likes} likes): {post.content}")
-                lines += [f"    comment {c.comment_id} by agent {c.author}: {c.content}" for c in comments]
-            feed = self._feeds[key] = "\n".join(lines)
+        header = "Your feed (newest first):" if entries else "Your feed is empty."
+        feed = (header, *(self._block(post, comments) for post, comments in entries))
         if not replied:
             self._follow_feeds[follows] = feed
         return feed
 
-    def _context_for(self, aid: int) -> tuple[str, str, str, str]:
-        return self._clock(self.t), self._intro(self.profiles[aid].bio), self._render_feed(aid), FOOTER
+    def _context_for(self, aid: int) -> tuple[str, ...]:
+        """The clock, the bio's intro, the feed's header and post blocks, and the footer."""
+        return (self._clock(self.t), self._intro(self.profiles[aid].bio), *self._render_feed(aid), FOOTER)
 
     def _inbox(self, aid: int) -> list[Message]:
         return list(self._inboxes.get(aid, []))
 
     def step(self, actions: Mapping[int, ActionEnvelope]) -> dict[int, Observation]:
-        self._clear_feed_cache()
+        self._follow_feeds = {}
         outbox: list[Message] = []
         for aid in sorted(actions):
             body = actions[aid].body

@@ -480,18 +480,30 @@ def test_followers_archive_one_shared_feed_per_step():
     observed = [entry for agent in agents.values() for entry in agent.memory.entries if entry.role == "observation"]
     assert len(observed) == n * steps
     holders: dict[tuple[int, str], list[int]] = {}
+    kept: dict[str, set[int]] = {}
     clocks: dict[int, set[int]] = {}
     intros: dict[int, set[int]] = {}
     for aid, agent in agents.items():
         for entry in agent.memory.entries:
             if entry.role != "observation":
                 continue
-            clock, intro, feed, _ = entry.parts
-            holders.setdefault((entry.time, feed), []).append(id(feed))
+            clock, intro, header, *blocks, footer = entry.parts
+            assert header.startswith("Your feed") and footer.startswith("\nChoose one action kind")
+            for block in blocks:
+                assert block.startswith("\n- post ")
+                holders.setdefault((entry.time, block), []).append(id(block))
+                kept.setdefault(block, set()).add(entry.time)
             clocks.setdefault(entry.time, set()).add(id(clock))
             intros.setdefault(aid, set()).add(id(intro))
+    # each block is one object for every holder in its step
     assert all(len(set(ids)) == 1 for ids in holders.values())
     assert max(len(ids) for ids in holders.values()) >= n - 1
+    # a block's text names its post, like count and comments, so equal text is an
+    # unchanged stamp: such a post keeps one block object across those steps
+    assert all(len({holders[time, block][0] for time in times}) == 1 for block, times in kept.items())
+    # posts nobody liked share one empty value
+    unliked = [post.likes for post in env.state.posts.values() if not post.likes]
+    assert len(unliked) >= 2 and len({id(likes) for likes in unliked}) == 1
     # one clock string per step for every agent, one intro per agent for every step
     assert len(clocks) == steps and all(len(ids) == 1 for ids in clocks.values())
     assert len(intros) == n and all(len(ids) == 1 for ids in intros.values())
@@ -504,6 +516,65 @@ def test_followers_archive_one_shared_feed_per_step():
                 sizes[id(part)] = len(part)
     largest = max(len(entry.content) for entry in observed)
     assert sum(sizes.values()) < 4 * steps * largest
+
+
+def test_archives_hold_less_than_each_steps_distinct_feeds():
+    # the influencer posts every step and followers engage only with its newest
+    # post, so every older post's block stays unchanged while the feed moves on
+    n, steps = 16, 12
+
+    def act(prompt):
+        t, aid = map(int, re.findall(r"t=(\d+)\. You are a social media user\. Bio: user (\d+)", prompt)[-1])
+        if aid == 0:
+            body = {"kind": "create_post", "content": f"update {t}"}
+        elif (aid + t) % 5 == 0:
+            body = {"kind": "create_comment", "content": f"re {t} from {aid}", "target_post": t + 1}
+        elif (aid + t) % 5 == 1:
+            body = {"kind": "like_post", "target_post": t + 1}
+        else:
+            body = {"kind": "do_nothing"}
+        return CompletionResult(content=json.dumps(body))
+
+    backend = ScriptedBackend(default=act)
+    agents = {aid: Agent(aid, memory=ChatHistoryMemory(window=4, token_limit=256), backend=backend) for aid in range(n)}
+    env = SocialEnv(star_profiles(n), seed_post="opening post")
+    run_episode(env, agents, max_steps=steps, seed=3)
+
+    retained: dict[int, int] = {}
+    feeds: dict[int, set[str]] = {}
+    blocks: dict[str, set[int]] = {}
+    for agent in agents.values():
+        for entry in agent.memory.entries:
+            retained.update((id(part), len(part)) for part in entry.parts)
+            if entry.role == "observation":
+                feeds.setdefault(entry.time, set()).add("".join(entry.parts[2:-1]))
+                for block in entry.parts[3:-1]:
+                    blocks.setdefault(block, set()).add(id(block))
+    assert len(feeds) == steps and max(map(len, feeds.values())) >= 2
+    assert all(len(ids) == 1 for ids in blocks.values())
+    # every archived string counted once, against one copy of each step's distinct
+    # feeds: what the feeds alone cost when each is one string
+    assert sum(retained.values()) < sum(len(feed) for step_feeds in feeds.values() for feed in step_feeds)
+
+
+def test_reset_and_repeated_likes_never_show_a_stale_block():
+    env = SocialEnv(star_profiles(3))
+    env.reset()
+    first = env.step({0: ActionEnvelope(0, 0, {"kind": "create_post", "content": "first run"})})
+    assert "first run" in first[1].context_text
+
+    # the new run's post 1 has the old one's id, time and stamp, but new content
+    env.reset()
+    second = env.step({0: ActionEnvelope(0, 0, {"kind": "create_post", "content": "second run"})})
+    assert (env.state.posts[1].time, env.state.posts[1].likes) == (0, frozenset())
+    assert "second run" in second[1].context_text and "first run" not in second[1].context_text
+
+    def like():
+        return env.step({1: ActionEnvelope(1, env.t, {"kind": "like_post", "target_post": 1})})
+
+    block = like()[2].context_parts[3]
+    assert "(1 likes): second run" in block
+    assert like()[2].context_parts[3] is block
 
 
 def test_comments_route_messages_to_post_author():
