@@ -307,8 +307,8 @@ class RemoteBackend(CompletionBackend):
     temperature 0.0, up to ``REMOTE_ATTEMPTS`` times: transport errors, 5xx
     and 429 responses retry after an exponential backoff (attempt n waits
     2^n x 100 ms, jittered from a fixed ``random.Random(0)`` stream) or a 429's
-    ``Retry-After`` delta-seconds (RFC 9110 section 10.2.3). Other 4xx
-    responses are fatal. At most ``in_flight_limit`` requests are open.
+    ``Retry-After`` delta-seconds (RFC 9110 section 10.2.3), up to ``timeout``.
+    Other 4xx responses are fatal. At most ``in_flight_limit`` requests are open.
 
     Requests go over keep-alive ``http.client`` connections (``https``
     endpoints with the default verifying SSL context), imported when the
@@ -413,7 +413,7 @@ class RemoteBackend(CompletionBackend):
         timed_out = False
         for attempt in range(REMOTE_ATTEMPTS):
             if attempt > 0:
-                self._sleeper(self._backoff(attempt) if retry_after is None else retry_after)
+                self._sleeper(self._backoff(attempt) if retry_after is None else min(retry_after, self.timeout))
             retry_after: float | None = None  # set by a 429 for the next attempt's wait
             try:
                 with self._semaphore:

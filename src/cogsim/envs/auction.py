@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from ..errors import ConfigError
-from ..protocol import ActionEnvelope, Environment, EventRecord, Observation
+from ..protocol import ENV_ACTOR, ActionEnvelope, Environment, EventRecord, Observation
 from ..schema import ResponseSchema
 
 DEFAULT_BUDGET = 20_000.0
@@ -223,7 +223,7 @@ class AuctionEnv(Environment):
 
     def _close_item(self, sale: Sale, item: AuctionItem) -> None:
         if sale.winner is None:
-            self.events.append(-1, self.t, "unsold", {"item": item.name})
+            self.events.append(ENV_ACTOR, self.t, "unsold", {"item": item.name})
         else:
             settle_sale(sale, self.bidders, item)
             self.events.append(

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from ..seeds import child_rng
-from ..protocol import ActionEnvelope, Environment, EventRecord, Observation
+from ..protocol import ENV_ACTOR, ActionEnvelope, Environment, EventRecord, Observation
 from ..errors import ConfigError, DegenerateX
 from ..schema import ResponseSchema
 from ..stats import fit_line
@@ -273,7 +273,7 @@ class EconomyEnv(Environment):
         self.state.policy.tax_rate = self.config.tax_rate_in(self.state.month)
         clamped = {aid: clamp_action(actions[aid].body, aid) for aid in self.agent_ids}
         indicators = monthly_step(clamped, self.state)
-        self.events.append(-1, self.state.month - 1, "month_close", vars(indicators))
+        self.events.append(ENV_ACTOR, self.state.month - 1, "month_close", vars(indicators))
         return self._observations()
 
 

@@ -34,14 +34,11 @@ from json.encoder import encode_basestring_ascii as quote
 from typing import Any, Mapping, NamedTuple
 
 from ..errors import ConfigError, LoanRefused, UndefinedRatio
-from ..protocol import ActionEnvelope, Environment, EventRecord, Observation, ToolSpec
+from ..protocol import ENV_ACTOR, ActionEnvelope, Environment, EventRecord, Observation, ToolSpec
 from ..schema import ResponseSchema, validate_action
 
 SYMBOLS = ("A", "B")
 STYLES = ("conservative", "aggressive", "balanced", "growth")
-
-# user_id stamped on environment-originated log records (session clears)
-ENV_ACTOR = -1
 
 # the calendar date of day 1
 START_DATE = dt.date(2025, 4, 1)

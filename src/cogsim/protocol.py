@@ -127,6 +127,9 @@ class ActionEnvelope:
     body: dict[str, Any]
 
 
+ENV_ACTOR: AgentId = -1  # the user_id of records an environment writes itself
+
+
 @dataclass(frozen=True, slots=True, init=False, eq=False)
 class EventRecord:
     """One append-only simulation log line, kept as that line: the canonical
@@ -376,21 +379,23 @@ def step_world(
     return env.step(actions)
 
 
-def policy_pool(agents: Mapping[AgentId, Any], parallel: bool) -> ContextManager[Executor | None]:
-    """The thread pool a run's ``step_world`` calls fan out to, or no pool unless
-    ``parallel``; a serial run never imports the pool.
+def policy_pool(agents: Mapping[AgentId, Any], parallel: bool = False) -> ContextManager[Executor | None]:
+    """The thread pool a run's ``step_world`` calls fan out to, or no pool.
 
+    A pool opens when any agent's backend caps its in-flight requests (a
+    positive ``in_flight_limit``, as a remote backend has), or when
+    ``parallel`` asks for one; otherwise the pool is never imported.
     One worker per agent, up to 16, or up to the largest ``in_flight_limit``
-    of the agents' backends where that is larger, so that every request a
-    backend allows can be open at once. A limit below 16 does not shrink the
-    pool: a worker sleeping out a retry's backoff must not hold up the rest.
+    where that is larger, so that every request a backend allows can be open
+    at once. A limit below 16 does not shrink the pool: a worker sleeping out
+    a retry's backoff must not hold up the rest.
     """
-    if not parallel:
+    backends = (getattr(agent, "backend", None) for agent in agents.values())
+    limit = max((getattr(backend, "in_flight_limit", 0) for backend in backends), default=0)
+    if not (parallel or limit > 0):
         return nullcontext()
     from concurrent.futures import ThreadPoolExecutor
 
-    backends = (getattr(agent, "backend", None) for agent in agents.values())
-    limit = max((getattr(backend, "in_flight_limit", 0) for backend in backends), default=0)
     return ThreadPoolExecutor(max_workers=min(len(agents), max(16, limit)) or 1)
 
 
@@ -404,9 +409,10 @@ def run_episode(
     """Run one episode: observe, act, step, until done or ``max_steps`` (``None``: until done).
 
     Policies are objects with ``step(obs) -> ActionEnvelope`` (or bare
-    callables). With ``parallel=True`` policy calls within a step fan out
-    to one thread pool kept for the whole episode; results are still applied
-    in ascending agent id.
+    callables). Policy calls within a step fan out to one thread pool kept
+    for the whole episode when :func:`policy_pool` opens one: when an agent's
+    backend caps its in-flight requests, or with ``parallel=True`` where none
+    does. Results are still applied in ascending agent id.
     """
     observations = env.reset()
     steps = 0

@@ -220,12 +220,6 @@ class ExperimentConfig:
     multiworld: MultiWorldConfig | None = None
     ablation: AblationConfig | None = None
 
-    @property
-    def parallel(self) -> bool:
-        """Whether agents' policy calls within a step fan out to a thread pool:
-        on a remote backend, so that up to ``in_flight_limit`` requests are open."""
-        return self.backend["kind"] == "remote"
-
 
 _SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
@@ -450,7 +444,7 @@ def run_harness(config: ExperimentConfig, episodes: Episodes | None = None) -> H
         check_step_limit(section, config.max_steps)
         with closing(make(BACKENDS, config.backend)) as backend:
             env, agents = build_setup(config, backend, config.seed)
-            log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed, parallel=config.parallel)
+            log = run_episode(env, agents, max_steps=config.max_steps, seed=config.seed)
         episodes = Episodes([("run", log)])
     ((_, log),) = episodes.logs
     kind = ENVIRONMENTS[section["kind"]]
@@ -479,7 +473,7 @@ def trials_harness(config: ExperimentConfig, episodes: Episodes | None = None) -
             for seed in range(config.seed, config.seed + config.trials):
                 try:
                     env, agents = build_setup(config, backend, seed)
-                    log = run_episode(env, agents, max_steps=config.max_steps, seed=seed, parallel=config.parallel)
+                    log = run_episode(env, agents, max_steps=config.max_steps, seed=seed)
                     episodes.logs.append((f"trial/{seed}", log))
                 except Exception as exc:  # a broken trial must not sink the study
                     episodes.failures[f"trial/{seed}"] = f"{type(exc).__name__}: {exc}"
@@ -509,8 +503,7 @@ def trials_harness(config: ExperimentConfig, episodes: Episodes | None = None) -
 @dataclass
 class TransferPlan:
     """Phase 1 populates memories in the source world; phase 2 administers the
-    instrument twice, with carried and with fresh stores. ``parallel`` fans
-    each episode's policy calls out as in :func:`run_episode`."""
+    instrument twice, with carried and with fresh stores."""
 
     source_env_factory: Callable[[int], Environment]
     agent_ids: list[int]
@@ -520,7 +513,6 @@ class TransferPlan:
     carry_memory: bool = True
     seed: int = 0
     phase2_seed: int = 0
-    parallel: bool = False
 
 
 @dataclass
@@ -564,9 +556,7 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
     arms' are kept, tagged source, carry and fresh."""
     source_env = plan.source_env_factory(plan.seed)
     phase1_agents = {aid: plan.agent_factory(aid, plan.memory_factory()) for aid in plan.agent_ids}
-    phase1 = run_episode(
-        source_env, phase1_agents, max_steps=plan.source_steps, seed=plan.seed, parallel=plan.parallel
-    )
+    phase1 = run_episode(source_env, phase1_agents, max_steps=plan.source_steps, seed=plan.seed)
     archives = {aid: phase1_agents[aid].memory.to_jsonl() for aid in plan.agent_ids}
 
     def administer(restore: bool) -> EpisodeLog:
@@ -575,7 +565,7 @@ def run_memory_transfer(plan: TransferPlan, instrument: InstrumentSpec) -> Trans
             aid: plan.agent_factory(aid, MemoryStore.from_jsonl(archives[aid]) if restore else plan.memory_factory())
             for aid in plan.agent_ids
         }
-        return run_episode(env, agents, max_steps=len(instrument.items), seed=plan.phase2_seed, parallel=plan.parallel)
+        return run_episode(env, agents, max_steps=len(instrument.items), seed=plan.phase2_seed)
 
     carry = administer(restore=plan.carry_memory)
     fresh = administer(restore=False)
@@ -600,7 +590,6 @@ def transfer_harness(config: ExperimentConfig, episodes: Episodes | None = None)
                 carry_memory=section.carry_memory,
                 seed=config.seed,
                 phase2_seed=config.seed if section.phase2_seed is None else section.phase2_seed,
-                parallel=config.parallel,
             )
             episodes = Episodes(run_memory_transfer(plan, InstrumentSpec(items=section.items)).episodes)
     logs = dict(episodes.logs)
@@ -625,20 +614,18 @@ class MultiWorldSchedule:
             raise ConfigError("must be >= 0", field="cycles")
 
 
-def run_multiworld(
-    schedule: MultiWorldSchedule, agents: Mapping[int, Any], seed: int = 0, parallel: bool = False
-) -> EpisodeLog:
+def run_multiworld(schedule: MultiWorldSchedule, agents: Mapping[int, Any], seed: int = 0) -> EpisodeLog:
     """Cycle a shared roster through the environments, one step each per cycle.
 
     Agent configs and memories persist across phases; environment states are
     never reset between cycles. Log records carry their world tag in
-    ``info["world"]``. ``parallel`` fans policy calls out as in :func:`run_episode`.
+    ``info["world"]``. Policy calls fan out as in :func:`run_episode`.
     """
     observations = {id(env): env.reset() for env in schedule.environments}
     marks = {id(env): 0 for env in schedule.environments}
     records: list[EventRecord] = []
     steps = 0
-    with policy_pool(agents, parallel) as pool:
+    with policy_pool(agents) as pool:
         for _cycle in range(schedule.cycles):
             for env in schedule.environments:
                 if env.done():
@@ -664,7 +651,7 @@ def multiworld_harness(config: ExperimentConfig, episodes: Episodes | None = Non
         n = max(spec["agents"] for spec in section.environments)
         with closing(make(BACKENDS, config.backend)) as backend:
             agents = build_agents(config.agents, backend, n)
-            log = run_multiworld(schedule, agents, seed=config.seed, parallel=config.parallel)
+            log = run_multiworld(schedule, agents, seed=config.seed)
         episodes = Episodes([("multiworld", log)])
     ((_, log),) = episodes.logs
     counts = Counter(record.info.get("world", "?") for record in log.records)
@@ -707,7 +694,6 @@ class TariffStudy:
     agents: AgentsConfig = field(default_factory=AgentsConfig)
     trials: int = 5
     base_seed: int = 0
-    parallel: bool = False
 
 
 def ablation_agents(study: TariffStudy, setting: AblationSetting) -> dict[int, Agent]:
@@ -782,7 +768,7 @@ def run_tariff_ablation(
         for seed in range(study.base_seed, study.base_seed + study.trials):
             env = ablation_environment(study, setting)
             agents = ablation_agents(study, setting)
-            log = run_episode(env, agents, max_steps=None, seed=seed, parallel=study.parallel)
+            log = run_episode(env, agents, max_steps=None, seed=seed)
             episodes.append((f"setting_{setting.level}/trial/{seed}", log))
     return ablation_table(episodes)
 
@@ -807,7 +793,6 @@ def ablation_harness(config: ExperimentConfig, episodes: Episodes | None = None)
                 agents=config.agents,
                 trials=config.trials,
                 base_seed=config.seed,
-                parallel=config.parallel,
             )
             episodes = Episodes(run_tariff_ablation(study, settings).episodes)
     table = ablation_table(episodes.logs)

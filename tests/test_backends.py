@@ -457,6 +457,17 @@ def test_remote_retries_429_after_retry_after(stub_server):
     assert waits == [0]
 
 
+@pytest.mark.parametrize("retry_after", ["86400", "9" * 400], ids=["a_day", "parses_to_inf"])
+def test_remote_429_waits_at_most_timeout(stub_server, retry_after):
+    url, handler = stub_server
+    handler.fail_times, handler.fail_status, handler.fail_headers = 2, 429, {"Retry-After": retry_after}
+    waits = []
+    backend = RemoteBackend(url, timeout=5.0, sleeper=waits.append)
+    assert backend.complete(simple_request("q")).content == "stub says hi"
+    assert len(handler.seen_bodies) == 3
+    assert waits == [backend.timeout, backend.timeout]
+
+
 def test_remote_429_with_http_date_waits_backoff(stub_server):
     url, handler = stub_server
     handler.fail_times, handler.fail_status = 1, 429

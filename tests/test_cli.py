@@ -97,6 +97,13 @@ def test_invalid_json_is_config_error(tmp_path):
         load_config(path)
 
 
+def test_top_level_array_exits_one(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    assert main(["run", "--config", str(path)]) == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
@@ -643,6 +650,20 @@ SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
         ),
         ({"environment": {"kind": "social", "agents": 3, "influencer": 7}}, "environment.influencer"),
         ({"environment": {"kind": "auction", "items": AUCTION_ITEMS, "min_increment": 0.0}}, "environment.min_increment"),
+        ({"environment": {"agents": 3}}, "environment.kind"),
+        ({"environment": {"kind": "market", "agents": 3, "initial_prices": 5}}, "environment.initial_prices"),
+        ({"backend": {"kind": "scripted", "rules": [{"contains": "", "content": "x"}]}}, "backend.rules[0].contains"),
+        ({"backend": {"kind": "remote", "endpoint": "http://127.0.0.1:9/v1", "in_flight_limit": 0}}, "backend.in_flight_limit"),
+        (
+            {"environment": {"kind": "auction", "items": [{**AUCTION_ITEMS[0], "starting_price": 0}]}},
+            "environment.items[0]",
+        ),
+        (
+            {"environment": {"kind": "questionnaire", "items": [{**QUESTION, "scale": {"kind": "stars", "points": 7}}]}},
+            "environment.items[0].scale",
+        ),
+        ({"environment": {"kind": "questionnaire", "items": [{**SCALED, "variant": "sideways"}]}}, "environment.items[0]"),
+        ({"environment": {"kind": "questionnaire", "items": [{**SCALED, "variant": "control"}]}}, "environment.items[0]"),
     ],
     ids=[
         "market", "economy", "social", "auction", "questionnaire", "questionnaire-missing-items",
@@ -658,6 +679,8 @@ SCALED = {**QUESTION, "scale": {"kind": "likert", "points": 7}}
         "carry-memory-string", "negative-parse-retries", "negative-days", "phase2-seed-string", "source-steps-string",
         "tool-rounds-string", "memory-capacity-string", "days-string", "ablation-summary-list", "replay-strict",
         "zero-initial-price", "zero-initial-prices", "influencer-outside-roster", "zero-min-increment",
+        "environment-without-kind", "initial-prices-number", "rule-empty-contains", "zero-in-flight-limit",
+        "auction-zero-starting-price", "unknown-scale-kind", "unknown-variant", "control-item-without-pair-id",
     ],
 )
 def test_strict_environment_and_memory_keys_exit_one(section, field, tmp_path, capsys):

@@ -502,6 +502,17 @@ def test_sell_of_unowned_stock_rejected_and_logged():
     assert env.accounts[0].holdings["A"] == env.config.initial_holdings["A"]
 
 
+def test_zero_quantity_order_rejected_and_logged():
+    def empty_buyer(obs):
+        order = {"symbol": "A", "side": "buy", "limit_price": 30.0, "quantity": 0}
+        return ActionEnvelope(agent_id=obs.agent_id, time=obs.time, body={"orders": [order]})
+
+    log = run_episode(MarketEnv(MarketConfig(n_agents=2, days=1)), {0: empty_buyer, 1: hold_policy}, max_steps=1)
+    rejections = [r for r in log.records if r.action == "reject_order"]
+    assert [(r.user_id, r.info["reason"]) for r in rejections] == [(0, "quantity must be positive")]
+    assert not any(r.action == "submit_order" for r in log.records)
+
+
 def make_trading_policy(seed):
     """Deterministic pseudo-random traders: small orders around the mid price."""
     from cogsim.seeds import child_rng

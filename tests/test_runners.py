@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import sys
@@ -489,6 +490,56 @@ def test_table_csv_has_four_rows_with_delta_columns():
     assert lines[1].split(",")[3] == ""  # no delta on the first row
 
 
+# --- fan-out ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("capped", [True, False], ids=["capped", "uncapped"])
+def test_library_runs_fan_out_exactly_when_a_backend_caps_its_requests(monkeypatch, capped):
+    # no run is asked for a pool: each episode opens one because its agents'
+    # backend caps its in-flight requests, as a remote backend does
+    opened = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+
+    def backend(make):
+        made = make()
+        if capped:
+            made.in_flight_limit = 2
+        return made
+
+    def pools(run):
+        start = len(opened)
+        run()
+        return len(opened) - start
+
+    def episode():
+        log = run_episode(MarketEnv(MarketConfig(n_agents=2, days=1)), make_multiworld_agents(2, backend(multiworld_backend)), None)
+        assert log.steps_executed > 0
+
+    def multiworld():
+        envs = [MarketEnv(MarketConfig(n_agents=2, days=1)), SocialEnv(star_profiles(2))]
+        log = run_multiworld(MultiWorldSchedule(environments=envs, cycles=2), make_multiworld_agents(2, backend(multiworld_backend)))
+        assert log.steps_executed == 4
+
+    def transfer():
+        shared = backend(transfer_backend)
+        plan = replace(make_transfer_plan(), agent_factory=lambda aid, memory: Agent(aid, memory=memory, backend=shared))
+        assert run_memory_transfer(plan, InstrumentSpec(items=transfer_items())).diffs_by_pair
+
+    def ablation():
+        study = make_study(lambda: backend(constant_order_backend), trials=2, agents=2, days=1)
+        assert len(run_tariff_ablation(study).episodes) == 4 * 2
+
+    counts = [pools(run) for run in (episode, multiworld, transfer, ablation)]
+    assert counts == ([1, 1, 3, 8] if capped else [0, 0, 0, 0])
+    assert set(opened) <= {2}  # one worker per agent
+
+
 # --- config-driven construction ----------------------------------------------------------
 
 
@@ -566,6 +617,17 @@ def test_environment_observation_contract(kind, overrides):
     assert env.done() == (kind != "social")
     if overrides:
         assert env.t == 0 and run_episode(env, agents, max_steps=None).steps_executed == 0
+
+
+@pytest.mark.parametrize("kind", ["auction", "economy", "market", "questionnaire"])  # every kind that can finish
+def test_step_on_a_finished_episode_raises(kind):
+    spec, body = CONTRACT_CASES[kind]
+    env = build_environment(parse(ExperimentConfig, {"environment": spec}).environment, seed=0)
+    observations = env.reset()
+    while not env.done():
+        observations = env.step({aid: ActionEnvelope(aid, obs.time, dict(body)) for aid, obs in observations.items()})
+    with pytest.raises(RuntimeError, match="step called on a finished episode"):
+        env.step({aid: ActionEnvelope(aid, env.t, dict(body)) for aid in env.agent_ids})
 
 
 # --- every body a schema admits: each environment refuses it or runs it ------------
